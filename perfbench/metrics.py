@@ -4,11 +4,10 @@ BENCHMARK.json lists the same names; `selftest.py` checks that they agree.
 """
 
 import collections
-import re
 import statistics
 
 from tracer import CLI_SUBCOMMANDS, self_times
-from workloads import VERIFY_CASES
+from workloads import CLI_MIX_VERIFY_CASES
 
 END_TO_END = (
     ("wall_s", "s"),
@@ -18,11 +17,6 @@ END_TO_END = (
     ("peak_rss_mb", "MB"),
     ("ok_ratio", "ratio"),
 )
-
-
-def metric_name(text):
-    """Drop the characters a metric name may not hold: '(', ')', '='."""
-    return re.sub(r"[^A-Za-z0-9_.-]", "", text)
 
 
 PER_LAYER = (
@@ -59,42 +53,41 @@ PER_LAYER = (
     ("serialize.self_s", "s"),
     ("cli.main.self_s", "s"),
 ) + tuple(("cli.%s.p50_ms" % sub, "ms") for sub in CLI_SUBCOMMANDS) + tuple(
-    (metric_name("verify.case.%s.s" % case), "s") for case in VERIFY_CASES) + (
+    ("verify.case.%s.s" % case, "s") for case in CLI_MIX_VERIFY_CASES) + (
     ("trace.wall_s", "s"),
     ("trace.overhead_s", "s"),
 )
 
 
-def layer_metrics(spans, counts, passes, keep):
-    """Per-layer metrics, each per traced pass.
+def layer_metrics(spans, counts, scales):
+    """Per-layer metrics, each per traced pass, over all passes.
 
-    Times come from the spans of the passes listed in `keep`; counters from
-    all `passes`.  `<span or layer>.calls` and `.self_s` sum over the spans
+    `scales[i]` turns a time of pass i into reference speed; every time is
+    scaled by it.  `<span or layer>.calls` and `.self_s` sum over the spans
     of that name or under that layer prefix; `.s` sums inclusive durations;
     `.p50_ms` is the median inclusive duration of one call; other names are
     counters.  The `trace.` metrics are left to the caller.
     """
-    keep = set(keep)
+    passes = len(scales)
     calls = collections.Counter()
     self_s = collections.Counter()
     durations = collections.defaultdict(list)
     for span, own in zip(spans, self_times(spans)):
-        if span[4][0] not in keep:
-            continue
-        name = metric_name(span[0])
+        name = span[0]
+        scale = scales[span[4][0]]
         for key in (name, name.split(".", 1)[0]):
             calls[key] += 1
-            self_s[key] += own
-        durations[name].append(span[2] - span[1])
+            self_s[key] += own * scale
+        durations[name].append((span[2] - span[1]) * scale)
 
     def value(name):
         base, _, stat = name.rpartition(".")
         if stat == "calls":
-            return calls[base] / len(keep)
+            return calls[base] / passes
         if stat == "self_s":
-            return self_s[base] / len(keep)
+            return self_s[base] / passes
         if stat == "s":
-            return sum(durations[base]) / len(keep)
+            return sum(durations[base]) / passes
         if stat == "p50_ms":
             return 1000 * statistics.median(durations[base]) if durations[base] else 0.0
         return counts[name] / passes

@@ -14,11 +14,14 @@ BENCHMARK.json and the benchmark, where it must fail without a result.
 import itertools
 import json
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
+import calibrate
 import metrics
 import reference
 import tracer
@@ -71,6 +74,21 @@ def test_tracer_on_toy_module():
           "self times of a tree add up to its root's duration")
 
 
+def test_sampler():
+    with calibrate.Sampler(0.01) as sampler:
+        start = time.perf_counter()
+        while time.perf_counter() - start < 0.3:
+            pass
+    elapsed = time.perf_counter() - start
+    check(len(sampler.kernels) >= 5 and 0 < sampler.spent < elapsed,
+          "the sampler times the kernel from its timer, and counts its time")
+    check(signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+          and signal.getsignal(signal.SIGALRM) is signal.SIG_DFL,
+          "the sampler stops its timer and restores the handler")
+    check(calibrate.scale(2 * calibrate.K_REF) == 0.5,
+          "a kernel twice as slow as the reference halves every time")
+
+
 def test_benchmark_json():
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     check([(m["name"], m["unit"]) for m in bench["end_to_end"]]
@@ -113,10 +131,13 @@ def test_checks_catch_wrong_values():
         {"topdeg": d} for d in (0, 8, 4, 16, 14)]}) is not None,
         "a wrong summand degree is caught")
     cli_check = workloads._cli_check(2)
-    check(cli_check(None, ZeroDivisionError()) == (False, None)
-          and cli_check((0, ""), None) == (False, None)
-          and cli_check((2, ""), None) == (True, None),
+    check(cli_check(None, ZeroDivisionError()) is not None
+          and cli_check((0, ""), None) is not None
+          and cli_check((2, ""), None) is None,
           "exit codes are held to the contract; an escaping exception breaks it")
+    timed = {argv for argv, _, _ in workloads.cli_mix_calls()}
+    check(not timed & {argv for argv, _, _ in workloads.CONTRACT_BREAKS},
+          "inputs known to break the contract are probed, not timed")
 
 
 def run_bench(workload, trace, cwd=ROOT):
@@ -142,9 +163,9 @@ def test_tiny_workloads():
             printed = "\n".join(lines[:-1])
             check(all(n in printed for n, _ in specs),
                   "tiny %s trace %d shows every metric by name" % (workload, trace))
-            if workload == "cli_mix" and trace == 0:
-                check("verify --case nope: raised KeyError" in printed,
-                      "contract-breaking inputs are listed")
+            check("verify --case nope: raised KeyError" in printed,
+                  "tiny %s trace %d lists the contract-breaking inputs"
+                  % (workload, trace))
 
 
 def test_fails_without_sources():
@@ -162,6 +183,7 @@ def test_fails_without_sources():
 def main():
     test_self_times()
     test_tracer_on_toy_module()
+    test_sampler()
     test_benchmark_json()
     test_reference_series()
     test_checks_catch_wrong_values()
