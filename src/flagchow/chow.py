@@ -11,10 +11,12 @@ from itertools import combinations
 from .catalog import restriction_tables
 from .errors import PresentationUnavailableError, UnsupportedCaseError, ValidationError
 from .groebner import (
+    HilbertSeries,
     QuotientPresentation,
     hilbert_series,
     hs_from_degrees,
     hs_product,
+    hs_times,
 )
 from .ring import GradedVariable, coeff_fp
 from .symclass import elementary_symmetric, pontryagin_class, t_ring
@@ -281,19 +283,12 @@ def a_filtration_basis(model, bound):
 def _p_prime_series(model, maxdeg):
     """Series of the inner truncated part P'(y): trivial in every versal case
     (each J-entry equals its truncation exponent), computed generally."""
-    dims = [0] * (maxdeg + 1)
-    dims[0] = 1
+    p = model.prime
     series = [1] + [0] * maxdeg
     for g, j in zip(model.y_gens, model.descriptor.j_invariant):
-        p = model.prime
-        step = g.topdeg * (p ** j)
-        count = g.trunc // (p ** j)
-        factor = [0] * (maxdeg + 1)
-        for k in range(count):
-            if k * step <= maxdeg:
-                factor[k * step] = 1
-        series = hs_product(series, factor, maxdeg).dims
-    from .groebner import HilbertSeries
+        # 1 + q^step + ... + q^{(count-1) step}
+        step = g.topdeg * p ** j
+        hs_times(series, numer=[step * (g.trunc // p ** j)], denom=[step])
     return HilbertSeries(series)
 
 

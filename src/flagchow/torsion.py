@@ -32,8 +32,9 @@ from .errors import (
 )
 from .groebner import (
     GroebnerBasis,
+    _standard_monomial_dims,
     buchberger,
-    hs_product,
+    hs_times,
     normal_form,
 )
 from .ring import COEFF_Q, GradedVariable, Polynomial, PolyRing
@@ -170,24 +171,17 @@ def _eliminate_monic(ring, relations):
 def _coinvariant_series(l, maxdeg):
     """prod_{i=1..l} (1 + q^2 + ... + q^{2(i-1)}): the torus coinvariant series."""
     series = [1] + [0] * maxdeg
-    for i in range(1, l + 1):
-        factor = [0] * (maxdeg + 1)
-        for k in range(i):
-            if 2 * k <= maxdeg:
-                factor[2 * k] = 1
-        series = hs_product(series, factor, maxdeg).dims
+    hs_times(series, numer=[2 * i for i in range(1, l + 1)], denom=[2] * l)
     return series
 
 
 def _expected_flag_series(l):
+    """The coinvariant series times the exterior series prod_{i=1..l} (1 + q^{2i})."""
     maxdeg = 2 * l * l
-    ext = [1] + [0] * maxdeg
-    for i in range(1, l + 1):
-        factor = [0] * (maxdeg + 1)
-        factor[0] = 1
-        factor[2 * i] = 1
-        ext = hs_product(ext, factor, maxdeg).dims
-    return hs_product(ext, _coinvariant_series(l, maxdeg), maxdeg).dims
+    series = _coinvariant_series(l, maxdeg)
+    hs_times(series, numer=[4 * i for i in range(1, l + 1)],
+             denom=[2 * i for i in range(1, l + 1)])
+    return series
 
 
 def _standard_monomials_of_degree(gb, ring, deg):
@@ -223,15 +217,10 @@ def _flag_candidate(l, convention):
     gb = GroebnerBasis("grevlex", basis, topdim, ring)
 
     # graded ranks must match the expected series (free-rank criterion)
-    expected = _expected_flag_series(l)
-    ranks = []
-    for d in range(0, topdim + 1, 2):
-        ranks.append(len(_standard_monomials_of_degree(gb, ring, d)))
-    actual = [0] * (topdim + 1)
-    for k, d in enumerate(range(0, topdim + 1, 2)):
-        actual[d] = ranks[k]
-    if actual != expected:
+    actual = _standard_monomial_dims(gb.leading_monomials(), ring, topdim)
+    if actual != _expected_flag_series(l):
         return None
+    ranks = actual[0::2]
 
     top = _standard_monomials_of_degree(gb, ring, topdim)
     if len(top) != 1:

@@ -142,3 +142,31 @@ def in_ideal_mod_p(topdegs, relations, target, p):
 
 def binom_mod(n, k, p):
     return comb(n, k) % p
+
+
+def standard_monomial_dims(lts, topdegs, maxdeg):
+    """Graded counts of monomials of topdeg <= maxdeg divisible by no lts entry.
+
+    Brute force: visits every monomial up to maxdeg and tests it against
+    every leading monomial.
+    """
+    dims = [0] * (maxdeg + 1)
+    nvars = len(topdegs)
+    exps = [0] * nvars
+
+    def rec(i, deg):
+        if i == nvars:
+            for m in lts:
+                if all(a <= b for a, b in zip(m, exps)):
+                    return
+            dims[deg] += 1
+            return
+        e = 0
+        while deg + e * topdegs[i] <= maxdeg:
+            exps[i] = e
+            rec(i + 1, deg + e * topdegs[i])
+            e += 1
+        exps[i] = 0
+
+    rec(0, 0)
+    return dims

@@ -23,6 +23,31 @@ def test_hilbert_u3():
     assert payload["total"] == 6
 
 
+def _u_coinvariant_dims(l, maxdeg):
+    """prod_{i=1..l} (1 + q^2 + ... + q^{2(i-1)}) by direct expansion."""
+    dims = [1]
+    for i in range(1, l + 1):
+        out = [0] * (len(dims) + 2 * (i - 1))
+        for d, c in enumerate(dims):
+            for k in range(i):
+                out[d + 2 * k] += c
+        dims = out
+    return (dims + [0] * (maxdeg + 1))[:maxdeg + 1]
+
+
+def test_hilbert_large_unitary_ranks():
+    # sizes whose brute-force standard-monomial count did not finish
+    code, payload = run_json(["hilbert", "--group", "U", "--rank", "8",
+                              "--prime", "2", "--maxdeg", "56"])
+    assert code == 0
+    assert payload["dims_by_topdeg"] == _u_coinvariant_dims(8, 56)
+    assert payload["total"] == 40320
+    code, payload = run_json(["hilbert", "--group", "U", "--rank", "9",
+                              "--prime", "2", "--maxdeg", "60"])
+    assert code == 0
+    assert payload["dims_by_topdeg"] == _u_coinvariant_dims(9, 60)
+
+
 def test_rost_cli():
     code, payload = run_json(["rost", "--n", "2", "--p", "2"])
     assert code == 0

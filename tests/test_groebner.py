@@ -6,18 +6,19 @@ from flagchow.errors import OutOfRangeError, ValidationError
 from flagchow.groebner import (
     HilbertSeries,
     QuotientPresentation,
+    _standard_monomial_dims,
     groebner,
     hilbert_series,
     hs_from_degrees,
-    hs_one_minus_q,
     hs_product,
+    hs_times,
     is_regular_sequence,
     normal_form,
 )
-from flagchow.ring import coeff_fp
+from flagchow.ring import GradedVariable, PolyRing, coeff_fp
 from flagchow.symclass import elementary_symmetric, t_ring
 
-from oracles import graded_quotient_dims, in_ideal_mod_p
+from oracles import graded_quotient_dims, in_ideal_mod_p, standard_monomial_dims
 
 
 def _pres(l, p, rel_builder):
@@ -165,6 +166,38 @@ def test_hilbert_series_order_independent():
     assert c == hilbert_series(pres, 20)
 
 
+def _weighted_ring(weights):
+    return PolyRing([GradedVariable("x%d" % i, w) for i, w in enumerate(weights)],
+                    coeff_fp(2))
+
+
+def test_standard_monomial_dims_edge_cases_match_enumeration():
+    cases = [
+        ((2, 4), [], 12),                          # empty ideal
+        ((2, 4), [(1, 0)], 0),                     # maxdeg 0
+        ((2,), [(0,)], 6),                         # unit ideal
+        ((2, 6), [(4, 0), (0, 3)], 10),            # generators above maxdeg
+        ((2, 2, 4), [(1, 1, 0), (2, 1, 0), (1, 1, 1)], 14),   # non-minimal
+        ((4, 2), [(1, 2), (1, 2), (0, 3), (0, 3)], 16),       # duplicates
+        ((2, 2), [(2, 1), (1, 2), (3, 0), (0, 3)], 20),       # pivot needed
+    ]
+    for weights, lts, maxdeg in cases:
+        assert (_standard_monomial_dims(lts, _weighted_ring(weights), maxdeg)
+                == standard_monomial_dims(lts, weights, maxdeg)), (weights, lts)
+
+
+def test_standard_monomial_dims_match_enumeration_on_random_ideals():
+    rng = random.Random(20161017)
+    for _ in range(300):
+        weights = tuple(rng.choice((2, 4, 6)) for _ in range(rng.randint(1, 5)))
+        lts = [tuple(rng.randint(0, 4) for _ in weights)
+               for _ in range(rng.randint(0, 8))]
+        lts += rng.sample(lts, min(len(lts), rng.randint(0, 2)))
+        maxdeg = rng.randint(0, 30)
+        assert (_standard_monomial_dims(lts, _weighted_ring(weights), maxdeg)
+                == standard_monomial_dims(lts, weights, maxdeg)), (weights, lts, maxdeg)
+
+
 def test_odd_degrees_always_zero():
     pres = _pres(3, 2, _chern_rels)
     hs = hilbert_series(pres, 15)
@@ -229,8 +262,17 @@ def test_series_product_and_degree_multiset():
 
 
 def test_one_minus_q_series():
-    s = hs_one_minus_q([2, 4], 8)
-    assert s.dims == [1, 0, -1, 0, -1, 0, 1, 0, 0]
+    s = [1] + [0] * 8
+    hs_times(s, numer=[2, 4])
+    assert s == [1, 0, -1, 0, -1, 0, 1, 0, 0]
+    # dividing back by the same factors is exact under truncation
+    hs_times(s, denom=[4, 2])
+    assert s == [1] + [0] * 8
+    # a geometric factor: (1 - q^6) / (1 - q^2) = 1 + q^2 + q^4
+    hs_times(s, numer=[6], denom=[2])
+    assert s == [1, 0, 1, 0, 1, 0, 0, 0, 0]
+    with pytest.raises(ValidationError):
+        hs_times(s, denom=[0])
 
 
 def test_series_truncation_and_eq():
