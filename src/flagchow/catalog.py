@@ -381,10 +381,10 @@ def _model_SO_odd(l):
         notes=("periodic-operation rule on odd generators stored with the "
                "'+' index convention y_{2i + 2^{n+1} - 2}; the alternative "
                "'-' reading is rejected by the derived Q_1 check",
-               "integral quadratic relations resolved to the signed "
+               "integral quadratic relations read as the signed "
                "product-sum expansion (middle sign +(-1)^j, forcing "
-               "y_4 = y_2^2); the torsion builder re-derives this by the "
-               "free-rank criterion at every build",))
+               "y_4 = y_2^2); the exact torsion index does not use them: "
+               "it is the gcd of the Demazure degree map on the torus",))
 
 
 def _model_SO_even(l):

@@ -18,7 +18,7 @@ from .groebner import (
     hs_product,
     hs_times,
 )
-from .ring import GradedVariable, coeff_fp
+from .ring import GradedVariable, PolyRing, coeff_fp
 from .symclass import elementary_symmetric, pontryagin_class, t_ring
 
 
@@ -127,7 +127,6 @@ def _symbolic_type_one(model):
     gens = []
     for e in model.transgression:
         gens.append(GradedVariable("B%s" % e.index, e.topdeg))
-    from .ring import PolyRing
     ring = PolyRing(gens, coeff_fp(p))
     nlow = 2 * p - 2
     bs = [ring.gen("B%s" % e.index) for e in model.transgression[:nlow]]

@@ -177,12 +177,10 @@ def _cmd_decompose(args):
 
 def _cmd_torsion_index(args):
     model = _model(args)
-    value, level = _torsion.torsion_index(model)
+    value, level, details = _torsion.torsion_index_report(model)
     payload = {"case": model.descriptor.label(), "value": value,
                "verification": level}
     if level == "EXACT":
-        _, details = _torsion.torsion_index_so(model.descriptor.rank,
-                                               return_details=True)
         payload["monomials_checked"] = details["monomials_checked"]
     if args.witness:
         ann = _catalog.witness_annotation(model)
@@ -223,7 +221,7 @@ def _cmd_verify(args):
     if args.case:
         reports = [_verify.run_case(args.case)]
     else:
-        reports = _verify.run_all(jobs=args.jobs)
+        reports = _verify.run_all()
     payload = {"reports": [r.as_dict() for r in reports]}
     if args.all:
         payload["criteria"] = [
@@ -309,7 +307,6 @@ def build_parser():
     s = sub.add_parser("verify", help="run verification cases")
     s.add_argument("--all", action="store_true")
     s.add_argument("--case", default=None)
-    s.add_argument("--jobs", type=int, default=1)
     s.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -309,12 +309,12 @@ def buchberger(relations, ring, order, maxdeg):
 def groebner(pres, maxdeg, order="grevlex"):
     """Degree-truncated Groebner basis of a quotient presentation.
 
-    Requires field coefficients (F_p, or Q where `torsion` asks for it) and
-    homogeneous relations; normal forms below maxdeg are canonical.
+    Requires field coefficients (F_p or Q) and homogeneous relations; normal
+    forms below maxdeg are canonical.
     """
     if pres.coeff[0] == "Z":
-        raise ValidationError("groebner needs field coefficients; Z-quotients "
-                              "are handled by the torsion machinery")
+        raise ValidationError("groebner needs field coefficients (F_p or Q), "
+                              "not Z")
     if maxdeg < 0:
         raise ValidationError("maxdeg must be non-negative")
     basis = buchberger(pres.relations, pres.ring, order, maxdeg)

@@ -1,19 +1,18 @@
-"""Torsion indices: exact gcd computation for the odd orthogonal groups,
+"""Torsion indices: exact degree computation for the odd orthogonal groups,
 witness products and the factor-counting bound for the exceptional ones.
 
-The integral flag ring of the odd orthogonal group is presented on torus
-variables t_i and even classes y_{2i} by the relations c_i - 2 y_{2i} and
-the quadratic J-relations.  The J-display carries a boundary-term sign
-ambiguity, so the builder tries both readings and keeps one by the
-free-rank criterion: graded ranks must match the product of the exterior
-series on y_2..y_{2l} with the torus-coinvariant series, with a rank-one
-top piece generated by the fundamental class.
-
-Degree-truncated Groebner bases are computed over Q after eliminating the
-variables that occur monically; normal forms are then checked for
-integrality against the fundamental class (the verified generator of the
-top piece), never via integer matrix normal forms: the top piece has rank
-one, so the subgroup index is a gcd of integer coordinates.
+The torsion index of SO(2l+1) is the gcd of the degrees deg(t^a) over the
+torus monomials of degree N = l^2, the number of positive roots, where the
+degree map is the Demazure operator of the longest Weyl element,
+deg = d_{w0} (Demazure, Invent. Math. 21, 1973; Totaro, Duke Math. J. 129,
+2005).  The Weyl group of type B_l acts on the torus variables t_1..t_l:
+for i < l, s_i swaps t_i and t_{i+1} (root t_i - t_{i+1}), and s_l negates
+t_l (root t_l); d_i f = (f - s_i f) / alpha_i.  Along the reduced word
+(s_1 ... s_l)^l of w0 the point functional is pulled back one degree at a
+time, so every layer is an integer functional on the monomials of its
+degree: integers only, no Groebner basis, no rational arithmetic.  The
+degree map is certified by deg(product of the positive roots) = |W| =
+2^l l!, which fails when the word is not a reduced word of w0.
 
 Witness products multiply transgression leading terms p^s * (body) inside
 the truncated ring P(y)/p; truncation-to-zero is the mod-higher-filtration
@@ -21,8 +20,8 @@ computation, and the discarded torus tails are exactly what the witness
 bound absorbs.
 """
 
-from fractions import Fraction
-from math import gcd, log2
+from itertools import combinations
+from math import factorial, gcd, log2
 
 from .catalog import WitnessPolynomial, lookup_model, sharp_data, witness_annotation
 from .errors import (
@@ -30,333 +29,91 @@ from .errors import (
     InternalInconsistencyError,
     ValidationError,
 )
-from .groebner import (
-    GroebnerBasis,
-    _standard_monomial_dims,
-    buchberger,
-    hs_times,
-    normal_form,
-)
-from .ring import COEFF_Q, GradedVariable, Polynomial, PolyRing
-from .symclass import elementary_symmetric
 
 
 # ---------------------------------------------------------------------------
-# the integral orthogonal flag ring
+# the degree map of SO(2l+1)
 
 
-class IntegralFlagRing:
-    """Reduced presentation of the integral flag ring of SO(2l+1), with a
-    truncated rational basis and a verified rank-one top piece."""
-
-    __slots__ = ("l", "convention", "full_ring", "relations", "ring", "gb",
-                 "elim_chain", "expected_rank", "topdim", "ranks",
-                 "top_monomial", "fundamental_coeff", "integer_basis")
-
-    def __init__(self, l, convention, full_ring, relations, ring, gb,
-                 elim_chain, ranks, top_monomial, fundamental_coeff,
-                 integer_basis):
-        self.l = l
-        self.convention = convention
-        self.full_ring = full_ring
-        self.relations = relations
-        self.ring = ring
-        self.gb = gb
-        self.elim_chain = elim_chain
-        self.expected_rank = 2 ** l * _factorial(l)
-        self.topdim = 2 * l * l
-        self.ranks = ranks
-        self.top_monomial = top_monomial
-        self.fundamental_coeff = fundamental_coeff
-        self.integer_basis = integer_basis
-
-    def reduce_full(self, poly):
-        """Map a polynomial on the full variable set through the eliminations
-        and take its normal form."""
-        for assignment in self.elim_chain:
-            poly = poly.substitute(assignment)
-        return normal_form(poly, self.gb)
+def _w0_word(l):
+    """The reduced word (s_1 ... s_l)^l of the longest element of W(B_l)."""
+    return list(range(1, l + 1)) * l
 
 
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+def _divided_difference(exps, i):
+    """d_i t^exps as (exponent tuple, integer coefficient) terms."""
+    l = len(exps)
+    if i == l:
+        # (t^a - (-t)^a) / t
+        if exps[-1] % 2 == 0:
+            return []
+        return [(exps[:-1] + (exps[-1] - 1,), 2)]
+    a, b = exps[i - 1], exps[i]
+    lo, hi = min(a, b), max(a, b)
+    sign = 1 if a > b else -1
+    # (t_i^a t_{i+1}^b - t_i^b t_{i+1}^a) / (t_i - t_{i+1}); empty when a == b
+    return [(exps[:i - 1] + (hi - 1 - j, lo + j) + exps[i + 1:], sign)
+            for j in range(hi - lo)]
 
 
-def integral_flag_variables(l):
-    return ([GradedVariable("t%d" % i, 2) for i in range(1, l + 1)]
-            + [GradedVariable("y%d" % (2 * i), 2 * i) for i in range(1, l + 1)])
-
-
-def integral_flag_relations(l, convention):
-    """Relations c_i - 2 y_{2i} and J_{2i} on the full variable set.
-
-    convention "c-form": J_{2i} = y_{4i} + sum_{0<j<2i} (-1)^j y_{2j} y_{4i-2j}
-    (the expansion of the quarter-sum of signed products of the symmetric
-    functions); "display-form" flips the sign of the middle sum.
-    """
-    ring = PolyRing(integral_flag_variables(l), COEFF_Q)
-    rels = []
-    for i in range(1, l + 1):
-        rels.append(elementary_symmetric(l, i, ring=ring)
-                    - ring.gen("y%d" % (2 * i)).scale(2))
-    sign = 1 if convention == "c-form" else -1
-    for i in range(1, l + 1):
-        J = ring.zero()
-        if 2 * i <= l:
-            J = J + ring.gen("y%d" % (4 * i))
-        for j in range(1, 2 * i):
-            if j <= l and 2 * i - j <= l:
-                term = ring.gen("y%d" % (2 * j)) * ring.gen("y%d" % (4 * i - 2 * j))
-                J = J + term.scale(sign * (-1) ** j)
-        if J.is_zero():
-            raise InternalInconsistencyError("empty quadratic relation")
-        rels.append(J)
-    return ring, rels
-
-
-def _drop_variable(poly, target_ring, index):
-    terms = {}
-    for m, c in poly.terms.items():
-        if m[index] != 0:
-            raise InternalInconsistencyError("variable not eliminated cleanly")
-        terms[m[:index] + m[index + 1:]] = c
-    return Polynomial(target_ring, terms)
-
-
-def _eliminate_monic(ring, relations):
-    """Substitute away variables that occur as a unit-coefficient linear term
-    of some relation and nowhere else in that relation."""
-    chain = []
-    rels = [r for r in relations if not r.is_zero()]
-    changed = True
-    while changed:
-        changed = False
-        for ri, r in enumerate(rels):
-            found = None
-            for m, c in r.terms.items():
-                if sum(m) != 1 or abs(c) != 1:
-                    continue
-                v = m.index(1)
-                if all(mm[v] == 0 for mm in r.terms if mm != m):
-                    found = (v, c)
-                    break
-            if found is None:
-                continue
-            v, c = found
-            vname = ring.variables[v].name
-            new_ring = PolyRing(ring.variables[:v] + ring.variables[v + 1:],
-                                ring.coeff)
-            rest = Polynomial(ring, {m: cc for m, cc in r.terms.items()
-                                     if m[v] == 0})
-            repl = _drop_variable(rest, new_ring, v).scale(-c)  # c in {1,-1}
-            assignment = {vname: repl}
-            chain.append(assignment)
-            new_rels = []
-            for j, other in enumerate(rels):
-                if j == ri:
-                    continue
-                sub = other.substitute(assignment)
-                if not sub.is_zero():
-                    new_rels.append(sub)
-            rels = new_rels
-            ring = new_ring
-            changed = True
-            break
-    return ring, rels, chain
-
-
-def _coinvariant_series(l, maxdeg):
-    """prod_{i=1..l} (1 + q^2 + ... + q^{2(i-1)}): the torus coinvariant series."""
-    series = [1] + [0] * maxdeg
-    hs_times(series, numer=[2 * i for i in range(1, l + 1)], denom=[2] * l)
-    return series
-
-
-def _expected_flag_series(l):
-    """The coinvariant series times the exterior series prod_{i=1..l} (1 + q^{2i})."""
-    maxdeg = 2 * l * l
-    series = _coinvariant_series(l, maxdeg)
-    hs_times(series, numer=[4 * i for i in range(1, l + 1)],
-             denom=[2 * i for i in range(1, l + 1)])
-    return series
-
-
-def _standard_monomials_of_degree(gb, ring, deg):
+def _monomials(l, k):
+    """Exponent tuples of length l and total degree k, by stars and bars."""
     out = []
-    lts = gb.leading_monomials()
-    degs = ring.topdegs
-    nvars = ring.nvars
-    exps = [0] * nvars
-
-    def rec(i, remaining):
-        if i == nvars:
-            if remaining == 0:
-                m = tuple(exps)
-                if not any(all(a <= b for a, b in zip(lt, m)) for lt in lts):
-                    out.append(m)
-            return
-        e = 0
-        while e * degs[i] <= remaining:
-            exps[i] = e
-            rec(i + 1, remaining - e * degs[i])
-            e += 1
-        exps[i] = 0
-
-    rec(0, deg)
+    for bars in combinations(range(k + l - 1), l - 1):
+        cuts = (-1,) + bars + (k + l - 1,)
+        out.append(tuple(b - a - 1 for a, b in zip(cuts, cuts[1:])))
     return out
 
 
-def _flag_candidate(l, convention):
-    full_ring, full_rels = integral_flag_relations(l, convention)
-    ring, rels, chain = _eliminate_monic(full_ring, full_rels)
-    topdim = 2 * l * l
-    basis = buchberger(rels, ring, "grevlex", topdim)
-    gb = GroebnerBasis("grevlex", basis, topdim, ring)
-
-    # graded ranks must match the expected series (free-rank criterion)
-    actual = _standard_monomial_dims(gb.leading_monomials(), ring, topdim)
-    if actual != _expected_flag_series(l):
-        return None
-    ranks = actual[0::2]
-
-    top = _standard_monomials_of_degree(gb, ring, topdim)
-    if len(top) != 1:
-        return None
-    top_monomial = top[0]
-
-    # monic basis with integer coefficients certifies a Z-basis of standard
-    # monomials; recorded, and required for the fundamental class below
-    integer_basis = all(
-        all(isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1)
-            for c in g.terms.values())
-        for g in basis)
-
-    # fundamental class: the full y-product times the staircase torus monomial
-    f = full_ring.one()
-    for i in range(1, l + 1):
-        f = f * full_ring.gen("y%d" % (2 * i))
-    for i in range(1, l):
-        f = f * full_ring.gen("t%d" % i, l - i)
-    for assignment in chain:
-        f = f.substitute(assignment)
-    nf = normal_form(f, gb)
-    if len(nf.terms) != 1:
-        return None
-    coeff = nf.terms.get(top_monomial)
-    if coeff is None or coeff == 0:
-        return None
-    # when the basis is integer-monic the standard monomials form a Z-basis
-    # and the fundamental class must sit at a unit coordinate
-    if integer_basis and abs(coeff) != 1:
-        return None
-
-    return IntegralFlagRing(l, convention, full_ring, full_rels, ring, gb,
-                            chain, ranks, top_monomial, Fraction(coeff),
-                            integer_basis)
+def _positive_root_product(l):
+    """The product of the positive roots t_i - t_j, t_i + t_j (i < j) and t_i."""
+    units = [tuple(int(k == i) for k in range(l)) for i in range(l)]
+    roots = []
+    for i in range(l):
+        roots.append({units[i]: 1})
+        for j in range(i + 1, l):
+            roots.append({units[i]: 1, units[j]: -1})
+            roots.append({units[i]: 1, units[j]: 1})
+    product = {(0,) * l: 1}
+    for root in roots:
+        out = {}
+        for m, c in product.items():
+            for r, d in root.items():
+                key = tuple(a + b for a, b in zip(m, r))
+                out[key] = out.get(key, 0) + c * d
+        product = {m: c for m, c in out.items() if c}
+    return product
 
 
 def build_integral_flag_ring(l):
-    """Build the integral flag presentation, resolving the J-sign by the
-    free-rank criterion; errors if neither reading passes."""
+    """The degree map {exponent tuple: deg(t^a)} on the torus monomials of
+    degree l^2, pulled back through the word one layer at a time."""
     if not 2 <= l <= 4:
         raise ValidationError("desk-scale ranks are 2..4")
-    kept = None
-    passed = []
-    for convention in ("c-form", "display-form"):
-        cand = _flag_candidate(l, convention)
-        if cand is not None:
-            passed.append(convention)
-            if kept is None:
-                kept = cand
-    if kept is None:
-        raise InternalInconsistencyError(
-            "no J-sign convention matches the expected free rank %d"
-            % (2 ** l * _factorial(l)))
-    return kept
-
-
-def fundamental_coefficient(flag_ring, exps):
-    """Integer coordinate of a top-degree torus monomial on the fundamental
-    class; errors on non-integral coordinates."""
-    full = flag_ring.full_ring
-    if len(exps) != flag_ring.l:
-        raise ValidationError("expected a torus exponent tuple of length l")
-    mono = full.one()
-    for i, e in enumerate(exps):
-        if e:
-            mono = mono * full.gen("t%d" % (i + 1), e)
-    if mono.homogeneous_topdeg() != flag_ring.topdim:
-        raise ValidationError("monomial degree must equal the top dimension")
-    nf = flag_ring.reduce_full(mono)
-    if nf.is_zero():
-        return 0
-    if len(nf.terms) != 1 or flag_ring.top_monomial not in nf.terms:
-        raise InternalInconsistencyError("top normal form not on the top basis")
-    coord = Fraction(nf.terms[flag_ring.top_monomial]) / flag_ring.fundamental_coeff
-    if coord.denominator != 1:
-        raise InternalInconsistencyError(
-            "non-integral top coordinate %s" % (coord,))
-    return int(coord)
-
-
-def _top_t_monomial_coefficients(flag_ring):
-    """Coordinates of every top-degree torus monomial, by layered reduction."""
-    l = flag_ring.l
-    full = flag_ring.full_ring
-    # torus generators mapped through the eliminations once
-    t_images = []
-    for i in range(1, l + 1):
-        g = full.gen("t%d" % i)
-        for assignment in flag_ring.elim_chain:
-            g = g.substitute(assignment)
-        t_images.append(g)
-    half = flag_ring.topdim // 2
-    layer = {(0,) * l: flag_ring.ring.one()}
-    for _ in range(half):
-        nxt = {}
-        for exps, nf in layer.items():
-            # extending only at positions up to the first nonzero enumerates
-            # each monomial along exactly one path
-            i = next((k for k, e in enumerate(exps) if e), l - 1)
-            for j in range(i + 1):
-                new = list(exps)
-                new[j] += 1
-                key = tuple(new)
-                if key in nxt:
-                    continue
-                nxt[key] = normal_form(nf * t_images[j], flag_ring.gb)
-        layer = nxt
-    out = {}
-    for exps, nf in layer.items():
-        if nf.is_zero():
-            out[exps] = 0
-            continue
-        if len(nf.terms) != 1 or flag_ring.top_monomial not in nf.terms:
-            raise InternalInconsistencyError("top normal form off the top basis")
-        coord = Fraction(nf.terms[flag_ring.top_monomial]) / flag_ring.fundamental_coeff
-        if coord.denominator != 1:
-            raise InternalInconsistencyError("non-integral top coordinate")
-        out[exps] = int(coord)
-    return out
+    # after letter k of the word i_1..i_N, the layer is the functional
+    # t^a -> d_{i_1} ... d_{i_k} t^a (a constant) on the degree-k monomials
+    layer = {(0,) * l: 1}
+    for k, i in enumerate(_w0_word(l), start=1):
+        layer = {m: sum(c * layer[n] for n, c in _divided_difference(m, i))
+                 for m in _monomials(l, k)}
+    return layer
 
 
 def torsion_index_so(l, return_details=False):
-    """gcd over all top-degree torus monomials of their coordinates on the
-    fundamental class: the exact torsion index of the odd orthogonal group."""
-    flag_ring = build_integral_flag_ring(l)
-    coeffs = _top_t_monomial_coefficients(flag_ring)
-    value = 0
-    for c in coeffs.values():
-        value = gcd(value, abs(c))
-    if value == 0:
-        raise InternalInconsistencyError("no torus monomial hits the top cell")
+    """gcd of the degrees of all torus monomials of degree l^2: the exact
+    torsion index of the odd orthogonal group.  Errors unless the degree of
+    the positive-root product is |W| = 2^l l!."""
+    degrees = build_integral_flag_ring(l)
+    order = 2 ** l * factorial(l)
+    certificate = sum(c * degrees.get(m, 0)
+                      for m, c in _positive_root_product(l).items())
+    if certificate != order:
+        raise InternalInconsistencyError(
+            "the positive-root product has degree %d, not |W| = %d"
+            % (certificate, order))
+    value = gcd(*degrees.values())
     if return_details:
-        return value, {"monomials_checked": len(coeffs),
-                       "convention": flag_ring.convention,
-                       "rank": sum(flag_ring.ranks)}
+        return value, {"monomials_checked": len(degrees), "rank": certificate}
     return value
 
 
@@ -433,19 +190,27 @@ def sharp_of_y_top(model):
 def torsion_index(model):
     """(value, verification level) for the model.
 
-    EXACT: the gcd method ran (odd orthogonal, desk-scale rank).
+    EXACT: the degree gcd ran (odd orthogonal, desk-scale rank) and its
+    degree map passed the |W| certificate.
     UPPER-WITNESS: a witness product confirms value <= p^s with s matching.
     UPPER+COUNT: witness plus the counting lower bound pin the value.
     TABLE: stored value only.
     """
+    value, level, _ = torsion_index_report(model)
+    return value, level
+
+
+def torsion_index_report(model):
+    """(value, verification level, details) as in `torsion_index`; the
+    details of an EXACT result are those of `torsion_index_so`, else empty."""
     desc = model.descriptor
     stored = desc.torsion_index_p
     if desc.family == "SO_odd" and 2 <= desc.rank <= 4:
-        value = torsion_index_so(desc.rank)
+        value, details = torsion_index_so(desc.rank, return_details=True)
         if stored is not None and value != stored:
             raise InternalInconsistencyError(
                 "computed index %d disagrees with the stored %d" % (value, stored))
-        return value, "EXACT"
+        return value, "EXACT", details
     ann = witness_annotation(model)
     if ann is not None and stored is not None:
         w = witness_product(model, ann.indices)
@@ -461,18 +226,17 @@ def torsion_index(model):
         if desc.key() == ("E8", 8, 2):
             bound = sharp_y_bound(model, w.s - 1)
             if bound < sharp_of_y_top(model):
-                return stored, "UPPER+COUNT"
+                return stored, "UPPER+COUNT", {}
             raise InternalInconsistencyError(
                 "counting bound %d fails to separate the top class" % bound)
-        return stored, "UPPER-WITNESS"
+        return stored, "UPPER-WITNESS", {}
     if stored is not None:
-        return stored, "TABLE"
+        return stored, "TABLE", {}
     raise DataMissingError("no torsion data for %s" % desc.label())
 
 
 def witness_submultisets_nonzero(model, indices):
     """Every sub-multiset of a valid witness keeps a nonzero body."""
-    from itertools import combinations
     idx = list(indices)
     seen = set()
     for r in range(len(idx) + 1):

@@ -2,11 +2,10 @@
 
 Each case recomputes its values from scratch and returns a Report whose
 details always carry the expected/computed pair, so a failure is a diff,
-never a bare flag.  Cases are independent and may run on a worker pool;
-reports merge in the fixed case order.
+never a bare flag.  Cases are independent and run in the fixed case order.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+from math import factorial
 
 from .catalog import lookup_model, validate_catalog
 from .chow import (
@@ -85,10 +84,8 @@ def case_coinvariant_counts():
     for l in range(1, 5):
         bound_u = l * (l - 1) + 4
         bound_sp = 2 * l * l + 4
+        fact = factorial(l)
         for p in (2, 3, 5):
-            fact = 1
-            for i in range(2, l + 1):
-                fact *= i
             u = hilbert_series(_chow.chow_presentation(lookup_model("U", l, p)),
                                bound_u).total()
             sp = hilbert_series(_chow.chow_presentation(lookup_model("Sp", l, p)),
@@ -282,13 +279,9 @@ def run_case(name):
     raise KeyError("unknown verification case %r" % (name,))
 
 
-def run_all(jobs=1):
+def run_all():
     """Run every case; reports come back in the fixed declaration order."""
-    if jobs <= 1:
-        return [fn() for _, fn in CASES]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(fn) for _, fn in CASES]
-    return [f.result() for f in futures]
+    return [fn() for _, fn in CASES]
 
 
 def criteria_summary(reports):

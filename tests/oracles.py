@@ -170,3 +170,57 @@ def standard_monomial_dims(lts, topdegs, maxdeg):
 
     rec(0, 0)
     return dims
+
+
+def _b_reflect(f, i, l):
+    """s_i on a {exps: coef} polynomial in t_1..t_l, type B_l: s_i swaps
+    t_i and t_{i+1} for i < l, s_l negates t_l."""
+    out = {}
+    for m, c in f.items():
+        if i == l:
+            out[m] = c * (-1) ** m[l - 1]
+        else:
+            mm = list(m)
+            mm[i - 1], mm[i] = mm[i], mm[i - 1]
+            out[tuple(mm)] = c
+    return out
+
+
+def _divide_by_root(g, i, l):
+    """Exact quotient of g by the simple root t_i - t_{i+1} (i < l) or t_l,
+    by long division on the t_i exponent; errors if the division is inexact."""
+    g = {m: c for m, c in g.items() if c}
+    q = {}
+    while g:
+        m = max(g, key=lambda mm: (mm[i - 1], mm))
+        c = g.pop(m)
+        if m[i - 1] == 0:
+            raise AssertionError("division by the root is not exact")
+        lead = m[:i - 1] + (m[i - 1] - 1,) + m[i:]
+        q[lead] = q.get(lead, 0) + c
+        if i < l:
+            # subtract c * lead * (t_i - t_{i+1}); the t_i part was popped
+            tail = lead[:i] + (lead[i] + 1,) + lead[i + 1:]
+            g[tail] = g.get(tail, 0) + c
+            if g[tail] == 0:
+                del g[tail]
+    return q
+
+
+def demazure_degree(exps, word):
+    """d_{i_1} ... d_{i_N} t^exps for a type-B word (i_1, ..., i_N), applied
+    to the polynomial itself, rightmost operator first, with
+    d_i f = (f - s_i f) / alpha_i; the constant left at the end."""
+    l = len(exps)
+    f = {tuple(exps): 1}
+    for i in reversed(word):
+        s_f = _b_reflect(f, i, l)
+        diff = dict(f)
+        for m, c in s_f.items():
+            diff[m] = diff.get(m, 0) - c
+        f = _divide_by_root(diff, i, l)
+        if not f:
+            return 0
+    if set(f) != {(0,) * l}:
+        raise AssertionError("word too short for the degree of the monomial")
+    return f[(0,) * l]

@@ -191,3 +191,23 @@ def test_present_json_round_trips_through_schema():
     assert code == 0
     pres = presentation_from_json(payload["presentation"])
     assert hilbert_series(pres, 8).total() == 8
+
+
+def test_torsion_index_cli_computes_the_index_once(monkeypatch):
+    from flagchow import torsion
+    calls = []
+
+    def counted(name):
+        fn = getattr(torsion, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("build_integral_flag_ring", "torsion_index_so"):
+        monkeypatch.setattr(torsion, name, counted(name))
+    code, payload = run_json(["torsion-index", "--group", "SO", "--rank", "3"])
+    assert code == 0
+    assert payload["monomials_checked"] == 55
+    assert sorted(calls) == ["build_integral_flag_ring", "torsion_index_so"]

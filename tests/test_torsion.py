@@ -1,11 +1,12 @@
+from fractions import Fraction
+from math import comb, gcd
+
 import pytest
 
+from flagchow import torsion
 from flagchow.catalog import lookup_model
-from flagchow.errors import DataMissingError, ValidationError
-from flagchow.groebner import GroebnerBasis, buchberger
+from flagchow.errors import DataMissingError, InternalInconsistencyError, ValidationError
 from flagchow.torsion import (
-    _eliminate_monic,
-    fundamental_coefficient,
     marlin_bound,
     sharp_of_y_top,
     sharp_y_bound,
@@ -13,61 +14,53 @@ from flagchow.torsion import (
     torsion_index,
     torsion_index_so,
     build_integral_flag_ring,
-    integral_flag_relations,
     witness_product,
     witness_submultisets_nonzero,
 )
+from oracles import demazure_degree, monomials_of_topdeg
 
 
-# --- the integral flag ring --------------------------------------------------
+# --- the degree map ------------------------------------------------------------
 
 
 def test_build_integral_flag_ring_rank2():
-    flag_ring = build_integral_flag_ring(2)
-    assert sum(flag_ring.ranks) == 8          # 2^2 * 2!
-    assert flag_ring.topdim == 8
-    assert flag_ring.ranks[-1] == 1
-    assert flag_ring.convention == "c-form"
+    # the |W| certificate: deg(prod of the positive roots) = 2^2 * 2!
+    _, details = torsion_index_so(2, return_details=True)
+    assert details["rank"] == 8
+    assert set(build_integral_flag_ring(2)) == set(monomials_of_topdeg([1, 1], 4))
 
 
 def test_build_integral_flag_ring_rank3():
-    flag_ring = build_integral_flag_ring(3)
-    assert sum(flag_ring.ranks) == 48         # 2^3 * 3!
-    assert flag_ring.topdim == 18
-    assert flag_ring.ranks[-1] == 1
+    _, details = torsion_index_so(3, return_details=True)
+    assert details["rank"] == 48              # 2^3 * 3!
 
 
-def test_integral_flag_relations_shapes():
-    ring, rels = integral_flag_relations(3, "c-form")
-    assert len(rels) == 6
-    degs = sorted(r.homogeneous_topdeg() for r in rels)
-    assert degs == [2, 4, 4, 6, 8, 12]
-    # the lowest quadratic relation identifies y4 with y2^2
-    y4 = ring.gen("y4")
-    y2 = ring.gen("y2")
-    assert any(r == y4 - y2 * y2 for r in rels)
+def test_mutated_relations_fail_rank_check(monkeypatch):
+    # injected fault: the short-root operator without its factor 2 (the
+    # type-C rule), so the walk computes a different degree map
+    original = torsion._divided_difference
+
+    def mutated(exps, i):
+        terms = original(exps, i)
+        if i == len(exps):
+            return [(m, c // 2) for m, c in terms]
+        return terms
+
+    monkeypatch.setattr(torsion, "_divided_difference", mutated)
+    with pytest.raises(InternalInconsistencyError):
+        torsion_index_so(2)
 
 
-def test_display_form_differs_only_by_middle_sign():
-    ring_a, rels_a = integral_flag_relations(2, "c-form")
-    ring_b, rels_b = integral_flag_relations(2, "display-form")
-    y4, y2 = ring_a.gen("y4"), ring_a.gen("y2")
-    ja = [r for r in rels_a if r == y4 - y2 * y2]
-    jb = [r for r in rels_b if r == y4 + y2 * y2]
-    assert ja and jb
-
-
-def test_mutated_relations_fail_rank_check():
-    ring, rels = integral_flag_relations(2, "c-form")
-    # injected fault: drop a quadratic relation entirely
-    broken = rels[:-1]
-    red_ring, red_rels, chain = _eliminate_monic(ring, broken)
-    basis = buchberger(red_rels, red_ring, "grevlex", 8)
-    gb = GroebnerBasis("grevlex", basis, 8, red_ring)
-    from flagchow.groebner import _standard_monomial_dims
-    from flagchow.torsion import _expected_flag_series
-    actual = _standard_monomial_dims(gb.leading_monomials(), red_ring, 8)
-    assert actual != _expected_flag_series(2)
+def test_non_reduced_word_is_caught_by_the_certificate(monkeypatch):
+    # the last letter repeats the one before it, and s_i s_i = 1, so the
+    # word has the right length but is not reduced
+    reduced = torsion._w0_word
+    monkeypatch.setattr(torsion, "_w0_word",
+                        lambda l: reduced(l)[:-1] + reduced(l)[-2:-1])
+    for l in (2, 3, 4):
+        assert len(torsion._w0_word(l)) == l * l
+        with pytest.raises(InternalInconsistencyError):
+            torsion_index_so(l)
 
 
 def test_build_integral_flag_ring_rejects_out_of_scale_ranks():
@@ -78,13 +71,10 @@ def test_build_integral_flag_ring_rejects_out_of_scale_ranks():
 
 
 def test_fundamental_coefficient_rank2():
-    flag_ring = build_integral_flag_ring(2)
-    # normal form of t1^3 t2 lands on the fundamental class with coordinate 4
-    assert abs(fundamental_coefficient(flag_ring, (3, 1))) == 4
-    assert abs(fundamental_coefficient(flag_ring, (1, 3))) == 4
-    assert fundamental_coefficient(flag_ring, (4, 0)) % 4 == 0
-    with pytest.raises(ValidationError):
-        fundamental_coefficient(flag_ring, (1, 1))
+    degrees = build_integral_flag_ring(2)
+    assert abs(degrees[(3, 1)]) == 4
+    assert abs(degrees[(1, 3)]) == 4
+    assert degrees[(4, 0)] % 4 == 0
 
 
 def test_torsion_index_so_values():
@@ -93,9 +83,55 @@ def test_torsion_index_so_values():
 
 
 def test_torsion_index_so3_individual_values_are_multiples():
-    flag_ring = build_integral_flag_ring(3)
+    degrees = build_integral_flag_ring(3)
     for exps in [(9, 0, 0), (5, 3, 1), (3, 3, 3), (4, 4, 1)]:
-        assert fundamental_coefficient(flag_ring, exps) % 8 == 0
+        assert degrees[exps] % 8 == 0
+
+
+def test_monomials_checked_counts_every_top_monomial():
+    for l, count in [(2, 5), (3, 55), (4, 969)]:
+        _, details = torsion_index_so(l, return_details=True)
+        assert details["monomials_checked"] == comb(l * l + l - 1, l - 1) == count
+
+
+def test_degree_map_matches_the_other_reduced_word():
+    # the oracle applies the divided differences to t^a itself along
+    # (s_l ... s_1)^l; agreement with the transposed walk along
+    # (s_1 ... s_l)^l is the braid relations at work
+    for l in (2, 3):
+        word = list(range(l, 0, -1)) * l
+        degrees = build_integral_flag_ring(l)
+        for exps in monomials_of_topdeg([1] * l, l * l):
+            assert demazure_degree(exps, word) == degrees[exps], exps
+
+
+def _spin_lattice_index(l):
+    """gcd of the degrees of the monomials in t_1..t_{l-1} and
+    (t_1 + ... + t_l)/2, a basis of the Spin(2l+1) character lattice."""
+    degrees = build_integral_flag_ring(l)
+    powers = [{(0,) * l: 1}]
+    for _ in range(l * l):
+        nxt = {}
+        for m, c in powers[-1].items():
+            for j in range(l):
+                key = m[:j] + (m[j] + 1,) + m[j + 1:]
+                nxt[key] = nxt.get(key, 0) + c
+        powers.append(nxt)
+    value = 0
+    for a in monomials_of_topdeg([1] * l, l * l):
+        head = a[:-1] + (0,)
+        total = sum(c * degrees[tuple(x + y for x, y in zip(head, m))]
+                    for m, c in powers[a[-1]].items())
+        degree = Fraction(total, 2 ** a[-1])
+        assert degree.denominator == 1, a
+        value = gcd(value, int(degree))
+    return value
+
+
+def test_spin_lattice_gcd_reproduces_stored_spin_indices():
+    for l in (3, 4):
+        stored = lookup_model("Spin_odd", l, 2).descriptor.torsion_index_p
+        assert _spin_lattice_index(l) == stored == 2
 
 
 # --- bounds ------------------------------------------------------------------

@@ -2,7 +2,7 @@ from flagchow.verify import CASES, CRITERIA, criteria_summary, run_all, run_case
 
 
 def test_all_cases_pass_on_a_worker_pool():
-    reports = run_all(jobs=4)
+    reports = run_all()
     assert [r.case for r in reports] == [name for name, _ in CASES]
     assert all(r.status == "pass" for r in reports), \
         [(r.case, r.details) for r in reports if r.status != "pass"]
