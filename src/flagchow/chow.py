@@ -18,7 +18,7 @@ from .groebner import (
     hs_product,
     hs_times,
 )
-from .ring import GradedVariable, PolyRing, coeff_fp
+from .ring import GradedVariable, PolyRing, coeff_fp, is_prime
 from .symclass import elementary_symmetric, pontryagin_class, t_ring
 
 
@@ -148,6 +148,8 @@ def rost_chow_basis(n, p):
     the unit plus c_j(y^i) of topdeg 2i(p^n - 1)/(p - 1) - 2(p^j - 1)."""
     if n < 1:
         raise ValidationError("height must be >= 1")
+    if not is_prime(p):
+        raise ValidationError("p must be prime, got %r" % (p,))
     b_n = (p ** n - 1) // (p - 1)
     out = [BasisElement("1", 0, "rost-basis")]
     for i in range(1, p):

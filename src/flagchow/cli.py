@@ -10,6 +10,7 @@ variable FLAGCHOW_MAXDEG caps the truncation degree (default 60).
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import catalog as _catalog
@@ -196,20 +197,22 @@ def _cmd_steenrod(args):
     model = _model(args)
     op = args.op
     gen = args.gen
-    if op.startswith("Q"):
-        n = int(op[1:])
-        out = _steenrod.q_milnor(model, gen, n)
+    q = re.fullmatch(r"Q(\d+)", op)
+    sq = re.fullmatch(r"Sq(\d+)", op)
+    if q or op in ("beta", "Sq1"):
+        out = _steenrod.q_milnor(model, gen, int(q.group(1)) if q else 0)
         provenance = "stored rule or transgression table"
-    elif op in ("beta", "Sq1"):
-        out = _steenrod.q_milnor(model, gen, 0)
-        provenance = "stored rule or transgression table"
-    elif op.startswith("Sq"):
-        k = int(op[2:])
-        index = int(gen.lstrip("xz"))
-        out = _steenrod.sq_on_so_generator(index, k, model)
+    elif sq:
+        index = re.fullmatch(r"[xz](\d+)", gen)
+        if index is None:
+            raise ValidationError(
+                "--op %s acts on a generator x<i> or z<i>, got %r" % (op, gen))
+        out = _steenrod.sq_on_so_generator(int(index.group(1)),
+                                           int(sq.group(1)), model)
         provenance = "derived from the binomial rule"
     else:
-        raise ValidationError("unknown operation %r" % (op,))
+        raise ValidationError(
+            "unknown operation %r; use Q<n>, beta, Sq1 or Sq<k>" % (op,))
     payload = {"case": model.descriptor.label(), "op": op, "generator": gen,
                "image": out.pretty(), "provenance": provenance}
     return 0, payload

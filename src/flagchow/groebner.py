@@ -8,59 +8,110 @@ whatever the monomial order.  Nothing ever attempts a full basis.
 Orders are descriptors: "grevlex", "lex", or ("block", k) which compares the
 first k variables grevlex-first (elimination order, used with y-variables in
 the leading block).
+
+Inside the engine a monomial is one integer key whose native order is the
+monomial order (Packing): a monomial product is an addition, a term shift is
+m + lt - glt, and divisibility is one subtraction against guard bits,
+((t | G) - g) & G == G.  The packing is built once per (ring, order, maxdeg)
+by buchberger and kept on the GroebnerBasis it returns.  Exponent tuples
+appear only at the boundary: input relations, returned polynomials and
+leading_monomials().
 """
 
 import heapq
+from operator import le, mul
 
 from .errors import OutOfRangeError, ValidationError
 from .ring import Polynomial, PolyRing
 
 
 # ---------------------------------------------------------------------------
-# monomial orders
+# packed monomials
 
 
-def order_key(order, ring):
-    """Return key(exps) such that larger key = larger monomial."""
-    topdeg = ring.monomial_topdeg
-    if order == "grevlex":
-        def key(e):
-            return (topdeg(e), tuple(-x for x in reversed(e)))
-        return key
-    if order == "lex":
-        def key(e):
-            return e
-        return key
-    if isinstance(order, tuple) and order[0] == "block":
-        k = order[1]
-        degs1 = ring.topdegs[:k]
-        degs2 = ring.topdegs[k:]
+class Packing:
+    """Order-preserving integer keys for the monomials of topdeg <= maxdeg.
 
-        def key(e):
-            a, b = e[:k], e[k:]
-            da = sum(x * d for x, d in zip(a, degs1))
-            db = sum(x * d for x, d in zip(b, degs2))
-            return (da, tuple(-x for x in reversed(a)),
-                    db, tuple(-x for x in reversed(b)))
-        return key
-    raise ValidationError("unknown monomial order %r" % (order,))
+    Each exponent gets a field of b = bit_length(maxdeg // min weight) + 1
+    bits whose top bit is a guard bit.  Read as digits, most significant
+    first, a key spells the order's comparison tuple:
 
+        grevlex       (deg, -e_{n-1}, ..., -e_0)
+        lex           (e_0, ..., e_{n-1})
+        ("block", k)  (deg_a, -e_{k-1}, ..., -e_0, deg_b, -e_{n-1}, ..., -e_k)
 
-def leading_term(poly, key):
-    m = max(poly.terms, key=key)
-    return m, poly.terms[m]
+    where deg_a and deg_b are the topdegs of the first k and of the other
+    variables.  The key is linear in the exponents, K(e) = sum e_i kappa_i,
+    so pack(a) + pack(b) == pack(a + b) and a term shift is m + lt - glt;
+    for grevlex K = (deg << n*b) - X with X = sum e_i << (i*b).  Adding the
+    constant `complement` turns every negated digit -e into E - e with
+    E = 2^(b-1) - 1, so all digits are non-negative and the integer order is
+    the digit order.  view(K) masks out the degree digits and undoes the
+    complements: the exponents as plain fields, guard bits clear.  Then x
+    divides y exactly when ((y | G) - x) & G == G for the guard mask G: each
+    field subtracts from its own set guard bit and never borrows beyond it.
 
+    Keys are exact only for monomials of topdeg <= maxdeg; the engine never
+    forms others.
+    """
 
-def _divides(m, target):
-    return all(a <= b for a, b in zip(m, target))
+    __slots__ = ("order", "maxdeg", "kappa", "shifts", "emax",
+                 "complement", "fields", "guard")
 
+    def __init__(self, topdegs, order, maxdeg):
+        n = len(topdegs)
+        b = (maxdeg // min(topdegs, default=2)).bit_length() + 1
+        # digits most significant first: ("deg", variables) or (sign, variable)
+        if order == "lex":
+            digits = [(1, i) for i in range(n)]
+        else:
+            if order == "grevlex":
+                k = n
+            elif (isinstance(order, tuple) and len(order) == 2
+                  and order[0] == "block" and isinstance(order[1], int)
+                  and 0 <= order[1] <= n):
+                k = order[1]
+            else:
+                raise ValidationError("unknown monomial order %r" % (order,))
+            digits = []
+            for block in (range(k), range(k, n)):
+                if block:
+                    digits.append(("deg", block))
+                    digits += [(-1, i) for i in reversed(block)]
+        self.order = order
+        self.maxdeg = maxdeg
+        self.emax = (1 << (b - 1)) - 1
+        self.kappa = [0] * n
+        self.shifts = [0] * n
+        self.complement = self.fields = self.guard = 0
+        shift = 0
+        for kind, where in reversed(digits):
+            if kind == "deg":
+                for i in where:
+                    self.kappa[i] += topdegs[i] << shift
+                shift += maxdeg.bit_length()
+                continue
+            self.kappa[where] += kind << shift
+            self.shifts[where] = shift
+            self.fields |= self.emax << shift
+            self.guard |= 1 << (shift + b - 1)
+            if kind < 0:
+                self.complement |= self.emax << shift
+            shift += b
 
-def _monomial_div(target, m):
-    return tuple(b - a for a, b in zip(m, target))
+    def pack(self, exps):
+        return sum(map(mul, exps, self.kappa))
 
+    def view(self, key):
+        return ((key + self.complement) & self.fields) ^ self.complement
 
-def _monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    def divides(self, x, y):
+        """Whether the monomial with view x divides the one with view y."""
+        return ((y | self.guard) - x) & self.guard == self.guard
+
+    def unpack(self, key):
+        x = self.view(key)
+        return tuple((x >> s) & self.emax for s in self.shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -171,139 +222,208 @@ def hs_times(dims, numer=(), denom=()):
 # ---------------------------------------------------------------------------
 # Buchberger
 
+STAT_KEYS = ("pairs_pushed", "pairs_popped", "product_criterion",
+             "chain_criterion", "reductions", "zero_reductions",
+             "reduction_steps", "peak_basis", "final_basis")
+
+
+def _modulus(ring):
+    """p over F_p; None over Q, whose Fractions need no normalising."""
+    return ring.coeff[1] if ring.coeff[0] == "Fp" else None
+
+
+def _reduce(work, divisors, packing, p):
+    """Full normal form of work, a dict key -> coefficient, which it consumes.
+
+    divisors are (view of the leading monomial, tail) pairs of monic basis
+    elements, tail the (key - leading key, coefficient) pairs of the other
+    terms; a term is reduced by the first divisor whose leading monomial
+    divides it.  The largest term comes from a lazy max-heap of keys, whose
+    stale entries (terms cancelled since) are skipped.  Returns the normal
+    form's terms, largest key first, and the number of reduction steps.
+    """
+    complement, fields, guard = packing.complement, packing.fields, packing.guard
+    flip = complement | guard
+    heap = [-k for k in work]
+    heapq.heapify(heap)
+    pop, push, get = heapq.heappop, heapq.heappush, work.get
+    result = {}
+    steps = 0
+    while heap:
+        k = -pop(heap)
+        c = work.pop(k, None)
+        if c is None:
+            continue
+        y = ((k + complement) & fields) ^ flip
+        for x, tail in divisors:
+            if (y - x) & guard == guard:
+                steps += 1
+                for off, gc in tail:
+                    m = k + off
+                    old = get(m)
+                    if old is None:
+                        work[m] = -c * gc % p if p else -c * gc
+                        push(heap, -m)
+                        continue
+                    v = old - c * gc
+                    if p:
+                        v %= p
+                    if v:
+                        work[m] = v
+                    else:
+                        del work[m]
+                break
+        else:
+            result[k] = c
+    return result, steps
+
+
+def _tail(terms, lead):
+    return tuple((k - lead, c) for k, c in terms.items() if k != lead)
+
 
 class GroebnerBasis:
-    """A reduced, degree-truncated basis over a field, leading coefficients 1."""
+    """A reduced, degree-truncated basis over a field, leading coefficients 1.
 
-    __slots__ = ("order", "basis", "maxdeg", "ring", "_key", "_lts")
+    The elements are kept packed, as dicts key -> coefficient listing the
+    largest key first, sorted by (topdeg, leading monomial).  stats holds
+    the counters of the Buchberger run that made the basis (STAT_KEYS).
+    """
 
-    def __init__(self, order, basis, maxdeg, ring):
-        self.order = order
-        self.basis = tuple(basis)
-        self.maxdeg = maxdeg
+    __slots__ = ("ring", "stats", "_packing", "_terms", "_divisors", "_lts")
+
+    def __init__(self, ring, packing, terms, stats):
         self.ring = ring
-        self._key = order_key(order, ring)
-        self._lts = tuple(leading_term(g, self._key)[0] for g in self.basis)
+        self.stats = stats
+        self._packing = packing
+        self._terms = terms
+        leads = [next(iter(t)) for t in terms]
+        self._divisors = [(packing.view(lead), _tail(t, lead))
+                          for lead, t in zip(leads, terms)]
+        self._lts = tuple(packing.unpack(lead) for lead in leads)
+
+    @property
+    def order(self):
+        return self._packing.order
+
+    @property
+    def maxdeg(self):
+        return self._packing.maxdeg
+
+    @property
+    def basis(self):
+        """The elements as polynomials, terms largest first; built on each
+        access."""
+        unpack = self._packing.unpack
+        return tuple(Polynomial(self.ring, {unpack(k): c for k, c in t.items()})
+                     for t in self._terms)
+
+    def __len__(self):
+        return len(self._terms)
 
     def leading_monomials(self):
         return self._lts
 
     def __repr__(self):
         return "GroebnerBasis(order=%r, %d elements, maxdeg=%d)" % (
-            self.order, len(self.basis), self.maxdeg)
-
-
-def _reduce_full(poly, basis, lts, key, ring):
-    """Full normal form of poly against basis (leading coefficients units)."""
-    result = {}
-    work = dict(poly.terms)
-    norm = ring.normalize_coeff
-    while work:
-        lt = max(work, key=key)
-        lc = work[lt]
-        for g, glt in zip(basis, lts):
-            if _divides(glt, lt):
-                shift = _monomial_div(lt, glt)
-                factor = norm(lc * ring.coeff_inv(g.terms[glt]))
-                for m, c in g.terms.items():
-                    mm = tuple(a + b for a, b in zip(m, shift))
-                    v = norm(work.get(mm, 0) - factor * c)
-                    if v == 0:
-                        work.pop(mm, None)
-                    else:
-                        work[mm] = v
-                break
-        else:
-            result[lt] = lc
-            del work[lt]
-    return Polynomial(ring, result)
-
-
-def _monic(poly, key, ring):
-    lt, lc = leading_term(poly, key)
-    if lc == 1:
-        return poly
-    return poly.scale(ring.coeff_inv(lc))
+            self.order, len(self), self.maxdeg)
 
 
 def buchberger(relations, ring, order, maxdeg):
-    """Degree-truncated Buchberger on homogeneous generators over a field."""
-    key = order_key(order, ring)
-    basis = []
-    for r in relations:
-        if r.is_zero():
-            continue
-        d = r.homogeneous_topdeg()
-        if d is not None and d <= maxdeg:
-            basis.append(_monic(r, key, ring))
-    lts = [leading_term(g, key)[0] for g in basis]
+    """Degree-truncated Buchberger on homogeneous generators over a field.
 
-    # pair queue ordered by lcm topdeg (normal selection)
+    Pairs are taken by lcm topdeg (normal selection), ties in the order they
+    were formed, and skipped by the product and chain criteria.  Returns the
+    reduced basis with the run's counters (STAT_KEYS) in its stats: pairs
+    pushed and popped, pairs skipped by each criterion, S-polynomial
+    reductions and those to zero, reduction steps (tail reduction
+    included), and the basis size at its peak and at the end.
+    """
+    pk = Packing(ring.topdegs, order, maxdeg)
+    p = _modulus(ring)
+    one = ring.normalize_coeff(1)
+    weights, guard = ring.topdegs, pk.guard
+    stats = dict.fromkeys(STAT_KEYS, 0)
+
+    # per element: leading key, its exponents and topdeg; divisors holds
+    # the (view, tail) pairs _reduce takes
+    leads, exps, degs, divisors = [], [], [], []
     heap = []
-    counter = 0
 
-    def push_pairs(j):
-        nonlocal counter
+    def add(terms):
+        lead = max(terms)
+        inv = ring.coeff_inv(terms[lead])
+        if inv != 1:
+            terms = {k: c * inv % p if p else c * inv for k, c in terms.items()}
+        e = pk.unpack(lead)
+        j = len(leads)
         for i in range(j):
-            lcm = _monomial_lcm(lts[i], lts[j])
-            d = ring.monomial_topdeg(lcm)
+            lcm = tuple(map(max, exps[i], e))
+            d = sum(map(mul, lcm, weights))
             if d <= maxdeg:
-                heapq.heappush(heap, (d, counter, i, j, lcm))
-                counter += 1
+                heapq.heappush(heap, (d, stats["pairs_pushed"], i, j, lcm))
+                stats["pairs_pushed"] += 1
+        leads.append(lead)
+        exps.append(e)
+        degs.append(sum(map(mul, e, weights)))
+        divisors.append((pk.view(lead), _tail(terms, lead)))
 
-    for j in range(len(basis)):
-        push_pairs(j)
+    for r in relations:
+        if not r.is_zero() and r.homogeneous_topdeg() <= maxdeg:
+            add({pk.pack(m): c for m, c in r.terms.items()})
 
     done = set()
     while heap:
         d, _, i, j, lcm = heapq.heappop(heap)
-        if d > maxdeg:
-            break
+        stats["pairs_popped"] += 1
         done.add((i, j))
-        # product criterion
-        if tuple(a + b for a, b in zip(lts[i], lts[j])) == lcm:
+        if d == degs[i] + degs[j]:
+            stats["product_criterion"] += 1
             continue
-        # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _divides(lts[k], lcm):
-                p1 = (min(i, k), max(i, k))
-                p2 = (min(j, k), max(j, k))
-                if p1 in done and p2 in done:
-                    skip = True
-                    break
-        if skip:
+        key = pk.pack(lcm)
+        x = pk.view(key) | guard
+        if any((x - y) & guard == guard and k != i and k != j
+               and (min(i, k), max(i, k)) in done
+               and (min(j, k), max(j, k)) in done
+               for k, (y, _) in enumerate(divisors)):
+            stats["chain_criterion"] += 1
             continue
-        gi, gj = basis[i], basis[j]
-        si = gi.mul_term(_monomial_div(lcm, lts[i]), 1)
-        sj = gj.mul_term(_monomial_div(lcm, lts[j]), 1)
-        s = si - sj
-        h = _reduce_full(s, basis, lts, key, ring)
-        if not h.is_zero():
-            basis.append(_monic(h, key, ring))
-            lts.append(leading_term(basis[-1], key)[0])
-            push_pairs(len(basis) - 1)
+        # the S-polynomial; its leading terms cancel
+        work = {key + off: c for off, c in divisors[i][1]}
+        for off, c in divisors[j][1]:
+            m = key + off
+            v = work.get(m, 0) - c
+            if p:
+                v %= p
+            if v:
+                work[m] = v
+            else:
+                work.pop(m, None)
+        h, steps = _reduce(work, divisors, pk, p)
+        stats["reductions"] += 1
+        stats["reduction_steps"] += steps
+        if h:
+            add(h)
+        else:
+            stats["zero_reductions"] += 1
+    stats["peak_basis"] = len(leads)
 
-    # minimalize: drop elements whose LM is divisible by another LM
-    keep = []
-    for i, g in enumerate(basis):
-        if any(j != i and _divides(lts[j], lts[i])
-               and (lts[j] != lts[i] or j < i) for j in range(len(basis))):
-            continue
-        keep.append(i)
-    minimal = [basis[i] for i in keep]
-    min_lts = [lts[i] for i in keep]
-    # reduce tails for canonical output
+    # minimalize: drop elements whose leading monomial another one divides
+    # (of two equal ones the first stays), then reduce the tails
+    keep = [i for i, (x, _) in enumerate(divisors)
+            if not any(j != i and pk.divides(y, x) and (y != x or j < i)
+                       for j, (y, _) in enumerate(divisors))]
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        olts = min_lts[:i] + min_lts[i + 1:]
-        reduced.append(_monic(_reduce_full(g, others, olts, key, ring), key, ring))
-    reduced.sort(key=lambda g: (g.homogeneous_topdeg(),
-                                key(leading_term(g, key)[0])))
-    return reduced
+    for i in keep:
+        work = {leads[i] + off: c for off, c in divisors[i][1]}
+        work[leads[i]] = one
+        terms, steps = _reduce(work, [divisors[j] for j in keep if j != i],
+                               pk, p)
+        stats["reduction_steps"] += steps
+        reduced.append((degs[i], leads[i], terms))
+    reduced.sort()
+    stats["final_basis"] = len(reduced)
+    return GroebnerBasis(ring, pk, [terms for _, _, terms in reduced], stats)
 
 
 def groebner(pres, maxdeg, order="grevlex"):
@@ -317,8 +437,7 @@ def groebner(pres, maxdeg, order="grevlex"):
                               "not Z")
     if maxdeg < 0:
         raise ValidationError("maxdeg must be non-negative")
-    basis = buchberger(pres.relations, pres.ring, order, maxdeg)
-    return GroebnerBasis(order, basis, maxdeg, pres.ring)
+    return buchberger(pres.relations, pres.ring, order, maxdeg)
 
 
 def normal_form(f, gb):
@@ -331,7 +450,10 @@ def normal_form(f, gb):
     d = f.topdeg()
     if d is not None and d > gb.maxdeg:
         raise OutOfRangeError("topdeg %d above truncation %d" % (d, gb.maxdeg))
-    return _reduce_full(f, gb.basis, gb.leading_monomials(), gb._key, gb.ring)
+    pk = gb._packing
+    terms, _ = _reduce({pk.pack(m): c for m, c in f.terms.items()},
+                       gb._divisors, pk, _modulus(gb.ring))
+    return Polynomial(gb.ring, {pk.unpack(k): c for k, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +477,7 @@ def _k_numerator(gens, weights, maxdeg):
     for d, m in sorted({(sum(a * w for a, w in zip(m, weights)), m) for m in gens}):
         if d > maxdeg:
             break
-        if not any(_divides(g, m) for _, g in mins):
+        if not any(all(map(le, g, m)) for _, g in mins):
             mins.append((d, m))
     counts = [sum(1 for _, m in mins if m[i]) for i in range(len(weights))]
     most = max(counts, default=0)

@@ -12,6 +12,7 @@ defined topdeg; homogeneity checks treat it as vacuously homogeneous.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from .errors import RingMismatchError, ValidationError
 
@@ -44,11 +45,17 @@ COEFF_Z = ("Z",)
 COEFF_Q = ("Q",)
 
 
+def is_prime(p):
+    """Whether p is a prime integer, by trial division."""
+    return (isinstance(p, int) and p >= 2
+            and all(p % q for q in range(2, isqrt(p) + 1)))
+
+
 def coeff_fp(p):
-    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-        raise ValidationError("F_p requires a prime p, got %r" % (p,))
-    if p >= 2 ** 61:
+    if isinstance(p, int) and p >= 2 ** 61:
         raise ValidationError("p out of supported range")
+    if not is_prime(p):
+        raise ValidationError("F_p requires a prime p, got %r" % (p,))
     return ("Fp", p)
 
 

@@ -9,7 +9,7 @@ oracle.
 """
 
 from .errors import ValidationError
-from .ring import COEFF_Z, GradedVariable, PolyRing
+from .ring import COEFF_Z, GradedVariable, PolyRing, is_prime
 
 
 def t_ring(l, coeff=COEFF_Z, prefix="t"):
@@ -54,7 +54,7 @@ def lucas_binomial(n, k, p):
     """binom(n, k) mod p by base-p digits; agrees with the factorial value mod p."""
     if n < 0 or k < 0:
         raise ValidationError("n, k must be non-negative")
-    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+    if not is_prime(p):
         raise ValidationError("p must be prime, got %r" % (p,))
     result = 1
     while n or k:

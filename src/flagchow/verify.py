@@ -13,6 +13,7 @@ from .chow import (
     rost_chow_basis,
     verify_additive_decomposition,
 )
+from .errors import ValidationError
 from .groebner import hilbert_series
 from .steenrod import beta_preimage, derive_q1_check, sq_hits
 from .symclass import lucas_binomial
@@ -276,7 +277,8 @@ def run_case(name):
     for case, fn in CASES:
         if case == name:
             return fn()
-    raise KeyError("unknown verification case %r" % (name,))
+    raise ValidationError("unknown verification case %r; known cases: %s"
+                          % (name, ", ".join(case for case, _ in CASES)))
 
 
 def run_all():

@@ -1,11 +1,16 @@
 """Independent oracles used to freeze expected values.
 
-Nothing here touches the Groebner engine: graded dimensions come from
+Nothing here calls the Groebner engine: graded dimensions come from
 Gaussian elimination on explicit multiplication matrices, symmetric
-functions from direct product expansion, binomials from factorials.
+functions from direct product expansion, binomials from factorials.  The
+tuple-based Buchberger that preceded the packed engine is kept here,
+unchanged but for its counters, as the engine's reference.
 """
 
+import heapq
 from math import comb
+
+from flagchow.ring import Polynomial
 
 
 def naive_product_terms(a, b):
@@ -224,3 +229,176 @@ def demazure_degree(exps, word):
     if set(f) != {(0,) * l}:
         raise AssertionError("word too short for the degree of the monomial")
     return f[(0,) * l]
+
+
+# --- the tuple Groebner engine, kept as the reference for the packed one ----
+
+
+def order_key(order, ring):
+    """Return key(exps) such that larger key = larger monomial."""
+    topdeg = ring.monomial_topdeg
+    if order == "grevlex":
+        def key(e):
+            return (topdeg(e), tuple(-x for x in reversed(e)))
+        return key
+    if order == "lex":
+        def key(e):
+            return e
+        return key
+    if isinstance(order, tuple) and order[0] == "block":
+        k = order[1]
+        degs1 = ring.topdegs[:k]
+        degs2 = ring.topdegs[k:]
+
+        def key(e):
+            a, b = e[:k], e[k:]
+            da = sum(x * d for x, d in zip(a, degs1))
+            db = sum(x * d for x, d in zip(b, degs2))
+            return (da, tuple(-x for x in reversed(a)),
+                    db, tuple(-x for x in reversed(b)))
+        return key
+    raise ValueError("unknown monomial order %r" % (order,))
+
+
+def leading_term(poly, key):
+    m = max(poly.terms, key=key)
+    return m, poly.terms[m]
+
+
+def _divides(m, target):
+    return all(a <= b for a, b in zip(m, target))
+
+
+def _monomial_div(target, m):
+    return tuple(b - a for a, b in zip(m, target))
+
+
+def _monomial_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _reduce_full(poly, basis, lts, key, ring, stats):
+    """Full normal form of poly against basis (leading coefficients units)."""
+    result = {}
+    work = dict(poly.terms)
+    norm = ring.normalize_coeff
+    while work:
+        lt = max(work, key=key)
+        lc = work[lt]
+        for g, glt in zip(basis, lts):
+            if _divides(glt, lt):
+                stats["reduction_steps"] += 1
+                shift = _monomial_div(lt, glt)
+                factor = norm(lc * ring.coeff_inv(g.terms[glt]))
+                for m, c in g.terms.items():
+                    mm = tuple(a + b for a, b in zip(m, shift))
+                    v = norm(work.get(mm, 0) - factor * c)
+                    if v == 0:
+                        work.pop(mm, None)
+                    else:
+                        work[mm] = v
+                break
+        else:
+            result[lt] = lc
+            del work[lt]
+    return Polynomial(ring, result)
+
+
+def _monic(poly, key, ring):
+    lt, lc = leading_term(poly, key)
+    if lc == 1:
+        return poly
+    return poly.scale(ring.coeff_inv(lc))
+
+
+STAT_KEYS = ("pairs_pushed", "pairs_popped", "product_criterion",
+             "chain_criterion", "reductions", "zero_reductions",
+             "reduction_steps", "peak_basis", "final_basis")
+
+
+def buchberger_reference(relations, ring, order, maxdeg, stats=None):
+    """Degree-truncated Buchberger on exponent tuples: sugar-free normal
+    selection by lcm topdeg, product and chain criteria, first divisor in
+    basis order, then minimalization, tail reduction and a sort by
+    (topdeg, leading monomial).  Fills stats with the counters of
+    flagchow.groebner.buchberger."""
+    stats = {} if stats is None else stats
+    stats.update(dict.fromkeys(STAT_KEYS, 0))
+    key = order_key(order, ring)
+    basis = []
+    for r in relations:
+        if r.is_zero():
+            continue
+        d = r.homogeneous_topdeg()
+        if d is not None and d <= maxdeg:
+            basis.append(_monic(r, key, ring))
+    lts = [leading_term(g, key)[0] for g in basis]
+
+    heap = []
+    counter = 0
+
+    def push_pairs(j):
+        nonlocal counter
+        for i in range(j):
+            lcm = _monomial_lcm(lts[i], lts[j])
+            d = ring.monomial_topdeg(lcm)
+            if d <= maxdeg:
+                heapq.heappush(heap, (d, counter, i, j, lcm))
+                counter += 1
+                stats["pairs_pushed"] += 1
+
+    for j in range(len(basis)):
+        push_pairs(j)
+
+    done = set()
+    while heap:
+        d, _, i, j, lcm = heapq.heappop(heap)
+        stats["pairs_popped"] += 1
+        done.add((i, j))
+        if tuple(a + b for a, b in zip(lts[i], lts[j])) == lcm:
+            stats["product_criterion"] += 1
+            continue
+        skip = False
+        for k in range(len(basis)):
+            if k in (i, j):
+                continue
+            if _divides(lts[k], lcm):
+                p1 = (min(i, k), max(i, k))
+                p2 = (min(j, k), max(j, k))
+                if p1 in done and p2 in done:
+                    skip = True
+                    break
+        if skip:
+            stats["chain_criterion"] += 1
+            continue
+        gi, gj = basis[i], basis[j]
+        si = gi.mul_term(_monomial_div(lcm, lts[i]), 1)
+        sj = gj.mul_term(_monomial_div(lcm, lts[j]), 1)
+        h = _reduce_full(si - sj, basis, lts, key, ring, stats)
+        stats["reductions"] += 1
+        if h.is_zero():
+            stats["zero_reductions"] += 1
+        else:
+            basis.append(_monic(h, key, ring))
+            lts.append(leading_term(basis[-1], key)[0])
+            push_pairs(len(basis) - 1)
+    stats["peak_basis"] = len(basis)
+
+    keep = []
+    for i, g in enumerate(basis):
+        if any(j != i and _divides(lts[j], lts[i])
+               and (lts[j] != lts[i] or j < i) for j in range(len(basis))):
+            continue
+        keep.append(i)
+    minimal = [basis[i] for i in keep]
+    min_lts = [lts[i] for i in keep]
+    reduced = []
+    for i, g in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1:]
+        olts = min_lts[:i] + min_lts[i + 1:]
+        reduced.append(_monic(_reduce_full(g, others, olts, key, ring, stats),
+                              key, ring))
+    reduced.sort(key=lambda g: (g.homogeneous_topdeg(),
+                                key(leading_term(g, key)[0])))
+    stats["final_basis"] = len(reduced)
+    return reduced

@@ -211,3 +211,23 @@ def test_torsion_index_cli_computes_the_index_once(monkeypatch):
     assert code == 0
     assert payload["monomials_checked"] == 55
     assert sorted(calls) == ["build_integral_flag_ring", "torsion_index_so"]
+
+
+def test_contract_breaks_exit_2_without_traceback(capsys):
+    # usage errors that once raised or exited 0; each names what it accepts
+    cases = [
+        (["rost", "--n", "2", "--p", "1"], "prime"),
+        (["rost", "--n", "2", "--p", "4"], "prime"),
+        (["steenrod", "--group", "SO", "--rank", "5", "--prime", "2",
+          "--op", "Qx", "--gen", "x3"], "Q<n>, beta, Sq1 or Sq<k>"),
+        (["steenrod", "--group", "SO", "--rank", "5", "--prime", "2",
+          "--op", "Sq2", "--gen", "y4"], "x<i> or z<i>"),
+        (["verify", "--case", "nope"], "sq-hits"),
+    ]
+    for argv, named in cases:
+        code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and named in err, (argv, err)
+        assert "Traceback" not in err

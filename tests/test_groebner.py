@@ -4,9 +4,12 @@ import pytest
 
 from flagchow.errors import OutOfRangeError, ValidationError
 from flagchow.groebner import (
+    STAT_KEYS,
     HilbertSeries,
+    Packing,
     QuotientPresentation,
     _standard_monomial_dims,
+    buchberger,
     groebner,
     hilbert_series,
     hs_from_degrees,
@@ -15,10 +18,17 @@ from flagchow.groebner import (
     is_regular_sequence,
     normal_form,
 )
-from flagchow.ring import GradedVariable, PolyRing, coeff_fp
+from flagchow.ring import COEFF_Q, GradedVariable, PolyRing, coeff_fp
 from flagchow.symclass import elementary_symmetric, t_ring
 
-from oracles import graded_quotient_dims, in_ideal_mod_p, standard_monomial_dims
+from oracles import (
+    buchberger_reference,
+    graded_quotient_dims,
+    in_ideal_mod_p,
+    monomials_of_topdeg,
+    order_key,
+    standard_monomial_dims,
+)
 
 
 def _pres(l, p, rel_builder):
@@ -113,7 +123,6 @@ def test_normal_form_out_of_range():
 
 
 def _random_homog(ring, rng, deg):
-    from oracles import monomials_of_topdeg
     monos = monomials_of_topdeg(ring.topdegs, deg)
     terms = [(m, rng.randrange(0, 2)) for m in monos]
     return ring.from_terms(terms)
@@ -279,3 +288,153 @@ def test_series_truncation_and_eq():
     s = HilbertSeries([1, 0, 2, 0, 1])
     assert s.truncated(2).dims == [1, 0, 2]
     assert s.truncated(6).dims == [1, 0, 2, 0, 1, 0, 0]
+
+
+# --- packed monomials -------------------------------------------------------
+
+
+def _monomials_up_to(weights, maxdeg):
+    return [m for d in range(maxdeg + 1) for m in monomials_of_topdeg(weights, d)]
+
+
+ORDERS = ("grevlex", "lex", ("block", 1), ("block", 2))
+
+
+def test_packed_order_sum_divisibility_and_round_trip():
+    rng = random.Random(4)
+    cases = [((2,), 0), ((2,), 14), ((6,), 30), ((2, 4), 0), ((4, 2, 6), 24),
+             ((2, 2, 2), 18), ((6, 4, 2, 2), 20)]
+    for weights, maxdeg in cases:
+        ring = _weighted_ring(weights)
+        monos = _monomials_up_to(weights, maxdeg)
+        # the field maximum: the lightest variable to the power maxdeg // w
+        light = weights.index(min(weights))
+        top = tuple(maxdeg // w if i == light else 0
+                    for i, w in enumerate(weights))
+        assert top in monos
+        for order in ORDERS:
+            if order[0] == "block" and order[1] > len(weights):
+                continue
+            pk = Packing(weights, order, maxdeg)
+            key = order_key(order, ring)
+            for e in monos:
+                assert pk.unpack(pk.pack(e)) == e
+            pairs = [(rng.choice(monos), rng.choice(monos)) for _ in range(300)]
+            pairs += [(top, e) for e in monos[:20]] + [(e, top) for e in monos[:20]]
+            for a, b in pairs:
+                assert (pk.pack(a) < pk.pack(b)) == (key(a) < key(b)), (order, a, b)
+                assert (pk.pack(a) == pk.pack(b)) == (a == b)
+                assert (pk.divides(pk.view(pk.pack(a)), pk.view(pk.pack(b)))
+                        == all(x <= y for x, y in zip(a, b))), (order, a, b)
+                s = tuple(x + y for x, y in zip(a, b))
+                assert pk.pack(a) + pk.pack(b) == pk.pack(s)
+                if ring.monomial_topdeg(s) <= maxdeg:
+                    assert pk.unpack(pk.pack(a) + pk.pack(b)) == s
+
+
+def test_unknown_order_rejected():
+    for order in ("revlex", ("block", 3), ("block", -1), ("weights", 1)):
+        with pytest.raises(ValidationError):
+            Packing((2, 2), order, 10)
+
+
+def test_normal_form_round_trips_pure_powers_at_the_field_maximum():
+    for weights, maxdeg in [((2,), 0), ((2,), 16), ((4, 2), 22), ((2, 6, 4), 30)]:
+        ring = _weighted_ring(weights)
+        names = [v.name for v in ring.variables]
+        # a relation in the other variables only, or none
+        rels = [ring.gen(names[1], 2)] if len(names) > 1 else []
+        gb = groebner(QuotientPresentation(ring.variables, ring.coeff, rels), maxdeg)
+        for name, w in zip(names, weights):
+            if rels and name == names[1]:
+                continue
+            f = ring.gen(name, maxdeg // w)
+            assert normal_form(f, gb) == f
+            with pytest.raises(OutOfRangeError):
+                normal_form(ring.gen(name, maxdeg // w + 1), gb)
+
+
+def test_out_of_range_raises_before_packing(monkeypatch):
+    pres = _pres(2, 2, _chern_rels)
+    gb = groebner(pres, 6)
+
+    def no_packing(self, exps):
+        raise AssertionError("packed a monomial above the truncation")
+    monkeypatch.setattr(Packing, "pack", no_packing)
+    with pytest.raises(OutOfRangeError):
+        normal_form(pres.ring.gen("t1", 4), gb)
+
+
+# --- Buchberger counters and the tuple reference --------------------------
+
+
+def test_buchberger_counters_pinned():
+    from flagchow.catalog import lookup_model
+    from flagchow.chow import chow_presentation
+    # values of the tuple engine the packed one replaced, run with counters
+    expected = {
+        ("SO_odd", 3, 2, 18): dict(
+            pairs_pushed=7, pairs_popped=7, product_criterion=2,
+            chain_criterion=3, reductions=2, zero_reductions=0,
+            reduction_steps=2, peak_basis=5, final_basis=3),
+        ("U", 4, 3, 24): dict(
+            pairs_pushed=21, pairs_popped=21, product_criterion=9,
+            chain_criterion=9, reductions=3, zero_reductions=0,
+            reduction_steps=8, peak_basis=7, final_basis=4),
+    }
+    for (family, rank, p, maxdeg), stats in expected.items():
+        pres = chow_presentation(lookup_model(family, rank, p))
+        gb = groebner(pres, maxdeg)
+        assert gb.stats == stats
+        assert list(STAT_KEYS) == list(stats)
+        ref_stats = {}
+        buchberger_reference(pres.relations, pres.ring, "grevlex", maxdeg,
+                             ref_stats)
+        assert ref_stats == stats
+
+
+def _random_relation(ring, rng, coeffs):
+    d = rng.choice(sorted({w * k for w in ring.topdegs for k in range(1, 4)}))
+    monos = monomials_of_topdeg(ring.topdegs, d)
+    picked = rng.sample(monos, min(len(monos), rng.randint(1, 6)))
+    return ring.from_terms([(m, rng.choice(coeffs)) for m in picked])
+
+
+def test_buchberger_matches_the_tuple_reference_on_random_ideals():
+    from fractions import Fraction
+    rng = random.Random(20161018)
+    checked_dims = 0
+    for _ in range(200):
+        weights = tuple(rng.choice((2, 4, 6)) for _ in range(rng.randint(1, 5)))
+        coeff = rng.choice((coeff_fp(2), coeff_fp(3), coeff_fp(5), COEFF_Q))
+        ring = PolyRing([GradedVariable("x%d" % i, w)
+                         for i, w in enumerate(weights)], coeff)
+        coeffs = ([Fraction(a, b) for a in (-3, -1, 1, 2) for b in (1, 2, 3)]
+                  if coeff == COEFF_Q else list(range(1, coeff[1])))
+        base = [_random_relation(ring, rng, coeffs) for _ in range(rng.randint(0, 6))]
+        # duplicates, a scalar multiple and a zero relation generate no more
+        rels = base + rng.sample(base, min(len(base), rng.randint(0, 2)))
+        rels += [r.scale(coeffs[-1]) for r in rng.sample(base, min(len(base), 1))]
+        rels += [ring.zero()] * rng.randint(0, 1)
+        rng.shuffle(rels)
+        order = rng.choice(("grevlex", "lex", ("block", rng.randint(0, len(weights)))))
+        maxdeg = rng.randint(0, 30)
+        gb = buchberger(rels, ring, order, maxdeg)
+        ref_stats = {}
+        ref = buchberger_reference(rels, ring, order, maxdeg, ref_stats)
+        assert ([list(g.terms.items()) for g in gb.basis]
+                == [list(g.terms.items()) for g in ref]), (weights, coeff, order, maxdeg)
+        assert gb.stats == ref_stats
+        if coeff != COEFF_Q:
+            # the linear-algebra oracle up to the largest degree it can afford
+            top = 0
+            while (top < maxdeg
+                   and len(monomials_of_topdeg(weights, top + 1)) <= 40):
+                top += 1
+            pres = QuotientPresentation(ring.variables, ring.coeff,
+                                        [r for r in rels if not r.is_zero()])
+            oracle = graded_quotient_dims(weights, [r.terms for r in base],
+                                          coeff[1], top)
+            assert hilbert_series(pres, maxdeg, order).dims[:top + 1] == oracle
+            checked_dims += 1
+    assert checked_dims > 100

@@ -113,3 +113,21 @@ def test_fp_coefficients_are_reduced():
     p = r.const(5)
     assert p.terms == {(0,): 2}
     assert r.const(3).is_zero()
+
+
+def test_is_prime_is_the_one_primality_check():
+    from flagchow.chow import rost_chow_basis
+    from flagchow.ring import is_prime
+    from flagchow.symclass import lucas_binomial
+    primes = [p for p in range(60) if p > 1 and all(p % q for q in range(2, p))]
+    assert [p for p in range(60) if is_prime(p)] == primes
+    assert not is_prime(-7) and not is_prime(2.0)
+    for p in (0, 1, 4, 9):
+        with pytest.raises(ValidationError):
+            coeff_fp(p)
+        with pytest.raises(ValidationError):
+            rost_chow_basis(2, p)
+    with pytest.raises(ValidationError):
+        coeff_fp(2 ** 61)
+    with pytest.raises(ValidationError):
+        lucas_binomial(4, 2, 1)
