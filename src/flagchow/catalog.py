@@ -19,6 +19,8 @@ case.  Witness annotations, sharp-count data and restriction tables live in
 registries keyed by descriptor and feed the chow/torsion checks.
 """
 
+import functools
+
 from .errors import DataMissingError, UnsupportedCaseError, ValidationError
 from .ring import COEFF_Z, GradedVariable, PolyRing, coeff_fp
 from .symclass import t_ring
@@ -264,27 +266,22 @@ class CohomologyModel:
         return [e.topdeg for e in self.transgression]
 
     def poincare_coeffs(self):
-        """Coefficient list of the Poincare polynomial of P(y) (x) Lambda(x)."""
+        """Coefficient list of the Poincare polynomial of P(y) (x) Lambda(x).
+
+        Every factor is a sum of powers q^s, so multiplying by it adds one
+        shifted copy of the running list per power: s = 0, d, ..., (t-1)d for
+        a y-generator of degree d truncated at t, and s = 0, d for an
+        x-generator of degree d.
+        """
+        factors = ([[k * g.topdeg for k in range(g.trunc)] for g in self.y_gens]
+                   + [[0, x.topdeg] for x in self.x_gens])
         coeffs = [1]
-
-        def mul(factor):
-            nonlocal coeffs
-            out = [0] * (len(coeffs) + len(factor) - 1)
-            for i, a in enumerate(coeffs):
-                for j, b in enumerate(factor):
-                    out[i + j] += a * b
+        for shifts in factors:
+            out = coeffs + [0] * shifts[-1]
+            for s in shifts[1:]:
+                for i, c in enumerate(coeffs, s):
+                    out[i] += c
             coeffs = out
-
-        for g in self.y_gens:
-            factor = [0] * ((g.trunc - 1) * g.topdeg + 1)
-            for k in range(g.trunc):
-                factor[k * g.topdeg] = 1
-            mul(factor)
-        for x in self.x_gens:
-            factor = [0] * (x.topdeg + 1)
-            factor[0] = 1
-            factor[x.topdeg] = 1
-            mul(factor)
         return coeffs
 
 
@@ -760,22 +757,27 @@ def sharp_data(model):
     return None
 
 
+@functools.cache
+def _stored_restriction_tables():
+    """The six stored tables in registry order, built once per process.
+
+    Every field of a RestrictionTable is a tuple, and callers only read them.
+    """
+    return (_so_restriction(3), _so_restriction(7), _e8_2_restriction(),
+            _e8_3_restriction(), *_e7_2_restrictions())
+
+
 def restriction_tables(model=None):
     """All stored restriction tables, optionally filtered to one model."""
-    tables = []
-    for l in (3, 7):
-        tables.append(_so_restriction(l))
-    tables.append(_e8_2_restriction())
-    tables.append(_e8_3_restriction())
-    tables.extend(_e7_2_restrictions())
-    if model is not None:
-        key = model.descriptor.key()
-        tables = [t for t in tables if t.descriptor_key == key]
-    return tables
+    tables = _stored_restriction_tables()
+    if model is None:
+        return list(tables)
+    key = model.descriptor.key()
+    return [t for t in tables if t.descriptor_key == key]
 
 
 def restriction_table(name):
-    for t in restriction_tables():
+    for t in _stored_restriction_tables():
         if t.name == name:
             return t
     raise DataMissingError("no restriction table named %r" % (name,))

@@ -5,9 +5,13 @@ torsion-index, steenrod, verify.  Exit codes: 0 all pass, 1 verification
 failure, 2 usage or data error.  Output is deterministic; --format switches
 between a text rendering and JSON of the same payload.  The environment
 variable FLAGCHOW_MAXDEG caps the truncation degree (default 60).
+
+A process builds one argument parser, on its first `main` call, and reuses
+it; each call dispatches by subcommand name to the module's `_cmd_<name>`.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -219,7 +223,7 @@ def _cmd_steenrod(args):
 
 
 def _cmd_verify(args):
-    if not args.all and not args.case:
+    if args.all == bool(args.case):
         raise ValidationError("choose --all or --case NAME")
     if args.case:
         reports = [_verify.run_case(args.case)]
@@ -261,7 +265,10 @@ def _render_text(payload, out, indent=0, bullet=False):
         out.write("%s%s\n" % (pad, payload))
 
 
+@functools.cache
 def build_parser():
+    """The CLI parser; cached, so a process builds it once, on its first `main`
+    call, and every later call reuses it."""
     parser = argparse.ArgumentParser(
         prog="flagchow",
         description="exact mod-p flag-variety Chow ring checks")
@@ -271,59 +278,51 @@ def build_parser():
 
     s = sub.add_parser("catalog", help="dump one catalog entry")
     _add_group_flags(s)
-    s.set_defaults(fn=_cmd_catalog)
 
     s = sub.add_parser("present", help="mod-p presentation of the flag quotient")
     _add_group_flags(s)
-    s.set_defaults(fn=_cmd_present)
 
     s = sub.add_parser("hilbert", help="graded dimensions of the presentation")
     _add_group_flags(s)
     s.add_argument("--maxdeg", type=int, default=20)
-    s.set_defaults(fn=_cmd_hilbert)
 
     s = sub.add_parser("rost", help="summand basis for height n at prime p")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--p", type=int, required=True)
-    s.set_defaults(fn=_cmd_rost)
 
     s = sub.add_parser("restrict", help="check stored restriction tables")
     s.add_argument("--table", default=None)
-    s.set_defaults(fn=_cmd_restrict)
 
     s = sub.add_parser("decompose", help="series decomposition check")
     _add_group_flags(s)
     s.add_argument("--maxdeg", type=int, default=40)
-    s.set_defaults(fn=_cmd_decompose)
 
     s = sub.add_parser("torsion-index", help="torsion index with verification level")
     _add_group_flags(s, prime_default=2)
     s.add_argument("--witness", action="store_true")
-    s.set_defaults(fn=_cmd_torsion_index)
 
     s = sub.add_parser("steenrod", help="apply an operation to a generator")
     _add_group_flags(s)
     s.add_argument("--op", required=True)
     s.add_argument("--gen", required=True)
-    s.set_defaults(fn=_cmd_steenrod)
 
     s = sub.add_parser("verify", help="run verification cases")
     s.add_argument("--all", action="store_true")
     s.add_argument("--case", default=None)
-    s.set_defaults(fn=_cmd_verify)
 
     return parser
 
 
 def main(argv=None, out=None):
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
+    # looked up at call time, so a wrapper set on cli._cmd_* is the one called
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        code, payload = args.fn(args)
+        code, payload = handler(args)
     except FlagchowError as err:
         sys.stderr.write("error: %s\n" % (err,))
         return 2

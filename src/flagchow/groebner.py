@@ -457,7 +457,7 @@ def normal_form(f, gb):
 
 
 # ---------------------------------------------------------------------------
-# Hilbert series and regular sequences
+# Hilbert series
 
 
 def _k_numerator(gens, weights, maxdeg):
@@ -521,19 +521,3 @@ def hilbert_series(pres, maxdeg, order="grevlex"):
     gb = groebner(pres, maxdeg, order)
     return HilbertSeries(_standard_monomial_dims(gb.leading_monomials(),
                                                  pres.ring, maxdeg))
-
-
-def is_regular_sequence(ambient, seq, maxdeg):
-    """Series test: HS(ambient/seq) == HS(ambient) * prod(1 - q^{d_i}) up to maxdeg."""
-    degs = []
-    for f in seq:
-        if f.is_zero() or not f.is_homogeneous():
-            return False
-        degs.append(f.homogeneous_topdeg())
-    ambient_hs = hilbert_series(ambient, maxdeg)
-    quotient = QuotientPresentation(ambient.variables, ambient.coeff,
-                                    list(ambient.relations) + list(seq))
-    quotient_hs = hilbert_series(quotient, maxdeg)
-    expected = list(ambient_hs.dims)
-    hs_times(expected, numer=degs)
-    return quotient_hs.dims == expected

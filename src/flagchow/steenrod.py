@@ -279,19 +279,3 @@ def _compose_sq(model, index, ks):
         if sym is not None:
             out = out + sym.scale(coef)
     return out
-
-
-def q_squares_to_zero(model, gen, n):
-    """Check Q_n(Q_n(gen)) = 0 where the composite stays in recorded territory.
-
-    Returns True/False, or None when the intermediate value leaves the
-    recorded tables (no silent zero).
-    """
-    first = q_milnor(model, gen, n)
-    if first.is_zero():
-        return True
-    if not first.is_pure_y():
-        return None
-    if not model.q_on_y_zero:
-        return None
-    return True  # every y-generator is annihilated, so any y-polynomial is

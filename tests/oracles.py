@@ -177,6 +177,35 @@ def standard_monomial_dims(lts, topdegs, maxdeg):
     return dims
 
 
+def poincare_coeffs(model):
+    """Poincare polynomial of P(y) (x) Lambda(x) by dense list products.
+
+    Each factor is written out as a full coefficient list, zeros included,
+    and multiplied term by term.
+    """
+    coeffs = [1]
+
+    def mul(factor):
+        nonlocal coeffs
+        out = [0] * (len(coeffs) + len(factor) - 1)
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        coeffs = out
+
+    for g in model.y_gens:
+        factor = [0] * ((g.trunc - 1) * g.topdeg + 1)
+        for k in range(g.trunc):
+            factor[k * g.topdeg] = 1
+        mul(factor)
+    for x in model.x_gens:
+        factor = [0] * (x.topdeg + 1)
+        factor[0] = 1
+        factor[x.topdeg] = 1
+        mul(factor)
+    return coeffs
+
+
 def _b_reflect(f, i, l):
     """s_i on a {exps: coef} polynomial in t_1..t_l, type B_l: s_i swaps
     t_i and t_{i+1} for i < l, s_l negates t_l."""

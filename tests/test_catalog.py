@@ -1,5 +1,7 @@
 import pytest
 
+import oracles
+from flagchow import catalog
 from flagchow.catalog import (
     CASE_IDS,
     CohomologyModel,
@@ -165,6 +167,41 @@ def test_restriction_tables_registry():
     assert len(t.expected_image) == 5
     with pytest.raises(DataMissingError):
         restriction_table("nope")
+
+
+def test_restriction_tables_are_built_once_in_registry_order():
+    first = restriction_tables()
+    assert [t.name for t in first] == [
+        "so-rost-restriction-l3", "so-rost-restriction-l7",
+        "e8-2-rost-restriction", "e8-3-rost-restriction",
+        "e8-to-e7-rost-restriction", "e7-2-rost-restriction"]
+    again = restriction_tables()
+    assert all(a is b for a, b in zip(first, again)) and len(again) == 6
+    assert all(restriction_table(t.name) is t for t in first)
+
+
+def _catalog_models():
+    return [m for build in catalog._CASE_MODELS.values() for m in build()]
+
+
+def test_restriction_tables_of_a_model_filter_the_full_list():
+    tables = restriction_tables()
+    hits = 0
+    for m in _catalog_models():
+        mine = restriction_tables(m)
+        assert mine == [t for t in tables
+                        if t.descriptor_key == m.descriptor.key()]
+        hits += len(mine)
+    # the E8 p=2 model owns two tables, SO(7), SO(15), E8 p=3 and E7 one each
+    assert hits == 6
+
+
+def test_poincare_coeffs_match_the_dense_product():
+    models = _catalog_models()
+    assert len(models) == 54
+    for m in models:
+        assert m.poincare_coeffs() == oracles.poincare_coeffs(m), \
+            m.descriptor.label()
 
 
 def test_g2_explicit_forms():

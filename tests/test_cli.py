@@ -1,6 +1,7 @@
 import io
 import json
 
+from flagchow import cli
 from flagchow.cli import main
 
 
@@ -223,6 +224,7 @@ def test_contract_breaks_exit_2_without_traceback(capsys):
         (["steenrod", "--group", "SO", "--rank", "5", "--prime", "2",
           "--op", "Sq2", "--gen", "y4"], "x<i> or z<i>"),
         (["verify", "--case", "nope"], "sq-hits"),
+        (["verify", "--all", "--case", "rost-basis"], "--all or --case"),
     ]
     for argv, named in cases:
         code, out = run_cli(argv)
@@ -231,3 +233,47 @@ def test_contract_breaks_exit_2_without_traceback(capsys):
         assert out == ""
         assert err.startswith("error: ") and named in err, (argv, err)
         assert "Traceback" not in err
+
+
+def test_shared_parser_gives_each_call_its_stand_alone_result(capsys):
+    # usage error, help and valid calls in one process, each compared with
+    # the same call on a freshly built parser
+    calls = [
+        (["hilbert", "--group", "U", "--maxdeg", "x"], 2),
+        (["--help"], 0),
+        (["hilbert", "--help"], 0),
+        (["rost", "--n", "2", "--p", "3"], 0),
+        (["--format", "json", "catalog", "--group", "G2", "--prime", "2"], 0),
+        (["hilbert", "--group", "Sp", "--rank", "2", "--prime", "3",
+          "--maxdeg", "16", "--format", "json"], 0),
+        (["verify", "--case", "sq-hits"], 0),
+        (["nosuch"], 2),
+        (["rost", "--n", "1", "--p", "2"], 0),
+    ]
+
+    def run(argv):
+        code, out = run_cli(argv)
+        captured = capsys.readouterr()
+        return code, out, captured.out, captured.err
+
+    shared = [run(argv) for argv, _ in calls]
+    assert [r[0] for r in shared] == [code for _, code in calls]
+    assert "usage: flagchow hilbert" in shared[0][3]
+    assert "usage: flagchow" in shared[1][2]
+    assert "--maxdeg MAXDEG" in shared[2][2]
+    for (argv, _), result in zip(calls, shared):
+        cli.build_parser.cache_clear()
+        assert run(argv) == result, argv
+
+
+def test_dispatch_sees_a_handler_replaced_after_the_first_call(monkeypatch):
+    assert run_cli(["rost", "--n", "1", "--p", "2"])[0] == 0
+    seen = []
+
+    def patched(args):
+        seen.append(args.n)
+        return 0, {"patched": True}
+
+    monkeypatch.setattr(cli, "_cmd_rost", patched)
+    code, text = run_cli(["rost", "--n", "3", "--p", "2"])
+    assert (code, text, seen) == (0, "patched: True\n", [3])

@@ -15,7 +15,6 @@ from flagchow.groebner import (
     hs_from_degrees,
     hs_product,
     hs_times,
-    is_regular_sequence,
     normal_form,
 )
 from flagchow.ring import COEFF_Q, GradedVariable, PolyRing, coeff_fp
@@ -215,6 +214,20 @@ def test_odd_degrees_always_zero():
 
 
 # --- regular sequences ------------------------------------------------------
+
+
+def is_regular_sequence(ambient, seq, maxdeg):
+    """Series test: HS(ambient/seq) == HS(ambient) * prod(1 - q^{d_i}) up to maxdeg."""
+    degs = []
+    for f in seq:
+        if f.is_zero() or not f.is_homogeneous():
+            return False
+        degs.append(f.homogeneous_topdeg())
+    quotient = QuotientPresentation(ambient.variables, ambient.coeff,
+                                    list(ambient.relations) + list(seq))
+    expected = list(hilbert_series(ambient, maxdeg).dims)
+    hs_times(expected, numer=degs)
+    return hilbert_series(quotient, maxdeg).dims == expected
 
 
 def test_chern_classes_are_regular():

@@ -6,7 +6,6 @@ from flagchow.steenrod import (
     GeneratorTerm,
     derive_q1_check,
     q_milnor,
-    q_squares_to_zero,
     sq_hits,
     sq_on_so_generator,
     sq_on_y,
@@ -115,12 +114,18 @@ def test_q_milnor_derivation_on_products():
 
 
 def test_q_squares_to_zero_where_recorded():
+    # Q_n x is a y-polynomial and Q_n kills every y-generator, so Q_n Q_n x = 0
     m = lookup_model("SO_odd", 5, 2)
-    for i in range(1, 6):
-        for n in range(0, 3):
-            assert q_squares_to_zero(m, "x%d" % (2 * i - 1), n) is True
+    for n in range(0, 3):
+        assert all(q_milnor(m, g.name, n).is_zero() for g in m.y_gens)
+        for i in range(1, 6):
+            first = q_milnor(m, "x%d" % (2 * i - 1), n)
+            assert first.is_zero() or first.is_pure_y()
+    # Q_0 x2 = y8 on (E8, 3), and Q_0 on y8 leaves the recorded tables
     e83 = lookup_model("E8", prime=3)
-    assert q_squares_to_zero(e83, "x2", 0) is None  # leaves recorded territory
+    assert q_milnor(e83, "x2", 0).pretty() == "y8"
+    with pytest.raises(DataMissingError):
+        q_milnor(e83, "y8", 0)
 
 
 def test_degree_law_on_all_recorded_rules():
