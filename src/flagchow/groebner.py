@@ -16,10 +16,16 @@ m + lt - glt, and divisibility is one subtraction against guard bits,
 by buchberger and kept on the GroebnerBasis it returns.  Exponent tuples
 appear only at the boundary: input relations, returned polynomials and
 leading_monomials().
+
+Per pair and per reduction the bookkeeping is small: the chain criterion
+reads one bitmask of popped pairs per element, a reduction at topdeg d sees
+only the elements of topdeg <= d, and the tails are reduced only when a
+reduced basis is asked for.  The Hilbert series needs only the minimal
+leading monomials, and its pivot recursion works on their packed views.
 """
 
 import heapq
-from operator import le, mul
+from operator import mul
 
 from .errors import OutOfRangeError, ValidationError
 from .ring import Polynomial, PolyRing
@@ -285,22 +291,45 @@ def _tail(terms, lead):
 class GroebnerBasis:
     """A reduced, degree-truncated basis over a field, leading coefficients 1.
 
-    The elements are kept packed, as dicts key -> coefficient listing the
-    largest key first, sorted by (topdeg, leading monomial).  stats holds
-    the counters of the Buchberger run that made the basis (STAT_KEYS).
+    buchberger hands over the minimal basis, tails not yet reduced: its
+    leading monomials and size are final, and hilbert_series reads no more.
+    The first read of basis or stats, or the first normal_form, reduces the
+    tails, once.  The reduced elements are kept packed, as dicts key ->
+    coefficient listing the largest key first, sorted by (topdeg, leading
+    monomial).  stats holds the run's counters (STAT_KEYS), the tail
+    reduction's steps included.
     """
 
-    __slots__ = ("ring", "stats", "_packing", "_terms", "_divisors", "_lts")
+    __slots__ = ("ring", "_packing", "_minimal", "_stats", "_reduced")
 
-    def __init__(self, ring, packing, terms, stats):
+    def __init__(self, ring, packing, minimal, stats):
         self.ring = ring
-        self.stats = stats
         self._packing = packing
-        self._terms = terms
-        leads = [next(iter(t)) for t in terms]
-        self._divisors = [(packing.view(lead), _tail(t, lead))
-                          for lead, t in zip(leads, terms)]
-        self._lts = tuple(packing.unpack(lead) for lead in leads)
+        # (topdeg, leading key, view of it, tail) in the order found
+        self._minimal = minimal
+        self._stats = stats
+        self._reduced = None
+
+    def _interreduce(self):
+        """The reduced elements and their (view, tail) divisors, sorted; the
+        tail reduction runs on the first call.  A tail is reduced by the
+        other minimal elements in the order they were found, so the first
+        divisor, and so the step count, is that of the order found."""
+        if self._reduced is None:
+            pk, minimal = self._packing, self._minimal
+            p, one = _modulus(self.ring), self.ring.normalize_coeff(1)
+            reduced = []
+            for d, lead, x, tail in minimal:
+                work = {lead + off: c for off, c in tail}
+                terms, steps = _reduce(work, [(y, t) for e, _, y, t in minimal
+                                              if e <= d and y != x], pk, p)
+                self._stats["reduction_steps"] += steps
+                reduced.append((d, lead, {lead: one, **terms}))
+            reduced.sort()
+            self._reduced = ([t for _, _, t in reduced],
+                             [(pk.view(lead), _tail(t, lead))
+                              for _, lead, t in reduced])
+        return self._reduced
 
     @property
     def order(self):
@@ -311,18 +340,24 @@ class GroebnerBasis:
         return self._packing.maxdeg
 
     @property
+    def stats(self):
+        self._interreduce()
+        return self._stats
+
+    @property
     def basis(self):
         """The elements as polynomials, terms largest first; built on each
         access."""
         unpack = self._packing.unpack
         return tuple(Polynomial(self.ring, {unpack(k): c for k, c in t.items()})
-                     for t in self._terms)
+                     for t in self._interreduce()[0])
 
     def __len__(self):
-        return len(self._terms)
+        return len(self._minimal)
 
     def leading_monomials(self):
-        return self._lts
+        unpack = self._packing.unpack
+        return tuple(unpack(lead) for _, lead, _, _ in sorted(self._minimal))
 
     def __repr__(self):
         return "GroebnerBasis(order=%r, %d elements, maxdeg=%d)" % (
@@ -334,59 +369,69 @@ def buchberger(relations, ring, order, maxdeg):
 
     Pairs are taken by lcm topdeg (normal selection), ties in the order they
     were formed, and skipped by the product and chain criteria.  Returns the
-    reduced basis with the run's counters (STAT_KEYS) in its stats: pairs
-    pushed and popped, pairs skipped by each criterion, S-polynomial
-    reductions and those to zero, reduction steps (tail reduction
-    included), and the basis size at its peak and at the end.
+    minimal basis, whose tails are reduced on demand, with the run's
+    counters (STAT_KEYS) in its stats: pairs pushed and popped, pairs
+    skipped by each criterion, S-polynomial reductions and those to zero,
+    reduction steps (tail reduction included), and the basis size at its
+    peak and at the end.
     """
     pk = Packing(ring.topdegs, order, maxdeg)
     p = _modulus(ring)
-    one = ring.normalize_coeff(1)
     weights, guard = ring.topdegs, pk.guard
-    stats = dict.fromkeys(STAT_KEYS, 0)
+    pushed = popped = product = chain = reductions = zeros = steps = 0
 
-    # per element: leading key, its exponents and topdeg; divisors holds
-    # the (view, tail) pairs _reduce takes
-    leads, exps, degs, divisors = [], [], [], []
+    # per element: leading key, its exponents and topdeg, the (view, tail)
+    # divisor _reduce takes, and done, whose bit k is set once the pair
+    # with element k has been popped
+    leads, exps, degs, divisors, done = [], [], [], [], []
     heap = []
 
-    def add(terms):
-        lead = max(terms)
+    def add(terms, lead, d):
+        nonlocal pushed
         inv = ring.coeff_inv(terms[lead])
         if inv != 1:
             terms = {k: c * inv % p if p else c * inv for k, c in terms.items()}
         e = pk.unpack(lead)
-        j = len(leads)
-        for i in range(j):
-            lcm = tuple(map(max, exps[i], e))
-            d = sum(map(mul, lcm, weights))
-            if d <= maxdeg:
-                heapq.heappush(heap, (d, stats["pairs_pushed"], i, j, lcm))
-                stats["pairs_pushed"] += 1
+        for i, f in enumerate(exps):
+            lcm_deg = sum(map(mul, map(max, f, e), weights))
+            if lcm_deg <= maxdeg:
+                heapq.heappush(heap, (lcm_deg, pushed, i, len(leads)))
+                pushed += 1
         leads.append(lead)
         exps.append(e)
-        degs.append(sum(map(mul, e, weights)))
+        degs.append(d)
         divisors.append((pk.view(lead), _tail(terms, lead)))
+        done.append(0)
 
+    # homogeneous, so one term gives a relation's topdeg
     for r in relations:
-        if not r.is_zero() and r.homogeneous_topdeg() <= maxdeg:
-            add({pk.pack(m): c for m, c in r.terms.items()})
+        if r.terms:
+            d = ring.monomial_topdeg(next(iter(r.terms)))
+            if d <= maxdeg:
+                terms = {pk.pack(m): c for m, c in r.terms.items()}
+                add(terms, max(terms), d)
 
-    done = set()
+    # the divisors of topdeg <= rdeg, in basis order: an S-polynomial of
+    # topdeg d has no term another can divide
+    reducers, rdeg = [], None
     while heap:
-        d, _, i, j, lcm = heapq.heappop(heap)
-        stats["pairs_popped"] += 1
-        done.add((i, j))
+        d, _, i, j = heapq.heappop(heap)
+        popped += 1
+        done[i] |= 1 << j
+        done[j] |= 1 << i
         if d == degs[i] + degs[j]:
-            stats["product_criterion"] += 1
+            product += 1
             continue
-        key = pk.pack(lcm)
+        key = pk.pack(map(max, exps[i], exps[j]))
         x = pk.view(key) | guard
-        if any((x - y) & guard == guard and k != i and k != j
-               and (min(i, k), max(i, k)) in done
-               and (min(j, k), max(j, k)) in done
-               for k, (y, _) in enumerate(divisors)):
-            stats["chain_criterion"] += 1
+        both = done[i] & done[j]
+        while both:
+            bit = both & -both
+            if (x - divisors[bit.bit_length() - 1][0]) & guard == guard:
+                break
+            both ^= bit
+        if both:
+            chain += 1
             continue
         # the S-polynomial; its leading terms cancel
         work = {key + off: c for off, c in divisors[i][1]}
@@ -399,31 +444,27 @@ def buchberger(relations, ring, order, maxdeg):
                 work[m] = v
             else:
                 work.pop(m, None)
-        h, steps = _reduce(work, divisors, pk, p)
-        stats["reductions"] += 1
-        stats["reduction_steps"] += steps
+        if d != rdeg:
+            rdeg = d
+            reducers = [v for v, e in zip(divisors, degs) if e <= d]
+        h, n = _reduce(work, reducers, pk, p)
+        reductions += 1
+        steps += n
         if h:
-            add(h)
+            add(h, next(iter(h)), d)
+            reducers.append(divisors[-1])
         else:
-            stats["zero_reductions"] += 1
-    stats["peak_basis"] = len(leads)
+            zeros += 1
 
     # minimalize: drop elements whose leading monomial another one divides
-    # (of two equal ones the first stays), then reduce the tails
-    keep = [i for i, (x, _) in enumerate(divisors)
-            if not any(j != i and pk.divides(y, x) and (y != x or j < i)
-                       for j, (y, _) in enumerate(divisors))]
-    reduced = []
-    for i in keep:
-        work = {leads[i] + off: c for off, c in divisors[i][1]}
-        work[leads[i]] = one
-        terms, steps = _reduce(work, [divisors[j] for j in keep if j != i],
-                               pk, p)
-        stats["reduction_steps"] += steps
-        reduced.append((degs[i], leads[i], terms))
-    reduced.sort()
-    stats["final_basis"] = len(reduced)
-    return GroebnerBasis(ring, pk, [terms for _, _, terms in reduced], stats)
+    # (of two equal ones the first stays)
+    minimal = [(degs[i], leads[i], x, tail)
+               for i, (x, tail) in enumerate(divisors)
+               if not any(j != i and pk.divides(y, x) and (y != x or j < i)
+                          for j, (y, _) in enumerate(divisors))]
+    stats = dict(zip(STAT_KEYS, (pushed, popped, product, chain, reductions,
+                                 zeros, steps, len(leads), len(minimal))))
+    return GroebnerBasis(ring, pk, minimal, stats)
 
 
 def groebner(pres, maxdeg, order="grevlex"):
@@ -452,7 +493,7 @@ def normal_form(f, gb):
         raise OutOfRangeError("topdeg %d above truncation %d" % (d, gb.maxdeg))
     pk = gb._packing
     terms, _ = _reduce({pk.pack(m): c for m, c in f.terms.items()},
-                       gb._divisors, pk, _modulus(gb.ring))
+                       gb._interreduce()[1], pk, _modulus(gb.ring))
     return Polynomial(gb.ring, {pk.unpack(k): c for k, c in terms.items()})
 
 
@@ -460,54 +501,63 @@ def normal_form(f, gb):
 # Hilbert series
 
 
-def _k_numerator(gens, weights, maxdeg):
+def _k_numerator(gens, pk, weights, maxdeg):
     """Numerator K of HS(S/(gens)) = K / prod(1 - q^w), truncated at maxdeg.
 
-    Pivot recursion K(I) = K(I + (p)) + q^deg(p) K(I : p) on p = x_i^e, where
-    x_i lies in the most minimal generators and e is the median exponent of
-    x_i over those of them that are not pure powers; e stays below the pure
-    power of x_i in I, so p is never in I.  Generators above the remaining
-    degree cannot change the truncated series and are dropped.
+    gens are (topdeg, view) pairs of monomials in the fields of the packing
+    pk.  Pivot recursion K(I) = K(I + (p)) + q^deg(p) K(I : p) on p = x_i^e,
+    where x_i lies in the most minimal generators and e is the median
+    exponent of x_i over those of them that are not pure powers; e stays
+    below the pure power of x_i in I, so p is never in I.  The colon lowers
+    the x_i field of each generator by at most e, and generators above the
+    remaining degree cannot change the truncated series and are dropped.
     """
     out = [0] * (maxdeg + 1)
     if maxdeg < 0:
         return out
     out[0] = 1
+    guard, emax = pk.guard, pk.emax
     mins = []
-    for d, m in sorted({(sum(a * w for a, w in zip(m, weights)), m) for m in gens}):
+    for d, x in sorted(set(gens)):
         if d > maxdeg:
             break
-        if not any(all(map(le, g, m)) for _, g in mins):
-            mins.append((d, m))
-    counts = [sum(1 for _, m in mins if m[i]) for i in range(len(weights))]
+        y = x | guard
+        if not any((y - g) & guard == guard for _, g in mins):
+            mins.append((d, x))
+    counts = [sum(1 for _, x in mins if x >> s & emax) for s in pk.shifts]
     most = max(counts, default=0)
     if most <= 1:
         # pairwise coprime supports
         hs_times(out, numer=[d for d, _ in mins])
         return out
     i = counts.index(most)
-    exps = sorted(m[i] for _, m in mins if 0 < m[i] < sum(m))
+    s, w = pk.shifts[i], weights[i]
+    # a generator is a pure power of x_i when x_i carries all its topdeg
+    exps = sorted(f for f, d in ((x >> s & emax, d) for d, x in mins)
+                  if f and f * w < d)
     e = exps[len(exps) // 2]
-    gens = [m for _, m in mins]
-    pivot = tuple(e if j == i else 0 for j in range(len(weights)))
-    out = _k_numerator(gens + [pivot], weights, maxdeg)
-    shift = e * weights[i]
-    colon = [m[:i] + (max(m[i] - e, 0),) + m[i + 1:] for m in gens]
-    for k, c in enumerate(_k_numerator(colon, weights, maxdeg - shift)):
+    shift = e * w
+    out = _k_numerator(mins + [(shift, e << s)], pk, weights, maxdeg)
+    colon = []
+    for d, x in mins:
+        f = min(x >> s & emax, e)
+        colon.append((d - f * w, x - (f << s)))
+    for k, c in enumerate(_k_numerator(colon, pk, weights, maxdeg - shift)):
         out[k + shift] += c
     return out
 
 
-def _standard_monomial_dims(lts, ring, maxdeg):
-    """Count monomials of each topdeg <= maxdeg not divisible by any leading monomial.
+def _standard_monomial_dims(gens, pk, weights, maxdeg):
+    """Count monomials of each topdeg <= maxdeg divisible by none of gens.
 
+    gens are (topdeg, view) pairs in the fields of the packing pk.
     Bayer-Stillman pivot recursion (J. Symb. Comp. 14, 1992) with Bigatti's
-    pivot choice (Comm. Algebra 25, 1997) on the monomial ideal of lts, in
-    exact integers: the truncated numerator divided by prod(1 - q^w) over
-    the variable weights.
+    pivot choice (Comm. Algebra 25, 1997) on their monomial ideal, in exact
+    integers: the truncated numerator divided by prod(1 - q^w) over the
+    variable weights.
     """
-    dims = _k_numerator(lts, ring.topdegs, maxdeg)
-    hs_times(dims, denom=ring.topdegs)
+    dims = _k_numerator(gens, pk, weights, maxdeg)
+    hs_times(dims, denom=weights)
     return dims
 
 
@@ -516,8 +566,10 @@ def hilbert_series(pres, maxdeg, order="grevlex"):
 
     The counts come from the truncated Bayer-Stillman pivot recursion
     (J. Symb. Comp. 14, 1992; Bigatti, Comm. Algebra 25, 1997) on the
-    leading-monomial ideal of the truncated Groebner basis.
+    leading-monomial ideal of the truncated Groebner basis, read in its
+    packed form; the basis's tails are never reduced.
     """
     gb = groebner(pres, maxdeg, order)
-    return HilbertSeries(_standard_monomial_dims(gb.leading_monomials(),
-                                                 pres.ring, maxdeg))
+    leads = [(d, x) for d, _, x, _ in gb._minimal]
+    return HilbertSeries(_standard_monomial_dims(leads, gb._packing,
+                                                 pres.ring.topdegs, maxdeg))

@@ -8,7 +8,7 @@ unchanged but for its counters, as the engine's reference.
 """
 
 import heapq
-from math import comb
+from math import comb, isqrt
 
 from flagchow.ring import Polynomial
 
@@ -20,6 +20,12 @@ def naive_product_terms(a, b):
         for m2, c2 in b.items():
             out.append((tuple(x + y for x, y in zip(m1, m2)), c1 * c2))
     return out
+
+
+def is_prime_by_trial_division(n):
+    """Primality by trial division up to sqrt(n): what ring.is_prime did
+    before it became Miller-Rabin."""
+    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
 
 
 def merge_terms(raw):

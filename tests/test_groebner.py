@@ -179,6 +179,15 @@ def _weighted_ring(weights):
                     coeff_fp(2))
 
 
+def _packed_dims(lts, weights, maxdeg):
+    """_standard_monomial_dims on exponent tuples, packed wide enough for
+    every generator, those above maxdeg included."""
+    degs = [sum(a * w for a, w in zip(m, weights)) for m in lts]
+    pk = Packing(weights, "grevlex", max([maxdeg, 0] + degs))
+    gens = [(d, pk.view(pk.pack(m))) for d, m in zip(degs, lts)]
+    return _standard_monomial_dims(gens, pk, weights, maxdeg)
+
+
 def test_standard_monomial_dims_edge_cases_match_enumeration():
     cases = [
         ((2, 4), [], 12),                          # empty ideal
@@ -190,7 +199,7 @@ def test_standard_monomial_dims_edge_cases_match_enumeration():
         ((2, 2), [(2, 1), (1, 2), (3, 0), (0, 3)], 20),       # pivot needed
     ]
     for weights, lts, maxdeg in cases:
-        assert (_standard_monomial_dims(lts, _weighted_ring(weights), maxdeg)
+        assert (_packed_dims(lts, weights, maxdeg)
                 == standard_monomial_dims(lts, weights, maxdeg)), (weights, lts)
 
 
@@ -202,7 +211,7 @@ def test_standard_monomial_dims_match_enumeration_on_random_ideals():
                for _ in range(rng.randint(0, 8))]
         lts += rng.sample(lts, min(len(lts), rng.randint(0, 2)))
         maxdeg = rng.randint(0, 30)
-        assert (_standard_monomial_dims(lts, _weighted_ring(weights), maxdeg)
+        assert (_packed_dims(lts, weights, maxdeg)
                 == standard_monomial_dims(lts, weights, maxdeg)), (weights, lts, maxdeg)
 
 
@@ -384,26 +393,100 @@ def test_out_of_range_raises_before_packing(monkeypatch):
 def test_buchberger_counters_pinned():
     from flagchow.catalog import lookup_model
     from flagchow.chow import chow_presentation
-    # values of the tuple engine the packed one replaced, run with counters
+    # the first two: values of the tuple engine the packed one replaced, run
+    # with counters; the rest: the eight hilbert_sweep presentations at their
+    # maxdegs, values of the engine before its bookkeeping was cut (the same
+    # at every prime drawn for U and Sp)
     expected = {
-        ("SO_odd", 3, 2, 18): dict(
-            pairs_pushed=7, pairs_popped=7, product_criterion=2,
-            chain_criterion=3, reductions=2, zero_reductions=0,
-            reduction_steps=2, peak_basis=5, final_basis=3),
-        ("U", 4, 3, 24): dict(
-            pairs_pushed=21, pairs_popped=21, product_criterion=9,
-            chain_criterion=9, reductions=3, zero_reductions=0,
-            reduction_steps=8, peak_basis=7, final_basis=4),
+        ("SO_odd", 3, (2,), 18): (7, 7, 2, 3, 2, 0, 2, 5, 3),
+        ("U", 4, (3,), 24): (21, 21, 9, 9, 3, 0, 8, 7, 4),
+        ("U", 6, (2, 3, 5), 32): (55, 55, 25, 25, 5, 0, 52, 11, 6),
+        ("Sp", 5, (2, 3, 5), 40): (36, 36, 16, 16, 4, 0, 22, 9, 5),
+        ("Sp", 6, (2, 3, 5), 26): (29, 29, 8, 16, 5, 0, 52, 11, 6),
+        ("SO_odd", 5, (2,), 36): (36, 36, 16, 16, 4, 0, 22, 9, 5),
+        ("SO_odd", 6, (2,), 26): (29, 29, 8, 16, 5, 0, 52, 11, 6),
+        ("SO_even", 5, (2,), 36): (66, 66, 25, 24, 17, 10, 68, 12, 9),
+        ("SO_even", 6, (2,), 26): (57, 57, 17, 26, 14, 5, 98, 15, 11),
+        ("PU", 4, (5,), 60): (171, 171, 30, 112, 29, 20, 191, 19, 10),
     }
-    for (family, rank, p, maxdeg), stats in expected.items():
-        pres = chow_presentation(lookup_model(family, rank, p))
+    for (family, rank, primes, maxdeg), values in expected.items():
+        stats = dict(zip(STAT_KEYS, values))
+        for p in primes:
+            pres = chow_presentation(lookup_model(family, rank, p))
+            gb = groebner(pres, maxdeg)
+            assert gb.stats == stats, (family, rank, p, maxdeg)
+            assert list(gb.stats) == list(STAT_KEYS)
+            ref_stats = {}
+            buchberger_reference(pres.relations, pres.ring, "grevlex", maxdeg,
+                                 ref_stats)
+            assert ref_stats == stats, (family, rank, p, maxdeg)
+
+
+def _sweep_presentation():
+    from flagchow.catalog import lookup_model
+    from flagchow.chow import chow_presentation
+    return chow_presentation(lookup_model("SO_even", 5, 2)), 36
+
+
+def _count_reduce_calls(monkeypatch):
+    import flagchow.groebner as engine
+    calls = []
+    real = engine._reduce
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(engine, "_reduce", counted)
+    return calls
+
+
+def test_hilbert_series_never_reduces_the_tails(monkeypatch):
+    pres, maxdeg = _sweep_presentation()
+    calls = _count_reduce_calls(monkeypatch)
+    hilbert_series(pres, maxdeg)
+    # one _reduce per S-polynomial reduction (17 pinned), none for tails
+    assert len(calls) == 17
+    gb = groebner(pres, maxdeg)
+    assert len(calls) == 34 and len(gb) == 9
+    gb.stats
+    assert len(calls) == 34 + 9
+
+
+def test_stats_read_twice_count_the_tail_reduction_once(monkeypatch):
+    pres, maxdeg = _sweep_presentation()
+    calls = _count_reduce_calls(monkeypatch)
+    gb = groebner(pres, maxdeg)
+    first = dict(gb.stats)
+    assert first["reduction_steps"] == 68
+    assert dict(gb.stats) == first
+    gb.basis
+    normal_form(pres.ring.one(), gb)
+    assert dict(gb.stats) == first
+    # the S-polynomial reductions, the tails once, the one normal form
+    assert len(calls) == 17 + 9 + 1
+
+
+def test_stats_basis_and_normal_form_agree_in_any_access_order():
+    from itertools import permutations
+    pres, maxdeg = _sweep_presentation()
+    ring = pres.ring
+    rng = random.Random(6)
+    polys = [_random_homog(ring, rng, 2 * rng.randrange(1, 9))
+             for _ in range(6)]
+    polys += [r * ring.gen(ring.variables[0].name) for r in pres.relations]
+
+    def read(gb, what):
+        if what == "stats":
+            return dict(gb.stats)
+        if what == "basis":
+            return [list(g.terms.items()) for g in gb.basis]
+        return [list(normal_form(f, gb).terms.items()) for f in polys]
+    results = set()
+    for orders in permutations(("stats", "basis", "normal_form")):
         gb = groebner(pres, maxdeg)
-        assert gb.stats == stats
-        assert list(STAT_KEYS) == list(stats)
-        ref_stats = {}
-        buchberger_reference(pres.relations, pres.ring, "grevlex", maxdeg,
-                             ref_stats)
-        assert ref_stats == stats
+        got = {what: read(gb, what) for what in orders}
+        results.add(repr([got[w] for w in ("stats", "basis", "normal_form")]))
+    assert len(results) == 1
 
 
 def _random_relation(ring, rng, coeffs):

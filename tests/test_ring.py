@@ -1,12 +1,13 @@
 import random
+import time
 
 import pytest
 
 from flagchow.errors import RingMismatchError, ValidationError
-from flagchow.ring import COEFF_Z, GradedVariable, PolyRing, coeff_fp, poly_mul
+from flagchow.ring import COEFF_Z, GradedVariable, PolyRing, coeff_fp, is_prime
 from flagchow.symclass import elementary_symmetric, t_ring
 
-from oracles import merge_terms, naive_product_terms
+from oracles import is_prime_by_trial_division, merge_terms, naive_product_terms
 
 
 def test_variable_invariants():
@@ -40,7 +41,7 @@ def test_c2_times_c1_matches_naive_expansion_oracle():
     assert len(raw) == 9
     merged = merge_terms(raw)
     assert len(merged) == 7
-    prod = poly_mul(c2, c1)
+    prod = c2 * c1
     assert prod.terms == merged
     assert prod.homogeneous_topdeg() == 6
     assert prod.coefficient((1, 1, 1)) == 3
@@ -50,7 +51,7 @@ def test_ring_mismatch_raises():
     a = t_ring(2).gen("t1")
     b = t_ring(2, coeff_fp(2)).gen("t1")
     with pytest.raises(RingMismatchError):
-        poly_mul(a, b)
+        a * b
     with pytest.raises(RingMismatchError):
         a + b
 
@@ -117,7 +118,6 @@ def test_fp_coefficients_are_reduced():
 
 def test_is_prime_is_the_one_primality_check():
     from flagchow.chow import rost_chow_basis
-    from flagchow.ring import is_prime
     from flagchow.symclass import lucas_binomial
     primes = [p for p in range(60) if p > 1 and all(p % q for q in range(2, p))]
     assert [p for p in range(60) if is_prime(p)] == primes
@@ -131,3 +131,24 @@ def test_is_prime_is_the_one_primality_check():
         coeff_fp(2 ** 61)
     with pytest.raises(ValidationError):
         lucas_binomial(4, 2, 1)
+
+
+def test_is_prime_agrees_with_trial_division_below_100000():
+    assert ([n for n in range(-3, 10 ** 5) if is_prime(n)]
+            == [n for n in range(-3, 10 ** 5) if is_prime_by_trial_division(n)])
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # 561 is a Carmichael number; the rest are the least strong pseudoprimes
+    # to the bases 2; 2, 3; 2, 3, 5, 7; and 2, ..., 31
+    for n in (561, 2047, 1373653, 3215031751, 3825123056546413051):
+        assert not is_prime(n), n
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 89 - 1)
+    assert not is_prime((2 ** 61 - 1) * (2 ** 31 - 1))
+
+
+def test_coeff_fp_accepts_a_large_prime_promptly():
+    # trial division would take about 1.5 * 10^9 steps here
+    start = time.perf_counter()
+    assert coeff_fp(2 ** 61 - 1) == ("Fp", 2 ** 61 - 1)
+    assert time.perf_counter() - start < 1.0
