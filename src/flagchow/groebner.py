@@ -17,11 +17,14 @@ by buchberger and kept on the GroebnerBasis it returns.  Exponent tuples
 appear only at the boundary: input relations, returned polynomials and
 leading_monomials().
 
-Per pair and per reduction the bookkeeping is small: the chain criterion
-reads one bitmask of popped pairs per element, a reduction at topdeg d sees
-only the elements of topdeg <= d, and the tails are reduced only when a
-reduced basis is asked for.  The Hilbert series needs only the minimal
-leading monomials, and its pivot recursion works on their packed views.
+Each input relation is reduced when the run reaches its topdeg, ahead of
+that topdeg's S-pairs, so elements are found in nondecreasing topdeg, each
+reduced by every earlier one: every element found is minimal, and a
+complete intersection needs no S-polynomial at all.  Per pair the
+bookkeeping is small: the chain criterion reads one bitmask of popped pairs
+per element, and the tails are reduced only when a reduced basis is asked
+for.  The Hilbert series needs only the leading monomials, and its pivot
+recursion works on their packed views.
 """
 
 import heapq
@@ -110,10 +113,6 @@ class Packing:
 
     def view(self, key):
         return ((key + self.complement) & self.fields) ^ self.complement
-
-    def divides(self, x, y):
-        """Whether the monomial with view x divides the one with view y."""
-        return ((y | self.guard) - x) & self.guard == self.guard
 
     def unpack(self, key):
         x = self.view(key)
@@ -228,6 +227,11 @@ def hs_times(dims, numer=(), denom=()):
 # ---------------------------------------------------------------------------
 # Buchberger
 
+# The counters of a run, in this order: S-pairs pushed and popped, pairs
+# skipped by the product and by the chain criterion, reductions (of the
+# relations and of the S-polynomials) and those that end in zero, reduction
+# steps (the tail reduction's included), and the basis size at its peak and
+# at the end, which are equal: every element found is minimal.
 STAT_KEYS = ("pairs_pushed", "pairs_popped", "product_criterion",
              "chain_criterion", "reductions", "zero_reductions",
              "reduction_steps", "peak_basis", "final_basis")
@@ -244,9 +248,11 @@ def _reduce(work, divisors, packing, p):
     divisors are (view of the leading monomial, tail) pairs of monic basis
     elements, tail the (key - leading key, coefficient) pairs of the other
     terms; a term is reduced by the first divisor whose leading monomial
-    divides it.  The largest term comes from a lazy max-heap of keys, whose
-    stale entries (terms cancelled since) are skipped.  Returns the normal
-    form's terms, largest key first, and the number of reduction steps.
+    divides it.  The largest term comes from a max-heap holding each key of
+    work once: a term that cancels keeps its key with coefficient 0, so one
+    that comes back is not pushed again, and a popped 0 is skipped.  Returns
+    the normal form's terms, largest key first, and the number of reduction
+    steps.
     """
     complement, fields, guard = packing.complement, packing.fields, packing.guard
     flip = complement | guard
@@ -257,8 +263,8 @@ def _reduce(work, divisors, packing, p):
     steps = 0
     while heap:
         k = -pop(heap)
-        c = work.pop(k, None)
-        if c is None:
+        c = work.pop(k)
+        if not c:
             continue
         y = ((k + complement) & fields) ^ flip
         for x, tail in divisors:
@@ -270,14 +276,8 @@ def _reduce(work, divisors, packing, p):
                     if old is None:
                         work[m] = -c * gc % p if p else -c * gc
                         push(heap, -m)
-                        continue
-                    v = old - c * gc
-                    if p:
-                        v %= p
-                    if v:
-                        work[m] = v
                     else:
-                        del work[m]
+                        work[m] = (old - c * gc) % p if p else old - c * gc
                 break
         else:
             result[k] = c
@@ -291,8 +291,9 @@ def _tail(terms, lead):
 class GroebnerBasis:
     """A reduced, degree-truncated basis over a field, leading coefficients 1.
 
-    buchberger hands over the minimal basis, tails not yet reduced: its
-    leading monomials and size are final, and hilbert_series reads no more.
+    buchberger hands over the elements it found, every one minimal, tails
+    not yet reduced: their leading monomials and number are final, and
+    hilbert_series reads no more.
     The first read of basis or stats, or the first normal_form, reduces the
     tails, once.  The reduced elements are kept packed, as dicts key ->
     coefficient listing the largest key first, sorted by (topdeg, leading
@@ -367,13 +368,15 @@ class GroebnerBasis:
 def buchberger(relations, ring, order, maxdeg):
     """Degree-truncated Buchberger on homogeneous generators over a field.
 
-    Pairs are taken by lcm topdeg (normal selection), ties in the order they
-    were formed, and skipped by the product and chain criteria.  Returns the
-    minimal basis, whose tails are reduced on demand, with the run's
-    counters (STAT_KEYS) in its stats: pairs pushed and popped, pairs
-    skipped by each criterion, S-polynomial reductions and those to zero,
-    reduction steps (tail reduction included), and the basis size at its
-    peak and at the end.
+    The queue holds the relations and the S-pairs, taken by topdeg (normal
+    selection for the pairs, whose topdeg is that of their lcm).  At each
+    topdeg the relations come first, in input order, then the pairs in the
+    order they were formed; the product and chain criteria skip pairs.  A
+    relation or S-polynomial is reduced by the elements found so far and
+    kept if its normal form is nonzero.  Elements are found in nondecreasing
+    topdeg, each reduced by every earlier one, so no leading monomial divides
+    another: every element found is minimal.  Returns that basis, whose tails
+    are reduced on demand, with the run's counters (STAT_KEYS) in its stats.
     """
     pk = Packing(ring.topdegs, order, maxdeg)
     p = _modulus(ring)
@@ -384,84 +387,71 @@ def buchberger(relations, ring, order, maxdeg):
     # divisor _reduce takes, and done, whose bit k is set once the pair
     # with element k has been popped
     leads, exps, degs, divisors, done = [], [], [], [], []
+
+    # entries (topdeg, seq, i, j) for the pair of elements i and j, seq the
+    # count of pairs formed before it, and (topdeg, seq, terms, None) for a
+    # relation, seq negative and rising in input order; homogeneous, so one
+    # term gives a relation's topdeg
     heap = []
-
-    def add(terms, lead, d):
-        nonlocal pushed
-        inv = ring.coeff_inv(terms[lead])
-        if inv != 1:
-            terms = {k: c * inv % p if p else c * inv for k, c in terms.items()}
-        e = pk.unpack(lead)
-        for i, f in enumerate(exps):
-            lcm_deg = sum(map(mul, map(max, f, e), weights))
-            if lcm_deg <= maxdeg:
-                heapq.heappush(heap, (lcm_deg, pushed, i, len(leads)))
-                pushed += 1
-        leads.append(lead)
-        exps.append(e)
-        degs.append(d)
-        divisors.append((pk.view(lead), _tail(terms, lead)))
-        done.append(0)
-
-    # homogeneous, so one term gives a relation's topdeg
     for r in relations:
         if r.terms:
             d = ring.monomial_topdeg(next(iter(r.terms)))
             if d <= maxdeg:
-                terms = {pk.pack(m): c for m, c in r.terms.items()}
-                add(terms, max(terms), d)
+                heap.append((d, len(heap) - len(relations), r.terms, None))
+    heapq.heapify(heap)
 
-    # the divisors of topdeg <= rdeg, in basis order: an S-polynomial of
-    # topdeg d has no term another can divide
-    reducers, rdeg = [], None
     while heap:
-        d, _, i, j = heapq.heappop(heap)
-        popped += 1
-        done[i] |= 1 << j
-        done[j] |= 1 << i
-        if d == degs[i] + degs[j]:
-            product += 1
-            continue
-        key = pk.pack(map(max, exps[i], exps[j]))
-        x = pk.view(key) | guard
-        both = done[i] & done[j]
-        while both:
-            bit = both & -both
-            if (x - divisors[bit.bit_length() - 1][0]) & guard == guard:
-                break
-            both ^= bit
-        if both:
-            chain += 1
-            continue
-        # the S-polynomial; its leading terms cancel
-        work = {key + off: c for off, c in divisors[i][1]}
-        for off, c in divisors[j][1]:
-            m = key + off
-            v = work.get(m, 0) - c
-            if p:
-                v %= p
-            if v:
-                work[m] = v
-            else:
-                work.pop(m, None)
-        if d != rdeg:
-            rdeg = d
-            reducers = [v for v, e in zip(divisors, degs) if e <= d]
-        h, n = _reduce(work, reducers, pk, p)
+        d, seq, i, j = heapq.heappop(heap)
+        if seq < 0:
+            work = {pk.pack(m): c for m, c in i.items()}
+        else:
+            popped += 1
+            done[i] |= 1 << j
+            done[j] |= 1 << i
+            if d == degs[i] + degs[j]:
+                product += 1
+                continue
+            key = pk.pack(map(max, exps[i], exps[j]))
+            x = pk.view(key) | guard
+            both = done[i] & done[j]
+            while both:
+                bit = both & -both
+                if (x - divisors[bit.bit_length() - 1][0]) & guard == guard:
+                    break
+                both ^= bit
+            if both:
+                chain += 1
+                continue
+            # the S-polynomial; its leading terms cancel
+            work = {key + off: c for off, c in divisors[i][1]}
+            for off, c in divisors[j][1]:
+                v = work.get(key + off, 0) - c
+                work[key + off] = v % p if p else v
+        # every element found so far has topdeg <= d
+        h, n = _reduce(work, divisors, pk, p)
         reductions += 1
         steps += n
-        if h:
-            add(h, next(iter(h)), d)
-            reducers.append(divisors[-1])
-        else:
+        if not h:
             zeros += 1
+            continue
+        lead = next(iter(h))
+        inv = ring.coeff_inv(h[lead])
+        if inv != 1:
+            h = {k: c * inv % p if p else c * inv for k, c in h.items()}
+        e = pk.unpack(lead)
+        for k, f in enumerate(exps):
+            lcm_deg = sum(map(mul, map(max, f, e), weights))
+            if lcm_deg <= maxdeg:
+                heapq.heappush(heap, (lcm_deg, pushed, k, len(leads)))
+                pushed += 1
+        leads.append(lead)
+        exps.append(e)
+        degs.append(d)
+        divisors.append((pk.view(lead), _tail(h, lead)))
+        done.append(0)
 
-    # minimalize: drop elements whose leading monomial another one divides
-    # (of two equal ones the first stays)
-    minimal = [(degs[i], leads[i], x, tail)
-               for i, (x, tail) in enumerate(divisors)
-               if not any(j != i and pk.divides(y, x) and (y != x or j < i)
-                          for j, (y, _) in enumerate(divisors))]
+    minimal = [(d, lead, x, tail)
+               for d, lead, (x, tail) in zip(degs, leads, divisors)]
     stats = dict(zip(STAT_KEYS, (pushed, popped, product, chain, reductions,
                                  zeros, steps, len(leads), len(minimal))))
     return GroebnerBasis(ring, pk, minimal, stats)

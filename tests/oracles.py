@@ -3,8 +3,8 @@
 Nothing here calls the Groebner engine: graded dimensions come from
 Gaussian elimination on explicit multiplication matrices, symmetric
 functions from direct product expansion, binomials from factorials.  The
-tuple-based Buchberger that preceded the packed engine is kept here,
-unchanged but for its counters, as the engine's reference.
+tuple-based Buchberger that preceded the packed engine is kept here as the
+engine's reference, with its counters and its order of work.
 """
 
 import heapq
@@ -352,23 +352,19 @@ STAT_KEYS = ("pairs_pushed", "pairs_popped", "product_criterion",
 
 
 def buchberger_reference(relations, ring, order, maxdeg, stats=None):
-    """Degree-truncated Buchberger on exponent tuples: sugar-free normal
-    selection by lcm topdeg, product and chain criteria, first divisor in
-    basis order, then minimalization, tail reduction and a sort by
-    (topdeg, leading monomial).  Fills stats with the counters of
-    flagchow.groebner.buchberger."""
+    """Degree-truncated Buchberger on exponent tuples, in the engine's order
+    of work: one queue by topdeg holds the relations, at their topdeg ahead
+    of that topdeg's pairs and in input order, and the pairs, sugar-free
+    normal selection by lcm topdeg in the order formed.  Product and chain
+    criteria, first divisor in basis order; a relation or S-polynomial is
+    kept if its normal form is nonzero.  Then minimalization, which must
+    drop nothing, tail reduction and a sort by (topdeg, leading monomial).
+    Fills stats with the counters of flagchow.groebner.buchberger:
+    relations count as reductions, not as pairs."""
     stats = {} if stats is None else stats
     stats.update(dict.fromkeys(STAT_KEYS, 0))
     key = order_key(order, ring)
-    basis = []
-    for r in relations:
-        if r.is_zero():
-            continue
-        d = r.homogeneous_topdeg()
-        if d is not None and d <= maxdeg:
-            basis.append(_monic(r, key, ring))
-    lts = [leading_term(g, key)[0] for g in basis]
-
+    basis, lts = [], []
     heap = []
     counter = 0
 
@@ -382,34 +378,42 @@ def buchberger_reference(relations, ring, order, maxdeg, stats=None):
                 counter += 1
                 stats["pairs_pushed"] += 1
 
-    for j in range(len(basis)):
-        push_pairs(j)
+    # a relation's sequence number is negative, so it precedes every pair
+    rels = [r for r in relations if not r.is_zero()]
+    for k, r in enumerate(rels):
+        d = r.homogeneous_topdeg()
+        if d is not None and d <= maxdeg:
+            heapq.heappush(heap, (d, k - len(rels), r, None, None))
 
     done = set()
     while heap:
-        d, _, i, j, lcm = heapq.heappop(heap)
-        stats["pairs_popped"] += 1
-        done.add((i, j))
-        if tuple(a + b for a, b in zip(lts[i], lts[j])) == lcm:
-            stats["product_criterion"] += 1
-            continue
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
+        d, seq, i, j, lcm = heapq.heappop(heap)
+        if seq < 0:
+            f = i
+        else:
+            stats["pairs_popped"] += 1
+            done.add((i, j))
+            if tuple(a + b for a, b in zip(lts[i], lts[j])) == lcm:
+                stats["product_criterion"] += 1
                 continue
-            if _divides(lts[k], lcm):
-                p1 = (min(i, k), max(i, k))
-                p2 = (min(j, k), max(j, k))
-                if p1 in done and p2 in done:
-                    skip = True
-                    break
-        if skip:
-            stats["chain_criterion"] += 1
-            continue
-        gi, gj = basis[i], basis[j]
-        si = gi.mul_term(_monomial_div(lcm, lts[i]), 1)
-        sj = gj.mul_term(_monomial_div(lcm, lts[j]), 1)
-        h = _reduce_full(si - sj, basis, lts, key, ring, stats)
+            skip = False
+            for k in range(len(basis)):
+                if k in (i, j):
+                    continue
+                if _divides(lts[k], lcm):
+                    p1 = (min(i, k), max(i, k))
+                    p2 = (min(j, k), max(j, k))
+                    if p1 in done and p2 in done:
+                        skip = True
+                        break
+            if skip:
+                stats["chain_criterion"] += 1
+                continue
+            gi, gj = basis[i], basis[j]
+            si = gi.mul_term(_monomial_div(lcm, lts[i]), 1)
+            sj = gj.mul_term(_monomial_div(lcm, lts[j]), 1)
+            f = si - sj
+        h = _reduce_full(f, basis, lts, key, ring, stats)
         stats["reductions"] += 1
         if h.is_zero():
             stats["zero_reductions"] += 1

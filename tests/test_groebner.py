@@ -346,8 +346,11 @@ def test_packed_order_sum_divisibility_and_round_trip():
             for a, b in pairs:
                 assert (pk.pack(a) < pk.pack(b)) == (key(a) < key(b)), (order, a, b)
                 assert (pk.pack(a) == pk.pack(b)) == (a == b)
-                assert (pk.divides(pk.view(pk.pack(a)), pk.view(pk.pack(b)))
-                        == all(x <= y for x, y in zip(a, b))), (order, a, b)
+                # divisibility of views by the guard bits, as the engine
+                # tests it: x divides y exactly when ((y | G) - x) & G == G
+                va, vb, g = pk.view(pk.pack(a)), pk.view(pk.pack(b)), pk.guard
+                assert ((((vb | g) - va) & g == g)
+                        == all(u <= v for u, v in zip(a, b))), (order, a, b)
                 s = tuple(x + y for x, y in zip(a, b))
                 assert pk.pack(a) + pk.pack(b) == pk.pack(s)
                 if ring.monomial_topdeg(s) <= maxdeg:
@@ -393,21 +396,22 @@ def test_out_of_range_raises_before_packing(monkeypatch):
 def test_buchberger_counters_pinned():
     from flagchow.catalog import lookup_model
     from flagchow.chow import chow_presentation
-    # the first two: values of the tuple engine the packed one replaced, run
-    # with counters; the rest: the eight hilbert_sweep presentations at their
-    # maxdegs, values of the engine before its bookkeeping was cut (the same
-    # at every prime drawn for U and Sp)
+    # values of the tuple reference, which reduces each relation at its
+    # topdeg ahead of that topdeg's pairs: SO_odd(3) and U(4), then the eight
+    # hilbert_sweep presentations at their maxdegs (the same at every prime
+    # drawn for U and Sp).  U, Sp and SO_odd reach their bases from the
+    # relations alone: every pair is skipped by the product criterion.
     expected = {
-        ("SO_odd", 3, (2,), 18): (7, 7, 2, 3, 2, 0, 2, 5, 3),
-        ("U", 4, (3,), 24): (21, 21, 9, 9, 3, 0, 8, 7, 4),
-        ("U", 6, (2, 3, 5), 32): (55, 55, 25, 25, 5, 0, 52, 11, 6),
-        ("Sp", 5, (2, 3, 5), 40): (36, 36, 16, 16, 4, 0, 22, 9, 5),
-        ("Sp", 6, (2, 3, 5), 26): (29, 29, 8, 16, 5, 0, 52, 11, 6),
-        ("SO_odd", 5, (2,), 36): (36, 36, 16, 16, 4, 0, 22, 9, 5),
-        ("SO_odd", 6, (2,), 26): (29, 29, 8, 16, 5, 0, 52, 11, 6),
-        ("SO_even", 5, (2,), 36): (66, 66, 25, 24, 17, 10, 68, 12, 9),
-        ("SO_even", 6, (2,), 26): (57, 57, 17, 26, 14, 5, 98, 15, 11),
-        ("PU", 4, (5,), 60): (171, 171, 30, 112, 29, 20, 191, 19, 10),
+        ("SO_odd", 3, (2,), 18): (2, 2, 2, 0, 3, 0, 4, 3, 3),
+        ("U", 4, (3,), 24): (6, 6, 6, 0, 4, 0, 11, 4, 4),
+        ("U", 6, (2, 3, 5), 32): (15, 15, 15, 0, 6, 0, 57, 6, 6),
+        ("Sp", 5, (2, 3, 5), 40): (10, 10, 10, 0, 5, 0, 26, 5, 5),
+        ("Sp", 6, (2, 3, 5), 26): (6, 6, 6, 0, 6, 0, 57, 6, 6),
+        ("SO_odd", 5, (2,), 36): (10, 10, 10, 0, 5, 0, 26, 5, 5),
+        ("SO_odd", 6, (2,), 26): (6, 6, 6, 0, 6, 0, 57, 6, 6),
+        ("SO_even", 5, (2,), 36): (36, 36, 16, 6, 19, 10, 71, 9, 9),
+        ("SO_even", 6, (2,), 26): (27, 27, 13, 4, 16, 5, 102, 11, 11),
+        ("PU", 4, (5,), 60): (45, 45, 21, 4, 30, 20, 200, 10, 10),
     }
     for (family, rank, primes, maxdeg), values in expected.items():
         stats = dict(zip(STAT_KEYS, values))
@@ -420,6 +424,58 @@ def test_buchberger_counters_pinned():
             buchberger_reference(pres.relations, pres.ring, "grevlex", maxdeg,
                                  ref_stats)
             assert ref_stats == stats, (family, rank, p, maxdeg)
+
+
+def test_sweep_bases_match_the_pinned_digests():
+    import hashlib
+    from flagchow.catalog import lookup_model
+    from flagchow.chow import chow_presentation
+    # sha256 of the reduced bases of the fourteen hilbert_sweep presentations
+    # (U and Sp at each prime drawn), taken before relations were reduced at
+    # their topdeg: the reduced truncated basis is unique
+    expected = {
+        ("U", 6, (2, 3, 5), 32):
+            "37405deade29aba009e4572acb94904ed59700cc83fd5656f4093ace37818ea6",
+        ("Sp", 5, (2, 3, 5), 40):
+            "d3640cccad5bc719b2d9460bda04d30e8be92861d004687aa86ecf2d79aa88d9",
+        ("Sp", 6, (2, 3, 5), 26):
+            "c1003b46ad2549f5f7d1cc2ca445a10f7f4b7f2aaa2b3642388a5293e5d387ff",
+        ("SO_odd", 5, (2,), 36):
+            "d3640cccad5bc719b2d9460bda04d30e8be92861d004687aa86ecf2d79aa88d9",
+        ("SO_odd", 6, (2,), 26):
+            "c1003b46ad2549f5f7d1cc2ca445a10f7f4b7f2aaa2b3642388a5293e5d387ff",
+        ("SO_even", 5, (2,), 36):
+            "d49aa27fac9f4c3af290aa5021ccf5d3ad72366ca08289a659250e0c537c8642",
+        ("SO_even", 6, (2,), 26):
+            "14b4a0c94799bdffc36edd6a8485c9139d36cc7a84fa5de7617fd5afc443eab1",
+        ("PU", 4, (5,), 60):
+            "9ff5bca011deb645620f0f7c4868802870772a9c92e993a59f5ce8d7367be33b",
+    }
+    for (family, rank, primes, maxdeg), digest in expected.items():
+        for p in primes:
+            gb = groebner(chow_presentation(lookup_model(family, rank, p)), maxdeg)
+            terms = repr([list(g.terms.items()) for g in gb.basis])
+            assert (hashlib.sha256(terms.encode()).hexdigest()
+                    == digest), (family, rank, p, maxdeg)
+
+
+def test_redundant_relations_cost_two_zero_reductions_and_no_pairs():
+    from flagchow.catalog import lookup_model
+    from flagchow.chow import chow_presentation
+    pres = chow_presentation(lookup_model("U", 4, 3))
+    rels = pres.relations
+    gb = groebner(pres, 24)
+    # a duplicate and a unit multiple, each reduced to zero at its topdeg
+    more = buchberger(rels + (rels[1], rels[2].scale(2)), pres.ring,
+                      "grevlex", 24)
+    before, after = dict(gb.stats), dict(more.stats)
+    assert (after["reductions"], after["zero_reductions"]) == (
+        before["reductions"] + 2, before["zero_reductions"] + 2) == (6, 2)
+    for k in ("pairs_pushed", "pairs_popped", "product_criterion",
+              "chain_criterion", "peak_basis", "final_basis"):
+        assert after[k] == before[k], k
+    assert ([list(g.terms.items()) for g in more.basis]
+            == [list(g.terms.items()) for g in gb.basis])
 
 
 def _sweep_presentation():
@@ -444,12 +500,13 @@ def test_hilbert_series_never_reduces_the_tails(monkeypatch):
     pres, maxdeg = _sweep_presentation()
     calls = _count_reduce_calls(monkeypatch)
     hilbert_series(pres, maxdeg)
-    # one _reduce per S-polynomial reduction (17 pinned), none for tails
-    assert len(calls) == 17
+    # one _reduce per relation or S-polynomial reduction (19 pinned), none
+    # for tails
+    assert len(calls) == 19
     gb = groebner(pres, maxdeg)
-    assert len(calls) == 34 and len(gb) == 9
+    assert len(calls) == 38 and len(gb) == 9
     gb.stats
-    assert len(calls) == 34 + 9
+    assert len(calls) == 38 + 9
 
 
 def test_stats_read_twice_count_the_tail_reduction_once(monkeypatch):
@@ -457,13 +514,14 @@ def test_stats_read_twice_count_the_tail_reduction_once(monkeypatch):
     calls = _count_reduce_calls(monkeypatch)
     gb = groebner(pres, maxdeg)
     first = dict(gb.stats)
-    assert first["reduction_steps"] == 68
+    assert first["reduction_steps"] == 71
     assert dict(gb.stats) == first
     gb.basis
     normal_form(pres.ring.one(), gb)
     assert dict(gb.stats) == first
-    # the S-polynomial reductions, the tails once, the one normal form
-    assert len(calls) == 17 + 9 + 1
+    # the relation and S-polynomial reductions, the tails once, the one
+    # normal form
+    assert len(calls) == 19 + 9 + 1
 
 
 def test_stats_basis_and_normal_form_agree_in_any_access_order():
@@ -521,6 +579,8 @@ def test_buchberger_matches_the_tuple_reference_on_random_ideals():
         assert ([list(g.terms.items()) for g in gb.basis]
                 == [list(g.terms.items()) for g in ref]), (weights, coeff, order, maxdeg)
         assert gb.stats == ref_stats
+        # the reference's minimalization dropped nothing
+        assert ref_stats["peak_basis"] == ref_stats["final_basis"]
         if coeff != COEFF_Q:
             # the linear-algebra oracle up to the largest degree it can afford
             top = 0
