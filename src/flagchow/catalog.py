@@ -166,9 +166,12 @@ class SharpData:
 
 
 class CohomologyModel:
+    """One case's data, shared by `lookup_model` and only read by callers;
+    the underscored slots are this object's memos, filled on first use."""
+
     __slots__ = ("descriptor", "y_gens", "x_gens", "transgression", "op_rules",
                  "notes", "is_type_one", "dim_gt", "q_on_y_zero", "extras",
-                 "_y_ring", "_by_topdeg")
+                 "_y_ring", "_by_topdeg", "_presentation")
 
     def __init__(self, descriptor, y_gens, x_gens, transgression, op_rules,
                  notes=(), is_type_one=False, dim_gt=None, q_on_y_zero=False,
@@ -185,6 +188,7 @@ class CohomologyModel:
         self.extras = extras or {}
         self._y_ring = None
         self._by_topdeg = None
+        self._presentation = None
 
     @property
     def prime(self):
@@ -650,43 +654,63 @@ def descriptor(family, rank=None, prime=None):
 
 
 def lookup_model(family, rank=None, prime=None):
+    """The model of a supported case, built once and shared read-only.
+
+    A rank or prime that is not an int (a bool included) raises
+    ValidationError before the memo.  Every spelling of a case is one
+    `_build` entry; `_build` keeps the 128 cases used most recently, and an
+    evicted case is rebuilt to an equal model on its next lookup.
+    """
+    for name, value in (("rank", rank), ("prime", prime)):
+        if value is not None and type(value) is not int:
+            raise ValidationError("%s must be an integer, got %r" % (name, value))
+    return _build(*_case(family, rank, prime))
+
+
+@functools.lru_cache(maxsize=128)
+def _build(builder, *args):
+    return builder(*args)
+
+
+def _case(family, rank, prime):
+    """(builder, *args) of a supported case: one tuple per case."""
     if family == "U":
         if rank is None or rank < 1 or prime not in _SUPPORTED_PRIMES:
             raise UnsupportedCaseError(_unsupported(family, rank, prime))
-        return _model_U(rank, prime)
+        return _model_U, rank, prime
     if family == "Sp":
         if rank is None or rank < 1 or prime not in _SUPPORTED_PRIMES:
             raise UnsupportedCaseError(_unsupported(family, rank, prime))
-        return _model_Sp(rank, prime)
+        return _model_Sp, rank, prime
     if family == "PU":
         if prime not in _SUPPORTED_PRIMES or (rank is not None and rank != prime - 1):
             raise UnsupportedCaseError(_unsupported(family, rank, prime))
-        return _model_PU(prime)
+        return _model_PU, prime
     if family == "SO_odd":
         if prime != 2 or rank is None or rank < 1:
             raise UnsupportedCaseError(_unsupported(family, rank, prime))
-        return _model_SO_odd(rank)
+        return _model_SO_odd, rank
     if family == "SO_even":
         if prime != 2 or rank is None or rank < 2:
             raise UnsupportedCaseError(_unsupported(family, rank, prime))
-        return _model_SO_even(rank)
+        return _model_SO_even, rank
     if family == "Spin_odd":
         if prime != 2 or rank is None or rank < 3:
             raise UnsupportedCaseError(_unsupported(family, rank, prime))
-        return _model_Spin_odd(rank)
+        return _model_Spin_odd, rank
     if family == "G2" and prime == 2 and rank in (None, 2):
-        return _model_G2()
+        return (_model_G2,)
     if family == "F4" and prime == 3 and rank in (None, 4):
-        return _model_F4()
+        return (_model_F4,)
     if family == "E8" and rank in (None, 8):
         if prime == 5:
-            return _model_E8_5()
+            return (_model_E8_5,)
         if prime == 3:
-            return _model_E8_3()
+            return (_model_E8_3,)
         if prime == 2:
-            return _model_E8_2()
+            return (_model_E8_2,)
     if family == "E7" and prime == 2 and rank in (None, 7):
-        return _model_E7_2()
+        return (_model_E7_2,)
     raise UnsupportedCaseError(_unsupported(family, rank, prime))
 
 
@@ -788,7 +812,7 @@ def _so_restriction(l):
     n = (l + 1).bit_length() - 1
     if 2 ** n - 1 != l:
         raise ValidationError("rank must be one below a 2-power")
-    model = _model_SO_odd(l)
+    model = lookup_model("SO_odd", l, 2)
     sources = [("c_%d" % j, 2 * j) for j in range(1, l + 1)]
     images = []
     for j in range(1, l + 1):
@@ -806,7 +830,7 @@ def _so_restriction(l):
 
 
 def _e8_2_restriction():
-    model = _model_E8_2()
+    model = lookup_model("E8", 8, 2)
     sources = [(e.name, e.topdeg) for e in model.transgression]
     images = []
     for j in range(1, 9):
@@ -821,7 +845,7 @@ def _e8_2_restriction():
 
 
 def _e8_3_restriction():
-    model = _model_E8_3()
+    model = lookup_model("E8", 8, 3)
     sources = [(e.name, e.topdeg) for e in model.transgression]
     img = {
         1: (1, "y8", 8),
@@ -841,8 +865,8 @@ def _e8_3_restriction():
 
 
 def _e7_2_restrictions():
-    e8 = _model_E8_2()
-    e7 = _model_E7_2()
+    e8 = lookup_model("E8", 8, 2)
+    e7 = lookup_model("E7", 7, 2)
     # stage 1: the rank-8 form restricted to a field keeping only the top class
     sources8 = [(e.name, e.topdeg) for e in e8.transgression]
     img8 = {1: (1, "y6", 6), 2: (0, "y6", 6), 3: (0, "y10", 10),
@@ -1038,23 +1062,27 @@ def _gen_topdeg(model, name, check, fails):
 
 
 _CASE_MODELS = {
-    "U/Sp (any p)": lambda: [_model_U(l, p) for l in (1, 2, 3, 5) for p in (2, 3, 5)]
-    + [_model_Sp(l, p) for l in (1, 2, 3, 5) for p in (2, 3, 5)],
-    "PU(p)": lambda: [_model_PU(p) for p in (2, 3, 5)],
-    "SO(2l+1) p=2": lambda: [_model_SO_odd(l) for l in range(1, 9)],
-    "SO(2l) p=2": lambda: [_model_SO_even(l) for l in range(2, 9)],
-    "Spin(2l+1) p=2": lambda: [_model_Spin_odd(l) for l in range(3, 9)],
-    "(G2, 2)": lambda: [_model_G2()],
-    "(F4, 3)": lambda: [_model_F4()],
-    "(E8, 5)": lambda: [_model_E8_5()],
-    "(E8, 3)": lambda: [_model_E8_3()],
-    "(E8, 2)": lambda: [_model_E8_2()],
-    "(E7, 2)": lambda: [_model_E7_2()],
+    "U/Sp (any p)": lambda: [lookup_model(fam, l, p) for fam in ("U", "Sp")
+                             for l in (1, 2, 3, 5) for p in (2, 3, 5)],
+    "PU(p)": lambda: [lookup_model("PU", prime=p) for p in (2, 3, 5)],
+    "SO(2l+1) p=2": lambda: [lookup_model("SO_odd", l, 2) for l in range(1, 9)],
+    "SO(2l) p=2": lambda: [lookup_model("SO_even", l, 2) for l in range(2, 9)],
+    "Spin(2l+1) p=2": lambda: [lookup_model("Spin_odd", l, 2) for l in range(3, 9)],
+    "(G2, 2)": lambda: [lookup_model("G2", prime=2)],
+    "(F4, 3)": lambda: [lookup_model("F4", prime=3)],
+    "(E8, 5)": lambda: [lookup_model("E8", prime=5)],
+    "(E8, 3)": lambda: [lookup_model("E8", prime=3)],
+    "(E8, 2)": lambda: [lookup_model("E8", prime=2)],
+    "(E7, 2)": lambda: [lookup_model("E7", prime=2)],
 }
 
 
 def validate_catalog():
-    """Validate every entry; returns [(case id, ok, failures)] in fixed order."""
+    """Validate every entry; returns [(case id, ok, failures)] in fixed order.
+
+    Every call checks all 54 models, the very objects `lookup_model` serves;
+    only their construction is shared, no check result is kept.
+    """
     report = []
     for case in CASE_IDS:
         failures = []

@@ -79,7 +79,16 @@ def chow_presentation(model):
     case; the other one-generator cases come back as opaque graded symbols
     B_i with the square-level relations.  Cases known only through a
     surjection raise.
+
+    Built once per model object and kept on it: a shared catalog model
+    shares one presentation, a model built by hand gets its own.
     """
+    if model._presentation is None:
+        model._presentation = _build_presentation(model)
+    return model._presentation
+
+
+def _build_presentation(model):
     desc = model.descriptor
     fam = desc.family
     p = desc.prime

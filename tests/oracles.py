@@ -212,6 +212,21 @@ def poincare_coeffs(model):
     return coeffs
 
 
+def object_state(obj):
+    """Everything `obj` holds, as nested lists of reprs: each `__slots__`
+    field, list, tuple and dict entry in order, down to the scalars
+    (polynomial term dicts included).  Two reads are equal unless something
+    changed the object in between."""
+    if isinstance(obj, dict):
+        return ["dict", [(object_state(k), object_state(v)) for k, v in obj.items()]]
+    if isinstance(obj, (list, tuple)):
+        return [type(obj).__name__, [object_state(v) for v in obj]]
+    slots = getattr(type(obj), "__slots__", None)
+    if slots is None:
+        return repr(obj)
+    return [type(obj).__name__, [(s, object_state(getattr(obj, s))) for s in slots]]
+
+
 def _b_reflect(f, i, l):
     """s_i on a {exps: coef} polynomial in t_1..t_l, type B_l: s_i swaps
     t_i and t_{i+1} for i < l, s_l negates t_l."""

@@ -18,7 +18,7 @@ from flagchow.catalog import (
     validate_model,
     witness_annotation,
 )
-from flagchow.errors import DataMissingError, UnsupportedCaseError
+from flagchow.errors import DataMissingError, UnsupportedCaseError, ValidationError
 
 
 def test_validate_catalog_all_entries_pass():
@@ -230,3 +230,68 @@ def test_descriptor_label_and_eq():
     assert a == b
     assert a.label() == "SO(7) p=2"
     assert GroupDescriptor("E8", 8, 5).label() == "(E8, 5)"
+
+
+def test_each_catalog_case_is_one_shared_model():
+    for case in CASE_IDS:
+        first, again = catalog._CASE_MODELS[case](), catalog._CASE_MODELS[case]()
+        assert all(a is b for a, b in zip(first, again)), case
+        for m in first:
+            assert lookup_model(*m.descriptor.key()) is m, m.descriptor
+
+
+def test_every_spelling_of_a_case_is_one_model():
+    for fam, rank, p in [("E8", 8, 2), ("E8", 8, 3), ("E8", 8, 5), ("E7", 7, 2),
+                         ("G2", 2, 2), ("F4", 4, 3), ("PU", 1, 2), ("PU", 2, 3),
+                         ("PU", 4, 5)]:
+        m = lookup_model(fam, rank, p)
+        assert lookup_model(fam, None, p) is m
+        assert lookup_model(fam, prime=p) is m
+        assert descriptor(fam, prime=p) is m.descriptor
+        assert lookup(m.descriptor) is m
+
+
+BAD_SPELLINGS = [("U", 2.5, 2), ("U", 3.0, 2), ("U", "3", 2), ("U", True, 2),
+                 ("U", 3, 2.0), ("U", 3, True), ("E8", None, 2.0), ("PU", False, 2)]
+
+
+def test_a_rank_or_prime_that_is_not_an_int_raises_before_the_memo():
+    # a float or bool would hash to the cached int case, so the answer would
+    # depend on what was looked up before
+    catalog._build.cache_clear()
+    for fam, rank, p in BAD_SPELLINGS:
+        with pytest.raises(ValidationError):
+            lookup_model(fam, rank, p)
+    for fam, rank, p in [("U", 3, 2), ("U", 1, 2), ("E8", None, 2), ("PU", 1, 2)]:
+        lookup_model(fam, rank, p)
+    for fam, rank, p in BAD_SPELLINGS:
+        with pytest.raises(ValidationError):
+            lookup_model(fam, rank, p)
+    assert type(lookup_model("U", 1, 2).descriptor.rank) is int
+
+
+def test_memo_is_bounded_and_an_evicted_case_rebuilds_equal():
+    first = lookup_model("U", 1, 2)
+    state = oracles.object_state(first)
+    for l in range(1, 200):
+        lookup_model("U", l, 2)
+        assert catalog._build.cache_info().currsize <= 128
+    again = lookup_model("U", 1, 2)
+    assert again is not first
+    assert oracles.object_state(again) == state
+    assert validate_model(again) == []
+
+
+def test_validate_catalog_checks_the_54_served_models_on_every_call(monkeypatch):
+    seen = []
+    real = catalog.validate_model
+
+    def counted(model):
+        seen.append(model)
+        return real(model)
+    monkeypatch.setattr(catalog, "validate_model", counted)
+    for _ in range(3):
+        seen.clear()
+        assert all(ok for _, ok, _ in validate_catalog())
+        assert len(seen) == 54
+        assert all(lookup_model(*m.descriptor.key()) is m for m in seen)

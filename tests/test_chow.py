@@ -1,6 +1,7 @@
 import pytest
 
-from flagchow.catalog import lookup_model, restriction_table
+from flagchow import catalog
+from flagchow.catalog import CohomologyModel, lookup_model, restriction_table
 from flagchow.chow import (
     BasisElement,
     VnSymbol,
@@ -93,6 +94,35 @@ def test_spin7_presentation_symbolic_with_tail_relation():
     assert [v.topdeg for v in pres.variables] == [4, 6, 8]
     degs = sorted(r.homogeneous_topdeg() for r in pres.relations)
     assert degs == [8, 8, 10, 12]
+
+
+def test_each_catalog_presentation_is_built_once():
+    built = 0
+    for build in catalog._CASE_MODELS.values():
+        for m in build():
+            try:
+                pres = chow_presentation(m)
+            except PresentationUnavailableError:
+                continue
+            built += 1
+            assert chow_presentation(lookup_model(*m.descriptor.key())) is pres
+    # U, Sp: 24; PU: 3; SO(2l+1): 8; SO(2l): 7; Spin(7), Spin(9), G2, F4, (E8, 5)
+    assert built == 47
+
+
+def test_a_model_built_by_hand_gets_its_own_presentation():
+    m = lookup_model("G2", prime=2)
+    shared = chow_presentation(m)
+    # the catalog case without its explicit torus forms: symbolic, not explicit
+    hand = CohomologyModel(m.descriptor, m.y_gens, m.x_gens, m.transgression,
+                           m.op_rules, is_type_one=True, dim_gt=m.dim_gt,
+                           extras={})
+    pres = chow_presentation(hand)
+    assert pres is not shared and pres.note is not None
+    assert [v.name for v in pres.variables] == ["B1", "B2"]
+    assert chow_presentation(hand) is pres
+    assert chow_presentation(m) is shared
+    assert [v.name for v in shared.variables] == ["t1", "t2"]
 
 
 # --- rost bases --------------------------------------------------------------

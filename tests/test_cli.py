@@ -1,8 +1,14 @@
+import contextlib
+import importlib
 import io
 import json
+import os
 
-from flagchow import cli
+import oracles
+from flagchow import catalog, cli
 from flagchow.cli import main
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 def run_cli(argv):
@@ -277,3 +283,42 @@ def test_dispatch_sees_a_handler_replaced_after_the_first_call(monkeypatch):
     monkeypatch.setattr(cli, "_cmd_rost", patched)
     code, text = run_cli(["rost", "--n", "3", "--p", "2"])
     assert (code, text, seen) == (0, "patched: True\n", [3])
+
+
+def test_shared_models_read_the_same_after_every_benchmark_call(monkeypatch):
+    # the cli_mix calls, the contract probe and `verify --all` twice in one
+    # process: the models lookup_model serves, and the presentations kept on
+    # them, must not change, and each call must print what it printed before,
+    # and what it prints with every model built afresh
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    calls = ([argv for argv, _, _ in workloads.cli_mix_calls()]
+             + [argv for argv, _, _ in workloads.contract_probe_calls()]
+             + ["verify --all", "--format json verify --all"])
+    served = {}
+    memo = catalog._build
+
+    def recorded(*case):
+        model = memo(*case)
+        served[id(model)] = model
+        return model
+    monkeypatch.setattr(catalog, "_build", recorded)
+
+    def run_round():
+        results = []
+        for argv in calls:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv.split(), out=out)
+            results.append((argv, code, out.getvalue(), err.getvalue()))
+        state = [(oracles.object_state(m), oracles.object_state(m._presentation))
+                 for m in served.values()]
+        return results, state
+
+    first, state = run_round()
+    assert served and any(m._presentation is not None for m in served.values())
+    again, state_again = run_round()
+    assert again == first
+    assert state_again == state
+    memo.cache_clear()
+    assert run_round()[0] == first
