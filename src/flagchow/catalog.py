@@ -205,19 +205,10 @@ class CohomologyModel:
                 coeff_fp(self.prime))
         return self._y_ring
 
-    def y_gen_poly(self, name, power=1):
-        return self.y_ring().gen(name, power)
-
-    def y_monomial(self, exps, coef=1):
-        return self.y_ring().monomial(exps, coef)
-
     def y_top(self):
         """Product of all y-generators to their top surviving powers (1 if none)."""
         exps = tuple(g.trunc - 1 for g in self.y_gens)
         return self.y_ring().monomial(exps)
-
-    def y_top_degree(self):
-        return sum((g.trunc - 1) * g.topdeg for g in self.y_gens)
 
     def reduce_y(self, poly):
         """Apply the truncation relations y^trunc = 0 monomial-wise."""
@@ -266,9 +257,6 @@ class CohomologyModel:
         i = self.x_gens.index(x)
         return self.transgression[i]
 
-    def b_degrees(self):
-        return [e.topdeg for e in self.transgression]
-
     def poincare_coeffs(self):
         """Coefficient list of the Poincare polynomial of P(y) (x) Lambda(x).
 
@@ -291,10 +279,6 @@ class CohomologyModel:
 
 # ---------------------------------------------------------------------------
 # model builders
-
-
-def _w(model_ring, s, terms):
-    return WitnessPolynomial(s, model_ring.from_terms(terms))
 
 
 def _trunc_exponent(m, l, p=2):
@@ -717,13 +701,6 @@ def _case(family, rank, prime):
 def _unsupported(family, rank, prime):
     return ("no catalog case for family=%r rank=%r prime=%r; supported: %s"
             % (family, rank, prime, "; ".join(SUPPORTED_CASES)))
-
-
-def lookup(desc):
-    """Full validated model for a descriptor."""
-    if isinstance(desc, GroupDescriptor):
-        return lookup_model(desc.family, desc.rank, desc.prime)
-    raise ValidationError("lookup expects a GroupDescriptor")
 
 
 # ---------------------------------------------------------------------------

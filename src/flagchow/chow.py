@@ -49,25 +49,6 @@ class BasisElement:
         return "BasisElement(%r, %d)" % (self.name, self.topdeg)
 
 
-class VnSymbol:
-    """Degree bookkeeping for the periodic classes: |v_n| = -2(p^n - 1), v_0 = p."""
-
-    __slots__ = ("n", "prime")
-
-    def __init__(self, n, prime):
-        if n < 0:
-            raise ValidationError("level must be non-negative")
-        self.n = n
-        self.prime = prime
-
-    @property
-    def topdeg(self):
-        return -2 * (self.prime ** self.n - 1)
-
-    def __repr__(self):
-        return "VnSymbol(v_%d, p=%d)" % (self.n, self.prime)
-
-
 # ---------------------------------------------------------------------------
 # presentations
 
@@ -255,33 +236,6 @@ def _square_free_monomials(model, top):
             name = "".join("c_%d" % i for i in subset) if subset else "1"
             out.append(BasisElement(name, sum(2 * i for i in subset),
                                     "rost-part"))
-    out.sort(key=lambda b: (b.topdeg, b.name))
-    return out
-
-
-def a_filtration_basis(model, bound):
-    """All monomials in the transgression classes of total topdeg <= bound."""
-    if bound < 0:
-        raise ValidationError("bound must be non-negative")
-    entries = [(e.index, e.name, e.topdeg) for e in model.transgression]
-    out = []
-
-    def rec(i, deg, factors):
-        if i == len(entries):
-            name_parts = []
-            for (idx, name, _), mult in factors:
-                name_parts.append(name if mult == 1 else "%s^%d" % (name, mult))
-            name = "".join(name_parts) if name_parts else "1"
-            out.append(BasisElement(name, deg, "filtration"))
-            return
-        idx, name, d = entries[i]
-        mult = 0
-        while deg + mult * d <= bound:
-            rec(i + 1, deg + mult * d,
-                factors + ([(entries[i], mult)] if mult else []))
-            mult += 1
-
-    rec(0, 0, [])
     out.sort(key=lambda b: (b.topdeg, b.name))
     return out
 

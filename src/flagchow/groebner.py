@@ -14,8 +14,9 @@ monomial order (Packing): a monomial product is an addition, a term shift is
 m + lt - glt, and divisibility is one subtraction against guard bits,
 ((t | G) - g) & G == G.  The packing is built once per (ring, order, maxdeg)
 by buchberger and kept on the GroebnerBasis it returns.  Exponent tuples
-appear only at the boundary: input relations, returned polynomials and
-leading_monomials().
+appear only at the boundary: input relations and returned polynomials.
+Coefficients are in F_p, the one field flagchow computes over: buchberger
+rejects any other ring.
 
 Each input relation is reduced when the run reaches its topdeg, ahead of
 that topdeg's S-pairs, so elements are found in nondecreasing topdeg, each
@@ -160,16 +161,8 @@ class HilbertSeries:
     def maxdeg(self):
         return len(self.dims) - 1
 
-    def dim(self, d):
-        return self.dims[d] if 0 <= d < len(self.dims) else 0
-
     def total(self):
         return sum(self.dims)
-
-    def truncated(self, maxdeg):
-        dims = self.dims[:maxdeg + 1]
-        dims += [0] * (maxdeg + 1 - len(dims))
-        return HilbertSeries(dims)
 
     def __eq__(self, other):
         return isinstance(other, HilbertSeries) and self.dims == other.dims
@@ -237,13 +230,9 @@ STAT_KEYS = ("pairs_pushed", "pairs_popped", "product_criterion",
              "reduction_steps", "peak_basis", "final_basis")
 
 
-def _modulus(ring):
-    """p over F_p; None over Q, whose Fractions need no normalising."""
-    return ring.coeff[1] if ring.coeff[0] == "Fp" else None
-
-
 def _reduce(work, divisors, packing, p):
-    """Full normal form of work, a dict key -> coefficient, which it consumes.
+    """Full normal form of work, a dict key -> coefficient mod p, which it
+    consumes.
 
     divisors are (view of the leading monomial, tail) pairs of monic basis
     elements, tail the (key - leading key, coefficient) pairs of the other
@@ -274,10 +263,10 @@ def _reduce(work, divisors, packing, p):
                     m = k + off
                     old = get(m)
                     if old is None:
-                        work[m] = -c * gc % p if p else -c * gc
+                        work[m] = -c * gc % p
                         push(heap, -m)
                     else:
-                        work[m] = (old - c * gc) % p if p else old - c * gc
+                        work[m] = (old - c * gc) % p
                 break
         else:
             result[k] = c
@@ -289,7 +278,7 @@ def _tail(terms, lead):
 
 
 class GroebnerBasis:
-    """A reduced, degree-truncated basis over a field, leading coefficients 1.
+    """A reduced, degree-truncated basis over F_p, leading coefficients 1.
 
     buchberger hands over the elements it found, every one minimal, tails
     not yet reduced: their leading monomials and number are final, and
@@ -318,14 +307,14 @@ class GroebnerBasis:
         divisor, and so the step count, is that of the order found."""
         if self._reduced is None:
             pk, minimal = self._packing, self._minimal
-            p, one = _modulus(self.ring), self.ring.normalize_coeff(1)
+            p = self.ring.coeff[1]
             reduced = []
             for d, lead, x, tail in minimal:
                 work = {lead + off: c for off, c in tail}
                 terms, steps = _reduce(work, [(y, t) for e, _, y, t in minimal
                                               if e <= d and y != x], pk, p)
                 self._stats["reduction_steps"] += steps
-                reduced.append((d, lead, {lead: one, **terms}))
+                reduced.append((d, lead, {lead: 1, **terms}))
             reduced.sort()
             self._reduced = ([t for _, _, t in reduced],
                              [(pk.view(lead), _tail(t, lead))
@@ -356,17 +345,13 @@ class GroebnerBasis:
     def __len__(self):
         return len(self._minimal)
 
-    def leading_monomials(self):
-        unpack = self._packing.unpack
-        return tuple(unpack(lead) for _, lead, _, _ in sorted(self._minimal))
-
     def __repr__(self):
         return "GroebnerBasis(order=%r, %d elements, maxdeg=%d)" % (
             self.order, len(self), self.maxdeg)
 
 
 def buchberger(relations, ring, order, maxdeg):
-    """Degree-truncated Buchberger on homogeneous generators over a field.
+    """Degree-truncated Buchberger on homogeneous generators over F_p.
 
     The queue holds the relations and the S-pairs, taken by topdeg (normal
     selection for the pairs, whose topdeg is that of their lcm).  At each
@@ -377,9 +362,13 @@ def buchberger(relations, ring, order, maxdeg):
     topdeg, each reduced by every earlier one, so no leading monomial divides
     another: every element found is minimal.  Returns that basis, whose tails
     are reduced on demand, with the run's counters (STAT_KEYS) in its stats.
+    Any ring other than F_p raises ValidationError.
     """
+    if ring.coeff[0] != "Fp":
+        raise ValidationError("buchberger needs F_p coefficients, not %r"
+                              % (ring.coeff,))
+    p = ring.coeff[1]
     pk = Packing(ring.topdegs, order, maxdeg)
-    p = _modulus(ring)
     weights, guard = ring.topdegs, pk.guard
     pushed = popped = product = chain = reductions = zeros = steps = 0
 
@@ -426,7 +415,7 @@ def buchberger(relations, ring, order, maxdeg):
             work = {key + off: c for off, c in divisors[i][1]}
             for off, c in divisors[j][1]:
                 v = work.get(key + off, 0) - c
-                work[key + off] = v % p if p else v
+                work[key + off] = v % p
         # every element found so far has topdeg <= d
         h, n = _reduce(work, divisors, pk, p)
         reductions += 1
@@ -437,7 +426,7 @@ def buchberger(relations, ring, order, maxdeg):
         lead = next(iter(h))
         inv = ring.coeff_inv(h[lead])
         if inv != 1:
-            h = {k: c * inv % p if p else c * inv for k, c in h.items()}
+            h = {k: c * inv % p for k, c in h.items()}
         e = pk.unpack(lead)
         for k, f in enumerate(exps):
             lcm_deg = sum(map(mul, map(max, f, e), weights))
@@ -460,12 +449,9 @@ def buchberger(relations, ring, order, maxdeg):
 def groebner(pres, maxdeg, order="grevlex"):
     """Degree-truncated Groebner basis of a quotient presentation.
 
-    Requires field coefficients (F_p or Q) and homogeneous relations; normal
-    forms below maxdeg are canonical.
+    Requires F_p coefficients (checked by buchberger) and homogeneous
+    relations; normal forms below maxdeg are canonical.
     """
-    if pres.coeff[0] == "Z":
-        raise ValidationError("groebner needs field coefficients (F_p or Q), "
-                              "not Z")
     if maxdeg < 0:
         raise ValidationError("maxdeg must be non-negative")
     return buchberger(pres.relations, pres.ring, order, maxdeg)
@@ -483,7 +469,7 @@ def normal_form(f, gb):
         raise OutOfRangeError("topdeg %d above truncation %d" % (d, gb.maxdeg))
     pk = gb._packing
     terms, _ = _reduce({pk.pack(m): c for m, c in f.terms.items()},
-                       gb._interreduce()[1], pk, _modulus(gb.ring))
+                       gb._interreduce()[1], pk, gb.ring.coeff[1])
     return Polynomial(gb.ring, {pk.unpack(k): c for k, c in terms.items()})
 
 

@@ -1,4 +1,4 @@
-"""Exact multivariate polynomial arithmetic over Z, Q and F_p with graded variables.
+"""Exact multivariate polynomial arithmetic over Z and F_p with graded variables.
 
 A monomial is a tuple of non-negative exponents aligned with the ring's
 variable list; the empty monomial (all zeros) is the unit.  A polynomial is a
@@ -6,12 +6,11 @@ dict mapping monomials to nonzero coefficients.  Every variable carries an
 even topological degree (Chow codimension is topdeg/2), and the topdeg of a
 monomial is the exponent-weighted sum of variable degrees.
 
-Coefficients: Python ints for Z, ints reduced to {0,..,p-1} for F_p, and
-fractions.Fraction for Q.  The zero polynomial has an empty term dict and no
-defined topdeg; homogeneity checks treat it as vacuously homogeneous.
+Coefficients are Python ints for Z and ints reduced to {0,..,p-1} for F_p;
+a coefficient of any other type, a float or a rational say, is rejected.
+The zero polynomial has an empty term dict and no defined topdeg;
+homogeneity checks treat it as vacuously homogeneous.
 """
-
-from fractions import Fraction
 
 from .errors import RingMismatchError, ValidationError
 
@@ -41,7 +40,6 @@ class GradedVariable:
 
 
 COEFF_Z = ("Z",)
-COEFF_Q = ("Q",)
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -87,7 +85,8 @@ def coeff_fp(p):
 
 
 class PolyRing:
-    """A graded polynomial ring: an ordered variable list plus a coefficient tag."""
+    """A graded polynomial ring: an ordered variable list plus a coefficient
+    tag, COEFF_Z or coeff_fp(p)."""
 
     __slots__ = ("coeff", "variables", "topdegs", "_index")
 
@@ -98,7 +97,7 @@ class PolyRing:
             raise ValidationError("variable names must be unique: %r" % names)
         if coeff[0] == "Fp":
             coeff = coeff_fp(coeff[1])
-        elif coeff not in (COEFF_Z, COEFF_Q):
+        elif coeff != COEFF_Z:
             raise ValidationError("unknown coefficient tag %r" % (coeff,))
         self.coeff = coeff
         self.variables = variables
@@ -108,28 +107,17 @@ class PolyRing:
     # -- coefficient arithmetic -------------------------------------------
 
     def normalize_coeff(self, c):
+        """c as a ring element: an int, reduced mod p over F_p; a bool is
+        stored as a plain int."""
+        if not isinstance(c, int):
+            raise ValidationError("coefficient %r is not an integer" % (c,))
         if self.coeff[0] == "Fp":
-            return int(c) % self.coeff[1]
-        if self.coeff[0] == "Q":
-            return c if isinstance(c, Fraction) else Fraction(c)
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise ValidationError("non-integer coefficient %r over Z" % (c,))
-            return c.numerator
+            return c % self.coeff[1]
         return int(c)
-
-    def coeff_is_invertible(self, c):
-        if self.coeff[0] == "Fp":
-            return c % self.coeff[1] != 0
-        if self.coeff[0] == "Q":
-            return c != 0
-        return c in (1, -1)
 
     def coeff_inv(self, c):
         if self.coeff[0] == "Fp":
             return pow(c, self.coeff[1] - 2, self.coeff[1])
-        if self.coeff[0] == "Q":
-            return Fraction(1) / c
         if c in (1, -1):
             return c
         raise ValidationError("coefficient %r is not a unit in Z" % (c,))
@@ -184,8 +172,8 @@ class PolyRing:
         for exps, coef in terms:
             exps = tuple(exps)
             acc[exps] = acc.get(exps, 0) + coef
-        return Polynomial(self, {e: self.normalize_coeff(c) for e, c in acc.items()
-                                 if self.normalize_coeff(c) != 0})
+        norm = self.normalize_coeff
+        return Polynomial(self, {e: v for e, c in acc.items() if (v := norm(c))})
 
     def same_ring(self, other):
         return self.coeff == other.coeff and self.variables == other.variables
@@ -232,9 +220,6 @@ class Polynomial:
         if len(degs) != 1:
             raise ValidationError("polynomial is not homogeneous")
         return degs.pop()
-
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), 0)
 
     def __len__(self):
         return len(self.terms)
@@ -283,8 +268,7 @@ class Polynomial:
                 m = tuple(a + b for a, b in zip(m1, m2))
                 res[m] = res.get(m, 0) + c1 * c2
         norm = self.ring.normalize_coeff
-        return Polynomial(self.ring,
-                          {m: norm(c) for m, c in res.items() if norm(c) != 0})
+        return Polynomial(self.ring, {m: v for m, c in res.items() if (v := norm(c))})
 
     def scale(self, c):
         c = self.ring.normalize_coeff(c)
@@ -298,19 +282,6 @@ class Polynomial:
                 res[m] = v
         return Polynomial(self.ring, res)
 
-    def mul_term(self, exps, coef):
-        """Multiply by the single term coef * x^exps."""
-        c = self.ring.normalize_coeff(coef)
-        if c == 0:
-            return self.ring.zero()
-        norm = self.ring.normalize_coeff
-        res = {}
-        for m, old in self.terms.items():
-            v = norm(old * c)
-            if v != 0:
-                res[tuple(a + b for a, b in zip(m, exps))] = v
-        return Polynomial(self.ring, res)
-
     def __pow__(self, n):
         if n < 0:
             raise ValidationError("negative powers not supported")
@@ -322,32 +293,6 @@ class Polynomial:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def substitute(self, assignment):
-        """Substitute polynomials for variables (dict name -> Polynomial in target ring).
-
-        Unmentioned variables must exist in the target ring under the same name.
-        """
-        if not assignment:
-            return self
-        target = next(iter(assignment.values())).ring
-        out = target.zero()
-        cache = {}
-        for m, c in self.terms.items():
-            part = target.const(c)
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                name = self.ring.variables[i].name
-                key = (name, e)
-                if key not in cache:
-                    base = assignment.get(name)
-                    if base is None:
-                        base = target.gen(name)
-                    cache[key] = base ** e
-                part = part * cache[key]
-            out = out + part
-        return out
 
     def map_coefficients(self, target_ring):
         """Reinterpret coefficients in another ring over the same variables."""

@@ -3,14 +3,9 @@
 Variables serialize as {"name", "topdeg"}; terms as a list of
 {"exps": {name: exponent}, "coef": "<exact decimal string>"}; series as
 plain integer arrays indexed by topological degree.  Basis elements carry
-both degree conventions.
+both degree conventions.  Coefficient rings are {"ring": "Z"} and
+{"ring": "Fp", "p": p}.  These are writers only: flagchow reads no JSON.
 """
-
-from fractions import Fraction
-
-from .errors import ValidationError
-from .groebner import HilbertSeries, QuotientPresentation
-from .ring import COEFF_Q, COEFF_Z, GradedVariable, PolyRing, coeff_fp
 
 
 def coeff_to_json(coeff):
@@ -19,22 +14,8 @@ def coeff_to_json(coeff):
     return {"ring": coeff[0]}
 
 
-def coeff_from_json(data):
-    if data["ring"] == "Fp":
-        return coeff_fp(data["p"])
-    if data["ring"] == "Z":
-        return COEFF_Z
-    if data["ring"] == "Q":
-        return COEFF_Q
-    raise ValidationError("unknown coefficient ring %r" % (data,))
-
-
 def variables_to_json(variables):
     return [{"name": v.name, "topdeg": v.topdeg} for v in variables]
-
-
-def variables_from_json(data):
-    return [GradedVariable(d["name"], d["topdeg"]) for d in data]
 
 
 def poly_to_json(poly):
@@ -51,21 +32,6 @@ def poly_to_json(poly):
             "terms": terms}
 
 
-def poly_from_json(data, ring=None):
-    if ring is None:
-        ring = PolyRing(variables_from_json(data["variables"]),
-                        coeff_from_json(data["coeff"]))
-    terms = []
-    for t in data["terms"]:
-        exps = [0] * ring.nvars
-        for name, e in t["exps"].items():
-            exps[ring.var_index(name)] = e
-        raw = t["coef"]
-        coef = Fraction(raw) if "/" in raw else int(raw)
-        terms.append((tuple(exps), coef))
-    return ring.from_terms(terms)
-
-
 def presentation_to_json(pres):
     out = {"coeff": coeff_to_json(pres.coeff),
            "variables": variables_to_json(pres.variables),
@@ -75,23 +41,8 @@ def presentation_to_json(pres):
     return out
 
 
-def presentation_from_json(data):
-    variables = variables_from_json(data["variables"])
-    coeff = coeff_from_json(data["coeff"])
-    ring = PolyRing(variables, coeff)
-    rels = [poly_from_json({"terms": terms}, ring) for terms in data["relations"]]
-    return QuotientPresentation(variables, coeff, rels, note=data.get("note"))
-
-
 def series_to_json(series):
     return {"maxdeg": series.maxdeg, "dims": list(series.dims)}
-
-
-def series_from_json(data):
-    s = HilbertSeries(data["dims"])
-    if s.maxdeg != data["maxdeg"]:
-        raise ValidationError("series length disagrees with maxdeg")
-    return s
 
 
 def basis_to_json(elements):

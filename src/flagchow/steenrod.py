@@ -66,14 +66,6 @@ class GeneratorTerm:
             raise ValidationError("inhomogeneous generator sum")
         return degs.pop() if degs else None
 
-    def y_part(self):
-        """The pure-y component as a polynomial in the model's y-ring."""
-        return self.model.y_ring().from_terms(
-            [(m, c) for (xs, m), c in self.coeffs.items() if not xs])
-
-    def is_pure_y(self):
-        return all(not xs for (xs, _) in self.coeffs)
-
     def __eq__(self, other):
         return (isinstance(other, GeneratorTerm)
                 and self.model.descriptor == other.model.descriptor

@@ -13,7 +13,7 @@ from .ring import COEFF_Z, GradedVariable, PolyRing, is_prime
 
 
 def t_ring(l, coeff=COEFF_Z, prefix="t"):
-    """Z[t_1..t_l] (or F_p/Q) with every t_i of topdeg 2."""
+    """Z[t_1..t_l] (or F_p) with every t_i of topdeg 2."""
     return PolyRing([GradedVariable("%s%d" % (prefix, i), 2)
                      for i in range(1, l + 1)], coeff)
 

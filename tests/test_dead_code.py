@@ -1,0 +1,78 @@
+"""src/flagchow holds only code that a program path reaches.
+
+The benchmark tracer wraps functions by name, so each of its targets must
+resolve; every other definition must be named somewhere else in src/.
+"""
+
+import ast
+import importlib
+import os
+
+import pytest
+
+HERE = os.path.dirname(__file__)
+SRC = os.path.join(HERE, os.pardir, "src", "flagchow")
+PERFBENCH = os.path.join(HERE, os.pardir, "perfbench")
+
+# argparse dispatches to cli._cmd_<subcommand> by name
+DISPATCHED_PREFIX = "_cmd_"
+# ROADMAP item 1 gives these callers: the alternant formula for the type-B
+# torsion index is checked against marlin_bound, and the rank-8 spin
+# products back a verification case
+AWAITING_CALLERS = {"marlin_bound", "spin17_nonzero_products"}
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    return importlib.import_module
+
+
+def test_every_tracer_target_resolves(perfbench):
+    tracer, run = perfbench("tracer"), perfbench("run")
+    fc = {name: importlib.import_module("flagchow." + name)
+          for name in run.FLAGCHOW_MODULES}
+    for mod, fn, _, _ in tracer.TARGETS:
+        assert callable(getattr(fc[mod], fn, None)), (mod, fn)
+    for sub in tracer.CLI_SUBCOMMANDS:
+        attr = DISPATCHED_PREFIX + sub.replace("-", "_")
+        assert callable(getattr(fc["cli"], attr, None)), attr
+
+
+def _unreferenced_definitions():
+    """(file, line, name) of each def or class, dunders aside, whose name
+    appears as no identifier, attribute or import in src/ outside its own
+    body."""
+    trees = {}
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname)) as fh:
+                trees[fname] = ast.parse(fh.read())
+    defs, refs = [], []
+    for fname, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((fname, node))
+            elif isinstance(node, ast.Name):
+                refs.append((fname, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((fname, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                refs += [(fname, node.lineno, a.name) for a in node.names]
+    out = []
+    for fname, d in defs:
+        if d.name.startswith("__") and d.name.endswith("__"):
+            continue
+        if not any(name == d.name and not (f == fname
+                                           and d.lineno <= line <= d.end_lineno)
+                   for f, line, name in refs):
+            out.append((fname, d.lineno, d.name))
+    return out
+
+
+def test_every_definition_in_src_has_a_caller(perfbench):
+    targets = {fn for _, fn, _, _ in perfbench("tracer").TARGETS}
+    unused = [(f, line, name) for f, line, name in _unreferenced_definitions()
+              if name not in targets and name not in AWAITING_CALLERS
+              and not name.startswith(DISPATCHED_PREFIX)]
+    assert unused == []

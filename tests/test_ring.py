@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,9 @@ def test_variable_invariants():
         GradedVariable("t", 0)
     with pytest.raises(ValidationError):
         PolyRing([GradedVariable("t", 2), GradedVariable("t", 4)])
+    # Z and F_p are the only coefficient rings
+    with pytest.raises(ValidationError):
+        PolyRing([GradedVariable("t", 2)], ("Q",))
 
 
 def test_difference_of_squares_over_z():
@@ -44,7 +48,7 @@ def test_c2_times_c1_matches_naive_expansion_oracle():
     prod = c2 * c1
     assert prod.terms == merged
     assert prod.homogeneous_topdeg() == 6
-    assert prod.coefficient((1, 1, 1)) == 3
+    assert prod.terms[(1, 1, 1)] == 3
 
 
 def test_ring_mismatch_raises():
@@ -114,6 +118,22 @@ def test_fp_coefficients_are_reduced():
     p = r.const(5)
     assert p.terms == {(0,): 2}
     assert r.const(3).is_zero()
+
+
+@pytest.mark.parametrize("coeff", [COEFF_Z, coeff_fp(5)])
+def test_coefficients_must_be_integers(coeff):
+    ring = t_ring(2, coeff)
+    for bad in (2.5, Fraction(1, 2), Fraction(4, 2), "3"):
+        with pytest.raises(ValidationError):
+            ring.const(bad)
+        with pytest.raises(ValidationError):
+            ring.monomial((1, 0), bad)
+        with pytest.raises(ValidationError):
+            ring.gen("t1").scale(bad)
+    # a bool is stored as the plain int it equals
+    for poly in (ring.const(True), ring.gen("t1").scale(True),
+                 ring.from_terms([((0, 0), True)])):
+        assert all(type(c) is int and c == 1 for c in poly.terms.values())
 
 
 def test_is_prime_is_the_one_primality_check():

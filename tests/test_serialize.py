@@ -6,14 +6,13 @@ from flagchow.groebner import HilbertSeries, hilbert_series
 from flagchow.ring import COEFF_Z, coeff_fp
 from flagchow.serialize import (
     basis_to_json,
-    poly_from_json,
     poly_to_json,
-    presentation_from_json,
     presentation_to_json,
-    series_from_json,
     series_to_json,
 )
 from flagchow.symclass import elementary_symmetric, t_ring
+
+from oracles import poly_from_json, presentation_from_json, series_from_json
 
 
 def test_poly_round_trip_over_z():

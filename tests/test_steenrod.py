@@ -14,7 +14,7 @@ from flagchow.symclass import lucas_binomial
 
 
 def _y(model, name, power=1):
-    return GeneratorTerm.from_y_poly(model, model.y_gen_poly(name, power))
+    return GeneratorTerm.from_y_poly(model, model.y_ring().gen(name, power))
 
 
 def test_sq0_is_identity():
@@ -26,7 +26,7 @@ def test_sq1_x3_is_the_degree4_class():
     # binom(3,1) = 3 is odd, and x_4 is the square class y_4 = y2^2
     m = lookup_model("SO_odd", 3, 2)
     out = sq_on_so_generator(3, 1, m)
-    assert out == GeneratorTerm.from_y_poly(m, m.y_gen_poly("y2", 2))
+    assert out == GeneratorTerm.from_y_poly(m, m.y_ring().gen("y2", 2))
 
 
 def test_sq2_x4_vanishes():
@@ -76,7 +76,7 @@ def test_q_milnor_tables():
     spin11 = lookup_model("Spin_odd", 5, 2)
     out = q_milnor(spin11, "z15", 0)
     assert out == GeneratorTerm.from_y_poly(
-        spin11, spin11.y_gen_poly("y6") * spin11.y_gen_poly("y10"))
+        spin11, spin11.y_ring().gen("y6") * spin11.y_ring().gen("y10"))
 
 
 def test_q_milnor_never_silent_zero():
@@ -120,7 +120,7 @@ def test_q_squares_to_zero_where_recorded():
         assert all(q_milnor(m, g.name, n).is_zero() for g in m.y_gens)
         for i in range(1, 6):
             first = q_milnor(m, "x%d" % (2 * i - 1), n)
-            assert first.is_zero() or first.is_pure_y()
+            assert all(not xs for xs, _ in first.coeffs)
     # Q_0 x2 = y8 on (E8, 3), and Q_0 on y8 leaves the recorded tables
     e83 = lookup_model("E8", prime=3)
     assert q_milnor(e83, "x2", 0).pretty() == "y8"

@@ -35,15 +35,20 @@ def test_sigma_degrees():
             assert pontryagin_class(l, i).homogeneous_topdeg() == 4 * i
 
 
+def _embed(poly, ring):
+    """poly in t1..t_{l-1} as an element of ring = Z[t1..t_l]."""
+    return ring.from_terms((m + (0,), c) for m, c in poly.terms.items())
+
+
 def test_pascal_recurrence():
     for l in range(2, 7):
         ring = t_ring(l)
         tl = ring.gen("t%d" % l)
         for i in range(1, l + 1):
-            lower_i = elementary_symmetric(l - 1, i).substitute({"t1": ring.gen("t1")}) \
+            lower_i = _embed(elementary_symmetric(l - 1, i), ring) \
                 if i <= l - 1 else ring.zero()
-            lower_prev = elementary_symmetric(l - 1, i - 1).substitute(
-                {"t1": ring.gen("t1")}) if i - 1 <= l - 1 else ring.zero()
+            lower_prev = _embed(elementary_symmetric(l - 1, i - 1), ring) \
+                if i - 1 <= l - 1 else ring.zero()
             assert elementary_symmetric(l, i) == lower_i + tl * lower_prev
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb, gcd
 
 import pytest
@@ -15,7 +16,6 @@ from flagchow.torsion import (
     torsion_index_so,
     build_integral_flag_ring,
     witness_product,
-    witness_submultisets_nonzero,
 )
 from oracles import demazure_degree, monomials_of_topdeg
 
@@ -179,7 +179,7 @@ def test_witness_type_one_cases():
         w = witness_product(m, [2 * p - 2])
         assert w.s == 1
         assert w.body == m.y_top()
-        assert w.body == m.y_gen_poly(m.y_gens[0].name, p - 1)
+        assert w.body == m.y_ring().gen(m.y_gens[0].name, p - 1)
 
 
 def test_witness_so_families():
@@ -207,6 +207,22 @@ def test_witness_missing_leading_raises():
     m = lookup_model("Spin_odd", 8, 2)
     with pytest.raises(DataMissingError):
         witness_product(m, [4])  # a 2-power entry has no leading term
+
+
+def witness_submultisets_nonzero(model, indices):
+    """Every sub-multiset of a valid witness keeps a nonzero body."""
+    idx = list(indices)
+    seen = set()
+    for r in range(len(idx) + 1):
+        for combo in combinations(range(len(idx)), r):
+            key = tuple(sorted(idx[i] for i in combo))
+            if key in seen:
+                continue
+            seen.add(key)
+            w = witness_product(model, key)
+            if w.body.is_zero():
+                return False, key
+    return True, None
 
 
 def test_witness_submultisets_nonzero():
