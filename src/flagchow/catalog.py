@@ -22,7 +22,7 @@ registries keyed by descriptor and feed the chow/torsion checks.
 import functools
 
 from .errors import DataMissingError, UnsupportedCaseError, ValidationError
-from .ring import COEFF_Z, GradedVariable, PolyRing, coeff_fp
+from .ring import GradedVariable, PolyRing
 from .symclass import t_ring
 
 
@@ -202,7 +202,7 @@ class CohomologyModel:
         if self._y_ring is None:
             self._y_ring = PolyRing(
                 [GradedVariable(g.name, g.topdeg) for g in self.y_gens],
-                coeff_fp(self.prime))
+                self.prime)
         return self._y_ring
 
     def y_top(self):
@@ -279,14 +279,17 @@ class CohomologyModel:
 
 # ---------------------------------------------------------------------------
 # model builders
+#
+# A builder whose entries are y-polynomials makes the model first, with no
+# entries, so they can be written in its y_ring, and then sets them.
 
 
-def _trunc_exponent(m, l, p=2):
-    # smallest power p^r with m * p^r > l
+def _trunc_exponent(m, l):
+    # smallest power 2^r with m * 2^r > l
     r = 1
-    while m * (p ** r) <= l:
+    while m * (2 ** r) <= l:
         r += 1
-    return p ** r
+    return 2 ** r
 
 
 def _model_U(l, p):
@@ -310,15 +313,13 @@ def _model_PU(p):
     desc = GroupDescriptor("PU", l, p, torsion_index_p=p, j_invariant=(1,))
     y_gens = [YGen("y2", 2, p)]
     x_gens = [XGen("x%d" % i, 2 * i - 1) for i in range(1, l + 1)]
-    model = CohomologyModel(desc, y_gens, x_gens, [], [],
-                            dim_gt=p * p - p)
+    model = CohomologyModel(desc, y_gens, x_gens, [], [], dim_gt=p * p - p)
     ring = model.y_ring()
-    trans = [TransgressionEntry(i, "c_%d" % i, 2 * i,
-                                WitnessPolynomial(1, ring.gen("y2", i)), [],
-                                complete=False)
-             for i in range(1, l + 1)]
-    model = CohomologyModel(desc, y_gens, x_gens, trans, [],
-                            dim_gt=p * p - p)
+    model.transgression = tuple(
+        TransgressionEntry(i, "c_%d" % i, 2 * i,
+                           WitnessPolynomial(1, ring.gen("y2", i)), [],
+                           complete=False)
+        for i in range(1, l + 1))
     return model
 
 
@@ -358,11 +359,8 @@ def _model_SO_odd(l):
     desc = GroupDescriptor("SO_odd", l, 2, torsion_index_p=2 ** l,
                            j_invariant=tuple(_r_of(g.trunc, 2) for g in y_gens))
     x_gens = [XGen("x%d" % (2 * i - 1), 2 * i - 1) for i in range(1, l + 1)]
-    model = CohomologyModel(desc, y_gens, x_gens, [], [], dim_gt=2 * l * l,
-                            q_on_y_zero=True)
-    trans = _so_transgression(model, l)
-    return CohomologyModel(
-        desc, y_gens, x_gens, trans, [], dim_gt=2 * l * l, q_on_y_zero=True,
+    model = CohomologyModel(
+        desc, y_gens, x_gens, [], [], dim_gt=2 * l * l, q_on_y_zero=True,
         notes=("periodic-operation rule on odd generators stored with the "
                "'+' index convention y_{2i + 2^{n+1} - 2}; the alternative "
                "'-' reading is rejected by the derived Q_1 check",
@@ -370,6 +368,8 @@ def _model_SO_odd(l):
                "product-sum expansion (middle sign +(-1)^j, forcing "
                "y_4 = y_2^2); the exact torsion index does not use them: "
                "it is the gcd of the Demazure degree map on the torus",))
+    model.transgression = tuple(_so_transgression(model, l))
+    return model
 
 
 def _model_SO_even(l):
@@ -379,9 +379,8 @@ def _model_SO_even(l):
     x_gens = [XGen("x%d" % (2 * i - 1), 2 * i - 1) for i in range(1, l + 1)]
     model = CohomologyModel(desc, y_gens, x_gens, [], [],
                             dim_gt=2 * l * (l - 1), q_on_y_zero=True)
-    trans = _so_transgression(model, l)
-    return CohomologyModel(desc, y_gens, x_gens, trans, [],
-                           dim_gt=2 * l * (l - 1), q_on_y_zero=True)
+    model.transgression = tuple(_so_transgression(model, l))
+    return model
 
 
 def _model_Spin_odd(l):
@@ -393,9 +392,20 @@ def _model_Spin_odd(l):
     zdeg = 2 ** (tpar + 2) - 1
     x_gens = [XGen("x%d" % (2 * i - 1), 2 * i - 1) for i in range(2, l + 1)]
     x_gens.append(XGen("z%d" % zdeg, zdeg))
-    lbar = l - 1 if l & (l - 1) == 0 else l
-    model = CohomologyModel(desc, y_gens, x_gens, [], [], dim_gt=2 * l * l,
-                            q_on_y_zero=True)
+    extras = {
+        "lbar": l - 1 if l & (l - 1) == 0 else l,
+        "torsion_elements": ["c'_%d - 2*c_1^%d" % (2 ** j, 2 ** j)
+                             for j in range(1, l.bit_length())
+                             if 2 ** j <= l],
+    }
+    model = CohomologyModel(
+        desc, y_gens, x_gens, [], [], dim_gt=2 * l * l, q_on_y_zero=True,
+        is_type_one=l in (3, 4), extras=extras,
+        notes=("torsion-element list kept with coefficient 2 on the "
+               "c_1-power term, matching the summary statement; the in-text "
+               "corollary prints coefficient 1",
+               "the stored surjection target is known to be an isomorphism "
+               "by a later result; recorded as a note, not asserted",))
     trans = _so_transgression(model, l, skip_dead=True)[1:]  # c'_2 .. c'_l
 
     def pair_sum(total):
@@ -426,21 +436,8 @@ def _model_Spin_odd(l):
         "z", "c_1^%d" % half, zdeg + 1,
         WitnessPolynomial(1, lead) if not lead.is_zero() else None,
         v_terms, complete=True))
-    extras = {
-        "lbar": lbar,
-        "torsion_elements": ["c'_%d - 2*c_1^%d" % (2 ** j, 2 ** j)
-                             for j in range(1, l.bit_length())
-                             if 2 ** j <= l],
-    }
-    is_type_one = l in (3, 4)
-    return CohomologyModel(
-        desc, y_gens, x_gens, trans, [], dim_gt=2 * l * l, q_on_y_zero=True,
-        is_type_one=is_type_one, extras=extras,
-        notes=("torsion-element list kept with coefficient 2 on the "
-               "c_1-power term, matching the summary statement; the in-text "
-               "corollary prints coefficient 1",
-               "the stored surjection target is known to be an isomorphism "
-               "by a later result; recorded as a note, not asserted",))
+    model.transgression = tuple(trans)
+    return model
 
 
 def _r_of(trunc, p):
@@ -457,7 +454,10 @@ def _type_one_model(family, p, x_degrees, yname, ydeg, dim_gt, extras=None):
     desc = GroupDescriptor(family, l, p, torsion_index_p=p, j_invariant=(1,))
     y_gens = [YGen(yname, ydeg, p)]
     x_gens = [XGen("x%d" % (i + 1), d) for i, d in enumerate(x_degrees)]
-    model = CohomologyModel(desc, y_gens, x_gens, [], [], dim_gt=dim_gt)
+    op_rules = [OperationRule("P1", "x%d" % i, ("xgen", "x%d" % (i + 1), 1))
+                for i in range(1, l + 1, 2)]
+    model = CohomologyModel(desc, y_gens, x_gens, [], op_rules,
+                            is_type_one=True, dim_gt=dim_gt, extras=extras)
     ring = model.y_ring()
     trans = []
     for i in range(1, l + 1):
@@ -471,14 +471,12 @@ def _type_one_model(family, p, x_degrees, yname, ydeg, dim_gt, extras=None):
                 i, "b_%d" % i, x_degrees[i - 1] + 1,
                 WitnessPolynomial(1, ring.gen(yname, power)), [],
                 complete=(i == 2)))
-    op_rules = [OperationRule("P1", "x%d" % i, ("xgen", "x%d" % (i + 1), 1))
-                for i in range(1, l + 1, 2)]
-    return CohomologyModel(desc, y_gens, x_gens, trans, op_rules,
-                           is_type_one=True, dim_gt=dim_gt, extras=extras or {})
+    model.transgression = tuple(trans)
+    return model
 
 
 def _model_G2():
-    ring = t_ring(2, COEFF_Z)
+    ring = t_ring(2, 2)
     t1, t2 = ring.gen("t1"), ring.gen("t2")
     explicit_b = {1: t1 * t1 + t1 * t2 + t2 * t2, 2: t2 ** 3}
     return _type_one_model("G2", 2, [3, 5], "y6", 6, dim_gt=12,
@@ -490,13 +488,11 @@ def _model_F4():
 
 
 def _model_E8_5():
-    m = _type_one_model("E8", 5, [3, 11, 15, 23, 27, 35, 39, 47], "y12", 12,
-                        dim_gt=240)
-    aliases = ["z3", "z11", "z15", "z23", "z27", "z35", "z39", "z47"]
-    x_gens = [XGen(x.name, x.topdeg, a) for x, a in zip(m.x_gens, aliases)]
-    return CohomologyModel(m.descriptor, m.y_gens, x_gens, m.transgression,
-                           m.op_rules, is_type_one=True, dim_gt=m.dim_gt,
-                           extras=m.extras)
+    model = _type_one_model("E8", 5, [3, 11, 15, 23, 27, 35, 39, 47], "y12",
+                            12, dim_gt=240)
+    model.x_gens = tuple(XGen(x.name, x.topdeg, "z%d" % x.topdeg)
+                         for x in model.x_gens)
+    return model
 
 
 def _model_E8_3():
@@ -506,7 +502,11 @@ def _model_E8_3():
     aliases = ["z3", "z7", "z15", "z19", "z27", "z35", "z39", "z47"]
     x_gens = [XGen("x%d" % (i + 1), d, a)
               for i, (d, a) in enumerate(zip(degrees, aliases))]
-    model = CohomologyModel(desc, y_gens, x_gens, [], [], dim_gt=240)
+    model = CohomologyModel(
+        desc, y_gens, x_gens, [], [], dim_gt=240,
+        notes=("that the square of the top-level product is not a Bockstein "
+               "image is a derived lookup against the stored table, not an "
+               "independently stored fact",))
     R = model.y_ring()
     y = R.gen("y8")
     yp = R.gen("y20")
@@ -514,7 +514,7 @@ def _model_E8_3():
     def W(s, poly):
         return WitnessPolynomial(s, poly)
 
-    trans = [
+    model.transgression = (
         TransgressionEntry(1, "b_1", 4, None, [(1, y), (2, yp)], complete=True),
         TransgressionEntry(2, "b_2", 8, W(1, y), [], complete=True),
         TransgressionEntry(3, "b_3", 16, W(1, y ** 2), [(1, yp)], complete=False),
@@ -524,7 +524,7 @@ def _model_E8_3():
                            complete=False),
         TransgressionEntry(7, "b_7", 40, W(1, yp ** 2), [], complete=False),
         TransgressionEntry(8, "b_8", 48, W(1, y * yp ** 2), [], complete=False),
-    ]
+    )
     beta = [("x2", y), ("x3", y ** 2), ("x4", yp), ("x5", y * yp),
             ("x6", y ** 2 * yp), ("x7", yp ** 2), ("x8", y * yp ** 2)]
     op_rules = [OperationRule("beta", src, ("ypoly", tgt)) for src, tgt in beta]
@@ -538,11 +538,8 @@ def _model_E8_3():
         OperationRule("P3", "x6", ("xgen", "x8", 1)),
         OperationRule("P3", "y8", ("ypoly", yp)),
     ]
-    return CohomologyModel(
-        desc, y_gens, x_gens, trans, op_rules, dim_gt=240,
-        notes=("that the square of the top-level product is not a Bockstein "
-               "image is a derived lookup against the stored table, not an "
-               "independently stored fact",))
+    model.op_rules = tuple(op_rules)
+    return model
 
 
 def _model_E8_2():
@@ -561,7 +558,7 @@ def _model_E8_2():
     def W(poly):
         return WitnessPolynomial(1, poly)
 
-    trans = [
+    model.transgression = (
         TransgressionEntry(1, "b_1", 4, None,
                            [(1, y1), (2, y2), (3, y3)], complete=True),
         TransgressionEntry(2, "b_2", 6, W(y1),
@@ -577,7 +574,7 @@ def _model_E8_2():
                            complete=False),
         TransgressionEntry(7, "b_7", 28, W(y2 * y3), [(1, y4)], complete=False),
         TransgressionEntry(8, "b_8", 30, W(y4), [], complete=False),
-    ]
+    )
     sq1 = [("x2", y1), ("x3", y2), ("x4", y3), ("x8", y4),
            ("x5", y1 * y2), ("x6", y1 * y3 + y1 ** 4), ("x7", y2 * y3)]
     op_rules = [OperationRule("Sq1", src, ("ypoly", tgt)) for src, tgt in sq1]
@@ -590,7 +587,8 @@ def _model_E8_2():
         OperationRule("Sq2", "x7", ("xgen", "x8", 1)),
         OperationRule("Sq2", "x5", ("xgen", "x4", 1)),
     ]
-    return CohomologyModel(desc, y_gens, x_gens, trans, op_rules, dim_gt=240)
+    model.op_rules = tuple(op_rules)
+    return model
 
 
 def _model_E7_2():
@@ -607,7 +605,7 @@ def _model_E7_2():
     def W(poly):
         return WitnessPolynomial(1, poly)
 
-    trans = [
+    model.transgression = (
         TransgressionEntry(1, "b_1", 4, None,
                            [(1, y1), (2, y2), (3, y3)], complete=True),
         TransgressionEntry(2, "b_2", 6, W(y1), [], complete=True),
@@ -616,8 +614,8 @@ def _model_E7_2():
         TransgressionEntry(5, "b_5", 16, W(y1 * y2), [], complete=False),
         TransgressionEntry(6, "b_6", 24, W(y1 * y3), [], complete=False),
         TransgressionEntry(7, "b_7", 28, W(y2 * y3), [], complete=False),
-    ]
-    return CohomologyModel(desc, y_gens, x_gens, trans, [], dim_gt=126)
+    )
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -630,11 +628,6 @@ SUPPORTED_CASES = (
 )
 
 _SUPPORTED_PRIMES = (2, 3, 5)
-
-
-def descriptor(family, rank=None, prime=None):
-    """Normalized descriptor for a supported case, invariants filled in."""
-    return lookup_model(family, rank, prime).descriptor
 
 
 def lookup_model(family, rank=None, prime=None):
@@ -867,12 +860,6 @@ def _e7_2_restrictions():
 # ---------------------------------------------------------------------------
 # validation
 
-CASE_IDS = (
-    "U/Sp (any p)", "PU(p)", "SO(2l+1) p=2", "SO(2l) p=2", "Spin(2l+1) p=2",
-    "(G2, 2)", "(F4, 3)", "(E8, 5)", "(E8, 3)", "(E8, 2)", "(E7, 2)",
-)
-
-
 def _is_power_of(value, p):
     if value < 1:
         return False
@@ -1053,6 +1040,8 @@ _CASE_MODELS = {
     "(E7, 2)": lambda: [lookup_model("E7", prime=2)],
 }
 
+CASE_IDS = tuple(_CASE_MODELS)
+
 
 def validate_catalog():
     """Validate every entry; returns [(case id, ok, failures)] in fixed order.
@@ -1061,9 +1050,9 @@ def validate_catalog():
     only their construction is shared, no check result is kept.
     """
     report = []
-    for case in CASE_IDS:
+    for case, models in _CASE_MODELS.items():
         failures = []
-        for model in _CASE_MODELS[case]():
+        for model in models():
             failures.extend(validate_model(model))
         report.append((case, not failures, failures))
     return report

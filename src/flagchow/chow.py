@@ -18,7 +18,7 @@ from .groebner import (
     hs_product,
     hs_times,
 )
-from .ring import GradedVariable, PolyRing, coeff_fp, is_prime
+from .ring import GradedVariable, PolyRing, is_prime
 from .symclass import elementary_symmetric, pontryagin_class, t_ring
 
 
@@ -70,46 +70,42 @@ def chow_presentation(model):
 
 
 def _build_presentation(model):
-    desc = model.descriptor
-    fam = desc.family
-    p = desc.prime
-    l = desc.rank
-    Fp = coeff_fp(p)
-    if fam == "U":
-        ring = t_ring(l, Fp)
-        rels = [elementary_symmetric(l, i, ring=ring) for i in range(1, l + 1)]
-        return QuotientPresentation(ring.variables, Fp, rels)
-    if fam == "Sp":
-        ring = t_ring(l, Fp)
-        rels = [pontryagin_class(l, i, ring=ring) for i in range(1, l + 1)]
-        return QuotientPresentation(ring.variables, Fp, rels)
-    if fam == "PU":
-        ring = t_ring(l, Fp)
-        cs = [elementary_symmetric(l, i, ring=ring) for i in range(1, l + 1)]
-        rels = [cs[i] * cs[j] for i in range(l) for j in range(i, l)]
-        return QuotientPresentation(ring.variables, Fp, rels)
-    if fam == "SO_odd":
-        ring = t_ring(l, Fp)
-        rels = [elementary_symmetric(l, i, ring=ring) ** 2 for i in range(1, l + 1)]
-        return QuotientPresentation(ring.variables, Fp, rels)
-    if fam == "SO_even":
-        ring = t_ring(l, Fp)
-        rels = [elementary_symmetric(l, i, ring=ring) ** 2 for i in range(1, l)]
-        rels.append(elementary_symmetric(l, l, ring=ring))
-        return QuotientPresentation(ring.variables, Fp, rels)
-    if model.is_type_one and fam != "Spin_odd":
-        if "explicit_b" in model.extras:
-            ring = t_ring(l, Fp)
-            bs = [model.extras["explicit_b"][i].map_coefficients(ring)
-                  for i in range(1, 2 * p - 1)]
-            rels = [bs[i] * bs[j] for i in range(len(bs)) for j in range(i, len(bs))]
-            return QuotientPresentation(ring.variables, Fp, rels)
-        return _symbolic_type_one(model)
-    if fam == "Spin_odd" and model.is_type_one:
+    forms = _torus_forms(model)
+    if forms is not None:
+        fam = model.descriptor.family
+        ring = forms[0].ring
+        if fam in ("U", "Sp"):
+            rels = forms
+        elif fam == "SO_odd":
+            # over F_2, e_i(t)^2 = e_i(t_1^2, ..., t_l^2) = p_i: the squared
+            # relations are the Pontryagin row, and SO(2l) keeps l - 1 of them
+            rels = pontryagin_class(ring)
+        elif fam == "SO_even":
+            rels = pontryagin_class(ring)[:-1] + forms[-1:]
+        else:
+            # PU and the stored explicit forms: every product of two forms
+            rels = [a * b for i, a in enumerate(forms) for b in forms[i:]]
+        return QuotientPresentation(ring, rels)
+    if model.is_type_one:
         return _symbolic_type_one(model)
     raise PresentationUnavailableError(
         "%s is known only through a surjection target; no full presentation"
-        % desc.label())
+        % model.descriptor.label())
+
+
+def _torus_forms(model):
+    """The transgression forms on the torus F_p[t_1..t_l], or None where the
+    catalog stores none: the Pontryagin classes p_1..p_l for Sp, the stored
+    explicit forms of a one-generator case, else the Chern classes
+    e_1..e_l."""
+    if "explicit_b" in model.extras:
+        forms = model.extras["explicit_b"]
+        return [forms[i] for i in sorted(forms)]
+    fam = model.descriptor.family
+    if fam not in ("U", "Sp", "PU", "SO_odd", "SO_even"):
+        return None
+    ring = t_ring(model.rank, model.prime)
+    return pontryagin_class(ring) if fam == "Sp" else elementary_symmetric(ring)
 
 
 def _symbolic_type_one(model):
@@ -117,14 +113,14 @@ def _symbolic_type_one(model):
     gens = []
     for e in model.transgression:
         gens.append(GradedVariable("B%s" % e.index, e.topdeg))
-    ring = PolyRing(gens, coeff_fp(p))
+    ring = PolyRing(gens, p)
     nlow = 2 * p - 2
     bs = [ring.gen("B%s" % e.index) for e in model.transgression[:nlow]]
     rels = [bs[i] * bs[j] for i in range(nlow) for j in range(i, nlow)]
     for e in model.transgression[nlow:]:
         rels.append(ring.gen("B%s" % e.index))
     return QuotientPresentation(
-        ring.variables, ring.coeff, rels,
+        ring, rels,
         note="opaque transgression symbols; the explicit torus forms are "
              "not part of the stored data for this case")
 
@@ -257,26 +253,12 @@ def _p_prime_series(model, maxdeg):
 
 
 def _s_mod_b_series(model, maxdeg):
-    """Series of the torus quotient by the transgression relations (explicit
-    classical forms only)."""
-    desc = model.descriptor
-    fam = desc.family
-    p = desc.prime
-    l = desc.rank
-    Fp = coeff_fp(p)
-    ring = t_ring(l, Fp)
-    if fam in ("U", "PU", "SO_odd", "SO_even"):
-        rels = [elementary_symmetric(l, i, ring=ring) for i in range(1, l + 1)]
-    elif fam == "Sp":
-        rels = [pontryagin_class(l, i, ring=ring) for i in range(1, l + 1)]
-    elif "explicit_b" in model.extras:
-        rels = [model.extras["explicit_b"][i].map_coefficients(ring)
-                for i in sorted(model.extras["explicit_b"])]
-    else:
+    """Series of the torus quotient by the transgression forms."""
+    forms = _torus_forms(model)
+    if forms is None:
         raise PresentationUnavailableError(
-            "no explicit transgression forms for %s" % desc.label())
-    pres = QuotientPresentation(ring.variables, Fp, rels)
-    return hilbert_series(pres, maxdeg)
+            "no explicit transgression forms for %s" % model.descriptor.label())
+    return hilbert_series(QuotientPresentation(forms[0].ring, forms), maxdeg)
 
 
 def verify_additive_decomposition(model, maxdeg):
@@ -341,5 +323,5 @@ def restriction_check(table):
     return report
 
 
-def restriction_reports(model=None):
-    return [restriction_check(t) for t in restriction_tables(model)]
+def restriction_reports():
+    return [restriction_check(t) for t in restriction_tables()]

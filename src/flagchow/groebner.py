@@ -2,21 +2,17 @@
 
 All ideals here are homogeneous in the topological grading, so a Buchberger
 run that discards every S-pair whose lcm exceeds the truncation degree yields
-canonical normal forms for every polynomial at or below that degree,
-whatever the monomial order.  Nothing ever attempts a full basis.
+canonical normal forms for every polynomial at or below that degree.
+Nothing ever attempts a full basis.  The monomial order is grevlex, the
+only one flagchow uses.
 
-Orders are descriptors: "grevlex", "lex", or ("block", k) which compares the
-first k variables grevlex-first (elimination order, used with y-variables in
-the leading block).
-
-Inside the engine a monomial is one integer key whose native order is the
-monomial order (Packing): a monomial product is an addition, a term shift is
+Inside the engine a monomial is one integer key whose native order is
+grevlex (Packing): a monomial product is an addition, a term shift is
 m + lt - glt, and divisibility is one subtraction against guard bits,
-((t | G) - g) & G == G.  The packing is built once per (ring, order, maxdeg)
-by buchberger and kept on the GroebnerBasis it returns.  Exponent tuples
+((t | G) - g) & G == G.  The packing is built once per (ring, maxdeg) by
+buchberger and kept on the GroebnerBasis it returns.  Exponent tuples
 appear only at the boundary: input relations and returned polynomials.
-Coefficients are in F_p, the one field flagchow computes over: buchberger
-rejects any other ring.
+Coefficients are in F_p, the ring's field.
 
 Each input relation is reduced when the run reaches its topdeg, ahead of
 that topdeg's S-pairs, so elements are found in nondecreasing topdeg, each
@@ -32,7 +28,7 @@ import heapq
 from operator import mul
 
 from .errors import OutOfRangeError, ValidationError
-from .ring import Polynomial, PolyRing
+from .ring import Polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -40,80 +36,42 @@ from .ring import Polynomial, PolyRing
 
 
 class Packing:
-    """Order-preserving integer keys for the monomials of topdeg <= maxdeg.
+    """Grevlex-ordered integer keys for the monomials of topdeg <= maxdeg.
 
     Each exponent gets a field of b = bit_length(maxdeg // min weight) + 1
     bits whose top bit is a guard bit.  Read as digits, most significant
-    first, a key spells the order's comparison tuple:
-
-        grevlex       (deg, -e_{n-1}, ..., -e_0)
-        lex           (e_0, ..., e_{n-1})
-        ("block", k)  (deg_a, -e_{k-1}, ..., -e_0, deg_b, -e_{n-1}, ..., -e_k)
-
-    where deg_a and deg_b are the topdegs of the first k and of the other
-    variables.  The key is linear in the exponents, K(e) = sum e_i kappa_i,
-    so pack(a) + pack(b) == pack(a + b) and a term shift is m + lt - glt;
-    for grevlex K = (deg << n*b) - X with X = sum e_i << (i*b).  Adding the
-    constant `complement` turns every negated digit -e into E - e with
-    E = 2^(b-1) - 1, so all digits are non-negative and the integer order is
-    the digit order.  view(K) masks out the degree digits and undoes the
-    complements: the exponents as plain fields, guard bits clear.  Then x
-    divides y exactly when ((y | G) - x) & G == G for the guard mask G: each
-    field subtracts from its own set guard bit and never borrows beyond it.
+    first, a key spells grevlex's comparison tuple (deg, -e_{n-1}, ..., -e_0):
+    it is K(e) = (deg << n*b) - X with X = sum e_i << (i*b), linear in the
+    exponents, K(e) = sum e_i kappa_i, so pack(a) + pack(b) == pack(a + b)
+    and a term shift is m + lt - glt.  Adding the constant `fields`, E =
+    2^(b-1) - 1 in every field, turns every negated digit -e into E - e, so
+    all digits are non-negative and the integer order is the digit order.
+    view(K) masks out the degree digit and undoes that complement: the
+    exponents as plain fields, guard bits clear.  Then x divides y exactly when
+    ((y | G) - x) & G == G for the guard mask G: each field subtracts from
+    its own set guard bit and never borrows beyond it.
 
     Keys are exact only for monomials of topdeg <= maxdeg; the engine never
     forms others.
     """
 
-    __slots__ = ("order", "maxdeg", "kappa", "shifts", "emax",
-                 "complement", "fields", "guard")
+    __slots__ = ("maxdeg", "kappa", "shifts", "emax", "fields", "guard")
 
-    def __init__(self, topdegs, order, maxdeg):
+    def __init__(self, topdegs, maxdeg):
         n = len(topdegs)
         b = (maxdeg // min(topdegs, default=2)).bit_length() + 1
-        # digits most significant first: ("deg", variables) or (sign, variable)
-        if order == "lex":
-            digits = [(1, i) for i in range(n)]
-        else:
-            if order == "grevlex":
-                k = n
-            elif (isinstance(order, tuple) and len(order) == 2
-                  and order[0] == "block" and isinstance(order[1], int)
-                  and 0 <= order[1] <= n):
-                k = order[1]
-            else:
-                raise ValidationError("unknown monomial order %r" % (order,))
-            digits = []
-            for block in (range(k), range(k, n)):
-                if block:
-                    digits.append(("deg", block))
-                    digits += [(-1, i) for i in reversed(block)]
-        self.order = order
         self.maxdeg = maxdeg
         self.emax = (1 << (b - 1)) - 1
-        self.kappa = [0] * n
-        self.shifts = [0] * n
-        self.complement = self.fields = self.guard = 0
-        shift = 0
-        for kind, where in reversed(digits):
-            if kind == "deg":
-                for i in where:
-                    self.kappa[i] += topdegs[i] << shift
-                shift += maxdeg.bit_length()
-                continue
-            self.kappa[where] += kind << shift
-            self.shifts[where] = shift
-            self.fields |= self.emax << shift
-            self.guard |= 1 << (shift + b - 1)
-            if kind < 0:
-                self.complement |= self.emax << shift
-            shift += b
+        self.shifts = [i * b for i in range(n)]
+        self.kappa = [(w << n * b) - (1 << s) for w, s in zip(topdegs, self.shifts)]
+        self.fields = sum(self.emax << s for s in self.shifts)
+        self.guard = sum(1 << (s + b - 1) for s in self.shifts)
 
     def pack(self, exps):
         return sum(map(mul, exps, self.kappa))
 
     def view(self, key):
-        return ((key + self.complement) & self.fields) ^ self.complement
+        return ((key + self.fields) & self.fields) ^ self.fields
 
     def unpack(self, key):
         x = self.view(key)
@@ -127,12 +85,10 @@ class Packing:
 class QuotientPresentation:
     """A graded polynomial ring plus a list of homogeneous relations."""
 
-    __slots__ = ("variables", "coeff", "relations", "ring", "note")
+    __slots__ = ("ring", "relations", "note")
 
-    def __init__(self, variables, coeff, relations, note=None):
-        self.ring = PolyRing(variables, coeff)
-        self.variables = self.ring.variables
-        self.coeff = self.ring.coeff
+    def __init__(self, ring, relations, note=None):
+        self.ring = ring
         rels = []
         for r in relations:
             if not isinstance(r, Polynomial) or not self.ring.same_ring(r.ring):
@@ -243,8 +199,8 @@ def _reduce(work, divisors, packing, p):
     the normal form's terms, largest key first, and the number of reduction
     steps.
     """
-    complement, fields, guard = packing.complement, packing.fields, packing.guard
-    flip = complement | guard
+    fields, guard = packing.fields, packing.guard
+    flip = fields | guard
     heap = [-k for k in work]
     heapq.heapify(heap)
     pop, push, get = heapq.heappop, heapq.heappush, work.get
@@ -255,7 +211,7 @@ def _reduce(work, divisors, packing, p):
         c = work.pop(k)
         if not c:
             continue
-        y = ((k + complement) & fields) ^ flip
+        y = ((k + fields) & fields) ^ flip
         for x, tail in divisors:
             if (y - x) & guard == guard:
                 steps += 1
@@ -307,7 +263,7 @@ class GroebnerBasis:
         divisor, and so the step count, is that of the order found."""
         if self._reduced is None:
             pk, minimal = self._packing, self._minimal
-            p = self.ring.coeff[1]
+            p = self.ring.p
             reduced = []
             for d, lead, x, tail in minimal:
                 work = {lead + off: c for off, c in tail}
@@ -320,10 +276,6 @@ class GroebnerBasis:
                              [(pk.view(lead), _tail(t, lead))
                               for _, lead, t in reduced])
         return self._reduced
-
-    @property
-    def order(self):
-        return self._packing.order
 
     @property
     def maxdeg(self):
@@ -346,11 +298,10 @@ class GroebnerBasis:
         return len(self._minimal)
 
     def __repr__(self):
-        return "GroebnerBasis(order=%r, %d elements, maxdeg=%d)" % (
-            self.order, len(self), self.maxdeg)
+        return "GroebnerBasis(%d elements, maxdeg=%d)" % (len(self), self.maxdeg)
 
 
-def buchberger(relations, ring, order, maxdeg):
+def buchberger(relations, ring, maxdeg):
     """Degree-truncated Buchberger on homogeneous generators over F_p.
 
     The queue holds the relations and the S-pairs, taken by topdeg (normal
@@ -362,13 +313,9 @@ def buchberger(relations, ring, order, maxdeg):
     topdeg, each reduced by every earlier one, so no leading monomial divides
     another: every element found is minimal.  Returns that basis, whose tails
     are reduced on demand, with the run's counters (STAT_KEYS) in its stats.
-    Any ring other than F_p raises ValidationError.
     """
-    if ring.coeff[0] != "Fp":
-        raise ValidationError("buchberger needs F_p coefficients, not %r"
-                              % (ring.coeff,))
-    p = ring.coeff[1]
-    pk = Packing(ring.topdegs, order, maxdeg)
+    p = ring.p
+    pk = Packing(ring.topdegs, maxdeg)
     weights, guard = ring.topdegs, pk.guard
     pushed = popped = product = chain = reductions = zeros = steps = 0
 
@@ -446,15 +393,14 @@ def buchberger(relations, ring, order, maxdeg):
     return GroebnerBasis(ring, pk, minimal, stats)
 
 
-def groebner(pres, maxdeg, order="grevlex"):
-    """Degree-truncated Groebner basis of a quotient presentation.
+def groebner(pres, maxdeg):
+    """Degree-truncated grevlex Groebner basis of a quotient presentation.
 
-    Requires F_p coefficients (checked by buchberger) and homogeneous
-    relations; normal forms below maxdeg are canonical.
+    The relations are homogeneous; normal forms below maxdeg are canonical.
     """
     if maxdeg < 0:
         raise ValidationError("maxdeg must be non-negative")
-    return buchberger(pres.relations, pres.ring, order, maxdeg)
+    return buchberger(pres.relations, pres.ring, maxdeg)
 
 
 def normal_form(f, gb):
@@ -469,7 +415,7 @@ def normal_form(f, gb):
         raise OutOfRangeError("topdeg %d above truncation %d" % (d, gb.maxdeg))
     pk = gb._packing
     terms, _ = _reduce({pk.pack(m): c for m, c in f.terms.items()},
-                       gb._interreduce()[1], pk, gb.ring.coeff[1])
+                       gb._interreduce()[1], pk, gb.ring.p)
     return Polynomial(gb.ring, {pk.unpack(k): c for k, c in terms.items()})
 
 
@@ -537,7 +483,7 @@ def _standard_monomial_dims(gens, pk, weights, maxdeg):
     return dims
 
 
-def hilbert_series(pres, maxdeg, order="grevlex"):
+def hilbert_series(pres, maxdeg):
     """Graded dimensions of the quotient: counts of standard monomials per topdeg.
 
     The counts come from the truncated Bayer-Stillman pivot recursion
@@ -545,7 +491,7 @@ def hilbert_series(pres, maxdeg, order="grevlex"):
     leading-monomial ideal of the truncated Groebner basis, read in its
     packed form; the basis's tails are never reduced.
     """
-    gb = groebner(pres, maxdeg, order)
+    gb = groebner(pres, maxdeg)
     leads = [(d, x) for d, _, x, _ in gb._minimal]
     return HilbertSeries(_standard_monomial_dims(leads, gb._packing,
                                                  pres.ring.topdegs, maxdeg))

@@ -1,4 +1,4 @@
-"""Exact multivariate polynomial arithmetic over Z and F_p with graded variables.
+"""Exact multivariate polynomial arithmetic over F_p with graded variables.
 
 A monomial is a tuple of non-negative exponents aligned with the ring's
 variable list; the empty monomial (all zeros) is the unit.  A polynomial is a
@@ -6,8 +6,8 @@ dict mapping monomials to nonzero coefficients.  Every variable carries an
 even topological degree (Chow codimension is topdeg/2), and the topdeg of a
 monomial is the exponent-weighted sum of variable degrees.
 
-Coefficients are Python ints for Z and ints reduced to {0,..,p-1} for F_p;
-a coefficient of any other type, a float or a rational say, is rejected.
+Coefficients are Python ints reduced to {0,..,p-1}; a coefficient of any
+other type, a float or a rational say, is rejected.
 The zero polynomial has an empty term dict and no defined topdeg;
 homogeneity checks treat it as vacuously homogeneous.
 """
@@ -37,9 +37,6 @@ class GradedVariable:
 
     def __repr__(self):
         return "GradedVariable(%r, %d)" % (self.name, self.topdeg)
-
-
-COEFF_Z = ("Z",)
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -76,30 +73,22 @@ def is_prime(p):
     return True
 
 
-def coeff_fp(p):
-    if isinstance(p, int) and p >= 2 ** 61:
-        raise ValidationError("p out of supported range")
-    if not is_prime(p):
-        raise ValidationError("F_p requires a prime p, got %r" % (p,))
-    return ("Fp", p)
-
-
 class PolyRing:
-    """A graded polynomial ring: an ordered variable list plus a coefficient
-    tag, COEFF_Z or coeff_fp(p)."""
+    """A graded polynomial ring over F_p: an ordered variable list plus the
+    prime p, below 2^61."""
 
-    __slots__ = ("coeff", "variables", "topdegs", "_index")
+    __slots__ = ("p", "variables", "topdegs", "_index")
 
-    def __init__(self, variables, coeff=COEFF_Z):
+    def __init__(self, variables, p):
         variables = tuple(variables)
         names = [v.name for v in variables]
         if len(set(names)) != len(names):
             raise ValidationError("variable names must be unique: %r" % names)
-        if coeff[0] == "Fp":
-            coeff = coeff_fp(coeff[1])
-        elif coeff != COEFF_Z:
-            raise ValidationError("unknown coefficient tag %r" % (coeff,))
-        self.coeff = coeff
+        if isinstance(p, int) and p >= 2 ** 61:
+            raise ValidationError("p out of supported range")
+        if not is_prime(p):
+            raise ValidationError("F_p requires a prime p, got %r" % (p,))
+        self.p = p
         self.variables = variables
         self.topdegs = tuple(v.topdeg for v in variables)
         self._index = {v.name: i for i, v in enumerate(variables)}
@@ -107,20 +96,14 @@ class PolyRing:
     # -- coefficient arithmetic -------------------------------------------
 
     def normalize_coeff(self, c):
-        """c as a ring element: an int, reduced mod p over F_p; a bool is
-        stored as a plain int."""
+        """c as a ring element: an int reduced mod p; a bool is stored as a
+        plain int."""
         if not isinstance(c, int):
             raise ValidationError("coefficient %r is not an integer" % (c,))
-        if self.coeff[0] == "Fp":
-            return c % self.coeff[1]
-        return int(c)
+        return c % self.p
 
     def coeff_inv(self, c):
-        if self.coeff[0] == "Fp":
-            return pow(c, self.coeff[1] - 2, self.coeff[1])
-        if c in (1, -1):
-            return c
-        raise ValidationError("coefficient %r is not a unit in Z" % (c,))
+        return pow(c, self.p - 2, self.p)
 
     # -- monomials ---------------------------------------------------------
 
@@ -157,7 +140,7 @@ class PolyRing:
     def gen(self, name, power=1):
         exps = [0] * self.nvars
         exps[self.var_index(name)] = power
-        return Polynomial(self, {tuple(exps): self.normalize_coeff(1)})
+        return Polynomial(self, {tuple(exps): 1})
 
     def monomial(self, exps, coef=1):
         exps = tuple(exps)
@@ -167,26 +150,26 @@ class PolyRing:
         return Polynomial(self, {exps: c} if c != 0 else {})
 
     def from_terms(self, terms):
-        """Build a polynomial from an iterable of (exps, coef), merging duplicates."""
+        """Build a polynomial from an iterable of (exps, coef), merging
+        duplicates; each coefficient is checked before it is merged."""
+        p, norm = self.p, self.normalize_coeff
         acc = {}
         for exps, coef in terms:
             exps = tuple(exps)
-            acc[exps] = acc.get(exps, 0) + coef
-        norm = self.normalize_coeff
-        return Polynomial(self, {e: v for e, c in acc.items() if (v := norm(c))})
+            acc[exps] = (acc.get(exps, 0) + norm(coef)) % p
+        return Polynomial(self, {e: c for e, c in acc.items() if c})
 
     def same_ring(self, other):
-        return self.coeff == other.coeff and self.variables == other.variables
+        return self.p == other.p and self.variables == other.variables
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.same_ring(other)
 
     def __hash__(self):
-        return hash((self.coeff, self.variables))
+        return hash((self.p, self.variables))
 
     def __repr__(self):
-        tag = self.coeff[0] if self.coeff[0] != "Fp" else "F%d" % self.coeff[1]
-        return "PolyRing(%s; %s)" % (tag, ", ".join(v.name for v in self.variables))
+        return "PolyRing(F%d; %s)" % (self.p, ", ".join(v.name for v in self.variables))
 
 
 class Polynomial:
@@ -244,9 +227,9 @@ class Polynomial:
     def __add__(self, other):
         self._check_ring(other)
         res = dict(self.terms)
-        norm = self.ring.normalize_coeff
+        p = self.ring.p
         for m, c in other.terms.items():
-            s = norm(res.get(m, 0) + c)
+            s = (res.get(m, 0) + c) % p
             if s == 0:
                 res.pop(m, None)
             else:
@@ -254,8 +237,8 @@ class Polynomial:
         return Polynomial(self.ring, res)
 
     def __neg__(self):
-        norm = self.ring.normalize_coeff
-        return Polynomial(self.ring, {m: norm(-c) for m, c in self.terms.items()})
+        p = self.ring.p
+        return Polynomial(self.ring, {m: -c % p for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -267,20 +250,16 @@ class Polynomial:
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
                 res[m] = res.get(m, 0) + c1 * c2
-        norm = self.ring.normalize_coeff
-        return Polynomial(self.ring, {m: v for m, c in res.items() if (v := norm(c))})
+        p = self.ring.p
+        return Polynomial(self.ring, {m: v for m, c in res.items() if (v := c % p)})
 
     def scale(self, c):
         c = self.ring.normalize_coeff(c)
         if c == 0:
             return self.ring.zero()
-        norm = self.ring.normalize_coeff
-        res = {}
-        for m, old in self.terms.items():
-            v = norm(old * c)
-            if v != 0:
-                res[m] = v
-        return Polynomial(self.ring, res)
+        p = self.ring.p
+        return Polynomial(self.ring, {m: v for m, old in self.terms.items()
+                                      if (v := old * c % p)})
 
     def __pow__(self, n):
         if n < 0:
@@ -293,18 +272,6 @@ class Polynomial:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def map_coefficients(self, target_ring):
-        """Reinterpret coefficients in another ring over the same variables."""
-        if target_ring.variables != self.ring.variables:
-            raise RingMismatchError("variable sets differ")
-        norm = target_ring.normalize_coeff
-        res = {}
-        for m, c in self.terms.items():
-            v = norm(c)
-            if v != 0:
-                res[m] = v
-        return Polynomial(target_ring, res)
 
     # -- display ------------------------------------------------------------
 

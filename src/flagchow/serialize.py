@@ -3,15 +3,13 @@
 Variables serialize as {"name", "topdeg"}; terms as a list of
 {"exps": {name: exponent}, "coef": "<exact decimal string>"}; series as
 plain integer arrays indexed by topological degree.  Basis elements carry
-both degree conventions.  Coefficient rings are {"ring": "Z"} and
-{"ring": "Fp", "p": p}.  These are writers only: flagchow reads no JSON.
+both degree conventions.  The coefficient ring is {"ring": "Fp", "p": p}.
+These are writers only: flagchow reads no JSON.
 """
 
 
-def coeff_to_json(coeff):
-    if coeff[0] == "Fp":
-        return {"ring": "Fp", "p": coeff[1]}
-    return {"ring": coeff[0]}
+def coeff_to_json(p):
+    return {"ring": "Fp", "p": p}
 
 
 def variables_to_json(variables):
@@ -27,14 +25,14 @@ def poly_to_json(poly):
             "exps": {names[i]: e for i, e in enumerate(m) if e},
             "coef": str(c),
         })
-    return {"coeff": coeff_to_json(poly.ring.coeff),
+    return {"coeff": coeff_to_json(poly.ring.p),
             "variables": variables_to_json(poly.ring.variables),
             "terms": terms}
 
 
 def presentation_to_json(pres):
-    out = {"coeff": coeff_to_json(pres.coeff),
-           "variables": variables_to_json(pres.variables),
+    out = {"coeff": coeff_to_json(pres.ring.p),
+           "variables": variables_to_json(pres.ring.variables),
            "relations": [poly_to_json(r)["terms"] for r in pres.relations]}
     if pres.note:
         out["note"] = pres.note

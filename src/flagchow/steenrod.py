@@ -133,13 +133,11 @@ def sq_on_y(i, k, l):
     return GeneratorTerm.from_y_poly(model, model.y_class(2 * (i + k)))
 
 
-def sq_hits(i, l=None):
+def sq_hits(i):
     """True iff some Sq^{2k} maps a lower class onto y_{2i}:
     exists i' < i, k >= 1 with i' + k = i and binom(i', k) odd."""
     if i < 1:
         raise ValidationError("index must be positive")
-    if l is not None and i > l:
-        raise ValidationError("index exceeds the rank bound")
     return any(lucas_binomial(i - k, k, 2) == 1 for k in range(1, i))
 
 

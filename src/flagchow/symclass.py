@@ -9,45 +9,34 @@ oracle.
 """
 
 from .errors import ValidationError
-from .ring import COEFF_Z, GradedVariable, PolyRing, is_prime
+from .ring import GradedVariable, PolyRing, is_prime
 
 
-def t_ring(l, coeff=COEFF_Z, prefix="t"):
-    """Z[t_1..t_l] (or F_p) with every t_i of topdeg 2."""
-    return PolyRing([GradedVariable("%s%d" % (prefix, i), 2)
-                     for i in range(1, l + 1)], coeff)
+def t_ring(l, p):
+    """F_p[t_1..t_l] with every t_i of topdeg 2."""
+    return PolyRing([GradedVariable("t%d" % i, 2) for i in range(1, l + 1)], p)
 
 
-def _sigma_row(ring, l, squares=False):
+def _sigma_row(ring, squares=False):
     # sigmas[i] = i-th elementary symmetric function of the (squared) variables
+    l = ring.nvars
     sigmas = [ring.one()] + [ring.zero()] * l
     for k in range(1, l + 1):
         t = ring.gen(ring.variables[k - 1].name, 2 if squares else 1)
-        for i in range(min(k, l), 0, -1):
+        for i in range(k, 0, -1):
             sigmas[i] = sigmas[i] + t * sigmas[i - 1]
-    return sigmas
+    return sigmas[1:]
 
 
-def elementary_symmetric(l, i, coeff=COEFF_Z, ring=None):
-    """sigma_i(t_1..t_l): homogeneous of topdeg 2i; sigma_0 = 1; zero for i > l."""
-    if i < 0:
-        raise ValidationError("index must be non-negative")
-    if ring is None:
-        ring = t_ring(l, coeff)
-    if i > l:
-        return ring.zero()
-    return _sigma_row(ring, l)[i]
+def elementary_symmetric(ring):
+    """[sigma_1, .., sigma_l] of the ring's variables t_1..t_l; sigma_i is
+    homogeneous of topdeg 2i."""
+    return _sigma_row(ring)
 
 
-def pontryagin_class(l, i, coeff=COEFF_Z, ring=None):
-    """sigma_i(t_1^2..t_l^2): homogeneous of topdeg 4i; zero for i > l."""
-    if i < 0:
-        raise ValidationError("index must be non-negative")
-    if ring is None:
-        ring = t_ring(l, coeff)
-    if i > l:
-        return ring.zero()
-    return _sigma_row(ring, l, squares=True)[i]
+def pontryagin_class(ring):
+    """[p_1, .., p_l]: p_i = sigma_i(t_1^2..t_l^2), homogeneous of topdeg 4i."""
+    return _sigma_row(ring, squares=True)
 
 
 def lucas_binomial(n, k, p):

@@ -13,7 +13,7 @@ from math import comb, isqrt
 
 from flagchow.errors import ValidationError
 from flagchow.groebner import HilbertSeries, QuotientPresentation
-from flagchow.ring import COEFF_Z, GradedVariable, PolyRing, Polynomial, coeff_fp
+from flagchow.ring import GradedVariable, PolyRing, Polynomial
 
 
 def naive_product_terms(a, b):
@@ -469,10 +469,9 @@ def buchberger_reference(relations, ring, order, maxdeg, stats=None):
 
 
 def coeff_from_json(data):
+    """The prime p of {"ring": "Fp", "p": p}."""
     if data["ring"] == "Fp":
-        return coeff_fp(data["p"])
-    if data["ring"] == "Z":
-        return COEFF_Z
+        return data["p"]
     raise ValidationError("unknown coefficient ring %r" % (data,))
 
 
@@ -494,11 +493,10 @@ def poly_from_json(data, ring=None):
 
 
 def presentation_from_json(data):
-    variables = variables_from_json(data["variables"])
-    coeff = coeff_from_json(data["coeff"])
-    ring = PolyRing(variables, coeff)
+    ring = PolyRing(variables_from_json(data["variables"]),
+                    coeff_from_json(data["coeff"]))
     rels = [poly_from_json({"terms": terms}, ring) for terms in data["relations"]]
-    return QuotientPresentation(variables, coeff, rels, note=data.get("note"))
+    return QuotientPresentation(ring, rels, note=data.get("note"))
 
 
 def series_from_json(data):

@@ -8,7 +8,6 @@ from flagchow.catalog import (
     GroupDescriptor,
     TransgressionEntry,
     WitnessPolynomial,
-    descriptor,
     lookup_model,
     restriction_table,
     restriction_tables,
@@ -39,7 +38,7 @@ def test_unsupported_cases_list_supported_ones():
 
 
 def test_lookup_by_descriptor():
-    d = descriptor("SO_odd", 3, 2)
+    d = lookup_model("SO_odd", 3, 2).descriptor
     assert d.torsion_index_p == 8
     assert d.j_invariant == (2, 1)
     m = lookup_model(*d.key())
@@ -210,6 +209,8 @@ def test_g2_explicit_forms():
     assert eb[2].homogeneous_topdeg() == 6
     assert eb[1].terms == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
     assert eb[2].terms == {(0, 3): 1}
+    # over the model's field, so the presentation takes them as they are
+    assert eb[1].ring.p == eb[2].ring.p == m.prime
 
 
 def test_spin_torsion_element_list():
@@ -246,7 +247,6 @@ def test_every_spelling_of_a_case_is_one_model():
         m = lookup_model(fam, rank, p)
         assert lookup_model(fam, None, p) is m
         assert lookup_model(fam, prime=p) is m
-        assert descriptor(fam, prime=p) is m.descriptor
         assert lookup_model(*m.descriptor.key()) is m
 
 

@@ -14,7 +14,6 @@ from flagchow.chow import (
 from flagchow.errors import PresentationUnavailableError, UnsupportedCaseError, ValidationError
 from flagchow.groebner import hilbert_series
 from flagchow.symclass import elementary_symmetric, t_ring
-from flagchow.ring import coeff_fp
 
 from oracles import graded_quotient_dims
 
@@ -42,10 +41,20 @@ def test_u3_presentation():
 def test_so7_presentation_squares():
     pres = chow_presentation(lookup_model("SO_odd", 3, 2))
     assert sorted(r.homogeneous_topdeg() for r in pres.relations) == [4, 8, 12]
-    ring = t_ring(3, coeff_fp(2))
-    for i, r in enumerate(pres.relations, start=1):
-        ci = elementary_symmetric(3, i, ring=ring)
-        assert r == ci * ci
+    cs = elementary_symmetric(t_ring(3, 2))
+    assert list(pres.relations) == [c * c for c in cs]
+
+
+def test_so_relations_are_the_squared_chern_classes_up_to_rank_7():
+    # built from the Pontryagin row, they equal the squares e_i ** 2
+    for l in range(1, 8):
+        cs = elementary_symmetric(t_ring(l, 2))
+        squares = [c ** 2 for c in cs]
+        odd = chow_presentation(lookup_model("SO_odd", l, 2))
+        assert list(odd.relations) == squares, l
+        if l >= 2:
+            even = chow_presentation(lookup_model("SO_even", l, 2))
+            assert list(even.relations) == squares[:-1] + cs[-1:], l
 
 
 def test_so_even_presentation():
@@ -65,14 +74,14 @@ def test_spin11_presentation_unavailable():
 def test_g2_presentation_is_explicit():
     pres = chow_presentation(lookup_model("G2", prime=2))
     assert pres.note is None
-    assert [v.name for v in pres.variables] == ["t1", "t2"]
+    assert [v.name for v in pres.ring.variables] == ["t1", "t2"]
     assert sorted(r.homogeneous_topdeg() for r in pres.relations) == [8, 10, 12]
 
 
 def test_f4_presentation_is_symbolic():
     pres = chow_presentation(lookup_model("F4", prime=3))
     assert pres.note is not None
-    assert [v.topdeg for v in pres.variables] == [4, 8, 12, 16]
+    assert [v.topdeg for v in pres.ring.variables] == [4, 8, 12, 16]
     assert len(pres.relations) == 10  # all pairwise products of four symbols
 
 
@@ -80,7 +89,7 @@ def test_spin7_presentation_symbolic_with_tail_relation():
     pres = chow_presentation(lookup_model("Spin_odd", 3, 2))
     assert pres.note is not None
     # symbols of degrees 4, 6, 8; pair products of the first two plus the tail
-    assert [v.topdeg for v in pres.variables] == [4, 6, 8]
+    assert [v.topdeg for v in pres.ring.variables] == [4, 6, 8]
     degs = sorted(r.homogeneous_topdeg() for r in pres.relations)
     assert degs == [8, 8, 10, 12]
 
@@ -108,10 +117,10 @@ def test_a_model_built_by_hand_gets_its_own_presentation():
                            extras={})
     pres = chow_presentation(hand)
     assert pres is not shared and pres.note is not None
-    assert [v.name for v in pres.variables] == ["B1", "B2"]
+    assert [v.name for v in pres.ring.variables] == ["B1", "B2"]
     assert chow_presentation(hand) is pres
     assert chow_presentation(m) is shared
-    assert [v.name for v in shared.variables] == ["t1", "t2"]
+    assert [v.name for v in shared.ring.variables] == ["t1", "t2"]
 
 
 # --- rost bases --------------------------------------------------------------
@@ -313,13 +322,13 @@ def test_f4_pontryagin_relations_decompose():
     # {1, b_1..b_4} (x) coinvariants
     from flagchow.groebner import QuotientPresentation, hs_from_degrees, hs_product
     from flagchow.symclass import pontryagin_class
-    ring = t_ring(4, coeff_fp(3))
-    ps = [pontryagin_class(4, i, ring=ring) for i in range(1, 5)]
+    ring = t_ring(4, 3)
+    ps = pontryagin_class(ring)
     rels = [ps[i] * ps[j] for i in range(4) for j in range(i, 4)]
-    pres = QuotientPresentation(ring.variables, ring.coeff, rels)
+    pres = QuotientPresentation(ring, rels)
     lhs = hilbert_series(pres, 36)
     rost = hs_from_degrees([0, 4, 8, 12, 16], 36)
-    coinv = QuotientPresentation(ring.variables, ring.coeff, ps)
+    coinv = QuotientPresentation(ring, ps)
     rhs = hs_product(rost, hilbert_series(coinv, 36), 36)
     assert lhs == rhs
 

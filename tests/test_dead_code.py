@@ -1,7 +1,9 @@
 """src/flagchow holds only code that a program path reaches.
 
 The benchmark tracer wraps functions by name, so each of its targets must
-resolve; every other definition must be named somewhere else in src/.
+resolve; every other definition must be named somewhere else in src/, and
+every defaulted parameter of a module-level function must be passed by some
+call in src/.
 """
 
 import ast
@@ -20,6 +22,13 @@ DISPATCHED_PREFIX = "_cmd_"
 # torsion index is checked against marlin_bound, and the rank-8 spin
 # products back a verification case
 AWAITING_CALLERS = {"marlin_bound", "spin17_nonzero_products"}
+# defaulted parameters no src/ call passes, kept on purpose
+UNPASSED_PARAMETERS = {
+    # the entry point: tests and the benchmark call main(argv, out)
+    ("main", "argv"), ("main", "out"),
+    # the mod-torsion bases are stored paper data that only tests read
+    ("rost_part_basis", "variant"),
+}
 
 
 @pytest.fixture
@@ -39,15 +48,20 @@ def test_every_tracer_target_resolves(perfbench):
         assert callable(getattr(fc["cli"], attr, None)), attr
 
 
-def _unreferenced_definitions():
-    """(file, line, name) of each def or class, dunders aside, whose name
-    appears as no identifier, attribute or import in src/ outside its own
-    body."""
+def _parse_src():
     trees = {}
     for fname in sorted(os.listdir(SRC)):
         if fname.endswith(".py"):
             with open(os.path.join(SRC, fname)) as fh:
                 trees[fname] = ast.parse(fh.read())
+    return trees
+
+
+def _unreferenced_definitions():
+    """(file, line, name) of each def or class, dunders aside, whose name
+    appears as no identifier, attribute or import in src/ outside its own
+    body."""
+    trees = _parse_src()
     defs, refs = [], []
     for fname, tree in trees.items():
         for node in ast.walk(tree):
@@ -76,3 +90,47 @@ def test_every_definition_in_src_has_a_caller(perfbench):
               if name not in targets and name not in AWAITING_CALLERS
               and not name.startswith(DISPATCHED_PREFIX)]
     assert unused == []
+
+
+def _passes(call, index, param):
+    """Whether an ast.Call passes the parameter at position index (None if
+    keyword-only) named param; *args and **kwargs pass every parameter."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def _unpassed_parameters():
+    """(file, function, parameter) of each defaulted parameter of a
+    module-level function that no call in src/ passes."""
+    trees = _parse_src()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    out = []
+    for fname, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for index, param in defaulted:
+                if not any(_passes(call, index, param)
+                           for call in calls.get(fn.name, ())):
+                    out.append((fname, fn.name, param))
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller():
+    unpassed = [(f, fn, param) for f, fn, param in _unpassed_parameters()
+                if (fn, param) not in UNPASSED_PARAMETERS]
+    assert unpassed == []

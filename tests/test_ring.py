@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from flagchow.errors import RingMismatchError, ValidationError
-from flagchow.ring import COEFF_Z, GradedVariable, PolyRing, coeff_fp, is_prime
+from flagchow.ring import GradedVariable, PolyRing, is_prime
 from flagchow.symclass import elementary_symmetric, t_ring
 
 from oracles import is_prime_by_trial_division, merge_terms, naive_product_terms
@@ -18,29 +18,30 @@ def test_variable_invariants():
     with pytest.raises(ValidationError):
         GradedVariable("t", 0)
     with pytest.raises(ValidationError):
-        PolyRing([GradedVariable("t", 2), GradedVariable("t", 4)])
-    # Z and F_p are the only coefficient rings
-    with pytest.raises(ValidationError):
-        PolyRing([GradedVariable("t", 2)], ("Q",))
+        PolyRing([GradedVariable("t", 2), GradedVariable("t", 4)], 2)
+    # F_p is the only coefficient ring: no tag, no composite or unit modulus
+    for bad in (("Z",), ("Q",), ("Fp", 2), 0, 1, 4, -3, 2.0):
+        with pytest.raises(ValidationError):
+            PolyRing([GradedVariable("t", 2)], bad)
 
 
 def test_difference_of_squares_over_z():
-    r = t_ring(2)
+    # every coefficient is -1, 0 or 1, so equality mod 5 is equality over Z
+    r = t_ring(2, 5)
     t1, t2 = r.gen("t1"), r.gen("t2")
     assert (t1 + t2) * (t1 - t2) == t1 ** 2 - t2 ** 2
 
 
 def test_frobenius_in_char_2():
-    r = t_ring(2, coeff_fp(2))
+    r = t_ring(2, 2)
     t1, t2 = r.gen("t1"), r.gen("t2")
     assert (t1 + t2) ** 2 == t1 ** 2 + t2 ** 2
 
 
 def test_c2_times_c1_matches_naive_expansion_oracle():
     # naive term-by-term oracle: 3x3 = 9 raw products merging to 7 monomials,
-    # with coefficient 3 on t1*t2*t3
-    c1 = elementary_symmetric(3, 1)
-    c2 = elementary_symmetric(3, 2)
+    # with coefficient 3 on t1*t2*t3 (over F_5, where 3 is not reduced)
+    c1, c2, _ = elementary_symmetric(t_ring(3, 5))
     raw = naive_product_terms(c2.terms, c1.terms)
     assert len(raw) == 9
     merged = merge_terms(raw)
@@ -52,8 +53,8 @@ def test_c2_times_c1_matches_naive_expansion_oracle():
 
 
 def test_ring_mismatch_raises():
-    a = t_ring(2).gen("t1")
-    b = t_ring(2, coeff_fp(2)).gen("t1")
+    a = t_ring(2, 3).gen("t1")
+    b = t_ring(2, 2).gen("t1")
     with pytest.raises(RingMismatchError):
         a * b
     with pytest.raises(RingMismatchError):
@@ -61,7 +62,7 @@ def test_ring_mismatch_raises():
 
 
 def test_zero_polynomial_conventions():
-    r = t_ring(2)
+    r = t_ring(2, 2)
     z = r.zero()
     assert z.is_zero()
     assert z.topdeg() is None
@@ -82,10 +83,10 @@ def _random_poly(ring, rng, maxdeg=8, nterms=5):
     return ring.from_terms(terms)
 
 
-@pytest.mark.parametrize("coeff", [COEFF_Z, coeff_fp(2), coeff_fp(5)])
-def test_ring_axioms_on_random_inputs(coeff):
+@pytest.mark.parametrize("p", [2, 5])
+def test_ring_axioms_on_random_inputs(p):
     rng = random.Random(20240707)
-    ring = t_ring(3, coeff)
+    ring = t_ring(3, p)
     for _ in range(40):
         a = _random_poly(ring, rng)
         b = _random_poly(ring, rng)
@@ -99,7 +100,7 @@ def test_ring_axioms_on_random_inputs(coeff):
 
 def test_squaring_is_additive_mod_2():
     rng = random.Random(11)
-    ring = t_ring(3, coeff_fp(2))
+    ring = t_ring(3, 2)
     for _ in range(40):
         f = _random_poly(ring, rng)
         g = _random_poly(ring, rng)
@@ -107,22 +108,19 @@ def test_squaring_is_additive_mod_2():
 
 
 def test_graded_multiplication_adds_degrees():
-    r = t_ring(3)
-    c2 = elementary_symmetric(3, 2)
-    c3 = elementary_symmetric(3, 3)
+    _, c2, c3 = elementary_symmetric(t_ring(3, 2))
     assert (c2 * c3).homogeneous_topdeg() == 10
 
 
 def test_fp_coefficients_are_reduced():
-    r = t_ring(1, coeff_fp(3))
+    r = t_ring(1, 3)
     p = r.const(5)
     assert p.terms == {(0,): 2}
     assert r.const(3).is_zero()
 
 
-@pytest.mark.parametrize("coeff", [COEFF_Z, coeff_fp(5)])
-def test_coefficients_must_be_integers(coeff):
-    ring = t_ring(2, coeff)
+def test_coefficients_must_be_integers():
+    ring = t_ring(2, 5)
     for bad in (2.5, Fraction(1, 2), Fraction(4, 2), "3"):
         with pytest.raises(ValidationError):
             ring.const(bad)
@@ -130,6 +128,13 @@ def test_coefficients_must_be_integers(coeff):
             ring.monomial((1, 0), bad)
         with pytest.raises(ValidationError):
             ring.gen("t1").scale(bad)
+        # from_terms checks each coefficient before it merges duplicates
+        with pytest.raises(ValidationError):
+            ring.from_terms([((0, 1), bad)])
+        with pytest.raises(ValidationError):
+            ring.from_terms([((0, 1), 1), ((0, 1), bad)])
+    with pytest.raises(ValidationError):
+        ring.from_terms([((0, 1), None)])
     # a bool is stored as the plain int it equals
     for poly in (ring.const(True), ring.gen("t1").scale(True),
                  ring.from_terms([((0, 0), True)])):
@@ -144,11 +149,11 @@ def test_is_prime_is_the_one_primality_check():
     assert not is_prime(-7) and not is_prime(2.0)
     for p in (0, 1, 4, 9):
         with pytest.raises(ValidationError):
-            coeff_fp(p)
+            PolyRing([], p)
         with pytest.raises(ValidationError):
             rost_chow_basis(2, p)
     with pytest.raises(ValidationError):
-        coeff_fp(2 ** 61)
+        PolyRing([], 2 ** 61)
     with pytest.raises(ValidationError):
         lucas_binomial(4, 2, 1)
 
@@ -167,8 +172,8 @@ def test_is_prime_rejects_strong_pseudoprimes():
     assert not is_prime((2 ** 61 - 1) * (2 ** 31 - 1))
 
 
-def test_coeff_fp_accepts_a_large_prime_promptly():
+def test_ring_accepts_a_large_prime_promptly():
     # trial division would take about 1.5 * 10^9 steps here
     start = time.perf_counter()
-    assert coeff_fp(2 ** 61 - 1) == ("Fp", 2 ** 61 - 1)
+    assert PolyRing([], 2 ** 61 - 1).p == 2 ** 61 - 1
     assert time.perf_counter() - start < 1.0
