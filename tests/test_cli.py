@@ -321,3 +321,66 @@ def test_shared_models_read_the_same_after_every_benchmark_call(monkeypatch):
     assert state_again == state
     memo.cache_clear()
     assert run_round()[0] == first
+
+
+# every model validate_catalog checks, by case id, in its CLI spelling
+CATALOG_CASE_SPELLINGS = {
+    "U/Sp (any p)": [(g, l, p) for g in ("U", "Sp") for l in (1, 2, 3, 5)
+                     for p in (2, 3, 5)],
+    "PU(p)": [("PU", p - 1, p) for p in (2, 3, 5)],
+    "SO(2l+1) p=2": [("SO", l, 2) for l in range(1, 9)],
+    "SO(2l) p=2": [("SOeven", l, 2) for l in range(2, 9)],
+    "Spin(2l+1) p=2": [("Spin", l, 2) for l in range(3, 9)],
+    "(G2, 2)": [("G2", 2, 2)],
+    "(F4, 3)": [("F4", 4, 3)],
+    "(E8, 5)": [("E8", 8, 5)],
+    "(E8, 3)": [("E8", 8, 3)],
+    "(E8, 2)": [("E8", 8, 2)],
+    "(E7, 2)": [("E7", 7, 2)],
+}
+
+
+def test_catalog_and_witness_outputs_match_the_pinned_digests(capsys):
+    import hashlib
+    # sha256 per case of the exit code, stdout and stderr of
+    # `--format json catalog` and `--format json torsion-index --witness` on
+    # each of its models; Spin(13) and Spin(15) have no torsion data (exit 2)
+    expected = {
+        "U/Sp (any p)":
+            "31ab25b9f90ad4113a4f8273cfc5b22b9e54ed9efd745276b6f324e40ccc6827",
+        "PU(p)":
+            "992cbbb74f2bd60b82c5b8650721bcfd77176fbe347de3560cab1d4f7cb38400",
+        "SO(2l+1) p=2":
+            "e4da52134925c2a4f7fdb6ca6a7213217084701bbce58a1671c5bc85a1e032f9",
+        "SO(2l) p=2":
+            "8524da9eb96716972e764619720b60184f8d5eb274f32009e8137e69f39df861",
+        "Spin(2l+1) p=2":
+            "ed26151f201c4d873d1078b28c8c2fbceba9f0ead7ebaebdc98ae94af101a0b9",
+        "(G2, 2)":
+            "3510180aed4543f14b7b48e30c3f312554f70b209d2f0fa69a19a8d989667b13",
+        "(F4, 3)":
+            "7fd4231ed6d162ceee16adc5eff970552be45bb30df3a3242baeadbc87e62a74",
+        "(E8, 5)":
+            "4f9351407404c4b52b20d7b1dac599cc2b8a4d297107496f555f7b4b958c67e1",
+        "(E8, 3)":
+            "419cc42a73c184892fe002a0d41c10240ef3c3b37be9397b21b4e40ece40555c",
+        "(E8, 2)":
+            "12da17def4a38e79f422016b6aaa879b43ca56291a88a4ce99f4257e8c324da3",
+        "(E7, 2)":
+            "323a9042cf9391526f91d285c88e51f87cfa9bd2da5ff321ce8727ab8a6020b9",
+    }
+    assert list(CATALOG_CASE_SPELLINGS) == list(catalog.CASE_IDS)
+    got = {}
+    for case, spellings in CATALOG_CASE_SPELLINGS.items():
+        served = catalog._CASE_MODELS[case]()
+        assert [catalog.lookup_model(cli._FAMILIES[g], l, p)
+                for g, l, p in spellings] == served, case
+        digest = hashlib.sha256()
+        for g, l, p in spellings:
+            flags = ["--group", g, "--rank", str(l), "--prime", str(p)]
+            for command in (["catalog"], ["torsion-index", "--witness"]):
+                code, out = run_cli(["--format", "json"] + command + flags)
+                err = capsys.readouterr().err
+                digest.update(repr((command, flags, code, out, err)).encode())
+        got[case] = digest.hexdigest()
+    assert got == expected
