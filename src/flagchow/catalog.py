@@ -1,7 +1,9 @@
 """Per-group data: cohomology models, transgression tables, operation rules.
 
-Each supported (group, prime) case gets a CohomologyModel holding
+Each supported (group, prime) case is one CohomologyModel, built by its one
+builder, holding
 
+  * its key (family, rank, prime) and label;
   * y-generators of the truncated polynomial part, with truncation exponents
     p^r (so y^trunc = 0), ordered by degree;
   * the odd x-generators, one per unit of rank;
@@ -11,12 +13,15 @@ Each supported (group, prime) case gets a CohomologyModel holding
     entry lists its full decomposition, so an absent level means zero; an
     incomplete entry only records what is known.
   * explicitly stated operation rules (Bockstein tables, power-operation
-    arrows, Steenrod-square chains).
+    arrows, Steenrod-square chains);
+  * its torsion data, each None where the case stores none: the p-part
+    t(G)_(p) of the torsion index, the witness (transgression indices whose
+    leading witnesses multiply to p^s times the top class), and the sharp
+    factor-count data of the counting bound.
 
-The catalog is compiled-in static data.  Torsion indices are the p-parts
-t(G)_(p); J-invariants equal the truncation exponent tuple in every versal
-case.  Witness annotations, sharp-count data and restriction tables live in
-registries keyed by descriptor and feed the chow/torsion checks.
+The catalog is compiled-in static data.  The J-invariant is derived: in
+every versal case it is the truncation exponent tuple.  The six restriction
+tables are kept by model key and feed the chow checks.
 """
 
 import functools
@@ -24,46 +29,6 @@ import functools
 from .errors import DataMissingError, UnsupportedCaseError, ValidationError
 from .ring import GradedVariable, PolyRing
 from .symclass import t_ring
-
-
-class GroupDescriptor:
-    """Key of a catalog case: family, rank, prime (+ filled-in invariants)."""
-
-    __slots__ = ("family", "rank", "prime", "torsion_index_p", "j_invariant")
-
-    def __init__(self, family, rank, prime, torsion_index_p=None, j_invariant=None):
-        self.family = family
-        self.rank = rank
-        self.prime = prime
-        self.torsion_index_p = torsion_index_p
-        self.j_invariant = j_invariant
-
-    def key(self):
-        return (self.family, self.rank, self.prime)
-
-    def __eq__(self, other):
-        return isinstance(other, GroupDescriptor) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def label(self):
-        if self.family == "U":
-            return "U(%d) p=%d" % (self.rank, self.prime)
-        if self.family == "Sp":
-            return "Sp(%d) p=%d" % (self.rank, self.prime)
-        if self.family == "PU":
-            return "PU(%d)" % self.prime
-        if self.family == "SO_odd":
-            return "SO(%d) p=2" % (2 * self.rank + 1)
-        if self.family == "SO_even":
-            return "SO(%d) p=2" % (2 * self.rank)
-        if self.family == "Spin_odd":
-            return "Spin(%d) p=2" % (2 * self.rank + 1)
-        return "(%s, %d)" % (self.family, self.prime)
-
-    def __repr__(self):
-        return "GroupDescriptor(%r, rank=%d, p=%d)" % (self.family, self.rank, self.prime)
 
 
 class YGen:
@@ -134,24 +99,14 @@ class RestrictionTable:
     the class v_n * (y part); v_0 means multiplication by p.
     """
 
-    __slots__ = ("name", "descriptor_key", "sources", "images", "expected_image")
+    __slots__ = ("name", "key", "sources", "images", "expected_image")
 
-    def __init__(self, name, descriptor_key, sources, images, expected_image):
+    def __init__(self, name, key, sources, images, expected_image):
         self.name = name
-        self.descriptor_key = descriptor_key
+        self.key = key
         self.sources = tuple(sources)          # (name, topdeg)
         self.images = tuple(images)            # (source name, None | (n, label, ydeg))
         self.expected_image = tuple(expected_image)  # (name, topdeg) incl. unit
-
-
-class WitnessAnnotation:
-    """Expected witness product: these transgression indices multiply to p^s * y_top."""
-
-    __slots__ = ("indices", "expected_exponent")
-
-    def __init__(self, indices, expected_exponent):
-        self.indices = tuple(indices)
-        self.expected_exponent = expected_exponent
 
 
 class SharpData:
@@ -169,34 +124,52 @@ class CohomologyModel:
     """One case's data, shared by `lookup_model` and only read by callers;
     the underscored slots are this object's memos, filled on first use."""
 
-    __slots__ = ("descriptor", "y_gens", "x_gens", "transgression", "op_rules",
-                 "notes", "is_type_one", "dim_gt", "q_on_y_zero", "extras",
+    __slots__ = ("family", "rank", "prime", "y_gens", "x_gens", "transgression",
+                 "op_rules", "torsion_index_p", "witness", "sharp", "notes",
+                 "is_type_one", "dim_gt", "extras",
                  "_y_ring", "_by_topdeg", "_presentation")
 
-    def __init__(self, descriptor, y_gens, x_gens, transgression, op_rules,
-                 notes=(), is_type_one=False, dim_gt=None, q_on_y_zero=False,
-                 extras=None):
-        self.descriptor = descriptor
+    def __init__(self, family, rank, prime, y_gens, x_gens, transgression,
+                 op_rules, torsion_index_p=None, witness=None, sharp=None,
+                 notes=(), is_type_one=False, dim_gt=None, extras=None):
+        self.family = family
+        self.rank = rank
+        self.prime = prime
         self.y_gens = tuple(y_gens)
         self.x_gens = tuple(x_gens)
         self.transgression = tuple(transgression)
         self.op_rules = tuple(op_rules)
+        self.torsion_index_p = torsion_index_p
+        self.witness = witness
+        self.sharp = sharp
         self.notes = tuple(notes)
         self.is_type_one = is_type_one
         self.dim_gt = dim_gt
-        self.q_on_y_zero = q_on_y_zero
         self.extras = extras or {}
         self._y_ring = None
         self._by_topdeg = None
         self._presentation = None
 
-    @property
-    def prime(self):
-        return self.descriptor.prime
+    def key(self):
+        return (self.family, self.rank, self.prime)
+
+    def label(self):
+        if self.family in ("U", "Sp"):
+            return "%s(%d) p=%d" % (self.family, self.rank, self.prime)
+        if self.family == "PU":
+            return "PU(%d)" % self.prime
+        if self.family == "SO_odd":
+            return "SO(%d) p=2" % (2 * self.rank + 1)
+        if self.family == "SO_even":
+            return "SO(%d) p=2" % (2 * self.rank)
+        if self.family == "Spin_odd":
+            return "Spin(%d) p=2" % (2 * self.rank + 1)
+        return "(%s, %d)" % (self.family, self.prime)
 
     @property
-    def rank(self):
-        return self.descriptor.rank
+    def j_invariant(self):
+        """log_p of each truncation exponent, as in every versal case."""
+        return tuple(_r_of(g.trunc, self.prime) for g in self.y_gens)
 
     def y_ring(self):
         if self._y_ring is None:
@@ -243,14 +216,14 @@ class CohomologyModel:
             if x.name == name or x.alias == name:
                 return x
         raise DataMissingError("no x-generator named %r in %s"
-                               % (name, self.descriptor.label()))
+                               % (name, self.label()))
 
     def entry(self, index):
         for e in self.transgression:
             if e.index == index:
                 return e
         raise DataMissingError("no transgression entry %r in %s"
-                               % (index, self.descriptor.label()))
+                               % (index, self.label()))
 
     def entry_for_x(self, name):
         x = self.x_gen(name)
@@ -293,27 +266,27 @@ def _trunc_exponent(m, l):
 
 
 def _model_U(l, p):
-    desc = GroupDescriptor("U", l, p, torsion_index_p=1, j_invariant=())
     x_gens = [XGen("x%d" % i, 2 * i - 1) for i in range(1, l + 1)]
     trans = [TransgressionEntry(i, "c_%d" % i, 2 * i, None, [], complete=True)
              for i in range(1, l + 1)]
-    return CohomologyModel(desc, [], x_gens, trans, [], dim_gt=l * l - l)
+    return CohomologyModel("U", l, p, [], x_gens, trans, [], torsion_index_p=1,
+                           witness=(), dim_gt=l * l - l)
 
 
 def _model_Sp(l, p):
-    desc = GroupDescriptor("Sp", l, p, torsion_index_p=1, j_invariant=())
     x_gens = [XGen("x%d" % i, 4 * i - 1) for i in range(1, l + 1)]
     trans = [TransgressionEntry(i, "p_%d" % i, 4 * i, None, [], complete=True)
              for i in range(1, l + 1)]
-    return CohomologyModel(desc, [], x_gens, trans, [], dim_gt=2 * l * l)
+    return CohomologyModel("Sp", l, p, [], x_gens, trans, [], torsion_index_p=1,
+                           witness=(), dim_gt=2 * l * l)
 
 
 def _model_PU(p):
     l = p - 1
-    desc = GroupDescriptor("PU", l, p, torsion_index_p=p, j_invariant=(1,))
     y_gens = [YGen("y2", 2, p)]
     x_gens = [XGen("x%d" % i, 2 * i - 1) for i in range(1, l + 1)]
-    model = CohomologyModel(desc, y_gens, x_gens, [], [], dim_gt=p * p - p)
+    model = CohomologyModel("PU", l, p, y_gens, x_gens, [], [],
+                            torsion_index_p=p, witness=(l,), dim_gt=p * p - p)
     ring = model.y_ring()
     model.transgression = tuple(
         TransgressionEntry(i, "c_%d" % i, 2 * i,
@@ -356,11 +329,10 @@ def _so_transgression(model, l, skip_dead=False):
 
 def _model_SO_odd(l):
     y_gens = _so_like_y_gens(l, 2 * l)
-    desc = GroupDescriptor("SO_odd", l, 2, torsion_index_p=2 ** l,
-                           j_invariant=tuple(_r_of(g.trunc, 2) for g in y_gens))
     x_gens = [XGen("x%d" % (2 * i - 1), 2 * i - 1) for i in range(1, l + 1)]
     model = CohomologyModel(
-        desc, y_gens, x_gens, [], [], dim_gt=2 * l * l, q_on_y_zero=True,
+        "SO_odd", l, 2, y_gens, x_gens, [], [], torsion_index_p=2 ** l,
+        witness=tuple(range(1, l + 1)), dim_gt=2 * l * l,
         notes=("periodic-operation rule on odd generators stored with the "
                "'+' index convention y_{2i + 2^{n+1} - 2}; the alternative "
                "'-' reading is rejected by the derived Q_1 check",
@@ -374,21 +346,23 @@ def _model_SO_odd(l):
 
 def _model_SO_even(l):
     y_gens = _so_like_y_gens(l, 2 * l - 2)
-    desc = GroupDescriptor("SO_even", l, 2, torsion_index_p=2 ** (l - 1),
-                           j_invariant=tuple(_r_of(g.trunc, 2) for g in y_gens))
     x_gens = [XGen("x%d" % (2 * i - 1), 2 * i - 1) for i in range(1, l + 1)]
-    model = CohomologyModel(desc, y_gens, x_gens, [], [],
-                            dim_gt=2 * l * (l - 1), q_on_y_zero=True)
+    model = CohomologyModel("SO_even", l, 2, y_gens, x_gens, [], [],
+                            torsion_index_p=2 ** (l - 1),
+                            witness=tuple(range(1, l)), dim_gt=2 * l * (l - 1))
     model.transgression = tuple(_so_transgression(model, l))
     return model
+
+
+# rank -> (torsion index, witness indices); ranks 6 and 7 store neither
+_SPIN_TORSION = {3: (2, (3,)), 4: (2, (3,)), 5: (2, ("z",)),
+                 8: (16, (3, 5, 6, 7))}
 
 
 def _model_Spin_odd(l):
     tpar = l.bit_length() - 1  # floor(log2 l)
     y_gens = _so_like_y_gens(l, 2 * l, min_oddpart=3)
-    torsion = {3: 2, 4: 2, 5: 2, 8: 16}.get(l)
-    desc = GroupDescriptor("Spin_odd", l, 2, torsion_index_p=torsion,
-                           j_invariant=tuple(_r_of(g.trunc, 2) for g in y_gens))
+    torsion, witness = _SPIN_TORSION.get(l, (None, None))
     zdeg = 2 ** (tpar + 2) - 1
     x_gens = [XGen("x%d" % (2 * i - 1), 2 * i - 1) for i in range(2, l + 1)]
     x_gens.append(XGen("z%d" % zdeg, zdeg))
@@ -399,7 +373,8 @@ def _model_Spin_odd(l):
                              if 2 ** j <= l],
     }
     model = CohomologyModel(
-        desc, y_gens, x_gens, [], [], dim_gt=2 * l * l, q_on_y_zero=True,
+        "Spin_odd", l, 2, y_gens, x_gens, [], [], torsion_index_p=torsion,
+        witness=witness, dim_gt=2 * l * l,
         is_type_one=l in (3, 4), extras=extras,
         notes=("torsion-element list kept with coefficient 2 on the "
                "c_1-power term, matching the summary statement; the in-text "
@@ -451,12 +426,12 @@ def _r_of(trunc, p):
 
 def _type_one_model(family, p, x_degrees, yname, ydeg, dim_gt, extras=None):
     l = len(x_degrees)
-    desc = GroupDescriptor(family, l, p, torsion_index_p=p, j_invariant=(1,))
     y_gens = [YGen(yname, ydeg, p)]
     x_gens = [XGen("x%d" % (i + 1), d) for i, d in enumerate(x_degrees)]
     op_rules = [OperationRule("P1", "x%d" % i, ("xgen", "x%d" % (i + 1), 1))
                 for i in range(1, l + 1, 2)]
-    model = CohomologyModel(desc, y_gens, x_gens, [], op_rules,
+    model = CohomologyModel(family, l, p, y_gens, x_gens, [], op_rules,
+                            torsion_index_p=p, witness=(2 * p - 2,),
                             is_type_one=True, dim_gt=dim_gt, extras=extras)
     ring = model.y_ring()
     trans = []
@@ -496,14 +471,16 @@ def _model_E8_5():
 
 
 def _model_E8_3():
-    desc = GroupDescriptor("E8", 8, 3, torsion_index_p=9, j_invariant=(1, 1))
     y_gens = [YGen("y8", 8, 3), YGen("y20", 20, 3)]
     degrees = [3, 7, 15, 19, 27, 35, 39, 47]
     aliases = ["z3", "z7", "z15", "z19", "z27", "z35", "z39", "z47"]
     x_gens = [XGen("x%d" % (i + 1), d, a)
               for i, (d, a) in enumerate(zip(degrees, aliases))]
     model = CohomologyModel(
-        desc, y_gens, x_gens, [], [], dim_gt=240,
+        "E8", 8, 3, y_gens, x_gens, [], [], torsion_index_p=9, witness=(2, 8),
+        sharp=SharpData(options={2: (1,), 3: (2,), 4: (1,), 5: (2,), 6: (3,),
+                                 7: (2,), 8: (3,)}),
+        dim_gt=240,
         notes=("that the square of the top-level product is not a Bockstein "
                "image is a derived lookup against the stored table, not an "
                "independently stored fact",))
@@ -543,15 +520,21 @@ def _model_E8_3():
 
 
 def _model_E8_2():
-    desc = GroupDescriptor("E8", 8, 2, torsion_index_p=64,
-                           j_invariant=(3, 2, 1, 1))
     y_gens = [YGen("y6", 6, 8), YGen("y10", 10, 4), YGen("y18", 18, 2),
               YGen("y30", 30, 2)]
     degrees = [3, 5, 9, 17, 15, 23, 27, 29]
     aliases = ["z3", "z5", "z9", "z17", "z15", "z23", "z27", "z29"]
     x_gens = [XGen("x%d" % (i + 1), d, a)
               for i, (d, a) in enumerate(zip(degrees, aliases))]
-    model = CohomologyModel(desc, y_gens, x_gens, [], [], dim_gt=240)
+    model = CohomologyModel(
+        "E8", 8, 2, y_gens, x_gens, [], [], torsion_index_p=64,
+        witness=(5, 5, 5, 4, 6, 8),
+        sharp=SharpData(
+            options={2: (1,), 3: (1,), 4: (1,), 5: (2,), 6: (2, 4), 7: (2,),
+                     8: (1,)},
+            min_uses={8: 1},   # the top class needs the unique y30 carrier
+            max_uses={6: 1, 8: 1}),
+        dim_gt=240)
     R = model.y_ring()
     y1, y2, y3, y4 = (R.gen(n) for n in ("y6", "y10", "y18", "y30"))
 
@@ -592,13 +575,16 @@ def _model_E8_2():
 
 
 def _model_E7_2():
-    desc = GroupDescriptor("E7", 7, 2, torsion_index_p=4, j_invariant=(1, 1, 1))
     y_gens = [YGen("y6", 6, 2), YGen("y10", 10, 2), YGen("y18", 18, 2)]
     degrees = [3, 5, 9, 17, 15, 23, 27]
     aliases = ["z3", "z5", "z9", "z17", "z15", "z23", "z27"]
     x_gens = [XGen("x%d" % (i + 1), d, a)
               for i, (d, a) in enumerate(zip(degrees, aliases))]
-    model = CohomologyModel(desc, y_gens, x_gens, [], [], dim_gt=126)
+    model = CohomologyModel(
+        "E7", 7, 2, y_gens, x_gens, [], [], torsion_index_p=4, witness=(2, 7),
+        sharp=SharpData(options={2: (1,), 3: (1,), 4: (1,), 5: (2,), 6: (2,),
+                                 7: (2,)}),
+        dim_gt=126)
     R = model.y_ring()
     y1, y2, y3 = (R.gen(n) for n in ("y6", "y10", "y18"))
 
@@ -621,13 +607,14 @@ def _model_E7_2():
 # ---------------------------------------------------------------------------
 # lookup
 
-SUPPORTED_CASES = (
-    "U(l), any p", "Sp(l), any p", "PU(p)",
+_SUPPORTED_PRIMES = (2, 3, 5)
+
+SUPPORTED_CASES = tuple(
+    "%s at p in %s" % (group, _SUPPORTED_PRIMES)
+    for group in ("U(l)", "Sp(l)", "PU(p)")) + (
     "SO(2l+1) at p=2", "SO(2l) at p=2", "Spin(2l+1) at p=2",
     "(G2, 2)", "(F4, 3)", "(E8, 5)", "(E8, 3)", "(E8, 2)", "(E7, 2)",
 )
-
-_SUPPORTED_PRIMES = (2, 3, 5)
 
 
 def lookup_model(family, rank=None, prime=None):
@@ -697,58 +684,7 @@ def _unsupported(family, rank, prime):
 
 
 # ---------------------------------------------------------------------------
-# registries: witnesses, sharp data, restriction tables
-
-
-def witness_annotation(model):
-    """The stored witness multiset for the model's torsion index, or None."""
-    fam = model.descriptor.family
-    l = model.rank
-    p = model.prime
-    if fam in ("U", "Sp"):
-        return WitnessAnnotation([], 0)
-    if fam == "PU":
-        return WitnessAnnotation([p - 1], 1)
-    if fam == "SO_odd":
-        return WitnessAnnotation(list(range(1, l + 1)), l)
-    if fam == "SO_even":
-        return WitnessAnnotation(list(range(1, l)), l - 1)
-    if fam == "Spin_odd":
-        if l in (3, 4):
-            return WitnessAnnotation([3], 1)
-        if l == 5:
-            return WitnessAnnotation(["z"], 1)
-        if l == 8:
-            return WitnessAnnotation([3, 5, 6, 7], 4)
-        return None
-    if fam in ("G2", "F4") or (fam == "E8" and p == 5):
-        return WitnessAnnotation([2 * p - 2], 1)
-    if fam == "E8" and p == 3:
-        return WitnessAnnotation([2, 8], 2)
-    if fam == "E8" and p == 2:
-        return WitnessAnnotation([5, 5, 5, 4, 6, 8], 6)
-    if fam == "E7":
-        return WitnessAnnotation([2, 7], 2)
-    return None
-
-
-def sharp_data(model):
-    """Counting data for the exchange bound, or None if not stored."""
-    key = (model.descriptor.family, model.prime)
-    if key == ("E8", 2):
-        return SharpData(
-            options={2: (1,), 3: (1,), 4: (1,), 5: (2,), 6: (2, 4),
-                     7: (2,), 8: (1,)},
-            min_uses={8: 1},   # the top class needs the unique y30 carrier
-            max_uses={6: 1, 8: 1})
-    if key == ("E7", 2):
-        return SharpData(
-            options={2: (1,), 3: (1,), 4: (1,), 5: (2,), 6: (2,), 7: (2,)})
-    if key == ("E8", 3):
-        return SharpData(
-            options={2: (1,), 3: (2,), 4: (1,), 5: (2,), 6: (3,), 7: (2,),
-                     8: (3,)})
-    return None
+# restriction tables
 
 
 @functools.cache
@@ -766,8 +702,8 @@ def restriction_tables(model=None):
     tables = _stored_restriction_tables()
     if model is None:
         return list(tables)
-    key = model.descriptor.key()
-    return [t for t in tables if t.descriptor_key == key]
+    key = model.key()
+    return [t for t in tables if t.key == key]
 
 
 def restriction_table(name):
@@ -796,7 +732,7 @@ def _so_restriction(l):
     expected = [("1", 0)] + [("v_%d*y%d" % (s, 2 * l), 2 * l - 2 * (2 ** s - 1))
                              for s in range(n)]
     return RestrictionTable("so-rost-restriction-l%d" % l,
-                            model.descriptor.key(), sources, images, expected)
+                            model.key(), sources, images, expected)
 
 
 def _e8_2_restriction():
@@ -810,7 +746,7 @@ def _e8_2_restriction():
             images.append(("b_%d" % j, None))
     expected = [("1", 0)] + [("v_%d*y30" % s, 30 - 2 * (2 ** s - 1))
                              for s in (0, 1, 2, 3)]
-    return RestrictionTable("e8-2-rost-restriction", model.descriptor.key(),
+    return RestrictionTable("e8-2-rost-restriction", model.key(),
                             sources, images, expected)
 
 
@@ -830,7 +766,7 @@ def _e8_3_restriction():
     images = [("b_%d" % j, img[j]) for j in range(1, 9)]
     expected = [("1", 0), ("b_1", 4), ("b_2", 8), ("b_3", 16), ("b_5", 28),
                 ("b_6", 36), ("b_8", 48)]
-    return RestrictionTable("e8-3-rost-restriction", model.descriptor.key(),
+    return RestrictionTable("e8-3-rost-restriction", model.key(),
                             sources, images, expected)
 
 
@@ -845,14 +781,14 @@ def _e7_2_restrictions():
     images8 = [("b_%d" % j, img8[j]) for j in range(1, 9)]
     expected8 = [("1", 0)] + [("b_%d" % j, e8.transgression[j - 1].topdeg)
                               for j in range(1, 8)]
-    t1 = RestrictionTable("e8-to-e7-rost-restriction", e8.descriptor.key(),
+    t1 = RestrictionTable("e8-to-e7-rost-restriction", e8.key(),
                           sources8, images8, expected8)
     # stage 2: the rank-7 form restricted until only a rank-2 core survives
     sources7 = [(e.name, e.topdeg) for e in e7.transgression]
     img7 = {1: (1, "y6", 6), 2: (0, "y6", 6)}
     images7 = [("b_%d" % j, img7.get(j)) for j in range(1, 8)]
     expected7 = [("1", 0), ("b_1", 4), ("b_2", 6)]
-    t2 = RestrictionTable("e7-2-rost-restriction", e7.descriptor.key(),
+    t2 = RestrictionTable("e7-2-rost-restriction", e7.key(),
                           sources7, images7, expected7)
     return [t1, t2]
 
@@ -883,14 +819,13 @@ def op_topdeg(op, p):
 def validate_model(model):
     """All structural invariants of one model; returns a list of failures."""
     fails = []
-    desc = model.descriptor
-    p = desc.prime
+    p = model.prime
 
     def check(cond, msg):
         if not cond:
-            fails.append("%s: %s" % (desc.label(), msg))
+            fails.append("%s: %s" % (model.label(), msg))
 
-    check(len(model.x_gens) == desc.rank, "number of x-generators != rank")
+    check(len(model.x_gens) == model.rank, "number of x-generators != rank")
     names = [g.name for g in model.y_gens] + [x.name for x in model.x_gens]
     check(len(set(names)) == len(names), "generator names not unique")
     for g in model.y_gens:
@@ -954,15 +889,10 @@ def validate_model(model):
                   % rule.source)
 
     if model.is_type_one:
-        check(desc.rank >= 2 * p - 2, "rank below 2p-2 for a one-generator part")
+        check(model.rank >= 2 * p - 2, "rank below 2p-2 for a one-generator part")
 
-    check(len(desc.j_invariant) == len(model.y_gens),
-          "J-invariant length != number of y-generators")
-    for j, g in zip(desc.j_invariant, model.y_gens):
-        check(0 <= j <= _r_of(g.trunc, p), "J-entry out of range")
-        check(j == _r_of(g.trunc, p), "versal case needs j_i = r_i")
-    if desc.torsion_index_p is not None:
-        check(desc.torsion_index_p == 1 or _is_power_of(desc.torsion_index_p, p),
+    if model.torsion_index_p is not None:
+        check(model.torsion_index_p == 1 or _is_power_of(model.torsion_index_p, p),
               "torsion index must be a power of p")
 
     coeffs = model.poincare_coeffs()
@@ -974,14 +904,14 @@ def validate_model(model):
                  - 2 * len(model.x_gens))
         check(total == model.dim_gt, "degree bookkeeping != dim(G/T)")
 
-    if desc.family == "SO_odd":
+    if model.family == "SO_odd":
         for i, e in enumerate(model.transgression, start=1):
             expect = model.y_class(2 * i)
             check(e.leading is not None and e.leading.s == 1
                   and e.leading.body == expect,
                   "leading term of c_%d must be 2*y_%d" % (i, 2 * i))
 
-    if desc.key() == ("E8", 8, 2):
+    if model.key() == ("E8", 8, 2):
         check([g.topdeg for g in model.y_gens] == [6, 10, 18, 30],
               "y-degrees must be 6,10,18,30")
         check([g.trunc for g in model.y_gens] == [8, 4, 2, 2],
@@ -1004,12 +934,9 @@ def validate_model(model):
                   "restriction image of %s in %s violates the degree equation"
                   % (name, table.name))
 
-    ann = witness_annotation(model)
-    if ann is not None and ann.indices:
-        for idx in set(ann.indices):
-            entry = model.entry(idx)
-            check(entry.leading is not None,
-                  "witness annotation uses entry %r with no leading term" % (idx,))
+    for idx in dict.fromkeys(model.witness or ()):
+        check(model.entry(idx).leading is not None,
+              "witness uses entry %r with no leading term" % (idx,))
     return fails
 
 
@@ -1021,7 +948,7 @@ def _gen_topdeg(model, name, check, fails):
         if x.name == name or x.alias == name:
             return x.topdeg
     fails.append("%s: operation rule names unknown generator %r"
-                 % (model.descriptor.label(), name))
+                 % (model.label(), name))
     return None
 
 

@@ -11,12 +11,10 @@ from itertools import combinations
 from .catalog import restriction_tables
 from .errors import PresentationUnavailableError, UnsupportedCaseError, ValidationError
 from .groebner import (
-    HilbertSeries,
     QuotientPresentation,
     hilbert_series,
     hs_from_degrees,
     hs_product,
-    hs_times,
 )
 from .ring import GradedVariable, PolyRing, is_prime
 from .symclass import elementary_symmetric, pontryagin_class, t_ring
@@ -72,7 +70,7 @@ def chow_presentation(model):
 def _build_presentation(model):
     forms = _torus_forms(model)
     if forms is not None:
-        fam = model.descriptor.family
+        fam = model.family
         ring = forms[0].ring
         if fam in ("U", "Sp"):
             rels = forms
@@ -90,7 +88,7 @@ def _build_presentation(model):
         return _symbolic_type_one(model)
     raise PresentationUnavailableError(
         "%s is known only through a surjection target; no full presentation"
-        % model.descriptor.label())
+        % model.label())
 
 
 def _torus_forms(model):
@@ -101,7 +99,7 @@ def _torus_forms(model):
     if "explicit_b" in model.extras:
         forms = model.extras["explicit_b"]
         return [forms[i] for i in sorted(forms)]
-    fam = model.descriptor.family
+    fam = model.family
     if fam not in ("U", "Sp", "PU", "SO_odd", "SO_even"):
         return None
     ring = t_ring(model.rank, model.prime)
@@ -153,10 +151,9 @@ def rost_part_basis(model, variant="default"):
     "mod-torsion" (the torsion-free quotient basis, stored for the rank-7
     and rank-8 odd-prime cases).
     """
-    desc = model.descriptor
-    fam = desc.family
-    p = desc.prime
-    l = desc.rank
+    fam = model.family
+    p = model.prime
+    l = model.rank
     if variant not in ("default", "mod-torsion"):
         raise ValidationError("unknown variant %r" % (variant,))
 
@@ -171,7 +168,7 @@ def rost_part_basis(model, variant="default"):
             return "mod-torsion", _b_products(model, [[i] for i in range(2, 9)]
                                               + [[2, 8]])
         raise UnsupportedCaseError(
-            "no torsion-free quotient basis stored for %s" % desc.label())
+            "no torsion-free quotient basis stored for %s" % model.label())
 
     if fam in ("U", "Sp"):
         return "exact", [unit()]
@@ -212,7 +209,7 @@ def rost_part_basis(model, variant="default"):
     if fam == "E7" and p == 2:
         return "surjection-target", _b_products(
             model, [[i] for i in range(1, 8)] + [[1, 5], [1, 6], [1, 7], [2, 7]])
-    raise UnsupportedCaseError("no basis data for %s" % desc.label())
+    raise UnsupportedCaseError("no basis data for %s" % model.label())
 
 
 def _b_products(model, index_lists):
@@ -240,32 +237,22 @@ def _square_free_monomials(model, top):
 # decomposition and restriction checks
 
 
-def _p_prime_series(model, maxdeg):
-    """Series of the inner truncated part P'(y): trivial in every versal case
-    (each J-entry equals its truncation exponent), computed generally."""
-    p = model.prime
-    series = [1] + [0] * maxdeg
-    for g, j in zip(model.y_gens, model.descriptor.j_invariant):
-        # 1 + q^step + ... + q^{(count-1) step}
-        step = g.topdeg * p ** j
-        hs_times(series, numer=[step * (g.trunc // p ** j)], denom=[step])
-    return HilbertSeries(series)
-
-
 def _s_mod_b_series(model, maxdeg):
     """Series of the torus quotient by the transgression forms."""
     forms = _torus_forms(model)
     if forms is None:
         raise PresentationUnavailableError(
-            "no explicit transgression forms for %s" % model.descriptor.label())
+            "no explicit transgression forms for %s" % model.label())
     return hilbert_series(QuotientPresentation(forms[0].ring, forms), maxdeg)
 
 
 def verify_additive_decomposition(model, maxdeg):
     """Series identity behind the additive decomposition:
-    HS(full quotient) = HS(summand basis) * HS(P'(y)) * HS(torus/(b))."""
+    HS(full quotient) = HS(summand basis) * HS(torus/(b)).  The factor
+    HS(P'(y)) of the inner truncated part is 1: in a versal case each J-entry
+    equals its truncation exponent."""
     kind, basis = rost_part_basis(model)
-    report = {"case": model.descriptor.label(), "maxdeg": maxdeg}
+    report = {"case": model.label(), "maxdeg": maxdeg}
     if kind != "exact":
         report["status"] = "skipped"
         report["detail"] = "summand basis is %s, not exact" % kind
@@ -282,8 +269,7 @@ def verify_additive_decomposition(model, maxdeg):
         return report
     lhs = hilbert_series(pres, maxdeg)
     rost_hs = hs_from_degrees([b.topdeg for b in basis], maxdeg)
-    rhs = hs_product(rost_hs, _p_prime_series(model, maxdeg), maxdeg)
-    rhs = hs_product(rhs, _s_mod_b_series(model, maxdeg), maxdeg)
+    rhs = hs_product(rost_hs, _s_mod_b_series(model, maxdeg), maxdeg)
     report["status"] = "pass" if lhs == rhs else "fail"
     report["lhs"] = lhs.dims
     report["rhs"] = rhs.dims
@@ -294,8 +280,7 @@ def verify_additive_decomposition(model, maxdeg):
 def restriction_check(table):
     """Degree consistency of a stored restriction table, plus the element
     count of its nonzero image against the cited basis."""
-    fam_key = table.descriptor_key
-    p = fam_key[2]
+    p = table.key[2]
     report = {"table": table.name, "failures": [], "status": "pass"}
     src_deg = dict(table.sources)
     nonzero = 0

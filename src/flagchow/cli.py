@@ -81,14 +81,13 @@ def _add_group_flags(sub, prime_default=None):
 
 def _cmd_catalog(args):
     model = _model(args)
-    desc = model.descriptor
     payload = {
-        "case": desc.label(),
-        "family": desc.family,
-        "rank": desc.rank,
-        "prime": desc.prime,
-        "torsion_index_p": desc.torsion_index_p,
-        "j_invariant": list(desc.j_invariant),
+        "case": model.label(),
+        "family": model.family,
+        "rank": model.rank,
+        "prime": model.prime,
+        "torsion_index_p": model.torsion_index_p,
+        "j_invariant": list(model.j_invariant),
         "y_generators": [{"name": g.name, "topdeg": g.topdeg,
                           "chowdeg": g.topdeg // 2, "truncation": g.trunc}
                          for g in model.y_gens],
@@ -123,7 +122,7 @@ def _target_str(target):
 def _cmd_present(args):
     model = _model(args)
     pres = _chow.chow_presentation(model)
-    payload = {"case": model.descriptor.label(),
+    payload = {"case": model.label(),
                "presentation": _ser.presentation_to_json(pres)}
     return 0, payload
 
@@ -133,7 +132,7 @@ def _cmd_hilbert(args):
     maxdeg = _check_maxdeg(args.maxdeg)
     pres = _chow.chow_presentation(model)
     hs = hilbert_series(pres, maxdeg)
-    payload = {"case": model.descriptor.label(), "maxdeg": maxdeg,
+    payload = {"case": model.label(), "maxdeg": maxdeg,
                "dims_by_topdeg": hs.dims,
                "dims_by_chowdeg": hs.dims[0::2],
                "total": hs.total()}
@@ -183,15 +182,14 @@ def _cmd_decompose(args):
 def _cmd_torsion_index(args):
     model = _model(args)
     value, level, details = _torsion.torsion_index_report(model)
-    payload = {"case": model.descriptor.label(), "value": value,
+    payload = {"case": model.label(), "value": value,
                "verification": level}
     if level == "EXACT":
         payload["monomials_checked"] = details["monomials_checked"]
     if args.witness:
-        ann = _catalog.witness_annotation(model)
-        if ann is not None:
-            w = _torsion.witness_product(model, ann.indices)
-            payload["witness"] = {"indices": [str(i) for i in ann.indices],
+        if model.witness is not None:
+            w = _torsion.witness_product(model, model.witness)
+            payload["witness"] = {"indices": [str(i) for i in model.witness],
                                   "p_exponent": w.s,
                                   "body": w.body.pretty()}
     return 0, payload
@@ -217,7 +215,7 @@ def _cmd_steenrod(args):
     else:
         raise ValidationError(
             "unknown operation %r; use Q<n>, beta, Sq1 or Sq<k>" % (op,))
-    payload = {"case": model.descriptor.label(), "op": op, "generator": gen,
+    payload = {"case": model.label(), "op": op, "generator": gen,
                "image": out.pretty(), "provenance": provenance}
     return 0, payload
 

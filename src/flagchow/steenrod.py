@@ -68,7 +68,7 @@ class GeneratorTerm:
 
     def __eq__(self, other):
         return (isinstance(other, GeneratorTerm)
-                and self.model.descriptor == other.model.descriptor
+                and self.model.key() == other.model.key()
                 and self.coeffs == other.coeffs)
 
     def pretty(self):
@@ -107,7 +107,7 @@ def _so_symbol(model, index):
 
 def sq_on_so_generator(i, k, model):
     """Sq^k(x_i) = binom(i, k) x_{i+k} on the rank-l orthogonal model."""
-    if model.descriptor.family not in _SO_FAMILIES:
+    if model.family not in _SO_FAMILIES:
         raise UnsupportedCaseError(
             "binomial squaring rule only applies to the orthogonal family")
     if not 1 <= i <= 2 * model.rank:
@@ -200,16 +200,16 @@ def q_milnor(model, gen, n):
         return out
     if any(g.name == gen for g in model.y_gens):
         # y-generators of the orthogonal family are annihilated by every Q_n
-        if model.q_on_y_zero:
+        if model.family in _SO_FAMILIES:
             return GeneratorTerm.zero(model)
         raise DataMissingError(
             "Q_%d on the even generator %s is not recorded for %s"
-            % (n, gen, model.descriptor.label()))
+            % (n, gen, model.label()))
     body = _q_rule(model, gen, n)
     if body is None:
         raise DataMissingError(
             "Q_%d on %s is not recorded for %s"
-            % (n, gen, model.descriptor.label()))
+            % (n, gen, model.label()))
     return GeneratorTerm.from_y_poly(model, body)
 
 

@@ -23,7 +23,7 @@ bound absorbs.
 from itertools import combinations
 from math import factorial, gcd, log2
 
-from .catalog import WitnessPolynomial, lookup_model, sharp_data, witness_annotation
+from .catalog import WitnessPolynomial, lookup_model
 from .errors import (
     DataMissingError,
     InternalInconsistencyError,
@@ -142,7 +142,7 @@ def witness_product(model, indices):
         if entry.leading is None:
             raise DataMissingError(
                 "entry %r of %s has no leading witness"
-                % (idx, model.descriptor.label()))
+                % (idx, model.label()))
         s += entry.leading.s
         body = model.reduce_y(body * entry.leading.body)
     return WitnessPolynomial(s, body)
@@ -151,10 +151,10 @@ def witness_product(model, indices):
 def sharp_y_bound(model, k):
     """Maximum total factor count over admissible products of at most k
     leading witnesses, by exhaustive search over the stored count data."""
-    data = sharp_data(model)
+    data = model.sharp
     if data is None:
         raise DataMissingError("no counting data stored for %s"
-                               % model.descriptor.label())
+                               % model.label())
     if k < 0:
         raise ValidationError("factor bound must be non-negative")
     indices = sorted(data.options)
@@ -203,27 +203,24 @@ def torsion_index(model):
 def torsion_index_report(model):
     """(value, verification level, details) as in `torsion_index`; the
     details of an EXACT result are those of `torsion_index_so`, else empty."""
-    desc = model.descriptor
-    stored = desc.torsion_index_p
-    if desc.family == "SO_odd" and 2 <= desc.rank <= 4:
-        value, details = torsion_index_so(desc.rank, return_details=True)
+    stored = model.torsion_index_p
+    if model.family == "SO_odd" and 2 <= model.rank <= 4:
+        value, details = torsion_index_so(model.rank, return_details=True)
         if stored is not None and value != stored:
             raise InternalInconsistencyError(
                 "computed index %d disagrees with the stored %d" % (value, stored))
         return value, "EXACT", details
-    ann = witness_annotation(model)
-    if ann is not None and stored is not None:
-        w = witness_product(model, ann.indices)
-        if w.s != ann.expected_exponent or w.body != model.y_top():
+    if model.witness is not None and stored is not None:
+        w = witness_product(model, model.witness)
+        if w.body != model.y_top():
             raise InternalInconsistencyError(
                 "witness product of %s does not reduce to p^s * top class"
-                % desc.label())
-        p = desc.prime
-        if p ** w.s != stored and not (stored == 1 and w.s == 0):
+                % model.label())
+        if model.prime ** w.s != stored:
             raise InternalInconsistencyError(
                 "witness exponent %d does not match the stored index %d"
                 % (w.s, stored))
-        if desc.key() == ("E8", 8, 2):
+        if model.key() == ("E8", 8, 2):
             bound = sharp_y_bound(model, w.s - 1)
             if bound < sharp_of_y_top(model):
                 return stored, "UPPER+COUNT", {}
@@ -232,14 +229,14 @@ def torsion_index_report(model):
         return stored, "UPPER-WITNESS", {}
     if stored is not None:
         return stored, "TABLE", {}
-    raise DataMissingError("no torsion data for %s" % desc.label())
+    raise DataMissingError("no torsion data for %s" % model.label())
 
 
 def spin17_nonzero_products():
     """The two stored nonzero products for the rank-8 spin case: the plain
     witness, and the variant routing one factor through its level-1 term."""
     model = lookup_model("Spin_odd", 8, 2)
-    plain = witness_product(model, [3, 5, 6, 7])
+    plain = witness_product(model, model.witness)
     ok_plain = plain.s == 4 and plain.body == model.y_top()
     partial = witness_product(model, [3, 6, 7])
     v1_body = None

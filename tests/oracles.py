@@ -2,7 +2,8 @@
 
 Nothing here calls the Groebner engine: graded dimensions come from
 Gaussian elimination on explicit multiplication matrices, symmetric
-functions from direct product expansion, binomials from factorials.  The
+functions from direct product expansion, binomials from factorials,
+monomials in the transgression classes by exhaustive enumeration.  The
 tuple-based Buchberger that preceded the packed engine is kept here as the
 engine's reference, with its counters and its order of work, and a reader
 of the documented JSON forms checks that the writers lose nothing.
@@ -11,6 +12,7 @@ of the documented JSON forms checks that the writers lose nothing.
 import heapq
 from math import comb, isqrt
 
+from flagchow.chow import BasisElement
 from flagchow.errors import ValidationError
 from flagchow.groebner import HilbertSeries, QuotientPresentation
 from flagchow.ring import GradedVariable, PolyRing, Polynomial
@@ -213,6 +215,33 @@ def poincare_coeffs(model):
         factor[x.topdeg] = 1
         mul(factor)
     return coeffs
+
+
+def a_filtration_basis(model, bound):
+    """All monomials in the transgression classes of total topdeg <= bound."""
+    if bound < 0:
+        raise ValidationError("bound must be non-negative")
+    entries = [(e.index, e.name, e.topdeg) for e in model.transgression]
+    out = []
+
+    def rec(i, deg, factors):
+        if i == len(entries):
+            name_parts = []
+            for (idx, name, _), mult in factors:
+                name_parts.append(name if mult == 1 else "%s^%d" % (name, mult))
+            name = "".join(name_parts) if name_parts else "1"
+            out.append(BasisElement(name, deg, "filtration"))
+            return
+        idx, name, d = entries[i]
+        mult = 0
+        while deg + mult * d <= bound:
+            rec(i + 1, deg + mult * d,
+                factors + ([(entries[i], mult)] if mult else []))
+            mult += 1
+
+    rec(0, 0, [])
+    out.sort(key=lambda b: (b.topdeg, b.name))
+    return out
 
 
 def object_state(obj):

@@ -5,16 +5,13 @@ from flagchow import catalog
 from flagchow.catalog import (
     CASE_IDS,
     CohomologyModel,
-    GroupDescriptor,
     TransgressionEntry,
     WitnessPolynomial,
     lookup_model,
     restriction_table,
     restriction_tables,
-    sharp_data,
     validate_catalog,
     validate_model,
-    witness_annotation,
 )
 from flagchow.errors import DataMissingError, UnsupportedCaseError, ValidationError
 
@@ -37,12 +34,21 @@ def test_unsupported_cases_list_supported_ones():
         lookup_model("U", 3, 7)
 
 
-def test_lookup_by_descriptor():
-    d = lookup_model("SO_odd", 3, 2).descriptor
-    assert d.torsion_index_p == 8
-    assert d.j_invariant == (2, 1)
-    m = lookup_model(*d.key())
-    assert m.descriptor == d
+def test_lookup_by_key():
+    m = lookup_model("SO_odd", 3, 2)
+    assert m.key() == ("SO_odd", 3, 2)
+    assert m.torsion_index_p == 8
+    assert m.j_invariant == (2, 1)
+    assert lookup_model(*m.key()) is m
+
+
+def test_j_invariant_is_log_p_of_each_truncation():
+    for m in _catalog_models():
+        assert len(m.j_invariant) == len(m.y_gens), m.label()
+        for j, g in zip(m.j_invariant, m.y_gens):
+            assert j >= 1 and m.prime ** j == g.trunc, (m.label(), g.name)
+    assert lookup_model("E8", prime=2).j_invariant == (3, 2, 1, 1)
+    assert lookup_model("U", 3, 5).j_invariant == ()
 
 
 def test_e8_p3_model_matches_stated_data():
@@ -50,8 +56,8 @@ def test_e8_p3_model_matches_stated_data():
     assert [(g.name, g.topdeg, g.trunc) for g in m.y_gens] == \
         [("y8", 8, 3), ("y20", 20, 3)]
     assert [x.topdeg for x in m.x_gens] == [3, 7, 15, 19, 27, 35, 39, 47]
-    assert m.descriptor.torsion_index_p == 9
-    assert m.descriptor.j_invariant == (1, 1)
+    assert m.torsion_index_p == 9
+    assert m.j_invariant == (1, 1)
     # Bockstein hits every positive monomial except the top one
     from flagchow.steenrod import beta_preimage
     R = m.y_ring()
@@ -68,7 +74,7 @@ def test_e7_p2_model_matches_stated_data():
     assert [(g.name, g.trunc) for g in m.y_gens] == \
         [("y6", 2), ("y10", 2), ("y18", 2)]
     assert len(m.x_gens) == 7
-    assert m.descriptor.torsion_index_p == 4
+    assert m.torsion_index_p == 4
     assert [e.topdeg for e in m.transgression] == [4, 6, 10, 18, 16, 24, 28]
 
 
@@ -77,7 +83,7 @@ def test_e8_p2_model_matches_stated_data():
     assert [g.topdeg for g in m.y_gens] == [6, 10, 18, 30]
     assert [g.trunc for g in m.y_gens] == [8, 4, 2, 2]
     assert m.y_top().topdeg() == 120
-    assert m.descriptor.torsion_index_p == 64
+    assert m.torsion_index_p == 64
     b6 = m.entry(6)
     R = m.y_ring()
     assert b6.leading.body == R.gen("y6") * R.gen("y18") + R.gen("y6", 4)
@@ -88,7 +94,7 @@ def test_u_model_has_no_y_part():
     assert m.y_gens == ()
     assert [x.topdeg for x in m.x_gens] == [1, 3, 5]
     assert m.y_top() == m.y_ring().one()
-    assert m.descriptor.torsion_index_p == 1
+    assert m.torsion_index_p == 1
 
 
 def test_so7_model():
@@ -114,7 +120,7 @@ def test_spin11_entries():
     c4 = m.entry(4)
     assert c4.leading is None
     assert [(n, b.pretty()) for n, b in c4.v_terms] == [(1, "y10")]
-    assert m.descriptor.torsion_index_p == 2
+    assert m.torsion_index_p == 2
     assert m.extras["lbar"] == 5
 
 
@@ -130,7 +136,7 @@ def test_mutated_entry_fails_validation():
                                    None, m.transgression[0].v_terms,
                                    complete=True)
     mutated = CohomologyModel(
-        m.descriptor, m.y_gens, m.x_gens,
+        m.family, m.rank, m.prime, m.y_gens, m.x_gens,
         (bad_entry,) + m.transgression[1:], m.op_rules,
         is_type_one=True, dim_gt=m.dim_gt, extras={})
     fails = validate_model(mutated)
@@ -142,16 +148,15 @@ def test_witness_annotations_present():
                          ("E7", 7, 2), ("G2", 2, 2), ("F4", 4, 3),
                          ("E8", 8, 5), ("PU", 2, 3), ("Spin_odd", 8, 2)]:
         m = lookup_model(fam, rank, p)
-        ann = witness_annotation(m)
-        assert ann is not None
-    assert witness_annotation(lookup_model("Spin_odd", 6, 2)) is None
-    assert witness_annotation(lookup_model("U", 2, 2)).indices == ()
+        assert m.witness is not None
+    assert lookup_model("Spin_odd", 6, 2).witness is None
+    assert lookup_model("U", 2, 2).witness == ()
 
 
 def test_sharp_data_only_where_stored():
-    assert sharp_data(lookup_model("E8", prime=2)) is not None
-    assert sharp_data(lookup_model("E7", prime=2)) is not None
-    assert sharp_data(lookup_model("SO_odd", 3, 2)) is None
+    assert lookup_model("E8", prime=2).sharp is not None
+    assert lookup_model("E7", prime=2).sharp is not None
+    assert lookup_model("SO_odd", 3, 2).sharp is None
 
 
 def test_restriction_tables_registry():
@@ -187,8 +192,7 @@ def test_restriction_tables_of_a_model_filter_the_full_list():
     hits = 0
     for m in _catalog_models():
         mine = restriction_tables(m)
-        assert mine == [t for t in tables
-                        if t.descriptor_key == m.descriptor.key()]
+        assert mine == [t for t in tables if t.key == m.key()]
         hits += len(mine)
     # the E8 p=2 model owns two tables, SO(7), SO(15), E8 p=3 and E7 one each
     assert hits == 6
@@ -198,8 +202,7 @@ def test_poincare_coeffs_match_the_dense_product():
     models = _catalog_models()
     assert len(models) == 54
     for m in models:
-        assert m.poincare_coeffs() == oracles.poincare_coeffs(m), \
-            m.descriptor.label()
+        assert m.poincare_coeffs() == oracles.poincare_coeffs(m), m.label()
 
 
 def test_g2_explicit_forms():
@@ -224,12 +227,13 @@ def test_witness_polynomial_invariants():
         WitnessPolynomial(-1, m.y_top())
 
 
-def test_descriptor_label_and_eq():
-    a = GroupDescriptor("SO_odd", 3, 2)
-    b = GroupDescriptor("SO_odd", 3, 2, torsion_index_p=8)
-    assert a == b
-    assert a.label() == "SO(7) p=2"
-    assert GroupDescriptor("E8", 8, 5).label() == "(E8, 5)"
+def test_model_key_and_label():
+    m = lookup_model("SO_odd", 3, 2)
+    assert m.key() == ("SO_odd", 3, 2)
+    assert m.label() == "SO(7) p=2"
+    e8 = lookup_model("E8", prime=5)
+    assert e8.key() == ("E8", 8, 5)
+    assert e8.label() == "(E8, 5)"
 
 
 def test_each_catalog_case_is_one_shared_model():
@@ -237,7 +241,7 @@ def test_each_catalog_case_is_one_shared_model():
         first, again = catalog._CASE_MODELS[case](), catalog._CASE_MODELS[case]()
         assert all(a is b for a, b in zip(first, again)), case
         for m in first:
-            assert lookup_model(*m.descriptor.key()) is m, m.descriptor
+            assert lookup_model(*m.key()) is m, m.label()
 
 
 def test_every_spelling_of_a_case_is_one_model():
@@ -247,7 +251,7 @@ def test_every_spelling_of_a_case_is_one_model():
         m = lookup_model(fam, rank, p)
         assert lookup_model(fam, None, p) is m
         assert lookup_model(fam, prime=p) is m
-        assert lookup_model(*m.descriptor.key()) is m
+        assert lookup_model(*m.key()) is m
 
 
 BAD_SPELLINGS = [("U", 2.5, 2), ("U", 3.0, 2), ("U", "3", 2), ("U", True, 2),
@@ -266,7 +270,7 @@ def test_a_rank_or_prime_that_is_not_an_int_raises_before_the_memo():
     for fam, rank, p in BAD_SPELLINGS:
         with pytest.raises(ValidationError):
             lookup_model(fam, rank, p)
-    assert type(lookup_model("U", 1, 2).descriptor.rank) is int
+    assert type(lookup_model("U", 1, 2).rank) is int
 
 
 def test_memo_is_bounded_and_an_evicted_case_rebuilds_equal():
@@ -293,4 +297,4 @@ def test_validate_catalog_checks_the_54_served_models_on_every_call(monkeypatch)
         seen.clear()
         assert all(ok for _, ok, _ in validate_catalog())
         assert len(seen) == 54
-        assert all(lookup_model(*m.descriptor.key()) is m for m in seen)
+        assert all(lookup_model(*m.key()) is m for m in seen)

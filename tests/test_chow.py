@@ -15,7 +15,7 @@ from flagchow.errors import PresentationUnavailableError, UnsupportedCaseError, 
 from flagchow.groebner import hilbert_series
 from flagchow.symclass import elementary_symmetric, t_ring
 
-from oracles import graded_quotient_dims
+from oracles import a_filtration_basis, graded_quotient_dims
 
 
 def test_basis_element_invariants():
@@ -103,7 +103,7 @@ def test_each_catalog_presentation_is_built_once():
             except PresentationUnavailableError:
                 continue
             built += 1
-            assert chow_presentation(lookup_model(*m.descriptor.key())) is pres
+            assert chow_presentation(lookup_model(*m.key())) is pres
     # U, Sp: 24; PU: 3; SO(2l+1): 8; SO(2l): 7; Spin(7), Spin(9), G2, F4, (E8, 5)
     assert built == 47
 
@@ -112,9 +112,9 @@ def test_a_model_built_by_hand_gets_its_own_presentation():
     m = lookup_model("G2", prime=2)
     shared = chow_presentation(m)
     # the catalog case without its explicit torus forms: symbolic, not explicit
-    hand = CohomologyModel(m.descriptor, m.y_gens, m.x_gens, m.transgression,
-                           m.op_rules, is_type_one=True, dim_gt=m.dim_gt,
-                           extras={})
+    hand = CohomologyModel(m.family, m.rank, m.prime, m.y_gens, m.x_gens,
+                           m.transgression, m.op_rules, is_type_one=True,
+                           dim_gt=m.dim_gt, extras={})
     pres = chow_presentation(hand)
     assert pres is not shared and pres.note is not None
     assert [v.name for v in pres.ring.variables] == ["B1", "B2"]
@@ -218,34 +218,9 @@ def test_surjection_targets_inside_filtration():
             assert (b.name, b.topdeg) in names, (fam, p, b.name)
 
 
-# --- filtration --------------------------------------------------------------
-
-
-def a_filtration_basis(model, bound):
-    """All monomials in the transgression classes of total topdeg <= bound."""
-    if bound < 0:
-        raise ValidationError("bound must be non-negative")
-    entries = [(e.index, e.name, e.topdeg) for e in model.transgression]
-    out = []
-
-    def rec(i, deg, factors):
-        if i == len(entries):
-            name_parts = []
-            for (idx, name, _), mult in factors:
-                name_parts.append(name if mult == 1 else "%s^%d" % (name, mult))
-            name = "".join(name_parts) if name_parts else "1"
-            out.append(BasisElement(name, deg, "filtration"))
-            return
-        idx, name, d = entries[i]
-        mult = 0
-        while deg + mult * d <= bound:
-            rec(i + 1, deg + mult * d,
-                factors + ([(entries[i], mult)] if mult else []))
-            mult += 1
-
-    rec(0, 0, [])
-    out.sort(key=lambda b: (b.topdeg, b.name))
-    return out
+# --- oracle self-checks: the filtration basis ---------------------------------
+# these check oracles.a_filtration_basis itself, which
+# test_surjection_targets_inside_filtration uses as its reference
 
 
 def test_a_filtration_trivial():

@@ -108,6 +108,18 @@ def test_unknown_group_exits_2():
     assert code == 2
 
 
+def test_unsupported_case_message_lists_only_the_supported_primes(capsys):
+    for argv in (["torsion-index", "--group", "U", "--rank", "2", "--prime", "7"],
+                 ["catalog", "--group", "Sp", "--rank", "2", "--prime", "7"],
+                 ["catalog", "--group", "PU", "--prime", "7"]):
+        code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        assert (code, out) == (2, ""), argv
+        assert "any p" not in err, err
+        for group in ("U(l)", "Sp(l)", "PU(p)"):
+            assert "%s at p in (2, 3, 5)" % group in err, err
+
+
 def test_unavailable_presentation_exits_2():
     code, _ = run_cli(["present", "--group", "E8", "--prime", "2"])
     assert code == 2

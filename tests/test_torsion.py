@@ -1,10 +1,11 @@
+import copy
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
 import pytest
 
-from flagchow import torsion
+from flagchow import catalog, torsion
 from flagchow.catalog import lookup_model
 from flagchow.errors import DataMissingError, InternalInconsistencyError, ValidationError
 from flagchow.torsion import (
@@ -13,6 +14,7 @@ from flagchow.torsion import (
     sharp_y_bound,
     spin17_nonzero_products,
     torsion_index,
+    torsion_index_report,
     torsion_index_so,
     build_integral_flag_ring,
     witness_product,
@@ -130,7 +132,7 @@ def _spin_lattice_index(l):
 
 def test_spin_lattice_gcd_reproduces_stored_spin_indices():
     for l in (3, 4):
-        stored = lookup_model("Spin_odd", l, 2).descriptor.torsion_index_p
+        stored = lookup_model("Spin_odd", l, 2).torsion_index_p
         assert _spin_lattice_index(l) == stored == 2
 
 
@@ -148,7 +150,7 @@ def test_marlin_bound_values():
 def test_marlin_bound_dominates_stored_spin_indices():
     for l in range(3, 9):
         m = lookup_model("Spin_odd", l, 2)
-        stored = m.descriptor.torsion_index_p
+        stored = m.torsion_index_p
         if stored is not None:
             assert stored <= marlin_bound(l), l
             assert marlin_bound(l) % stored == 0
@@ -284,6 +286,45 @@ def test_torsion_index_witness_levels():
     assert torsion_index(lookup_model("Spin_odd", 8, 2)) == (16, "UPPER-WITNESS")
     assert torsion_index(lookup_model("U", 4, 3)) == (1, "UPPER-WITNESS")
     assert torsion_index(lookup_model("SO_odd", 6, 2)) == (64, "UPPER-WITNESS")
+
+
+def test_every_served_torsion_report_is_consistent():
+    levels = {}
+    missing = []
+    for m in (m for build in catalog._CASE_MODELS.values() for m in build()):
+        try:
+            value, level, _ = torsion_index_report(m)
+        except DataMissingError:
+            missing.append(m.label())
+            continue
+        assert value == m.torsion_index_p, m.label()
+        levels[level] = levels.get(level, 0) + 1
+    assert levels == {"EXACT": 3, "UPPER-WITNESS": 48, "UPPER+COUNT": 1}
+    assert missing == ["Spin(13) p=2", "Spin(15) p=2"]
+
+
+def _mutant(family, rank, prime, **fields):
+    m = copy.copy(lookup_model(family, rank, prime))
+    for name, value in fields.items():
+        setattr(m, name, value)
+    return m
+
+
+def test_a_mutated_witness_or_index_fails_the_torsion_report():
+    # (E8, 3) with one of its two witness indices lost: p^1 * y8*y20^2
+    with pytest.raises(InternalInconsistencyError, match="top class"):
+        torsion_index_report(_mutant("E8", 8, 3, witness=(8,)))
+    # a witness index repeated overshoots the top class, and so does one
+    # added to the SO(13) product
+    with pytest.raises(InternalInconsistencyError, match="top class"):
+        torsion_index_report(_mutant("E7", 7, 2, witness=(2, 2, 7)))
+    with pytest.raises(InternalInconsistencyError, match="top class"):
+        torsion_index_report(_mutant("SO_odd", 6, 2, witness=(1, 2, 3, 4, 5, 6, 6)))
+    # the stored index no longer p^s of its witness
+    with pytest.raises(InternalInconsistencyError, match="stored index"):
+        torsion_index_report(_mutant("E7", 7, 2, torsion_index_p=8))
+    with pytest.raises(InternalInconsistencyError, match="stored index"):
+        torsion_index_report(_mutant("PU", 2, 3, torsion_index_p=1))
 
 
 def test_torsion_index_missing_spin_data():

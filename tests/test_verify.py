@@ -11,6 +11,16 @@ def test_all_cases_pass_on_a_worker_pool():
     assert all(ok for _, ok, _ in summary)
 
 
+def test_a_mutated_catalog_witness_fails_its_verify_case(monkeypatch):
+    from flagchow.catalog import lookup_model
+    assert run_case("witness-e8-3").details["indices"] == [2, 8]
+    monkeypatch.setattr(lookup_model("E8", prime=3), "witness", (8,))
+    rep = run_case("witness-e8-3")
+    assert rep.status == "fail"
+    assert rep.details["indices"] == [8]
+    assert rep.details["computed"]["exponent"] == 1
+
+
 def test_single_case_lookup():
     rep = run_case("sq-hits")
     assert rep.status == "pass"
