@@ -27,7 +27,7 @@ tables are kept by model key and feed the chow checks.
 import functools
 
 from .errors import DataMissingError, UnsupportedCaseError, ValidationError
-from .ring import GradedVariable, PolyRing
+from .ring import GradedVariable, PolyRing, is_prime
 from .symclass import t_ring
 
 
@@ -224,30 +224,6 @@ class CohomologyModel:
                 return e
         raise DataMissingError("no transgression entry %r in %s"
                                % (index, self.label()))
-
-    def entry_for_x(self, name):
-        x = self.x_gen(name)
-        i = self.x_gens.index(x)
-        return self.transgression[i]
-
-    def poincare_coeffs(self):
-        """Coefficient list of the Poincare polynomial of P(y) (x) Lambda(x).
-
-        Every factor is a sum of powers q^s, so multiplying by it adds one
-        shifted copy of the running list per power: s = 0, d, ..., (t-1)d for
-        a y-generator of degree d truncated at t, and s = 0, d for an
-        x-generator of degree d.
-        """
-        factors = ([[k * g.topdeg for k in range(g.trunc)] for g in self.y_gens]
-                   + [[0, x.topdeg] for x in self.x_gens])
-        coeffs = [1]
-        for shifts in factors:
-            out = coeffs + [0] * shifts[-1]
-            for s in shifts[1:]:
-                for i, c in enumerate(coeffs, s):
-                    out[i] += c
-            coeffs = out
-        return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -817,112 +793,137 @@ def op_topdeg(op, p):
 
 
 def validate_model(model):
-    """All structural invariants of one model; returns a list of failures."""
+    """All structural invariants of one model, in one pass; returns a list of
+    failures.  A message is formatted only when its check fails, and a
+    malformed model is reported, never raised on."""
     fails = []
     p = model.prime
 
-    def check(cond, msg):
-        if not cond:
-            fails.append("%s: %s" % (model.label(), msg))
+    def fail(msg, *args):
+        fails.append("%s: %s" % (model.label(), msg % args))
 
-    check(len(model.x_gens) == model.rank, "number of x-generators != rank")
+    if not is_prime(p):
+        fail("prime %r is not a prime", p)
+        return fails
+    if len(model.x_gens) != model.rank:
+        fail("number of x-generators != rank")
     names = [g.name for g in model.y_gens] + [x.name for x in model.x_gens]
-    check(len(set(names)) == len(names), "generator names not unique")
+    if len(set(names)) != len(names):
+        fail("generator names not unique")
+    truncs = []
+    gen_deg = {}
     for g in model.y_gens:
-        check(g.topdeg % 2 == 0 and g.topdeg > 0, "y-degree must be even")
-        check(_is_power_of(g.trunc, p) and g.trunc > 1,
-              "truncation exponent must be a power of p")
+        if g.topdeg % 2 or g.topdeg <= 0:
+            fail("y-degree must be even")
+        if g.trunc <= 1 or not _is_power_of(g.trunc, p):
+            fail("truncation exponent must be a power of p")
+        truncs.append(g.trunc)
+        gen_deg.setdefault(g.name, g.topdeg)
+    # with every degree d positive, each factor 1 + q^d of Lambda(x) and
+    # 1 + q^d + ... + q^{(t-1)d} of P(y) is a palindrome, so the Poincare
+    # polynomial of P(y) (x) Lambda(x) is one and needs no check
     for x in model.x_gens:
-        check(x.topdeg % 2 == 1, "x-degree must be odd")
+        if x.topdeg % 2 == 0 or x.topdeg <= 0:
+            fail("x-degree must be odd and positive")
+        for name in (x.name, x.alias or x.name):
+            gen_deg.setdefault(name, x.topdeg)
+    try:
+        ring = model.y_ring()
+    except ValidationError:
+        # a y-degree, a y-name or the prime failed above: there is no P(y)
+        ring = None
 
-    check(len(model.transgression) == len(model.x_gens),
-          "one transgression entry per x-generator")
+    def reduced(body):
+        return ((ring is None or body.ring == ring)
+                and all(e < t for m in body.terms for e, t in zip(m, truncs)))
+
+    if len(model.transgression) != len(model.x_gens):
+        fail("one transgression entry per x-generator")
+    entry_of_x = {}
     for x, e in zip(model.x_gens, model.transgression):
-        check(e.topdeg == x.topdeg + 1,
-              "entry %s degree %d != |%s|+1" % (e.name, e.topdeg, x.name))
+        for name in (x.name, x.alias or x.name):
+            entry_of_x.setdefault(name, e)
+        if e.topdeg != x.topdeg + 1:
+            fail("entry %s degree %d != |%s|+1", e.name, e.topdeg, x.name)
         if e.leading is not None:
             body = e.leading.body
-            check(not body.is_zero() and body.is_homogeneous()
-                  and body.homogeneous_topdeg() == e.topdeg,
-                  "leading witness of %s has wrong degree" % e.name)
-            check(model.reduce_y(body) == body,
-                  "leading witness of %s not reduced" % e.name)
+            if body.term_topdegs() != {e.topdeg}:
+                fail("leading witness of %s has wrong degree", e.name)
+            if not reduced(body):
+                fail("leading witness of %s not reduced", e.name)
         for n, body in e.v_terms:
-            check(n >= 1, "v-term level must be >= 1")
-            check(body.is_homogeneous() and not body.is_zero()
-                  and body.homogeneous_topdeg() - 2 * (p ** n - 1) == e.topdeg,
-                  "v-term (%d, ...) of %s violates the degree equation"
-                  % (n, e.name))
+            if n < 1:
+                fail("v-term level must be >= 1")
+            if body.term_topdegs() != {e.topdeg + 2 * (p ** n - 1)}:
+                fail("v-term (%d, ...) of %s violates the degree equation",
+                     n, e.name)
 
     for rule in model.op_rules:
-        d = op_topdeg(rule.op, p)
-        src_deg = _gen_topdeg(model, rule.source, check, fails)
-        if src_deg is None:
-            continue
-        if rule.target[0] == "zero":
-            continue
-        if rule.target[0] == "ypoly":
-            tgt = rule.target[1]
-            check(tgt.is_homogeneous() and not tgt.is_zero()
-                  and tgt.homogeneous_topdeg() == src_deg + d,
-                  "%s(%s) target degree mismatch" % (rule.op, rule.source))
-        else:
-            name, coef = rule.target[1], rule.target[2]
-            check(coef % p != 0, "%s(%s) has zero coefficient" % (rule.op, rule.source))
-            tdeg = _gen_topdeg(model, name, check, fails)
-            if tdeg is not None:
-                check(tdeg == src_deg + d,
-                      "%s(%s) -> %s degree mismatch" % (rule.op, rule.source, name))
-
-    # Bockstein rules must agree with the leading transgression witnesses
-    for rule in model.op_rules:
-        if rule.op not in ("beta", "Sq1"):
-            continue
         try:
-            entry = model.entry_for_x(rule.source)
-        except DataMissingError:
+            d = op_topdeg(rule.op, p)
+        except (ValidationError, ValueError):
+            fail("unknown operation %r", rule.op)
             continue
-        if entry.leading is not None and entry.leading.s == 1:
-            check(rule.target[0] == "ypoly"
-                  and rule.target[1] == entry.leading.body,
-                  "Bockstein rule for %s disagrees with transgression leading"
-                  % rule.source)
+        src_deg = gen_deg.get(rule.source)
+        if src_deg is None:
+            fail("operation rule names unknown generator %r", rule.source)
+            continue
+        kind = rule.target[0]
+        if kind == "ypoly":
+            if rule.target[1].term_topdegs() != {src_deg + d}:
+                fail("%s(%s) target degree mismatch", rule.op, rule.source)
+        elif kind != "zero":
+            name, coef = rule.target[1], rule.target[2]
+            if coef % p == 0:
+                fail("%s(%s) has zero coefficient", rule.op, rule.source)
+            tdeg = gen_deg.get(name)
+            if tdeg is None:
+                fail("operation rule names unknown generator %r", name)
+            elif tdeg != src_deg + d:
+                fail("%s(%s) -> %s degree mismatch", rule.op, rule.source, name)
+        # a Bockstein rule must agree with the leading transgression witness
+        if rule.op in ("beta", "Sq1"):
+            entry = entry_of_x.get(rule.source)
+            if (entry is not None and entry.leading is not None
+                    and entry.leading.s == 1
+                    and (kind != "ypoly" or rule.target[1] != entry.leading.body)):
+                fail("Bockstein rule for %s disagrees with transgression leading",
+                     rule.source)
 
-    if model.is_type_one:
-        check(model.rank >= 2 * p - 2, "rank below 2p-2 for a one-generator part")
+    if model.is_type_one and model.rank < 2 * p - 2:
+        fail("rank below 2p-2 for a one-generator part")
 
-    if model.torsion_index_p is not None:
-        check(model.torsion_index_p == 1 or _is_power_of(model.torsion_index_p, p),
-              "torsion index must be a power of p")
-
-    coeffs = model.poincare_coeffs()
-    check(coeffs == coeffs[::-1], "Poincare polynomial is not a palindrome")
+    index = model.torsion_index_p
+    if index is not None and not _is_power_of(index, p):
+        fail("torsion index must be a power of p")
 
     if model.dim_gt is not None:
         total = (sum(x.topdeg + 1 for x in model.x_gens)
                  + sum((g.trunc - 1) * g.topdeg for g in model.y_gens)
                  - 2 * len(model.x_gens))
-        check(total == model.dim_gt, "degree bookkeeping != dim(G/T)")
+        if total != model.dim_gt:
+            fail("degree bookkeeping != dim(G/T)")
 
-    if model.family == "SO_odd":
+    if model.family == "SO_odd" and ring is not None:
         for i, e in enumerate(model.transgression, start=1):
-            expect = model.y_class(2 * i)
-            check(e.leading is not None and e.leading.s == 1
-                  and e.leading.body == expect,
-                  "leading term of c_%d must be 2*y_%d" % (i, 2 * i))
+            lead = e.leading
+            if lead is None or lead.s != 1 or lead.body != model.y_class(2 * i):
+                fail("leading term of c_%d must be 2*y_%d", i, 2 * i)
 
     if model.key() == ("E8", 8, 2):
-        check([g.topdeg for g in model.y_gens] == [6, 10, 18, 30],
-              "y-degrees must be 6,10,18,30")
-        check([g.trunc for g in model.y_gens] == [8, 4, 2, 2],
-              "truncations must be 8,4,2,2")
+        if [g.topdeg for g in model.y_gens] != [6, 10, 18, 30]:
+            fail("y-degrees must be 6,10,18,30")
+        if truncs != [8, 4, 2, 2]:
+            fail("truncations must be 8,4,2,2")
 
-    if "explicit_b" in model.extras:
-        for i, poly in model.extras["explicit_b"].items():
-            e = model.entry(i)
-            check(poly.is_homogeneous()
-                  and poly.homogeneous_topdeg() == e.topdeg,
-                  "explicit form of %s has wrong degree" % e.name)
+    by_index = {}
+    for e in model.transgression:
+        by_index.setdefault(e.index, e)
+    for i, poly in model.extras.get("explicit_b", {}).items():
+        e = by_index.get(i)
+        if e is None or poly.term_topdegs() != {e.topdeg}:
+            fail("explicit form of %s has wrong degree",
+                 e.name if e is not None else i)
 
     for table in restriction_tables(model):
         src_deg = dict(table.sources)
@@ -930,26 +931,15 @@ def validate_model(model):
             if image is None:
                 continue
             n, _, ydeg = image
-            check(src_deg[name] == ydeg - 2 * (p ** n - 1),
-                  "restriction image of %s in %s violates the degree equation"
-                  % (name, table.name))
+            if src_deg[name] != ydeg - 2 * (p ** n - 1):
+                fail("restriction image of %s in %s violates the degree equation",
+                     name, table.name)
 
     for idx in dict.fromkeys(model.witness or ()):
-        check(model.entry(idx).leading is not None,
-              "witness uses entry %r with no leading term" % (idx,))
+        e = by_index.get(idx)
+        if e is None or e.leading is None:
+            fail("witness uses entry %r with no leading term", idx)
     return fails
-
-
-def _gen_topdeg(model, name, check, fails):
-    for g in model.y_gens:
-        if g.name == name:
-            return g.topdeg
-    for x in model.x_gens:
-        if x.name == name or x.alias == name:
-            return x.topdeg
-    fails.append("%s: operation rule names unknown generator %r"
-                 % (model.label(), name))
-    return None
 
 
 _CASE_MODELS = {

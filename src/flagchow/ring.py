@@ -192,17 +192,14 @@ class Polynomial:
             return None
         return max(self.ring.monomial_topdeg(m) for m in self.terms)
 
-    def is_homogeneous(self):
-        degs = {self.ring.monomial_topdeg(m) for m in self.terms}
-        return len(degs) <= 1
+    def term_topdegs(self):
+        """The set of the terms' topdegs: {d} exactly when the polynomial is
+        nonzero and homogeneous of topdeg d, empty for zero."""
+        degs = self.ring.topdegs
+        return {sum(e * d for e, d in zip(m, degs)) for m in self.terms}
 
-    def homogeneous_topdeg(self):
-        if not self.terms:
-            return None
-        degs = {self.ring.monomial_topdeg(m) for m in self.terms}
-        if len(degs) != 1:
-            raise ValidationError("polynomial is not homogeneous")
-        return degs.pop()
+    def is_homogeneous(self):
+        return len(self.term_topdegs()) <= 1
 
     def __len__(self):
         return len(self.terms)

@@ -149,37 +149,39 @@ def witness_product(model, indices):
 
 
 def sharp_y_bound(model, k):
-    """Maximum total factor count over admissible products of at most k
-    leading witnesses, by exhaustive search over the stored count data."""
+    """Maximum total factor count over products of at most k leading
+    witnesses, index i used at least min_uses[i] and at most max_uses[i]
+    times (k when unset), each use counting max(options[i]); 0 when the
+    minimums cannot be met.
+
+    A greedy fill: take every minimum, then spend the uses left on the
+    largest counts first, each index up to its cap.  It is exact because
+    every use adds a fixed count that does not depend on the other uses, so
+    a best product never leaves a use on a smaller count while a larger one
+    has room, nor spends a use on a count below 1.
+    """
     data = model.sharp
     if data is None:
         raise DataMissingError("no counting data stored for %s"
                                % model.label())
     if k < 0:
         raise ValidationError("factor bound must be non-negative")
-    indices = sorted(data.options)
-    best = [None]
-
-    def rec(i, used, total):
-        if i == len(indices):
-            for idx, mn in data.min_uses.items():
-                if used.get(idx, 0) < mn:
-                    return
-            if best[0] is None or total > best[0]:
-                best[0] = total
-            return
-        idx = indices[i]
-        cap = data.max_uses.get(idx, k)
-        value = max(data.options[idx])
-        count = 0
-        while count <= cap and sum(used.values()) + count <= k:
-            used[idx] = count
-            rec(i + 1, used, total + count * value)
-            count += 1
-        used.pop(idx, None)
-
-    rec(0, {}, 0)
-    return best[0] if best[0] is not None else 0
+    if any(n > 0 and i not in data.options for i, n in data.min_uses.items()):
+        return 0
+    value = {i: max(opts) for i, opts in data.options.items()}
+    low = {i: max(data.min_uses.get(i, 0), 0) for i in data.options}
+    cap = {i: data.max_uses.get(i, k) for i in data.options}
+    left = k - sum(low.values())
+    if left < 0 or any(low[i] > cap[i] for i in data.options):
+        return 0
+    total = sum(low[i] * value[i] for i in data.options)
+    for i in sorted(data.options, key=value.get, reverse=True):
+        if left == 0 or value[i] <= 0:
+            break
+        extra = min(cap[i] - low[i], left)
+        total += extra * value[i]
+        left -= extra
+    return total
 
 
 def sharp_of_y_top(model):
@@ -194,7 +196,9 @@ def torsion_index(model):
     degree map passed the |W| certificate.
     UPPER-WITNESS: a witness product confirms value <= p^s with s matching.
     UPPER+COUNT: witness plus the counting lower bound pin the value.
-    TABLE: stored value only.
+    TABLE: stored value only.  Every served model that stores an index also
+    stores its witness, so only a model built by hand with witness=None
+    reaches this level.
     """
     value, level, _ = torsion_index_report(model)
     return value, level

@@ -171,7 +171,7 @@ def case_sharp_e8():
     top = sharp_of_y_top(model)
     expected = {"bound": 11, "top": 12, "separated": True}
     computed = {"bound": bound, "top": top, "separated": bound < top}
-    return _outcome("sharp-e8-2", expected, computed, "exhaustive factor search")
+    return _outcome("sharp-e8-2", expected, computed, "greedy factor fill")
 
 
 def case_beta_preimage():

@@ -10,6 +10,7 @@ of the documented JSON forms checks that the writers lose nothing.
 """
 
 import heapq
+from itertools import combinations_with_replacement
 from math import comb, isqrt
 
 from flagchow.chow import BasisElement
@@ -188,33 +189,30 @@ def standard_monomial_dims(lts, topdegs, maxdeg):
     return dims
 
 
-def poincare_coeffs(model):
-    """Poincare polynomial of P(y) (x) Lambda(x) by dense list products.
+def homogeneous_topdeg(poly):
+    """The one topdeg of the terms of a nonzero homogeneous polynomial,
+    summed from the exponents; AssertionError for any other polynomial."""
+    degs = {sum(e * d for e, d in zip(m, poly.ring.topdegs)) for m in poly.terms}
+    assert len(degs) == 1, "not a nonzero homogeneous polynomial: %r" % (poly,)
+    return degs.pop()
 
-    Each factor is written out as a full coefficient list, zeros included,
-    and multiplied term by term.
-    """
-    coeffs = [1]
 
-    def mul(factor):
-        nonlocal coeffs
-        out = [0] * (len(coeffs) + len(factor) - 1)
-        for i, a in enumerate(coeffs):
-            for j, b in enumerate(factor):
-                out[i + j] += a * b
-        coeffs = out
-
-    for g in model.y_gens:
-        factor = [0] * ((g.trunc - 1) * g.topdeg + 1)
-        for k in range(g.trunc):
-            factor[k * g.topdeg] = 1
-        mul(factor)
-    for x in model.x_gens:
-        factor = [0] * (x.topdeg + 1)
-        factor[0] = 1
-        factor[x.topdeg] = 1
-        mul(factor)
-    return coeffs
+def sharp_y_bound(model, k):
+    """The counting bound by brute force: every multiset of at most k uses
+    of the stored indices, kept if each index is used at least min_uses and
+    at most max_uses times (k when unset); the largest sum of max(options)
+    over the kept ones, 0 if none is kept."""
+    data = model.sharp
+    best = None
+    for size in range(k + 1):
+        for uses in combinations_with_replacement(sorted(data.options), size):
+            if any(uses.count(i) < n for i, n in data.min_uses.items()):
+                continue
+            if any(uses.count(i) > data.max_uses.get(i, k) for i in data.options):
+                continue
+            total = sum(max(data.options[i]) for i in uses)
+            best = total if best is None else max(best, total)
+    return 0 if best is None else best
 
 
 def a_filtration_basis(model, bound):
@@ -434,8 +432,8 @@ def buchberger_reference(relations, ring, order, maxdeg, stats=None):
     # a relation's sequence number is negative, so it precedes every pair
     rels = [r for r in relations if not r.is_zero()]
     for k, r in enumerate(rels):
-        d = r.homogeneous_topdeg()
-        if d is not None and d <= maxdeg:
+        d = homogeneous_topdeg(r)
+        if d <= maxdeg:
             heapq.heappush(heap, (d, k - len(rels), r, None, None))
 
     done = set()
@@ -488,7 +486,7 @@ def buchberger_reference(relations, ring, order, maxdeg, stats=None):
         olts = min_lts[:i] + min_lts[i + 1:]
         reduced.append(_monic(_reduce_full(g, others, olts, key, ring, stats),
                               key, ring))
-    reduced.sort(key=lambda g: (g.homogeneous_topdeg(),
+    reduced.sort(key=lambda g: (homogeneous_topdeg(g),
                                 key(leading_term(g, key)[0])))
     stats["final_basis"] = len(reduced)
     return reduced

@@ -5,7 +5,10 @@ from flagchow import catalog
 from flagchow.catalog import (
     CASE_IDS,
     CohomologyModel,
+    OperationRule,
     TransgressionEntry,
+    XGen,
+    YGen,
     WitnessPolynomial,
     lookup_model,
     restriction_table,
@@ -198,18 +201,11 @@ def test_restriction_tables_of_a_model_filter_the_full_list():
     assert hits == 6
 
 
-def test_poincare_coeffs_match_the_dense_product():
-    models = _catalog_models()
-    assert len(models) == 54
-    for m in models:
-        assert m.poincare_coeffs() == oracles.poincare_coeffs(m), m.label()
-
-
 def test_g2_explicit_forms():
     m = lookup_model("G2", prime=2)
     eb = m.extras["explicit_b"]
-    assert eb[1].homogeneous_topdeg() == 4
-    assert eb[2].homogeneous_topdeg() == 6
+    assert eb[1].term_topdegs() == {4}
+    assert eb[2].term_topdegs() == {6}
     assert eb[1].terms == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
     assert eb[2].terms == {(0, 3): 1}
     # over the model's field, so the presentation takes them as they are
@@ -298,3 +294,218 @@ def test_validate_catalog_checks_the_54_served_models_on_every_call(monkeypatch)
         assert all(ok for _, ok, _ in validate_catalog())
         assert len(seen) == 54
         assert all(lookup_model(*m.key()) is m for m in seen)
+
+
+# --- one hand-built mutant per failure message of validate_model ---------------
+
+
+def _mutant(base, **changes):
+    """A new model with every field of `base` but those in `changes`."""
+    fields = dict(
+        family=base.family, rank=base.rank, prime=base.prime,
+        y_gens=base.y_gens, x_gens=base.x_gens, transgression=base.transgression,
+        op_rules=base.op_rules, torsion_index_p=base.torsion_index_p,
+        witness=base.witness, sharp=base.sharp, notes=base.notes,
+        is_type_one=base.is_type_one, dim_gt=base.dim_gt, extras=base.extras)
+    fields.update(changes)
+    return CohomologyModel(**fields)
+
+
+def _with_entry(base, index, **changes):
+    """`base` with the fields in `changes` replaced on transgression entry `index`."""
+    def edit(e):
+        fields = dict(index=e.index, name=e.name, topdeg=e.topdeg,
+                      leading=e.leading, v_terms=e.v_terms, complete=e.complete,
+                      note=e.note)
+        fields.update(changes)
+        return TransgressionEntry(**fields)
+    return _mutant(base, transgression=tuple(
+        edit(e) if e.index == index else e for e in base.transgression))
+
+
+def _with_rule(base, op, source, rule):
+    """`base` with its (op, source) operation rule replaced by `rule`."""
+    return _mutant(base, op_rules=tuple(
+        rule if (r.op, r.source) == (op, source) else r for r in base.op_rules))
+
+
+def _with_gen(gens, which, **changes):
+    """`gens` with the fields in `changes` replaced on the generator named `which`."""
+    out = []
+    for g in gens:
+        if g.name == which:
+            cls, slots = type(g), type(g).__slots__
+            fields = {s: getattr(g, s) for s in slots}
+            fields.update(changes)
+            g = cls(**fields)
+        out.append(g)
+    return out
+
+
+def _g2():
+    return lookup_model("G2", prime=2)
+
+
+def _u2():
+    return lookup_model("U", 2, 2)
+
+
+def _pu3():
+    return lookup_model("PU", prime=3)
+
+
+def _e8_2():
+    return lookup_model("E8", prime=2)
+
+
+def _e8_3():
+    return lookup_model("E8", prime=3)
+
+
+def _mutated_so7_table(monkeypatch):
+    real = catalog._stored_restriction_tables()
+    t = real[0]
+    images = tuple((name, (0, "y6", 8)) if name == "c_3" else (name, image)
+                   for name, image in t.images)
+    bad = catalog.RestrictionTable(t.name, t.key, t.sources, images,
+                                   t.expected_image)
+    monkeypatch.setattr(catalog, "_stored_restriction_tables",
+                        lambda: (bad,) + real[1:])
+    return lookup_model("SO_odd", 3, 2)
+
+
+# name -> (build(monkeypatch) -> model, the failures validate_model must list)
+MUTANTS = {
+    "rank": (lambda mp: _mutant(_g2(), rank=3),
+             ["(G2, 2): number of x-generators != rank"]),
+    "duplicate-name": (
+        lambda mp: _mutant(_u2(), x_gens=_with_gen(_u2().x_gens, "x2", name="x1")),
+        ["U(2) p=2: generator names not unique"]),
+    "odd-y-degree": (
+        lambda mp: _mutant(_pu3(), y_gens=[YGen("y2", 3, 3)]),
+        ["PU(3): y-degree must be even",
+         "PU(3): degree bookkeeping != dim(G/T)"]),
+    "truncation-not-a-p-power": (
+        lambda mp: _mutant(_g2(), y_gens=[YGen("y6", 6, 3)]),
+        ["(G2, 2): truncation exponent must be a power of p",
+         "(G2, 2): degree bookkeeping != dim(G/T)"]),
+    "truncation-zero": (
+        lambda mp: _mutant(_g2(), y_gens=[YGen("y6", 6, 0)]),
+        ["(G2, 2): truncation exponent must be a power of p",
+         "(G2, 2): leading witness of b_2 not reduced",
+         "(G2, 2): degree bookkeeping != dim(G/T)"]),
+    "even-x-degree": (
+        lambda mp: _with_entry(_with_entry(
+            _mutant(_u2(), x_gens=[XGen("x1", 2), XGen("x2", 2)]),
+            1, topdeg=3), 2, topdeg=3),
+        ["U(2) p=2: x-degree must be odd and positive"] * 2),
+    "negative-x-degree": (
+        lambda mp: _with_entry(_with_entry(
+            _mutant(_u2(), x_gens=[XGen("x1", -1), XGen("x2", 5)]),
+            1, topdeg=0), 2, topdeg=6),
+        ["U(2) p=2: x-degree must be odd and positive"]),
+    "missing-entry": (
+        lambda mp: _mutant(_u2(), transgression=_u2().transgression[:1]),
+        ["U(2) p=2: one transgression entry per x-generator"]),
+    "missing-entry-named-by-rules-and-witness": (
+        lambda mp: _mutant(_e8_3(), transgression=_e8_3().transgression[:7]),
+        ["(E8, 3): one transgression entry per x-generator",
+         "(E8, 3): witness uses entry 8 with no leading term"]),
+    "entry-degree": (
+        lambda mp: _with_entry(_u2(), 2, topdeg=5),
+        ["U(2) p=2: entry c_2 degree 5 != |x2|+1"]),
+    "leading-degree": (
+        lambda mp: _with_entry(_pu3(), 1, leading=WitnessPolynomial(
+            1, _pu3().y_ring().gen("y2", 2))),
+        ["PU(3): leading witness of c_1 has wrong degree"]),
+    "leading-not-reduced": (
+        lambda mp: _with_entry(lookup_model("E7", prime=2), 6,
+                               leading=WitnessPolynomial(1, lookup_model(
+                                   "E7", prime=2).y_ring().gen("y6", 4))),
+        ["(E7, 2): leading witness of b_6 not reduced"]),
+    "leading-in-another-ring": (
+        lambda mp: _with_entry(_pu3(), 1, leading=WitnessPolynomial(
+            1, lookup_model("PU", prime=5).y_ring().gen("y2"))),
+        ["PU(3): leading witness of c_1 not reduced"]),
+    "v-term-level": (
+        lambda mp: _with_entry(_g2(), 1, v_terms=[(0, _g2().y_ring().gen("y6"))]),
+        ["(G2, 2): v-term level must be >= 1",
+         "(G2, 2): v-term (0, ...) of b_1 violates the degree equation"]),
+    "v-term-degree": (
+        lambda mp: _with_entry(_g2(), 1, v_terms=[(2, _g2().y_ring().gen("y6"))]),
+        ["(G2, 2): v-term (2, ...) of b_1 violates the degree equation"]),
+    "rule-unknown-generator": (
+        lambda mp: _with_rule(_g2(), "P1", "x1",
+                              OperationRule("P1", "x1", ("xgen", "x9", 1))),
+        ["(G2, 2): operation rule names unknown generator 'x9'"]),
+    "rule-unknown-operation": (
+        lambda mp: _with_rule(_g2(), "P1", "x1",
+                              OperationRule("Qx", "x1", ("xgen", "x2", 1))),
+        ["(G2, 2): unknown operation 'Qx'"]),
+    "rule-ypoly-degree": (
+        lambda mp: _with_rule(_e8_3(), "beta", "x2", OperationRule(
+            "beta", "x2", ("ypoly", _e8_3().y_ring().gen("y8", 2)))),
+        ["(E8, 3): beta(x2) target degree mismatch",
+         "(E8, 3): Bockstein rule for x2 disagrees with transgression leading"]),
+    "rule-zero-coefficient": (
+        lambda mp: _with_rule(_g2(), "P1", "x1",
+                              OperationRule("P1", "x1", ("xgen", "x2", 2))),
+        ["(G2, 2): P1(x1) has zero coefficient"]),
+    "rule-xgen-degree": (
+        lambda mp: _with_rule(_g2(), "P1", "x1",
+                              OperationRule("P1", "x1", ("xgen", "x1", 1))),
+        ["(G2, 2): P1(x1) -> x1 degree mismatch"]),
+    "bockstein-disagrees": (
+        lambda mp: _with_rule(_e8_2(), "Sq1", "x6", OperationRule(
+            "Sq1", "x6", ("ypoly", _e8_2().y_ring().gen("y6", 4)))),
+        ["(E8, 2): Bockstein rule for x6 disagrees with transgression leading"]),
+    "type-one-rank": (
+        lambda mp: _mutant(lookup_model("U", 1, 3), is_type_one=True),
+        ["U(1) p=3: rank below 2p-2 for a one-generator part"]),
+    "torsion-index-not-a-p-power": (
+        lambda mp: _mutant(_g2(), torsion_index_p=6),
+        ["(G2, 2): torsion index must be a power of p"]),
+    "dimension": (
+        lambda mp: _mutant(_g2(), dim_gt=14),
+        ["(G2, 2): degree bookkeeping != dim(G/T)"]),
+    "so-leading": (
+        lambda mp: _with_entry(lookup_model("SO_odd", 3, 2), 1,
+                               leading=WitnessPolynomial(2, lookup_model(
+                                   "SO_odd", 3, 2).y_ring().gen("y2"))),
+        ["SO(7) p=2: leading term of c_1 must be 2*y_2"]),
+    "e8-y-degrees": (
+        lambda mp: _mutant(_e8_2(), y_gens=_with_gen(_e8_2().y_gens, "y30",
+                                                     topdeg=32)),
+        ["(E8, 2): y-degrees must be 6,10,18,30",
+         "(E8, 2): degree bookkeeping != dim(G/T)"]
+        + ["(E8, 2): leading witness of b_%d not reduced" % i for i in range(2, 9)]),
+    "e8-truncations": (
+        lambda mp: _mutant(_e8_2(), y_gens=_with_gen(_e8_2().y_gens, "y30",
+                                                     trunc=4)),
+        ["(E8, 2): truncations must be 8,4,2,2",
+         "(E8, 2): degree bookkeeping != dim(G/T)"]),
+    "explicit-form-degree": (
+        lambda mp: _mutant(_g2(), extras={"explicit_b": {
+            1: _g2().extras["explicit_b"][2], 2: _g2().extras["explicit_b"][2]}}),
+        ["(G2, 2): explicit form of b_1 has wrong degree"]),
+    "restriction-image-degree": (
+        _mutated_so7_table,
+        ["SO(7) p=2: restriction image of c_3 in so-rost-restriction-l3 "
+         "violates the degree equation"]),
+    "witness-without-leading": (
+        lambda mp: _mutant(_g2(), witness=(1,)),
+        ["(G2, 2): witness uses entry 1 with no leading term"]),
+    "witness-unknown-entry": (
+        lambda mp: _mutant(_g2(), witness=(9,)),
+        ["(G2, 2): witness uses entry 9 with no leading term"]),
+    "prime-not-prime": (
+        lambda mp: _mutant(_u2(), prime=4),
+        ["U(2) p=4: prime 4 is not a prime"]),
+}
+
+
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_each_validate_model_mutant_reports_its_exact_failures(name, monkeypatch):
+    build, expected = MUTANTS[name]
+    fails = validate_model(build(monkeypatch))
+    assert sorted(fails) == sorted(expected)

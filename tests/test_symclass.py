@@ -42,8 +42,8 @@ def test_sigma_degrees():
         ring = t_ring(l, P)
         for i, (c, p) in enumerate(zip(elementary_symmetric(ring),
                                        pontryagin_class(ring)), start=1):
-            assert c.homogeneous_topdeg() == 2 * i
-            assert p.homogeneous_topdeg() == 4 * i
+            assert c.term_topdegs() == {2 * i}
+            assert p.term_topdegs() == {4 * i}
 
 
 def _embed(poly, ring):

@@ -1,12 +1,16 @@
 import copy
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
+from types import SimpleNamespace
+
 import pytest
 
+import oracles
 from flagchow import catalog, torsion
-from flagchow.catalog import lookup_model
+from flagchow.catalog import SharpData, lookup_model
 from flagchow.errors import DataMissingError, InternalInconsistencyError, ValidationError
 from flagchow.torsion import (
     marlin_bound,
@@ -262,6 +266,39 @@ def test_sharp_bound_trivial_and_small():
     e7 = lookup_model("E7", prime=2)
     assert sharp_y_bound(e7, 0) == 0
     assert sharp_y_bound(e7, 1) == 2
+
+
+def test_sharp_bound_corrects_the_recursion_undercount():
+    # uncapped, so every use can take the largest count: 3 * 4 and 2 * 8;
+    # the recursion this replaced counted each index's uses twice against
+    # the budget and read 11 and 15
+    assert sharp_y_bound(lookup_model("E8", prime=3), 4) == 12
+    assert sharp_y_bound(lookup_model("E7", prime=2), 8) == 16
+
+
+def test_sharp_bound_matches_brute_force_on_the_stored_data():
+    for key in [("E8", 8, 2), ("E8", 8, 3), ("E7", 7, 2)]:
+        m = lookup_model(*key)
+        for k in range(9):
+            assert sharp_y_bound(m, k) == oracles.sharp_y_bound(m, k), (key, k)
+
+
+def _random_sharp_case(rng):
+    indices = rng.sample(range(1, 9), rng.randint(1, 4))
+    options = {i: tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 2)))
+               for i in indices}
+    min_uses = {i: rng.randint(0, 2) for i in rng.sample(range(1, 10), rng.randint(0, 2))}
+    max_uses = {i: rng.randint(-1, 3) for i in rng.sample(indices, rng.randint(0, len(indices)))}
+    return SimpleNamespace(sharp=SharpData(options, min_uses, max_uses)), rng.randint(0, 6)
+
+
+def test_sharp_bound_matches_brute_force_on_random_data():
+    rng = random.Random(20261018)
+    for trial in range(1500):
+        model, k = _random_sharp_case(rng)
+        data = model.sharp
+        assert sharp_y_bound(model, k) == oracles.sharp_y_bound(model, k), \
+            (trial, data.options, data.min_uses, data.max_uses, k)
 
 
 def test_sharp_bound_missing_data():
