@@ -7,9 +7,9 @@ from flagchow.catalog import (
     CohomologyModel,
     OperationRule,
     TransgressionEntry,
+    WitnessPolynomial,
     XGen,
     YGen,
-    WitnessPolynomial,
     lookup_model,
     restriction_table,
     restriction_tables,
@@ -311,16 +311,19 @@ def _mutant(base, **changes):
     return CohomologyModel(**fields)
 
 
+def _replaced(obj, **changes):
+    """A copy of an entry or generator, whose slots are its constructor's
+    parameters, with the fields in `changes` replaced."""
+    fields = {s: getattr(obj, s) for s in type(obj).__slots__}
+    fields.update(changes)
+    return type(obj)(**fields)
+
+
 def _with_entry(base, index, **changes):
     """`base` with the fields in `changes` replaced on transgression entry `index`."""
-    def edit(e):
-        fields = dict(index=e.index, name=e.name, topdeg=e.topdeg,
-                      leading=e.leading, v_terms=e.v_terms, complete=e.complete,
-                      note=e.note)
-        fields.update(changes)
-        return TransgressionEntry(**fields)
     return _mutant(base, transgression=tuple(
-        edit(e) if e.index == index else e for e in base.transgression))
+        _replaced(e, **changes) if e.index == index else e
+        for e in base.transgression))
 
 
 def _with_rule(base, op, source, rule):
@@ -331,15 +334,7 @@ def _with_rule(base, op, source, rule):
 
 def _with_gen(gens, which, **changes):
     """`gens` with the fields in `changes` replaced on the generator named `which`."""
-    out = []
-    for g in gens:
-        if g.name == which:
-            cls, slots = type(g), type(g).__slots__
-            fields = {s: getattr(g, s) for s in slots}
-            fields.update(changes)
-            g = cls(**fields)
-        out.append(g)
-    return out
+    return [_replaced(g, **changes) if g.name == which else g for g in gens]
 
 
 def _g2():
