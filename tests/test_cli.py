@@ -396,3 +396,63 @@ def test_catalog_and_witness_outputs_match_the_pinned_digests(capsys):
                 digest.update(repr((command, flags, code, out, err)).encode())
         got[case] = digest.hexdigest()
     assert got == expected
+
+
+RESTRICTION_TABLE_NAMES = (
+    "so-rost-restriction-l3", "so-rost-restriction-l7", "e8-2-rost-restriction",
+    "e8-3-rost-restriction", "e8-to-e7-rost-restriction", "e7-2-rost-restriction")
+
+
+def test_restriction_and_counting_outputs_match_the_pinned_digests(capsys):
+    import hashlib
+    # sha256 of the exit code, stdout and stderr of `restrict` on all tables
+    # and on each by name, in text and JSON, and of the restriction and
+    # counting verify cases in JSON
+    calls = [[fmt, "restrict"] + table
+             for table in [[]] + [["--table", n] for n in RESTRICTION_TABLE_NAMES]
+             for fmt in ("--format=text", "--format=json")]
+    calls += [["--format", "json", "verify", "--case", case]
+              for case in ("restriction-tables", "sharp-e8-2")]
+    assert RESTRICTION_TABLE_NAMES == tuple(
+        t.name for t in catalog.restriction_tables())
+    expected = {
+        "--format=text restrict":
+            "d66fa42d2cfea55dd4d83a50b4308190806544d616e93b6e205740f3f7056849",
+        "--format=json restrict":
+            "f790119de857e9e8406cd4f32a92629136d9f201d79c070622628f775220ab67",
+        "--format=text restrict --table so-rost-restriction-l3":
+            "32e153f6c77bb9ea69f705ee2fe8ad7e2ca4e7379bbd7896fe997464883d0d56",
+        "--format=json restrict --table so-rost-restriction-l3":
+            "23eb0e01087195e3ec1efe348dc20223b091053d9063edbbe7fcd0b4f3bf3a39",
+        "--format=text restrict --table so-rost-restriction-l7":
+            "c81fca9f23af1a6e9dcf233a16bd2361405be09e78a7762a3d571e464496cbaf",
+        "--format=json restrict --table so-rost-restriction-l7":
+            "86f5a1707775e1322519645f0da9c1ffdd5f7bf73709f433495c0ffe5fef01f6",
+        "--format=text restrict --table e8-2-rost-restriction":
+            "20ee5f1c6ab3ca2f8e621152a86b71dfcfa8e848d477942b691e467cb59e3dfd",
+        "--format=json restrict --table e8-2-rost-restriction":
+            "39641129152ef076dc8584e76561568975faf49a1a2be28a79cfba4c13ab0c99",
+        "--format=text restrict --table e8-3-rost-restriction":
+            "409365ddc59e18ab24bbff955f133b42ce859e9edff4592a4ce2c77bc08f5803",
+        "--format=json restrict --table e8-3-rost-restriction":
+            "11e966ab5d3ffe8b69d8e4c5750be818c5f8ab468bf745dc8b35092c99904b77",
+        "--format=text restrict --table e8-to-e7-rost-restriction":
+            "1fcb5da8406e7e6e3d47a9fccc6ea3006838aeb9b8655d6d018a4351318d0a89",
+        "--format=json restrict --table e8-to-e7-rost-restriction":
+            "6fddacb1567dbd2783761342f570118c718ce452da5d45934abeec71a9178cd1",
+        "--format=text restrict --table e7-2-rost-restriction":
+            "bcaecbe6107d240948d12f2e8a4e1450fdc545e0e122d0b5b4ebe9c6bb0b9dec",
+        "--format=json restrict --table e7-2-rost-restriction":
+            "3116bd805d1b8df9350e626f5976a1137d98011262edffd0aba7b6d90170ad49",
+        "--format json verify --case restriction-tables":
+            "24b815ff3573959e75d475dd412c75d7175927a53e3ec27ab83cc88c62a89a5a",
+        "--format json verify --case sharp-e8-2":
+            "d3d51614fc7c8196407f903f000a104ef773f471ac6854a6304fee70f4c73719",
+    }
+    got = {}
+    for argv in calls:
+        code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        got[" ".join(argv)] = hashlib.sha256(
+            repr((code, out, err)).encode()).hexdigest()
+    assert got == expected
