@@ -21,10 +21,12 @@ builder, holding
 
 The catalog is compiled-in static data.  The J-invariant is derived: in
 every versal case it is the truncation exponent tuple.  The six restriction
-tables are kept by model key and feed the chow checks.
+tables are kept by model key, with each image a polynomial in the model's
+P(y), and feed the chow checks.
 """
 
 import functools
+from operator import lt
 
 from .errors import DataMissingError, UnsupportedCaseError, ValidationError
 from .ring import GradedVariable, PolyRing, is_prime
@@ -95,27 +97,28 @@ class OperationRule:
 class RestrictionTable:
     """Restriction of a surjection-target basis to a partially split form.
 
-    images map each source element to None or (n, y-label, y-topdeg), read as
-    the class v_n * (y part); v_0 means multiplication by p.
+    The sources are the transgression entries of the model with this key,
+    and images[i] is the image of the i-th: None, or (n, body) with body in
+    the model's y_ring(), read as the class v_n * body; v_0 means
+    multiplication by p.
     """
 
-    __slots__ = ("name", "key", "sources", "images", "expected_image")
+    __slots__ = ("name", "key", "images", "expected_image")
 
-    def __init__(self, name, key, sources, images, expected_image):
+    def __init__(self, name, key, images, expected_image):
         self.name = name
         self.key = key
-        self.sources = tuple(sources)          # (name, topdeg)
-        self.images = tuple(images)            # (source name, None | (n, label, ydeg))
+        self.images = tuple(images)
         self.expected_image = tuple(expected_image)  # (name, topdeg) incl. unit
 
 
 class SharpData:
-    """Per-index factor-count options for the counting bound, with use limits."""
+    """Use limits of the counting bound, per transgression index; each
+    index's factor count is read off its leading witness."""
 
-    __slots__ = ("options", "min_uses", "max_uses")
+    __slots__ = ("min_uses", "max_uses")
 
-    def __init__(self, options, min_uses=None, max_uses=None):
-        self.options = dict(options)        # index -> tuple of sharp values
+    def __init__(self, min_uses=None, max_uses=None):
         self.min_uses = dict(min_uses or {})
         self.max_uses = dict(max_uses or {})
 
@@ -454,9 +457,7 @@ def _model_E8_3():
               for i, (d, a) in enumerate(zip(degrees, aliases))]
     model = CohomologyModel(
         "E8", 8, 3, y_gens, x_gens, [], [], torsion_index_p=9, witness=(2, 8),
-        sharp=SharpData(options={2: (1,), 3: (2,), 4: (1,), 5: (2,), 6: (3,),
-                                 7: (2,), 8: (3,)}),
-        dim_gt=240,
+        sharp=SharpData(), dim_gt=240,
         notes=("that the square of the top-level product is not a Bockstein "
                "image is a derived lookup against the stored table, not an "
                "independently stored fact",))
@@ -506,8 +507,6 @@ def _model_E8_2():
         "E8", 8, 2, y_gens, x_gens, [], [], torsion_index_p=64,
         witness=(5, 5, 5, 4, 6, 8),
         sharp=SharpData(
-            options={2: (1,), 3: (1,), 4: (1,), 5: (2,), 6: (2, 4), 7: (2,),
-                     8: (1,)},
             min_uses={8: 1},   # the top class needs the unique y30 carrier
             max_uses={6: 1, 8: 1}),
         dim_gt=240)
@@ -558,9 +557,7 @@ def _model_E7_2():
               for i, (d, a) in enumerate(zip(degrees, aliases))]
     model = CohomologyModel(
         "E7", 7, 2, y_gens, x_gens, [], [], torsion_index_p=4, witness=(2, 7),
-        sharp=SharpData(options={2: (1,), 3: (1,), 4: (1,), 5: (2,), 6: (2,),
-                                 7: (2,)}),
-        dim_gt=126)
+        sharp=SharpData(), dim_gt=126)
     R = model.y_ring()
     y1, y2, y3 = (R.gen(n) for n in ("y6", "y10", "y18"))
 
@@ -667,7 +664,8 @@ def _unsupported(family, rank, prime):
 def _stored_restriction_tables():
     """The six stored tables in registry order, built once per process.
 
-    Every field of a RestrictionTable is a tuple, and callers only read them.
+    The images of a RestrictionTable are a tuple of None and (n, body) pairs,
+    and callers only read them.
     """
     return (_so_restriction(3), _so_restriction(7), _e8_2_restriction(),
             _e8_3_restriction(), *_e7_2_restrictions())
@@ -690,82 +688,58 @@ def restriction_table(name):
 
 
 def _so_restriction(l):
-    # defined for l = 2^n - 1: the lone surviving class is y_{2l}
+    # for l = 2^n - 1 the lone surviving class is y_{2l}, the image of
+    # c_{l - 2^s + 1} at level s
     n = (l + 1).bit_length() - 1
-    if 2 ** n - 1 != l:
-        raise ValidationError("rank must be one below a 2-power")
     model = lookup_model("SO_odd", l, 2)
-    sources = [("c_%d" % j, 2 * j) for j in range(1, l + 1)]
-    images = []
-    for j in range(1, l + 1):
-        s = None
-        for cand in range(n):
-            if j == l - (2 ** cand - 1):
-                s = cand
-                break
-        images.append(("c_%d" % j,
-                       (s, "y%d" % (2 * l), 2 * l) if s is not None else None))
+    top = model.y_ring().gen("y%d" % (2 * l))
+    images = [None] * l
+    for s in range(n):
+        images[l - 2 ** s] = (s, top)
     expected = [("1", 0)] + [("v_%d*y%d" % (s, 2 * l), 2 * l - 2 * (2 ** s - 1))
                              for s in range(n)]
-    return RestrictionTable("so-rost-restriction-l%d" % l,
-                            model.key(), sources, images, expected)
+    return RestrictionTable("so-rost-restriction-l%d" % l, model.key(),
+                            images, expected)
 
 
 def _e8_2_restriction():
     model = lookup_model("E8", 8, 2)
-    sources = [(e.name, e.topdeg) for e in model.transgression]
-    images = []
-    for j in range(1, 9):
-        if 5 <= j <= 8:
-            images.append(("b_%d" % j, (8 - j, "y30", 30)))
-        else:
-            images.append(("b_%d" % j, None))
+    y30 = model.y_ring().gen("y30")
+    images = [None] * 4 + [(8 - j, y30) for j in range(5, 9)]
     expected = [("1", 0)] + [("v_%d*y30" % s, 30 - 2 * (2 ** s - 1))
                              for s in (0, 1, 2, 3)]
     return RestrictionTable("e8-2-rost-restriction", model.key(),
-                            sources, images, expected)
+                            images, expected)
 
 
 def _e8_3_restriction():
     model = lookup_model("E8", 8, 3)
-    sources = [(e.name, e.topdeg) for e in model.transgression]
-    img = {
-        1: (1, "y8", 8),
-        2: (0, "y8", 8),
-        3: (0, "y8^2", 16),
-        4: None,
-        5: (0, "y8*y20", 28),
-        6: (0, "y8^2*y20", 36),
-        7: None,
-        8: (0, "y8*y20^2", 48),
-    }
-    images = [("b_%d" % j, img[j]) for j in range(1, 9)]
+    R = model.y_ring()
+    y, yp = R.gen("y8"), R.gen("y20")
+    images = [(1, y), (0, y), (0, y ** 2), None, (0, y * yp), (0, y ** 2 * yp),
+              None, (0, y * yp ** 2)]
     expected = [("1", 0), ("b_1", 4), ("b_2", 8), ("b_3", 16), ("b_5", 28),
                 ("b_6", 36), ("b_8", 48)]
     return RestrictionTable("e8-3-rost-restriction", model.key(),
-                            sources, images, expected)
+                            images, expected)
 
 
 def _e7_2_restrictions():
     e8 = lookup_model("E8", 8, 2)
     e7 = lookup_model("E7", 7, 2)
     # stage 1: the rank-8 form restricted to a field keeping only the top class
-    sources8 = [(e.name, e.topdeg) for e in e8.transgression]
-    img8 = {1: (1, "y6", 6), 2: (0, "y6", 6), 3: (0, "y10", 10),
-            4: (0, "y18", 18), 5: (0, "y6*y10", 16), 6: (0, "y6*y18", 24),
-            7: (0, "y10*y18", 28), 8: None}
-    images8 = [("b_%d" % j, img8[j]) for j in range(1, 9)]
+    y6, y10, y18 = (e8.y_ring().gen(n) for n in ("y6", "y10", "y18"))
+    images8 = [(1, y6), (0, y6), (0, y10), (0, y18), (0, y6 * y10),
+               (0, y6 * y18), (0, y10 * y18), None]
     expected8 = [("1", 0)] + [("b_%d" % j, e8.transgression[j - 1].topdeg)
                               for j in range(1, 8)]
     t1 = RestrictionTable("e8-to-e7-rost-restriction", e8.key(),
-                          sources8, images8, expected8)
+                          images8, expected8)
     # stage 2: the rank-7 form restricted until only a rank-2 core survives
-    sources7 = [(e.name, e.topdeg) for e in e7.transgression]
-    img7 = {1: (1, "y6", 6), 2: (0, "y6", 6)}
-    images7 = [("b_%d" % j, img7.get(j)) for j in range(1, 8)]
+    y6 = e7.y_ring().gen("y6")
+    images7 = [(1, y6), (0, y6)] + [None] * 5
     expected7 = [("1", 0), ("b_1", 4), ("b_2", 6)]
-    t2 = RestrictionTable("e7-2-rost-restriction", e7.key(),
-                          sources7, images7, expected7)
+    t2 = RestrictionTable("e7-2-rost-restriction", e7.key(), images7, expected7)
     return [t1, t2]
 
 
@@ -790,6 +764,13 @@ def op_topdeg(op, p):
     if op.startswith("Q"):
         return 2 * p ** int(op[1:]) - 1
     raise ValidationError("unknown operation %r" % (op,))
+
+
+def is_reduced(body, ring, truncs):
+    """Whether body lies in ring (any ring when ring is None) with each
+    exponent below its variable's truncation."""
+    return ((ring is None or body.ring is ring or body.ring == ring)
+            and all(all(map(lt, m, truncs)) for m in body.terms))
 
 
 def validate_model(model):
@@ -833,10 +814,6 @@ def validate_model(model):
         # a y-degree, a y-name or the prime failed above: there is no P(y)
         ring = None
 
-    def reduced(body):
-        return ((ring is None or body.ring == ring)
-                and all(e < t for m in body.terms for e, t in zip(m, truncs)))
-
     if len(model.transgression) != len(model.x_gens):
         fail("one transgression entry per x-generator")
     entry_of_x = {}
@@ -849,7 +826,7 @@ def validate_model(model):
             body = e.leading.body
             if body.term_topdegs() != {e.topdeg}:
                 fail("leading witness of %s has wrong degree", e.name)
-            if not reduced(body):
+            if not is_reduced(body, ring, truncs):
                 fail("leading witness of %s not reduced", e.name)
         for n, body in e.v_terms:
             if n < 1:
@@ -857,6 +834,8 @@ def validate_model(model):
             if body.term_topdegs() != {e.topdeg + 2 * (p ** n - 1)}:
                 fail("v-term (%d, ...) of %s violates the degree equation",
                      n, e.name)
+            if not is_reduced(body, ring, truncs):
+                fail("v-term (%d, ...) of %s not reduced", n, e.name)
 
     for rule in model.op_rules:
         try:
@@ -924,16 +903,6 @@ def validate_model(model):
         if e is None or poly.term_topdegs() != {e.topdeg}:
             fail("explicit form of %s has wrong degree",
                  e.name if e is not None else i)
-
-    for table in restriction_tables(model):
-        src_deg = dict(table.sources)
-        for name, image in table.images:
-            if image is None:
-                continue
-            n, _, ydeg = image
-            if src_deg[name] != ydeg - 2 * (p ** n - 1):
-                fail("restriction image of %s in %s violates the degree equation",
-                     name, table.name)
 
     for idx in dict.fromkeys(model.witness or ()):
         e = by_index.get(idx)

@@ -8,7 +8,7 @@ product: the graded-vector-space meaning of a tensor decomposition.
 
 from itertools import combinations
 
-from .catalog import restriction_tables
+from .catalog import is_reduced, lookup_model, restriction_tables
 from .errors import PresentationUnavailableError, UnsupportedCaseError, ValidationError
 from .groebner import (
     QuotientPresentation,
@@ -279,31 +279,43 @@ def verify_additive_decomposition(model, maxdeg):
 
 def restriction_check(table):
     """Degree consistency of a stored restriction table, plus the element
-    count of its nonzero image against the cited basis."""
-    p = table.key[2]
-    report = {"table": table.name, "failures": [], "status": "pass"}
-    src_deg = dict(table.sources)
-    nonzero = 0
-    for name, image in table.images:
+    count of its nonzero image against the cited basis.
+
+    Each image v_n * body of a source of topdeg d must have body nonzero and
+    reduced in P(y)/p, and homogeneous of topdeg d + 2(p^n - 1).
+    """
+    model = lookup_model(*table.key)
+    ring = model.y_ring()
+    p = model.prime
+    truncs = [g.trunc for g in model.y_gens]
+    entries = model.transgression
+    failures = []
+    report = {"table": table.name, "failures": failures, "status": "pass"}
+    if len(table.images) != len(entries):
+        failures.append("%d images for %d transgression entries"
+                        % (len(table.images), len(entries)))
+    degs_img = []
+    for e, image in zip(entries, table.images):
         if image is None:
             continue
-        nonzero += 1
-        n, label, ydeg = image
-        if src_deg[name] != ydeg - 2 * (p ** n - 1):
-            report["failures"].append(
-                "%s -> v_%d*%s fails the degree equation" % (name, n, label))
+        degs_img.append(e.topdeg)
+        n, body = image
+        if not body.terms or not is_reduced(body, ring, truncs):
+            failures.append("%s -> v_%d*%s is zero or not reduced in P(y)/%d"
+                            % (e.name, n, body.pretty(), p))
+        if body.term_topdegs() != {e.topdeg + 2 * (p ** n - 1)}:
+            failures.append("%s -> v_%d*%s fails the degree equation"
+                            % (e.name, n, body.pretty()))
     expected = len(table.expected_image)
-    report["image_cardinality"] = nonzero + 1  # plus the unit
+    report["image_cardinality"] = len(degs_img) + 1  # plus the unit
     report["expected_cardinality"] = expected
-    if nonzero + 1 != expected:
-        report["failures"].append(
-            "image count %d != cited %d" % (nonzero + 1, expected))
-    degs_img = sorted(src_deg[name] for name, image in table.images
-                      if image is not None)
+    if len(degs_img) + 1 != expected:
+        failures.append(
+            "image count %d != cited %d" % (len(degs_img) + 1, expected))
     degs_expected = sorted(d for _, d in table.expected_image if d > 0)
-    if degs_img != degs_expected:
-        report["failures"].append("image degrees differ from the cited basis")
-    if report["failures"]:
+    if sorted(degs_img) != degs_expected:
+        failures.append("image degrees differ from the cited basis")
+    if failures:
         report["status"] = "fail"
     return report
 

@@ -155,15 +155,17 @@ def _cmd_restrict(args):
     worst = 0
     for t in tables:
         rep = _chow.restriction_check(t)
+        entries = _catalog.lookup_model(*t.key).transgression
         payload["tables"].append({
             "name": t.name,
             "status": rep["status"],
             "image_cardinality": rep["image_cardinality"],
             "expected_cardinality": rep["expected_cardinality"],
             "images": [
-                {"source": name,
-                 "target": "0" if img is None else "v_%d*%s" % (img[0], img[1])}
-                for name, img in t.images],
+                {"source": e.name,
+                 "target": "0" if img is None
+                 else "v_%d*%s" % (img[0], img[1].pretty())}
+                for e, img in zip(entries, t.images)],
             "failures": rep["failures"],
         })
         if rep["status"] != "pass":

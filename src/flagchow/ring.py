@@ -12,6 +12,8 @@ The zero polynomial has an empty term dict and no defined topdeg;
 homogeneity checks treat it as vacuously homogeneous.
 """
 
+from operator import mul
+
 from .errors import RingMismatchError, ValidationError
 
 
@@ -196,7 +198,7 @@ class Polynomial:
         """The set of the terms' topdegs: {d} exactly when the polynomial is
         nonzero and homogeneous of topdeg d, empty for zero."""
         degs = self.ring.topdegs
-        return {sum(e * d for e, d in zip(m, degs)) for m in self.terms}
+        return {sum(map(mul, m, degs)) for m in self.terms}
 
     def is_homogeneous(self):
         return len(self.term_topdegs()) <= 1
@@ -250,14 +252,6 @@ class Polynomial:
         p = self.ring.p
         return Polynomial(self.ring, {m: v for m, c in res.items() if (v := c % p)})
 
-    def scale(self, c):
-        c = self.ring.normalize_coeff(c)
-        if c == 0:
-            return self.ring.zero()
-        p = self.ring.p
-        return Polynomial(self.ring, {m: v for m, old in self.terms.items()
-                                      if (v := old * c % p)})
-
     def __pow__(self, n):
         if n < 0:
             raise ValidationError("negative powers not supported")
@@ -277,7 +271,10 @@ class Polynomial:
             return "0"
         names = [v.name for v in self.ring.variables]
         parts = []
-        for m in sorted(self.terms, key=lambda e: (-self.ring.monomial_topdeg(e), e)):
+        terms = self.terms
+        if len(terms) > 1:
+            terms = sorted(terms, key=lambda e: (-self.ring.monomial_topdeg(e), e))
+        for m in terms:
             c = self.terms[m]
             factors = ["%s^%d" % (names[i], e) if e > 1 else names[i]
                        for i, e in enumerate(m) if e]

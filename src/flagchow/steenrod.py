@@ -52,10 +52,6 @@ class GeneratorTerm:
             out[sym] = out.get(sym, 0) + c
         return GeneratorTerm(self.model, out)
 
-    def scale(self, c):
-        return GeneratorTerm(self.model,
-                             {s: v * c for s, v in self.coeffs.items()})
-
     def topdeg(self):
         degs = set()
         for (xs, yexps) in self.coeffs:
@@ -122,15 +118,11 @@ def sq_on_so_generator(i, k, model):
 
 
 def sq_on_y(i, k, l):
-    """Sq^{2k}(y_{2i}) = binom(i, k) y_{2(i+k)}; zero past the rank bound."""
-    model = lookup_model("SO_odd", l, 2)
-    if not 1 <= i <= l:
-        raise ValidationError("index out of range")
-    if k == 0:
-        return GeneratorTerm.from_y_poly(model, model.y_class(2 * i))
-    if lucas_binomial(i, k, 2) == 0 or i + k > l:
-        return GeneratorTerm.zero(model)
-    return GeneratorTerm.from_y_poly(model, model.y_class(2 * (i + k)))
+    """Sq^{2k}(y_{2i}) = binom(i, k) y_{2(i+k)}; zero past the rank bound.
+
+    This is the rule on x_{2i} of SO(2l+1): binom(2i, 2k) = binom(i, k)
+    mod 2 by Lucas's theorem."""
+    return sq_on_so_generator(2 * i, 2 * k, lookup_model("SO_odd", l, 2))
 
 
 def sq_hits(i):
@@ -250,22 +242,14 @@ def derive_q1_check(l):
 
 
 def _compose_sq(model, index, ks):
-    """Apply Sq^{ks[0]} then Sq^{ks[1]} ... to x_index via the binomial rule."""
-    term = _so_symbol(model, index)
-    current = {index: 1} if term is not None else {}
+    """Apply Sq^{ks[0]} then Sq^{ks[1]} ... to x_index via the binomial rule.
+
+    Sq^k sends x_i to x_{i+k} or to zero, so one index is followed."""
+    if _so_symbol(model, index) is None:
+        return GeneratorTerm.zero(model)
     for k in ks:
-        nxt = {}
-        for idx, coef in current.items():
-            c = lucas_binomial(idx, k, 2)
-            if c == 0:
-                continue
-            if idx + k > 2 * model.rank:
-                continue
-            nxt[idx + k] = (nxt.get(idx + k, 0) + coef * c) % 2
-        current = {i: c for i, c in nxt.items() if c}
-    out = GeneratorTerm.zero(model)
-    for idx, coef in current.items():
-        sym = _so_symbol(model, idx)
-        if sym is not None:
-            out = out + sym.scale(coef)
-    return out
+        if lucas_binomial(index, k, 2) == 0 or index + k > 2 * model.rank:
+            return GeneratorTerm.zero(model)
+        index += k
+    sym = _so_symbol(model, index)
+    return GeneratorTerm.zero(model) if sym is None else sym

@@ -151,8 +151,9 @@ def witness_product(model, indices):
 def sharp_y_bound(model, k):
     """Maximum total factor count over products of at most k leading
     witnesses, index i used at least min_uses[i] and at most max_uses[i]
-    times (k when unset), each use counting max(options[i]); 0 when the
-    minimums cannot be met.
+    times (k when unset); each use of i counts the largest total exponent
+    among the terms of its leading body, and only indices with a leading
+    witness take part.  0 when the minimums cannot be met.
 
     A greedy fill: take every minimum, then spend the uses left on the
     largest counts first, each index up to its cap.  It is exact because
@@ -166,16 +167,17 @@ def sharp_y_bound(model, k):
                                % model.label())
     if k < 0:
         raise ValidationError("factor bound must be non-negative")
-    if any(n > 0 and i not in data.options for i, n in data.min_uses.items()):
+    value = {e.index: max(map(sum, e.leading.body.terms), default=0)
+             for e in model.transgression if e.leading is not None}
+    if any(n > 0 and i not in value for i, n in data.min_uses.items()):
         return 0
-    value = {i: max(opts) for i, opts in data.options.items()}
-    low = {i: max(data.min_uses.get(i, 0), 0) for i in data.options}
-    cap = {i: data.max_uses.get(i, k) for i in data.options}
+    low = {i: max(data.min_uses.get(i, 0), 0) for i in value}
+    cap = {i: data.max_uses.get(i, k) for i in value}
     left = k - sum(low.values())
-    if left < 0 or any(low[i] > cap[i] for i in data.options):
+    if left < 0 or any(low[i] > cap[i] for i in value):
         return 0
-    total = sum(low[i] * value[i] for i in data.options)
-    for i in sorted(data.options, key=value.get, reverse=True):
+    total = sum(low[i] * value[i] for i in value)
+    for i in sorted(value, key=value.get, reverse=True):
         if left == 0 or value[i] <= 0:
             break
         extra = min(cap[i] - low[i], left)

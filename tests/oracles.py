@@ -199,18 +199,24 @@ def homogeneous_topdeg(poly):
 
 def sharp_y_bound(model, k):
     """The counting bound by brute force: every multiset of at most k uses
-    of the stored indices, kept if each index is used at least min_uses and
-    at most max_uses times (k when unset); the largest sum of max(options)
-    over the kept ones, 0 if none is kept."""
+    of the indices whose entries have a leading witness, kept if each index
+    is used at least min_uses and at most max_uses times (k when unset);
+    each use of an index counts the largest exponent sum over the terms of
+    its leading body; the largest total over the kept ones, 0 if none is
+    kept."""
     data = model.sharp
+    count = {}
+    for e in model.transgression:
+        if e.leading is not None:
+            count[e.index] = max(sum(m) for m in e.leading.body.terms)
     best = None
     for size in range(k + 1):
-        for uses in combinations_with_replacement(sorted(data.options), size):
+        for uses in combinations_with_replacement(sorted(count), size):
             if any(uses.count(i) < n for i, n in data.min_uses.items()):
                 continue
-            if any(uses.count(i) > data.max_uses.get(i, k) for i in data.options):
+            if any(uses.count(i) > data.max_uses.get(i, k) for i in count):
                 continue
-            total = sum(max(data.options[i]) for i in uses)
+            total = sum(count[i] for i in uses)
             best = total if best is None else max(best, total)
     return 0 if best is None else best
 
@@ -394,7 +400,7 @@ def _monic(poly, key, ring):
     lt, lc = leading_term(poly, key)
     if lc == 1:
         return poly
-    return poly.scale(ring.coeff_inv(lc))
+    return poly * ring.const(ring.coeff_inv(lc))
 
 
 STAT_KEYS = ("pairs_pushed", "pairs_popped", "product_criterion",

@@ -357,18 +357,6 @@ def _e8_3():
     return lookup_model("E8", prime=3)
 
 
-def _mutated_so7_table(monkeypatch):
-    real = catalog._stored_restriction_tables()
-    t = real[0]
-    images = tuple((name, (0, "y6", 8)) if name == "c_3" else (name, image)
-                   for name, image in t.images)
-    bad = catalog.RestrictionTable(t.name, t.key, t.sources, images,
-                                   t.expected_image)
-    monkeypatch.setattr(catalog, "_stored_restriction_tables",
-                        lambda: (bad,) + real[1:])
-    return lookup_model("SO_odd", 3, 2)
-
-
 # name -> (build(monkeypatch) -> model, the failures validate_model must list)
 MUTANTS = {
     "rank": (lambda mp: _mutant(_g2(), rank=3),
@@ -388,6 +376,7 @@ MUTANTS = {
         lambda mp: _mutant(_g2(), y_gens=[YGen("y6", 6, 0)]),
         ["(G2, 2): truncation exponent must be a power of p",
          "(G2, 2): leading witness of b_2 not reduced",
+         "(G2, 2): v-term (1, ...) of b_1 not reduced",
          "(G2, 2): degree bookkeeping != dim(G/T)"]),
     "even-x-degree": (
         lambda mp: _with_entry(_with_entry(
@@ -426,6 +415,9 @@ MUTANTS = {
         lambda mp: _with_entry(_g2(), 1, v_terms=[(0, _g2().y_ring().gen("y6"))]),
         ["(G2, 2): v-term level must be >= 1",
          "(G2, 2): v-term (0, ...) of b_1 violates the degree equation"]),
+    "v-term-not-reduced": (
+        lambda mp: _with_entry(_e8_3(), 6, v_terms=[(1, _e8_3().y_ring().gen("y8", 5))]),
+        ["(E8, 3): v-term (1, ...) of b_6 not reduced"]),
     "v-term-degree": (
         lambda mp: _with_entry(_g2(), 1, v_terms=[(2, _g2().y_ring().gen("y6"))]),
         ["(G2, 2): v-term (2, ...) of b_1 violates the degree equation"]),
@@ -473,7 +465,10 @@ MUTANTS = {
                                                      topdeg=32)),
         ["(E8, 2): y-degrees must be 6,10,18,30",
          "(E8, 2): degree bookkeeping != dim(G/T)"]
-        + ["(E8, 2): leading witness of b_%d not reduced" % i for i in range(2, 9)]),
+        + ["(E8, 2): leading witness of b_%d not reduced" % i for i in range(2, 9)]
+        + ["(E8, 2): v-term (%d, ...) of b_%d not reduced" % (n, i)
+           for i, e in enumerate(_e8_2().transgression, start=1)
+           for n, _ in e.v_terms]),
     "e8-truncations": (
         lambda mp: _mutant(_e8_2(), y_gens=_with_gen(_e8_2().y_gens, "y30",
                                                      trunc=4)),
@@ -483,10 +478,6 @@ MUTANTS = {
         lambda mp: _mutant(_g2(), extras={"explicit_b": {
             1: _g2().extras["explicit_b"][2], 2: _g2().extras["explicit_b"][2]}}),
         ["(G2, 2): explicit form of b_1 has wrong degree"]),
-    "restriction-image-degree": (
-        _mutated_so7_table,
-        ["SO(7) p=2: restriction image of c_3 in so-rost-restriction-l3 "
-         "violates the degree equation"]),
     "witness-without-leading": (
         lambda mp: _mutant(_g2(), witness=(1,)),
         ["(G2, 2): witness uses entry 1 with no leading term"]),

@@ -1,7 +1,12 @@
 import pytest
 
 from flagchow import catalog
-from flagchow.catalog import CohomologyModel, lookup_model, restriction_table
+from flagchow.catalog import (
+    CohomologyModel,
+    RestrictionTable,
+    lookup_model,
+    restriction_table,
+)
 from flagchow.chow import (
     BasisElement,
     chow_presentation,
@@ -325,11 +330,51 @@ def test_restriction_expected_cardinalities():
 
 def test_so_restriction_degree_equation_l7():
     t = restriction_table("so-rost-restriction-l7")
-    images = dict(t.images)
-    assert images["c_4"] == (2, "y14", 14)   # 8 = 14 - 6
-    assert images["c_6"] == (1, "y14", 14)
-    assert images["c_7"] == (0, "y14", 14)
+    model = lookup_model(*t.key)
+    images = {e.name: image for e, image in zip(model.transgression, t.images)}
+    y14 = model.y_ring().gen("y14")
+    assert images["c_4"] == (2, y14)   # 8 = 14 - 6
+    assert images["c_6"] == (1, y14)
+    assert images["c_7"] == (0, y14)
     assert images["c_5"] is None
+
+
+def _with_image(table, source, image):
+    """`table` with the image of its source entry named `source` replaced."""
+    entries = lookup_model(*table.key).transgression
+    images = [image if e.name == source else old
+              for e, old in zip(entries, table.images)]
+    return RestrictionTable(table.name, table.key, images, table.expected_image)
+
+
+def test_restriction_check_reports_an_image_off_the_degree_equation():
+    t = restriction_table("so-rost-restriction-l3")
+    y6 = lookup_model(*t.key).y_ring().gen("y6")
+    rep = restriction_check(_with_image(t, "c_3", (1, y6)))  # 6 != 6 - 2
+    assert rep["status"] == "fail"
+    assert rep["failures"] == ["c_3 -> v_1*y6 fails the degree equation"]
+
+
+def test_restriction_check_reports_a_zero_or_unreduced_image():
+    t = restriction_table("e8-3-rost-restriction")
+    R = lookup_model(*t.key).y_ring()
+    # y8^5 has the degree 36 + 2(3 - 1) but is zero in P(y)/3
+    assert restriction_check(_with_image(t, "b_6", (1, R.gen("y8", 5))))[
+        "failures"] == ["b_6 -> v_1*y8^5 is zero or not reduced in P(y)/3"]
+    other = lookup_model("E8", prime=2).y_ring().gen("y6")
+    for body in (R.zero(), R.gen("y8", 3), other):
+        rep = restriction_check(_with_image(t, "b_1", (1, body)))
+        label = "b_1 -> v_1*%s" % body.pretty()
+        assert rep["failures"] == [
+            label + " is zero or not reduced in P(y)/3",
+            label + " fails the degree equation"], body
+
+
+def test_restriction_check_reports_an_image_list_of_the_wrong_length():
+    t = restriction_table("e7-2-rost-restriction")
+    short = RestrictionTable(t.name, t.key, t.images[:-1], t.expected_image)
+    assert restriction_check(short)["failures"] == [
+        "6 images for 7 transgression entries"]
 
 
 def test_e8_2_restriction_matches_rost_basis():

@@ -5,6 +5,7 @@ import json
 import os
 
 import oracles
+import pytest
 from flagchow import catalog, cli
 from flagchow.cli import main
 
@@ -456,3 +457,40 @@ def test_restriction_and_counting_outputs_match_the_pinned_digests(capsys):
         got[" ".join(argv)] = hashlib.sha256(
             repr((code, out, err)).encode()).hexdigest()
     assert got == expected
+
+
+# one-line data mutants of the stored restriction images, each of which
+# `restrict` and `verify --case restriction-tables` passed when an image was
+# stored as a label with a separate degree: (table, source, level, y-power)
+RESTRICTION_MUTANTS = {
+    "e8-3-b5-y20^2": ("e8-3-rost-restriction", "b_5", 0, ("y20", 2)),
+    "e8-to-e7-b4-y10^3": ("e8-to-e7-rost-restriction", "b_4", 0, ("y10", 3)),
+    "e8-3-b2-y8^3": ("e8-3-rost-restriction", "b_2", 0, ("y8", 3)),
+}
+
+
+@pytest.mark.parametrize("name", list(RESTRICTION_MUTANTS))
+def test_each_restriction_mutant_fails_restrict_and_its_verify_case(
+        name, monkeypatch, capsys):
+    table, source, level, (y, power) = RESTRICTION_MUTANTS[name]
+    real = catalog._stored_restriction_tables()
+    mutated = []
+    for t in real:
+        if t.name == table:
+            model = catalog.lookup_model(*t.key)
+            image = (level, model.y_ring().gen(y, power))
+            t = catalog.RestrictionTable(
+                t.name, t.key,
+                [image if e.name == source else old
+                 for e, old in zip(model.transgression, t.images)],
+                t.expected_image)
+        mutated.append(t)
+    monkeypatch.setattr(catalog, "_stored_restriction_tables", lambda: tuple(mutated))
+    code, payload = run_json(["restrict", "--table", table])
+    assert code == 1
+    assert "%s -> v_%d*%s^%d fails the degree equation" % (source, level, y, power) \
+        in payload["tables"][0]["failures"]
+    assert run_json(["restrict"])[0] == 1
+    code, payload = run_json(["verify", "--case", "restriction-tables"])
+    assert (code, payload["reports"][0]["status"]) == (1, "fail")
+    assert capsys.readouterr().err == ""

@@ -457,7 +457,7 @@ def test_redundant_relations_cost_two_zero_reductions_and_no_pairs():
     rels = pres.relations
     gb = groebner(pres, 24)
     # a duplicate and a unit multiple, each reduced to zero at its topdeg
-    more = buchberger(rels + (rels[1], rels[2].scale(2)), pres.ring, 24)
+    more = buchberger(rels + (rels[1], rels[2] * pres.ring.const(2)), pres.ring, 24)
     before, after = dict(gb.stats), dict(more.stats)
     assert (after["reductions"], after["zero_reductions"]) == (
         before["reductions"] + 2, before["zero_reductions"] + 2) == (6, 2)
@@ -556,7 +556,7 @@ def test_buchberger_matches_the_tuple_reference_on_random_ideals():
         base = [_random_relation(ring, rng, coeffs) for _ in range(rng.randint(0, 6))]
         # duplicates, a scalar multiple and a zero relation generate no more
         rels = base + rng.sample(base, min(len(base), rng.randint(0, 2)))
-        rels += [r.scale(coeffs[-1]) for r in rng.sample(base, min(len(base), 1))]
+        rels += [r * ring.const(coeffs[-1]) for r in rng.sample(base, min(len(base), 1))]
         rels += [ring.zero()] * rng.randint(0, 1)
         rng.shuffle(rels)
         # the engine computes in grevlex; the reference also runs in the

@@ -16,7 +16,7 @@ from oracles import poly_from_json, presentation_from_json, series_from_json
 
 def test_poly_round_trip_over_fp():
     ring = t_ring(2, 5)
-    poly = elementary_symmetric(ring)[0].scale(3)
+    poly = elementary_symmetric(ring)[0] * ring.const(3)
     data = poly_to_json(poly)
     assert data["coeff"] == {"ring": "Fp", "p": 5}
     assert json.loads(json.dumps(data)) == data

@@ -10,8 +10,14 @@ import pytest
 
 import oracles
 from flagchow import catalog, torsion
-from flagchow.catalog import SharpData, lookup_model
+from flagchow.catalog import (
+    SharpData,
+    TransgressionEntry,
+    WitnessPolynomial,
+    lookup_model,
+)
 from flagchow.errors import DataMissingError, InternalInconsistencyError, ValidationError
+from flagchow.ring import GradedVariable, PolyRing, Polynomial
 from flagchow.torsion import (
     marlin_bound,
     sharp_of_y_top,
@@ -283,13 +289,48 @@ def test_sharp_bound_matches_brute_force_on_the_stored_data():
             assert sharp_y_bound(m, k) == oracles.sharp_y_bound(m, k), (key, k)
 
 
+# the factor counts of the oldest stored tables, before they were read off
+# the leading bodies: each index's set of term exponent sums
+STORED_FACTOR_COUNTS = {
+    ("E8", 8, 2): {2: {1}, 3: {1}, 4: {1}, 5: {2}, 6: {2, 4}, 7: {2}, 8: {1}},
+    ("E8", 8, 3): {2: {1}, 3: {2}, 4: {1}, 5: {2}, 6: {3}, 7: {2}, 8: {3}},
+    ("E7", 7, 2): {2: {1}, 3: {1}, 4: {1}, 5: {2}, 6: {2}, 7: {2}},
+}
+
+
+def test_factor_counts_are_the_exponent_sums_of_the_leading_terms():
+    for key, counts in STORED_FACTOR_COUNTS.items():
+        m = lookup_model(*key)
+        assert m.sharp is not None
+        assert {e.index: {sum(t) for t in e.leading.body.terms}
+                for e in m.transgression if e.leading is not None} == counts, key
+
+
+_COUNT_RING = PolyRing([GradedVariable("a", 2), GradedVariable("b", 2)], 2)
+
+
+def _random_body(rng):
+    # one or two terms, each of total exponent 0..4
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        c = rng.randint(0, 4)
+        a = rng.randint(0, c)
+        terms[(a, c - a)] = 1
+    return Polynomial(_COUNT_RING, terms)
+
+
 def _random_sharp_case(rng):
-    indices = rng.sample(range(1, 9), rng.randint(1, 4))
-    options = {i: tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 2)))
-               for i in indices}
+    indices = rng.sample(range(1, 9), rng.randint(1, 6))
+    witnessed = indices[:rng.randint(1, min(4, len(indices)))]
+    entries = [TransgressionEntry(
+        i, "b_%d" % i, 0,
+        WitnessPolynomial(1, _random_body(rng)) if i in witnessed else None,
+        [], complete=False) for i in indices]
     min_uses = {i: rng.randint(0, 2) for i in rng.sample(range(1, 10), rng.randint(0, 2))}
-    max_uses = {i: rng.randint(-1, 3) for i in rng.sample(indices, rng.randint(0, len(indices)))}
-    return SimpleNamespace(sharp=SharpData(options, min_uses, max_uses)), rng.randint(0, 6)
+    max_uses = {i: rng.randint(-1, 3)
+                for i in rng.sample(witnessed, rng.randint(0, len(witnessed)))}
+    model = SimpleNamespace(sharp=SharpData(min_uses, max_uses), transgression=entries)
+    return model, rng.randint(0, 6)
 
 
 def test_sharp_bound_matches_brute_force_on_random_data():
@@ -298,7 +339,8 @@ def test_sharp_bound_matches_brute_force_on_random_data():
         model, k = _random_sharp_case(rng)
         data = model.sharp
         assert sharp_y_bound(model, k) == oracles.sharp_y_bound(model, k), \
-            (trial, data.options, data.min_uses, data.max_uses, k)
+            (trial, [(e.index, e.leading) for e in model.transgression],
+             data.min_uses, data.max_uses, k)
 
 
 def test_sharp_bound_missing_data():
