@@ -13,6 +13,7 @@ import heapq
 from itertools import combinations_with_replacement
 from math import comb, isqrt
 
+from flagchow.catalog import RestrictionTable, lookup_model
 from flagchow.chow import BasisElement
 from flagchow.errors import ValidationError
 from flagchow.groebner import HilbertSeries, QuotientPresentation
@@ -219,6 +220,16 @@ def sharp_y_bound(model, k):
             total = sum(count[i] for i in uses)
             best = total if best is None else max(best, total)
     return 0 if best is None else best
+
+
+def with_restriction_image(table, source, image):
+    """A copy of a restriction table with the image of its keyed model's
+    entry named `source` replaced by `image`."""
+    entries = lookup_model(*table.key).transgression
+    return RestrictionTable(
+        table.name, table.key,
+        [image if e.name == source else old for e, old in zip(entries, table.images)],
+        table.expected_image)
 
 
 def a_filtration_basis(model, bound):

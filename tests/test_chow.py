@@ -20,7 +20,12 @@ from flagchow.errors import PresentationUnavailableError, UnsupportedCaseError, 
 from flagchow.groebner import hilbert_series
 from flagchow.symclass import elementary_symmetric, t_ring
 
-from oracles import a_filtration_basis, graded_quotient_dims, homogeneous_topdeg
+from oracles import (
+    a_filtration_basis,
+    graded_quotient_dims,
+    homogeneous_topdeg,
+    with_restriction_image,
+)
 
 
 def test_basis_element_invariants():
@@ -339,18 +344,10 @@ def test_so_restriction_degree_equation_l7():
     assert images["c_5"] is None
 
 
-def _with_image(table, source, image):
-    """`table` with the image of its source entry named `source` replaced."""
-    entries = lookup_model(*table.key).transgression
-    images = [image if e.name == source else old
-              for e, old in zip(entries, table.images)]
-    return RestrictionTable(table.name, table.key, images, table.expected_image)
-
-
 def test_restriction_check_reports_an_image_off_the_degree_equation():
     t = restriction_table("so-rost-restriction-l3")
     y6 = lookup_model(*t.key).y_ring().gen("y6")
-    rep = restriction_check(_with_image(t, "c_3", (1, y6)))  # 6 != 6 - 2
+    rep = restriction_check(with_restriction_image(t, "c_3", (1, y6)))  # 6 != 6 - 2
     assert rep["status"] == "fail"
     assert rep["failures"] == ["c_3 -> v_1*y6 fails the degree equation"]
 
@@ -359,11 +356,11 @@ def test_restriction_check_reports_a_zero_or_unreduced_image():
     t = restriction_table("e8-3-rost-restriction")
     R = lookup_model(*t.key).y_ring()
     # y8^5 has the degree 36 + 2(3 - 1) but is zero in P(y)/3
-    assert restriction_check(_with_image(t, "b_6", (1, R.gen("y8", 5))))[
-        "failures"] == ["b_6 -> v_1*y8^5 is zero or not reduced in P(y)/3"]
+    rep = restriction_check(with_restriction_image(t, "b_6", (1, R.gen("y8", 5))))
+    assert rep["failures"] == ["b_6 -> v_1*y8^5 is zero or not reduced in P(y)/3"]
     other = lookup_model("E8", prime=2).y_ring().gen("y6")
     for body in (R.zero(), R.gen("y8", 3), other):
-        rep = restriction_check(_with_image(t, "b_1", (1, body)))
+        rep = restriction_check(with_restriction_image(t, "b_1", (1, body)))
         label = "b_1 -> v_1*%s" % body.pretty()
         assert rep["failures"] == [
             label + " is zero or not reduced in P(y)/3",

@@ -473,19 +473,12 @@ RESTRICTION_MUTANTS = {
 def test_each_restriction_mutant_fails_restrict_and_its_verify_case(
         name, monkeypatch, capsys):
     table, source, level, (y, power) = RESTRICTION_MUTANTS[name]
-    real = catalog._stored_restriction_tables()
-    mutated = []
-    for t in real:
-        if t.name == table:
-            model = catalog.lookup_model(*t.key)
-            image = (level, model.y_ring().gen(y, power))
-            t = catalog.RestrictionTable(
-                t.name, t.key,
-                [image if e.name == source else old
-                 for e, old in zip(model.transgression, t.images)],
-                t.expected_image)
-        mutated.append(t)
-    monkeypatch.setattr(catalog, "_stored_restriction_tables", lambda: tuple(mutated))
+    mutated = tuple(
+        oracles.with_restriction_image(t, source, (
+            level, catalog.lookup_model(*t.key).y_ring().gen(y, power)))
+        if t.name == table else t
+        for t in catalog._stored_restriction_tables())
+    monkeypatch.setattr(catalog, "_stored_restriction_tables", lambda: mutated)
     code, payload = run_json(["restrict", "--table", table])
     assert code == 1
     assert "%s -> v_%d*%s^%d fails the degree equation" % (source, level, y, power) \
