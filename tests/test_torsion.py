@@ -289,8 +289,8 @@ def test_sharp_bound_matches_brute_force_on_the_stored_data():
             assert sharp_y_bound(m, k) == oracles.sharp_y_bound(m, k), (key, k)
 
 
-# the factor counts of the oldest stored tables, before they were read off
-# the leading bodies: each index's set of term exponent sums
+# the factor-count tables the catalog once stored beside the witnesses, as
+# each index's set of term exponent sums: the leading bodies carry them all
 STORED_FACTOR_COUNTS = {
     ("E8", 8, 2): {2: {1}, 3: {1}, 4: {1}, 5: {2}, 6: {2, 4}, 7: {2}, 8: {1}},
     ("E8", 8, 3): {2: {1}, 3: {2}, 4: {1}, 5: {2}, 6: {3}, 7: {2}, 8: {3}},
