@@ -459,6 +459,73 @@ def test_restriction_and_counting_outputs_match_the_pinned_digests(capsys):
     assert got == expected
 
 
+STEENROD_OPS = ("Q0", "Q1", "Q2", "Q3", "beta", "Sq1", "Sq2", "Sq4", "Sq8")
+
+
+def _generator_names(model):
+    """Each x-name, the z<degree> spelling of each x-generator (its alias
+    where it has one) and each y-name of the model."""
+    names = [x.name for x in model.x_gens]
+    names += ["z%d" % x.topdeg for x in model.x_gens]
+    names += [g.name for g in model.y_gens]
+    return list(dict.fromkeys(names))
+
+
+def test_steenrod_outputs_match_the_pinned_digests(capsys):
+    import hashlib
+    # sha256 per case of the exit code, stdout and stderr of `steenrod` with
+    # each of STEENROD_OPS on each generator name of each of its models, in
+    # text and JSON, then of the two Milnor verify cases in JSON
+    expected = {
+        "U/Sp (any p)":
+            "8ec18347cfb620252300fa429d243cfbc7938caf9dc0f5978293760b5e213694",
+        "PU(p)":
+            "cfc587bb7b45bd15d8079e0c259eab7c3d819d6311db5355f21c45e3025a1ccd",
+        "SO(2l+1) p=2":
+            "5f650eca959537d3f328e21a109398e1a409f19219d45a675b317a8aa610a8ca",
+        "SO(2l) p=2":
+            "71d6aa733a5f16314846f10e4cde5b0e8b923c6b05318a6c71d926628743dd25",
+        "Spin(2l+1) p=2":
+            "016a674c5f6ebda05d39a6e8015b3ac4001dbee5f4188eb2fae30169b0624e1e",
+        "(G2, 2)":
+            "4a201ce3a7894db91989bc55225bedc4770aac86ab9354da8aeb7abcd768810e",
+        "(F4, 3)":
+            "f4b7b119e5411d630e3208e2307b3c47581ed1e807720765b19d8388615f6fb4",
+        "(E8, 5)":
+            "72723bc4caa08eb12c11667842c574c8997e41e42b0ba2703c4bb1956a4ee9d9",
+        "(E8, 3)":
+            "d8aee8ce315a09c566094be80838135bfda37053fd6bc8503fe54727c8e3333a",
+        "(E8, 2)":
+            "20856682216e3ac25825b6d04eb720ebb6c2f2d0ec120e7583a80003cde64fff",
+        "(E7, 2)":
+            "85723e18d842f656cea987c10571a55c0f2098aae4c2fb5a239e88d36a850207",
+        "q1-derivation":
+            "72b15b05c49d69ee137f5406d054e39fc3e048601945f1ed7ab202ff15fd1b91",
+        "beta-no-preimage":
+            "c11e14a567c259cfabb9bf536185f5b2fbf29010485ce74986596461bdf306df",
+    }
+    got = {}
+    for case, spellings in CATALOG_CASE_SPELLINGS.items():
+        digest = hashlib.sha256()
+        for g, l, p in spellings:
+            model = catalog.lookup_model(cli._FAMILIES[g], l, p)
+            flags = ["--group", g, "--rank", str(l), "--prime", str(p)]
+            for op in STEENROD_OPS:
+                for name in _generator_names(model):
+                    for fmt in ("--format=text", "--format=json"):
+                        argv = [fmt, "steenrod"] + flags + ["--op", op,
+                                                           "--gen", name]
+                        code, out = run_cli(argv)
+                        err = capsys.readouterr().err
+                        digest.update(repr((argv, code, out, err)).encode())
+        got[case] = digest.hexdigest()
+    for case in ("q1-derivation", "beta-no-preimage"):
+        code, out = run_cli(["--format", "json", "verify", "--case", case])
+        err = capsys.readouterr().err
+        got[case] = hashlib.sha256(repr((code, out, err)).encode()).hexdigest()
+    assert got == expected
+
+
 # one-line data mutants of the stored restriction images, each of which
 # `restrict` and `verify --case restriction-tables` passed when an image was
 # stored as a label with a separate degree: (table, source, level, y-power)
