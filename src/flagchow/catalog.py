@@ -71,27 +71,26 @@ class WitnessPolynomial:
 
 
 class TransgressionEntry:
-    __slots__ = ("index", "name", "topdeg", "leading", "v_terms", "complete", "note")
+    __slots__ = ("index", "name", "topdeg", "leading", "v_terms", "complete")
 
-    def __init__(self, index, name, topdeg, leading, v_terms, complete, note=None):
+    def __init__(self, index, name, topdeg, leading, v_terms, complete):
         self.index = index
         self.name = name
         self.topdeg = topdeg
         self.leading = leading
         self.v_terms = tuple(v_terms)
         self.complete = complete
-        self.note = note
 
 
 class OperationRule:
-    """op applied to a named generator; target is zero, a y-polynomial, or an x-gen."""
+    """op applied to a named generator; target is a y-polynomial or an x-gen."""
 
     __slots__ = ("op", "source", "target")
 
     def __init__(self, op, source, target):
         self.op = op
         self.source = source
-        self.target = target  # ("zero",) | ("ypoly", Polynomial) | ("xgen", name, coef)
+        self.target = target  # ("ypoly", Polynomial) | ("xgen", name, coef)
 
 
 class RestrictionTable:
@@ -100,7 +99,8 @@ class RestrictionTable:
     The sources are the transgression entries of the model with this key,
     and images[i] is the image of the i-th: None, or (n, body) with body in
     the model's y_ring(), read as the class v_n * body; v_0 means
-    multiplication by p.
+    multiplication by p.  expected_image holds the topdegs of the cited
+    image basis, the unit's 0 included.
     """
 
     __slots__ = ("name", "key", "images", "expected_image")
@@ -109,7 +109,7 @@ class RestrictionTable:
         self.name = name
         self.key = key
         self.images = tuple(images)
-        self.expected_image = tuple(expected_image)  # (name, topdeg) incl. unit
+        self.expected_image = tuple(expected_image)
 
 
 class SharpData:
@@ -452,9 +452,7 @@ def _model_E8_5():
 def _model_E8_3():
     y_gens = [YGen("y8", 8, 3), YGen("y20", 20, 3)]
     degrees = [3, 7, 15, 19, 27, 35, 39, 47]
-    aliases = ["z3", "z7", "z15", "z19", "z27", "z35", "z39", "z47"]
-    x_gens = [XGen("x%d" % (i + 1), d, a)
-              for i, (d, a) in enumerate(zip(degrees, aliases))]
+    x_gens = [XGen("x%d" % (i + 1), d, "z%d" % d) for i, d in enumerate(degrees)]
     model = CohomologyModel(
         "E8", 8, 3, y_gens, x_gens, [], [], torsion_index_p=9, witness=(2, 8),
         sharp=SharpData(), dim_gt=240,
@@ -500,9 +498,7 @@ def _model_E8_2():
     y_gens = [YGen("y6", 6, 8), YGen("y10", 10, 4), YGen("y18", 18, 2),
               YGen("y30", 30, 2)]
     degrees = [3, 5, 9, 17, 15, 23, 27, 29]
-    aliases = ["z3", "z5", "z9", "z17", "z15", "z23", "z27", "z29"]
-    x_gens = [XGen("x%d" % (i + 1), d, a)
-              for i, (d, a) in enumerate(zip(degrees, aliases))]
+    x_gens = [XGen("x%d" % (i + 1), d, "z%d" % d) for i, d in enumerate(degrees)]
     model = CohomologyModel(
         "E8", 8, 2, y_gens, x_gens, [], [], torsion_index_p=64,
         witness=(5, 5, 5, 4, 6, 8),
@@ -524,10 +520,10 @@ def _model_E8_2():
         TransgressionEntry(3, "b_3", 10, W(y2),
                            [(1, y1 ** 2), (3, y1 ** 4)], complete=True),
         TransgressionEntry(4, "b_4", 18, W(y3), [(1, y2 ** 2)], complete=True),
+        # a mixed middle-level term with positive-degree torus factors is
+        # dropped from b_5
         TransgressionEntry(5, "b_5", 16, W(y1 * y2),
-                           [(1, y3), (3, y4)], complete=False,
-                           note="a mixed middle-level term with positive-degree "
-                                "torus factors is dropped"),
+                           [(1, y3), (3, y4)], complete=False),
         TransgressionEntry(6, "b_6", 24, W(y1 * y3 + y1 ** 4), [],
                            complete=False),
         TransgressionEntry(7, "b_7", 28, W(y2 * y3), [(1, y4)], complete=False),
@@ -552,9 +548,7 @@ def _model_E8_2():
 def _model_E7_2():
     y_gens = [YGen("y6", 6, 2), YGen("y10", 10, 2), YGen("y18", 18, 2)]
     degrees = [3, 5, 9, 17, 15, 23, 27]
-    aliases = ["z3", "z5", "z9", "z17", "z15", "z23", "z27"]
-    x_gens = [XGen("x%d" % (i + 1), d, a)
-              for i, (d, a) in enumerate(zip(degrees, aliases))]
+    x_gens = [XGen("x%d" % (i + 1), d, "z%d" % d) for i, d in enumerate(degrees)]
     model = CohomologyModel(
         "E7", 7, 2, y_gens, x_gens, [], [], torsion_index_p=4, witness=(2, 7),
         sharp=SharpData(), dim_gt=126)
@@ -696,8 +690,7 @@ def _so_restriction(l):
     images = [None] * l
     for s in range(n):
         images[l - 2 ** s] = (s, top)
-    expected = [("1", 0)] + [("v_%d*y%d" % (s, 2 * l), 2 * l - 2 * (2 ** s - 1))
-                             for s in range(n)]
+    expected = [0] + [2 * l - 2 * (2 ** s - 1) for s in range(n)]
     return RestrictionTable("so-rost-restriction-l%d" % l, model.key(),
                             images, expected)
 
@@ -706,8 +699,7 @@ def _e8_2_restriction():
     model = lookup_model("E8", 8, 2)
     y30 = model.y_ring().gen("y30")
     images = [None] * 4 + [(8 - j, y30) for j in range(5, 9)]
-    expected = [("1", 0)] + [("v_%d*y30" % s, 30 - 2 * (2 ** s - 1))
-                             for s in (0, 1, 2, 3)]
+    expected = [0] + [30 - 2 * (2 ** s - 1) for s in (0, 1, 2, 3)]
     return RestrictionTable("e8-2-rost-restriction", model.key(),
                             images, expected)
 
@@ -718,8 +710,7 @@ def _e8_3_restriction():
     y, yp = R.gen("y8"), R.gen("y20")
     images = [(1, y), (0, y), (0, y ** 2), None, (0, y * yp), (0, y ** 2 * yp),
               None, (0, y * yp ** 2)]
-    expected = [("1", 0), ("b_1", 4), ("b_2", 8), ("b_3", 16), ("b_5", 28),
-                ("b_6", 36), ("b_8", 48)]
+    expected = [0, 4, 8, 16, 28, 36, 48]
     return RestrictionTable("e8-3-rost-restriction", model.key(),
                             images, expected)
 
@@ -731,14 +722,13 @@ def _e7_2_restrictions():
     y6, y10, y18 = (e8.y_ring().gen(n) for n in ("y6", "y10", "y18"))
     images8 = [(1, y6), (0, y6), (0, y10), (0, y18), (0, y6 * y10),
                (0, y6 * y18), (0, y10 * y18), None]
-    expected8 = [("1", 0)] + [("b_%d" % j, e8.transgression[j - 1].topdeg)
-                              for j in range(1, 8)]
+    expected8 = [0] + [e8.transgression[j - 1].topdeg for j in range(1, 8)]
     t1 = RestrictionTable("e8-to-e7-rost-restriction", e8.key(),
                           images8, expected8)
     # stage 2: the rank-7 form restricted until only a rank-2 core survives
     y6 = e7.y_ring().gen("y6")
     images7 = [(1, y6), (0, y6)] + [None] * 5
-    expected7 = [("1", 0), ("b_1", 4), ("b_2", 6)]
+    expected7 = [0, 4, 6]
     t2 = RestrictionTable("e7-2-rost-restriction", e7.key(), images7, expected7)
     return [t1, t2]
 
@@ -851,7 +841,7 @@ def validate_model(model):
         if kind == "ypoly":
             if rule.target[1].term_topdegs() != {src_deg + d}:
                 fail("%s(%s) target degree mismatch", rule.op, rule.source)
-        elif kind != "zero":
+        else:
             name, coef = rule.target[1], rule.target[2]
             if coef % p == 0:
                 fail("%s(%s) has zero coefficient", rule.op, rule.source)

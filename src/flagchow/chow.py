@@ -312,7 +312,7 @@ def restriction_check(table):
     if len(degs_img) + 1 != expected:
         failures.append(
             "image count %d != cited %d" % (len(degs_img) + 1, expected))
-    degs_expected = sorted(d for _, d in table.expected_image if d > 0)
+    degs_expected = sorted(d for d in table.expected_image if d > 0)
     if sorted(degs_img) != degs_expected:
         failures.append("image degrees differ from the cited basis")
     if failures:

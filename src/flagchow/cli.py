@@ -111,8 +111,6 @@ def _cmd_catalog(args):
 
 
 def _target_str(target):
-    if target[0] == "zero":
-        return "0"
     if target[0] == "ypoly":
         return target[1].pretty()
     name, coef = target[1], target[2]

@@ -1,11 +1,13 @@
-"""Steenrod squares on orthogonal generators, Milnor derivations from tables.
+"""Steenrod squares on orthogonal generators, Milnor operations from the
+transgression table.
 
-Operations act on formal sums of model generators, not on quotient-ring
-normal forms.  A GeneratorTerm is an F_p-combination of basis symbols
-(x_names, y_exponents): a product of distinct odd generators times a
-y-monomial.  Out-of-range targets evaluate to zero (range truncation); an
-operation whose value is not recorded and not forced to zero raises, never
-returning a silent zero.
+A square Sq^k on a generator of the orthogonal family is a GeneratorTerm,
+a formal sum of basis symbols (x_names, y_exponents): here zero, one odd
+generator or one y-class.  A Milnor operation Q_n on a generator is a
+polynomial in the model's P(y), read from the generator's transgression
+entry alone; the stored operation rules are not consulted.  Out-of-range
+targets evaluate to zero (range truncation); an operation whose value is
+not recorded and not forced to zero raises, never returning a silent zero.
 """
 
 from .catalog import lookup_model
@@ -20,47 +22,25 @@ class GeneratorTerm:
 
     __slots__ = ("model", "coeffs")
 
-    def __init__(self, model, coeffs=None):
+    def __init__(self, model, coeffs):
         self.model = model
-        p = model.prime
-        self.coeffs = {}
-        for sym, c in (coeffs or {}).items():
-            c %= p
-            if c:
-                self.coeffs[sym] = c
+        self.coeffs = coeffs
 
     @classmethod
     def zero(cls, model):
         return cls(model, {})
 
     @classmethod
-    def from_x(cls, model, name, coef=1):
-        x = model.x_gen(name)
+    def from_x(cls, model, name):
         unit = (0,) * len(model.y_gens)
-        return cls(model, {((x.name,), unit): coef})
+        return cls(model, {((model.x_gen(name).name,), unit): 1})
 
     @classmethod
-    def from_y_poly(cls, model, poly, coef=1):
-        return cls(model, {((), m): c * coef for m, c in poly.terms.items()})
+    def from_y_poly(cls, model, poly):
+        return cls(model, {((), m): c for m, c in poly.terms.items()})
 
     def is_zero(self):
         return not self.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for sym, c in other.coeffs.items():
-            out[sym] = out.get(sym, 0) + c
-        return GeneratorTerm(self.model, out)
-
-    def topdeg(self):
-        degs = set()
-        for (xs, yexps) in self.coeffs:
-            d = sum(self.model.x_gen(n).topdeg for n in xs)
-            d += sum(e * g.topdeg for e, g in zip(yexps, self.model.y_gens))
-            degs.add(d)
-        if len(degs) > 1:
-            raise ValidationError("inhomogeneous generator sum")
-        return degs.pop() if degs else None
 
     def __eq__(self, other):
         return (isinstance(other, GeneratorTerm)
@@ -137,81 +117,38 @@ def sq_hits(i):
 # Milnor operations
 
 
-def _q_rule(model, name, n):
-    """Q_n image of one named x-generator as a y-polynomial, or None if unknown."""
-    x = model.x_gen(name)
-    # explicit stored rules first
-    for rule in model.op_rules:
-        if rule.source not in (x.name, x.alias):
-            continue
-        if (n == 0 and rule.op in ("beta", "Sq1", "Q0")) or rule.op == "Q%d" % n:
-            if rule.target[0] == "ypoly":
-                return rule.target[1]
-            if rule.target[0] == "zero":
-                return model.y_ring().zero()
-    idx = model.x_gens.index(x)
-    entry = model.transgression[idx]
-    if n == 0:
-        if entry.leading is not None and entry.leading.s == 1:
-            return entry.leading.body
-        if entry.leading is None and entry.complete:
-            return model.y_ring().zero()
-        return None
-    for level, body in entry.v_terms:
-        if level == n:
-            return body
-    if entry.complete:
-        return model.y_ring().zero()
-    return None
-
-
 def q_milnor(model, gen, n):
-    """Milnor derivation Q_n on a named generator or a product of two.
-
-    Table lookup backed by the transgression data; products expand by the
-    derivation rule Q_n(ab) = Q_n(a) b + (-1)^|a| a Q_n(b).
-    """
-    if isinstance(model, str):
-        raise ValidationError("pass a CohomologyModel, then the generator name")
+    """Milnor operation Q_n on a named generator, a polynomial in
+    model.y_ring() read from the generator's transgression entry: the body
+    of its leading witness p * body at n = 0, its v_n-term at n >= 1, and
+    zero at a level a complete entry does not list."""
     if n < 0:
         raise ValidationError("operation level must be non-negative")
-    if isinstance(gen, (tuple, list)):
-        if len(gen) != 2:
-            raise ValidationError("products of exactly two generators supported")
-        a, b = gen
-        qa, qb = q_milnor(model, a, n), q_milnor(model, b, n)
-        xa, xb = model.x_gen(a), model.x_gen(b)
-        sign = -1 if xa.topdeg % 2 == 1 else 1
-        out = GeneratorTerm.zero(model)
-        for (xs, yexps), c in qa.coeffs.items():
-            out = out + GeneratorTerm(model, {(tuple(sorted(xs + (xb.name,))),
-                                               yexps): c})
-        for (xs, yexps), c in qb.coeffs.items():
-            out = out + GeneratorTerm(model, {(tuple(sorted(xs + (xa.name,))),
-                                               yexps): c * sign})
-        return out
     if any(g.name == gen for g in model.y_gens):
         # y-generators of the orthogonal family are annihilated by every Q_n
         if model.family in _SO_FAMILIES:
-            return GeneratorTerm.zero(model)
+            return model.y_ring().zero()
         raise DataMissingError(
             "Q_%d on the even generator %s is not recorded for %s"
             % (n, gen, model.label()))
-    body = _q_rule(model, gen, n)
+    entry = model.transgression[model.x_gens.index(model.x_gen(gen))]
+    lead = entry.leading
+    if n == 0 and lead is not None:
+        body = lead.body if lead.s == 1 else None
+    else:
+        body = next((b for level, b in entry.v_terms if level == n), None)
+        if body is None and entry.complete:
+            body = model.y_ring().zero()
     if body is None:
         raise DataMissingError(
             "Q_%d on %s is not recorded for %s"
             % (n, gen, model.label()))
-    return GeneratorTerm.from_y_poly(model, body)
+    return body
 
 
 def beta_preimage(model, poly):
-    """Name of a generator whose Bockstein image equals poly, else None."""
+    """Name of a generator whose Bockstein image Q_0 equals poly, else None."""
     target = model.reduce_y(poly)
-    for rule in model.op_rules:
-        if rule.op in ("beta", "Sq1") and rule.target[0] == "ypoly":
-            if rule.target[1] == target:
-                return rule.source
     for x, entry in zip(model.x_gens, model.transgression):
         if entry.leading is not None and entry.leading.s == 1 \
                 and entry.leading.body == target:
@@ -224,8 +161,8 @@ def beta_preimage(model, poly):
 
 
 def derive_q1_check(l):
-    """Compare Q_1 = Sq^2 Sq^1 + Sq^1 Sq^2 against the stored rule on the
-    rank-l orthogonal model; returns per-generator agreement reports."""
+    """Compare Q_1 = Sq^2 Sq^1 + Sq^1 Sq^2 against the transgression table
+    on the rank-l orthogonal model; returns per-generator agreement reports."""
     model = lookup_model("SO_odd", l, 2)
     reports = []
     for i in range(1, l + 1):
@@ -244,12 +181,12 @@ def derive_q1_check(l):
 def _compose_sq(model, index, ks):
     """Apply Sq^{ks[0]} then Sq^{ks[1]} ... to x_index via the binomial rule.
 
-    Sq^k sends x_i to x_{i+k} or to zero, so one index is followed."""
-    if _so_symbol(model, index) is None:
-        return GeneratorTerm.zero(model)
+    Sq^k sends x_i to x_{i+k} or to zero, so one index is followed.  The
+    index is odd and in range and the shifts have odd total, so the value is
+    a class of P(y): the y-class of the final even index, or zero."""
     for k in ks:
         if lucas_binomial(index, k, 2) == 0 or index + k > 2 * model.rank:
-            return GeneratorTerm.zero(model)
+            return model.y_ring().zero()
         index += k
-    sym = _so_symbol(model, index)
-    return GeneratorTerm.zero(model) if sym is None else sym
+    cls = model.y_class(index)
+    return model.y_ring().zero() if cls is None else cls

@@ -166,6 +166,18 @@ def test_verify_single_case():
     assert payload["reports"][0]["status"] == "pass"
 
 
+def test_sq_hits_case_exits_1_on_a_broken_parity_function(monkeypatch, capsys):
+    # the case reads binomial parities from math.comb, not from the parity
+    # function that sq_hits uses, so a fault there is a diff
+    from flagchow import steenrod, symclass
+    monkeypatch.setattr(steenrod, "lucas_binomial",
+                        lambda n, k, p: 1 - symclass.lucas_binomial(n, k, p))
+    code, payload = run_json(["verify", "--case", "sq-hits"])
+    assert (code, payload["reports"][0]["status"]) == (1, "fail")
+    assert payload["reports"][0]["details"]["failures"]
+    assert capsys.readouterr().err == ""
+
+
 def test_output_is_deterministic():
     for argv in (["catalog", "--group", "SO", "--rank", "3", "--prime", "2"],
                  ["rost", "--n", "4", "--p", "2"]):
