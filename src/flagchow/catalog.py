@@ -837,7 +837,10 @@ def validate_model(model):
         if src_deg is None:
             fail("operation rule names unknown generator %r", rule.source)
             continue
-        kind = rule.target[0]
+        kind = rule.target[0] if rule.target else None
+        if (kind, len(rule.target)) not in (("ypoly", 2), ("xgen", 3)):
+            fail("%s(%s) has a malformed target", rule.op, rule.source)
+            continue
         if kind == "ypoly":
             if rule.target[1].term_topdegs() != {src_deg + d}:
                 fail("%s(%s) target degree mismatch", rule.op, rule.source)

@@ -6,16 +6,25 @@ failure, 2 usage or data error.  Output is deterministic; --format switches
 between a text rendering and JSON of the same payload.  The environment
 variable FLAGCHOW_MAXDEG caps the truncation degree (default 60).
 
-A process builds one argument parser, on its first `main` call, and reuses
-it; each call dispatches by subcommand name to the module's `_cmd_<name>`.
+The grammar is one table, `_COMMANDS`: each subcommand's one-line help and
+its flags, each an int, a str or a switch, with a default and a required
+mark.  `_parse` reads argv against it left to right, as the argparse parser
+it replaced did under Python 3.11: `--flag value` or `--flag=value`, any
+unique prefix of a flag, `--format` before or after the subcommand (after
+wins), `-` or a negative number as a value, the last repeat of a flag wins.
+A bad or missing value is a usage error at once, and -h or --help prints
+the help and exits 0 where the walk reaches it; unknown flags, stray words
+and anything after `--` are reported at the end.  A usage error exits 2
+through `main`'s one `FlagchowError` path, with the usage line on stderr.
+Each call dispatches by subcommand name to the module's `_cmd_<name>`.
 """
 
-import argparse
 import functools
 import json
 import os
 import re
 import sys
+import types
 
 from . import catalog as _catalog
 from . import chow as _chow
@@ -32,15 +41,6 @@ _FAMILIES = {
 }
 
 _DEFAULT_MAXDEG_CAP = 60
-
-
-class _SubParser(argparse.ArgumentParser):
-    """Subcommand parser accepting --format after the subcommand as well."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.add_argument("--format", dest="format_sub",
-                          choices=("text", "json"), default=None)
 
 
 def _maxdeg_cap():
@@ -68,12 +68,6 @@ def _model(args):
             "unknown group %r; choose from %s"
             % (args.group, ", ".join(sorted(_FAMILIES))))
     return _catalog.lookup_model(family, args.rank, args.prime)
-
-
-def _add_group_flags(sub, prime_default=None):
-    sub.add_argument("--group", required=True)
-    sub.add_argument("--rank", type=int, default=None)
-    sub.add_argument("--prime", type=int, default=prime_default)
 
 
 # --- subcommand payloads ---------------------------------------------------
@@ -263,68 +257,245 @@ def _render_text(payload, out, indent=0, bullet=False):
         out.write("%s%s\n" % (pad, payload))
 
 
-@functools.cache
-def build_parser():
-    """The CLI parser; cached, so a process builds it once, on its first `main`
-    call, and every later call reuses it."""
-    parser = argparse.ArgumentParser(
-        prog="flagchow",
-        description="exact mod-p flag-variety Chow ring checks")
-    parser.add_argument("--format", choices=("text", "json"), default=None)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_SubParser)
+# --- argument grammar ---------------------------------------------------------
 
-    s = sub.add_parser("catalog", help="dump one catalog entry")
-    _add_group_flags(s)
+# A flag is (kind, default, required).  Its kind is int or str for a flag that
+# takes one value, bool for a switch that takes none, or the tuple of the
+# values it accepts.  A required flag has no default.
+_FORMAT = (("text", "json"), None, False)
+_GROUP_FLAGS = {"group": (str, None, True), "rank": (int, None, False),
+                "prime": (int, None, False)}
+# subcommand -> (one-line help, flags by namespace attribute)
+_COMMANDS = {
+    "catalog": ("dump one catalog entry", _GROUP_FLAGS),
+    "present": ("mod-p presentation of the flag quotient", _GROUP_FLAGS),
+    "hilbert": ("graded dimensions of the presentation",
+                dict(_GROUP_FLAGS, maxdeg=(int, 20, False))),
+    "rost": ("summand basis for height n at prime p",
+             {"n": (int, None, True), "p": (int, None, True)}),
+    "restrict": ("check stored restriction tables",
+                 {"table": (str, None, False)}),
+    "decompose": ("series decomposition check",
+                  dict(_GROUP_FLAGS, maxdeg=(int, 40, False))),
+    "torsion-index": ("torsion index with verification level",
+                      dict(_GROUP_FLAGS, prime=(int, 2, False),
+                           witness=(bool, False, False))),
+    "steenrod": ("apply an operation to a generator",
+                 dict(_GROUP_FLAGS, op=(str, None, True),
+                      gen=(str, None, True))),
+    "verify": ("run verification cases",
+               {"all": (bool, False, False), "case": (str, None, False)}),
+}
 
-    s = sub.add_parser("present", help="mod-p presentation of the flag quotient")
-    _add_group_flags(s)
 
-    s = sub.add_parser("hilbert", help="graded dimensions of the presentation")
-    _add_group_flags(s)
-    s.add_argument("--maxdeg", type=int, default=20)
+def _options(flags, format_dest):
+    """Option string -> (namespace attribute, flag) of one level; -h and
+    --help give the flag None."""
+    opts = {"-h": ("help", None), "--help": ("help", None),
+            "--format": (format_dest, _FORMAT)}
+    opts.update(("--" + name, (name, flag)) for name, flag in flags.items())
+    return opts
 
-    s = sub.add_parser("rost", help="summand basis for height n at prime p")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--p", type=int, required=True)
 
-    s = sub.add_parser("restrict", help="check stored restriction tables")
-    s.add_argument("--table", default=None)
+# levels by subcommand, None before it; --format after it sets format_sub
+_LEVELS = {None: _options({}, "format")}
+_LEVELS.update((cmd, _options(flags, "format_sub"))
+               for cmd, (_, flags) in _COMMANDS.items())
+# a word that looks like this is a value, not an unknown option
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    s = sub.add_parser("decompose", help="series decomposition check")
-    _add_group_flags(s)
-    s.add_argument("--maxdeg", type=int, default=40)
 
-    s = sub.add_parser("torsion-index", help="torsion index with verification level")
-    _add_group_flags(s, prime_default=2)
-    s.add_argument("--witness", action="store_true")
+@functools.lru_cache(maxsize=1024)
+def _read(token, cmd):
+    """How one level reads a token other than `--`: None for a word, else the
+    option string it names (None if it names none) and the value given with
+    it, after `=` or after a short option's letter (None if none).  Cached,
+    since most calls repeat the table's own flag names."""
+    opts = _LEVELS[cmd]
+    if token[:1] != "-":
+        return None
+    if token in opts:
+        return token, None
+    if len(token) == 1:
+        return None
+    head, eq, value = token.partition("=")
+    if eq and head in opts:
+        return head, value
+    if token[1] == "-":
+        # a long option by any unique prefix
+        found = [option for option in opts if option.startswith(head)]
+        value = value if eq else None
+    else:
+        # -h and what follows its letter
+        found = [token[:2]] if token[:2] in opts else []
+        value = token[2:]
+    if len(found) > 1:
+        raise _usage_error(cmd, "ambiguous option: %s could match %s"
+                           % (token, ", ".join(found)))
+    if found:
+        return found[0], value
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
 
-    s = sub.add_parser("steenrod", help="apply an operation to a generator")
-    _add_group_flags(s)
-    s.add_argument("--op", required=True)
-    s.add_argument("--gen", required=True)
 
-    s = sub.add_parser("verify", help="run verification cases")
-    s.add_argument("--all", action="store_true")
-    s.add_argument("--case", default=None)
+def _apply(tokens, i, reads, cmd, ns):
+    """Set in ns the option read at tokens[i]; the index after the tokens it
+    used, or None if it asks for help."""
+    option, value = reads[i]
+    dest, flag = _LEVELS[cmd][option]
+    if flag is None:
+        # help, also as -hh...; any other value fails as a switch's would
+        if value is None or option == "-h" and value and not value.strip("h"):
+            return None
+        kind = bool
+    else:
+        kind = flag[0]
+    if kind is bool:
+        if value is not None:
+            raise _usage_error(cmd, "argument %s: ignored explicit argument %r"
+                               % (option, value))
+        ns[dest] = True
+        return i + 1
+    if value is None:
+        i += 1
+        if i == len(reads) or reads[i] is not None:
+            raise _usage_error(cmd, "argument %s: expected one argument"
+                               % option)
+        value = tokens[i]
+    if kind is int:
+        try:
+            value = int(value)
+        except ValueError:
+            raise _usage_error(cmd, "argument %s: invalid int value: %r"
+                               % (option, value))
+    elif kind is not str and value not in kind:
+        raise _usage_error(cmd, "argument %s: invalid choice: %r "
+                           "(choose from %s)"
+                           % (option, value, ", ".join(map(repr, kind))))
+    ns[dest] = value
+    return i + 1
 
-    return parser
+
+def _walk(tokens, cmd, ns, unknown):
+    """Apply one level's options in tokens to ns, left to right.  Every token
+    up to `--` is read first, so an ambiguous one fails before any applies.
+    Before the subcommand the walk stops at the first word or `--` and
+    returns its index; after it, words and all from `--` on go to unknown.
+    None once an option has printed the help."""
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    reads = [_read(token, cmd) for token in tokens[:end]]
+    i = 0
+    while i < len(reads):
+        read = reads[i]
+        if read is None and cmd is None:
+            return i
+        if read is None or read[0] is None:
+            unknown.append(tokens[i])
+            i += 1
+            continue
+        i = _apply(tokens, i, reads, cmd, ns)
+        if i is None:
+            sys.stdout.write(_help(cmd))
+            return None
+    if cmd is not None:
+        unknown += tokens[i:]
+    return i
+
+
+def _parse(argv):
+    """The namespace of argv's subcommand and flags, or None once -h has
+    printed the help; a usage error raises ValidationError."""
+    ns = {"format": None, "command": None}
+    unknown = []
+    i = _walk(argv, None, ns, unknown)
+    if i is None:
+        return None
+    if i == len(argv):
+        raise _usage_error(None,
+                           "the following arguments are required: command")
+    cmd = argv[i]
+    if cmd not in _COMMANDS:
+        raise _usage_error(None, "argument command: invalid choice: %r "
+                           "(choose from %s)"
+                           % (cmd, ", ".join(map(repr, _COMMANDS))))
+    flags = _COMMANDS[cmd][1]
+    ns["command"] = cmd
+    ns["format_sub"] = None
+    ns.update((name, flag[1]) for name, flag in flags.items())
+    if _walk(argv[i + 1:], cmd, ns, unknown) is None:
+        return None
+    missing = ["--" + name for name, flag in flags.items()
+               if flag[2] and ns[name] is None]
+    if missing:
+        raise _usage_error(cmd, "the following arguments are required: %s"
+                           % ", ".join(missing))
+    if unknown:
+        raise _usage_error(None, "unrecognized arguments: %s"
+                           % " ".join(unknown))
+    return types.SimpleNamespace(**ns)
+
+
+def _spelling(name, kind):
+    """A flag as usage and help spell it: --name, --name NAME or --name {a,b}."""
+    if kind is bool:
+        return "--" + name
+    if kind in (int, str):
+        return "--%s %s" % (name, name.upper())
+    return "--%s {%s}" % (name, ",".join(kind))
+
+
+def _usage(cmd):
+    """The usage line of the level before the subcommand (None) or after it."""
+    words = ["usage: flagchow" if cmd is None else "usage: flagchow " + cmd,
+             "[-h]", "[%s]" % _spelling("format", _FORMAT[0])]
+    if cmd is None:
+        words.append("{%s} ..." % ",".join(_COMMANDS))
+    for name, (kind, _, required) in _COMMANDS.get(cmd, (None, {}))[1].items():
+        word = _spelling(name, kind)
+        words.append(word if required else "[%s]" % word)
+    return " ".join(words)
+
+
+def _usage_error(cmd, message):
+    return ValidationError("%s\n%s" % (message, _usage(cmd)))
+
+
+def _help(cmd):
+    """The usage line, what the level does, and each of its subcommands or
+    flags from the table."""
+    about, flags = _COMMANDS.get(
+        cmd, ("exact mod-p flag-variety Chow ring checks", {}))
+    lines = [_usage(cmd), "", about, ""]
+    if cmd is None:
+        lines.append("commands:")
+        lines += ["  %-22s%s" % (name, line)
+                  for name, (line, _) in _COMMANDS.items()]
+        lines.append("")
+    lines += ["options:",
+              "  %-22s%s" % ("-h, --help", "show this help and exit"),
+              "  %-22s%s" % (_spelling("format", _FORMAT[0]),
+                             "output format (default text)")]
+    for name, (kind, default, required) in flags.items():
+        note = ("required" if required else
+                "default %s" % default if default not in (None, False) else "")
+        lines.append(("  %-22s%s" % (_spelling(name, kind), note)).rstrip())
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None, out=None):
     out = out or sys.stdout
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as err:
-        return 2 if err.code not in (0, None) else 0
-    # looked up at call time, so a wrapper set on cli._cmd_* is the one called
-    handler = globals()["_cmd_" + args.command.replace("-", "_")]
-    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return 0
+        # looked up at call time, so a wrapper set on cli._cmd_* is the one called
+        handler = globals()["_cmd_" + args.command.replace("-", "_")]
         code, payload = handler(args)
     except FlagchowError as err:
         sys.stderr.write("error: %s\n" % (err,))
         return 2
-    fmt = getattr(args, "format_sub", None) or args.format or "text"
+    fmt = args.format_sub or args.format or "text"
     if fmt == "json":
         out.write(json.dumps(payload, indent=2, sort_keys=True))
         out.write("\n")

@@ -6,13 +6,20 @@ functions from direct product expansion, binomials from factorials,
 monomials in the transgression classes by exhaustive enumeration.  The
 tuple-based Buchberger that preceded the packed engine is kept here as the
 engine's reference, with its counters and its order of work, and a reader
-of the documented JSON forms checks that the writers lose nothing.
+of the documented JSON forms checks that the writers lose nothing.  The
+argparse parser that the CLI's flag table replaced is kept as the
+reference for its grammar.
 """
 
+import argparse
+import contextlib
+import functools
 import heapq
+import io
 from itertools import combinations_with_replacement
 from math import comb, isqrt
 
+from flagchow import cli
 from flagchow.catalog import RestrictionTable, lookup_model
 from flagchow.chow import BasisElement
 from flagchow.errors import ValidationError
@@ -548,3 +555,91 @@ def series_from_json(data):
     if s.maxdeg != data["maxdeg"]:
         raise ValidationError("series length disagrees with maxdeg")
     return s
+
+
+# --- the argparse CLI parser, as the CLI built it before its flag table ------
+
+
+class _SubParser(argparse.ArgumentParser):
+    """Subcommand parser accepting --format after the subcommand as well."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.add_argument("--format", dest="format_sub",
+                          choices=("text", "json"), default=None)
+
+
+def _add_group_flags(sub, prime_default=None):
+    sub.add_argument("--group", required=True)
+    sub.add_argument("--rank", type=int, default=None)
+    sub.add_argument("--prime", type=int, default=prime_default)
+
+
+@functools.cache
+def build_parser():
+    """The CLI parser before the flag table; cached, so a process builds it
+    once and every later call reuses it."""
+    parser = argparse.ArgumentParser(
+        prog="flagchow",
+        description="exact mod-p flag-variety Chow ring checks")
+    parser.add_argument("--format", choices=("text", "json"), default=None)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubParser)
+
+    s = sub.add_parser("catalog", help="dump one catalog entry")
+    _add_group_flags(s)
+
+    s = sub.add_parser("present", help="mod-p presentation of the flag quotient")
+    _add_group_flags(s)
+
+    s = sub.add_parser("hilbert", help="graded dimensions of the presentation")
+    _add_group_flags(s)
+    s.add_argument("--maxdeg", type=int, default=20)
+
+    s = sub.add_parser("rost", help="summand basis for height n at prime p")
+    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--p", type=int, required=True)
+
+    s = sub.add_parser("restrict", help="check stored restriction tables")
+    s.add_argument("--table", default=None)
+
+    s = sub.add_parser("decompose", help="series decomposition check")
+    _add_group_flags(s)
+    s.add_argument("--maxdeg", type=int, default=40)
+
+    s = sub.add_parser("torsion-index", help="torsion index with verification level")
+    _add_group_flags(s, prime_default=2)
+    s.add_argument("--witness", action="store_true")
+
+    s = sub.add_parser("steenrod", help="apply an operation to a generator")
+    _add_group_flags(s)
+    s.add_argument("--op", required=True)
+    s.add_argument("--gen", required=True)
+
+    s = sub.add_parser("verify", help="run verification cases")
+    s.add_argument("--all", action="store_true")
+    s.add_argument("--case", default=None)
+
+    return parser
+
+
+def argparse_outcome(argv):
+    """What the reference parser makes of argv: ("parsed", the namespace's
+    attributes), ("help", None) after exit 0, or ("usage error", None) after
+    exit 2; its printing is swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return "parsed", vars(build_parser().parse_args(argv))
+        except SystemExit as err:
+            return {0: "help", 2: "usage error"}[err.code], None
+
+
+def table_outcome(argv):
+    """The same for the CLI's flag table, `cli._parse`."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            args = cli._parse(argv)
+        except ValidationError:
+            return "usage error", None
+    return ("help", None) if args is None else ("parsed", vars(args))

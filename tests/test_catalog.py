@@ -442,6 +442,14 @@ MUTANTS = {
         lambda mp: _with_rule(_g2(), "P1", "x1",
                               OperationRule("P1", "x1", ("xgen", "x1", 1))),
         ["(G2, 2): P1(x1) -> x1 degree mismatch"]),
+    "rule-unknown-target-kind": (
+        lambda mp: _with_rule(_g2(), "P1", "x1",
+                              OperationRule("P1", "x1", ("foo",))),
+        ["(G2, 2): P1(x1) has a malformed target"]),
+    "rule-xgen-without-coefficient": (
+        lambda mp: _with_rule(_g2(), "P1", "x1",
+                              OperationRule("P1", "x1", ("xgen", "x2"))),
+        ["(G2, 2): P1(x1) has a malformed target"]),
     "bockstein-disagrees": (
         lambda mp: _with_rule(_e8_2(), "Sq1", "x6", OperationRule(
             "Sq1", "x6", ("ypoly", _e8_2().y_ring().gen("y6", 4)))),

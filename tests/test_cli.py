@@ -3,6 +3,8 @@ import importlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import oracles
 import pytest
@@ -10,6 +12,7 @@ from flagchow import catalog, cli
 from flagchow.cli import main
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def run_cli(argv):
@@ -267,7 +270,7 @@ def test_contract_breaks_exit_2_without_traceback(capsys):
 
 def test_shared_parser_gives_each_call_its_stand_alone_result(capsys):
     # usage error, help and valid calls in one process, each compared with
-    # the same call on a freshly built parser
+    # the same call run again after all of them, in reverse order
     calls = [
         (["hilbert", "--group", "U", "--maxdeg", "x"], 2),
         (["--help"], 0),
@@ -291,8 +294,7 @@ def test_shared_parser_gives_each_call_its_stand_alone_result(capsys):
     assert "usage: flagchow hilbert" in shared[0][3]
     assert "usage: flagchow" in shared[1][2]
     assert "--maxdeg MAXDEG" in shared[2][2]
-    for (argv, _), result in zip(calls, shared):
-        cli.build_parser.cache_clear()
+    for (argv, _), result in reversed(list(zip(calls, shared))):
         assert run(argv) == result, argv
 
 
@@ -307,6 +309,135 @@ def test_dispatch_sees_a_handler_replaced_after_the_first_call(monkeypatch):
     monkeypatch.setattr(cli, "_cmd_rost", patched)
     code, text = run_cli(["rost", "--n", "3", "--p", "2"])
     assert (code, text, seen) == (0, "patched: True\n", [3])
+
+
+G = ["catalog", "--group", "U"]
+# argv, the outcome (parsed, help or usage error), attributes it must set
+GRAMMAR_EDGES = [
+    # --flag=value, a value holding `=`, and unique prefixes
+    (["catalog", "--gr=U"], "parsed", {"group": "U"}),
+    (["catalog", "--group=U=V"], "parsed", {"group": "U=V"}),
+    (["catalog", "--gro", "U"], "parsed", {"group": "U"}),
+    (["hilbert", "--group", "U", "--p", "3"], "parsed", {"prime": 3}),
+    # --g could be --group or --gen; every word is read before help acts
+    (["steenrod", "--g", "x3", "--group", "SO", "--op", "Q1"], "usage error", {}),
+    (["steenrod", "-h", "--g"], "usage error", {}),
+    # --format before the subcommand, by prefix, and after it, which wins
+    (["--f", "json"] + G, "parsed", {"format": "json", "format_sub": None}),
+    (["--fo", "json"] + G, "parsed", {"format": "json", "format_sub": None}),
+    (["--format", "json"] + G + ["--format", "text"], "parsed",
+     {"format": "json", "format_sub": "text"}),
+    (G + ["--format", "xml"], "usage error", {}),
+    # a value may be `-` or a negative number, never another dash-word
+    (["catalog", "--group", "-"], "parsed", {"group": "-"}),
+    (["catalog", "--group", "-.5"], "parsed", {"group": "-.5"}),
+    (G + ["--rank", "-1"], "parsed", {"rank": -1}),
+    (G + ["--rank", "-.5"], "usage error", {}),
+    (G + ["--rank", "-x"], "usage error", {}),
+    (G + ["--rank", "-1e3"], "usage error", {}),
+    # the last repeat wins
+    (G + ["--group", "SO", "--rank", "2", "--rank", "3"], "parsed",
+     {"group": "SO", "rank": 3}),
+    # a switch takes no value
+    (["verify", "--all"], "parsed", {"all": True, "case": None}),
+    (["verify", "--all=yes"], "usage error", {}),
+    # a bad int or a missing value fails where the walk reaches it
+    (G + ["--rank", "x"], "usage error", {}),
+    (["catalog", "--group"], "usage error", {}),
+    (["catalog", "--group", "U", "--rank", "x", "-h"], "usage error", {}),
+    # help where the walk reaches it; -h with more letters than h fails
+    (["-h"], "help", {}),
+    (["--help"], "help", {}),
+    (["--he"], "help", {}),
+    (["hilbert", "-h"], "help", {}),
+    (["-hh"], "help", {}),
+    (["-hx"], "usage error", {}),
+    (["catalog", "--bogus", "-h"], "help", {}),
+    (["-x", "catalog", "-h"], "help", {}),
+    # `--` in each position
+    (["--"] + G, "usage error", {}),
+    (["catalog", "--", "--group", "U"], "usage error", {}),
+    (["catalog", "--group", "--", "U"], "usage error", {}),
+    (G + ["--"], "usage error", {}),
+    (["catalog", "--", "-h"], "usage error", {}),
+    # unknown flags, stray words and subcommands, reported at the end
+    (G + ["--bogus"], "usage error", {}),
+    (["--bogus"] + G, "usage error", {}),
+    (G + ["junk"], "usage error", {}),
+    (["nosuch"], "usage error", {}),
+    ([], "usage error", {}),
+]
+
+
+@pytest.mark.parametrize("argv, outcome, attrs", GRAMMAR_EDGES,
+                         ids=[" ".join(argv) or "(empty)"
+                              for argv, _, _ in GRAMMAR_EDGES])
+def test_argument_grammar_edges_match_the_argparse_reference(
+        argv, outcome, attrs, capsys):
+    read = oracles.table_outcome(argv)
+    assert read == oracles.argparse_outcome(argv)
+    assert read[0] == outcome
+    if outcome == "parsed":
+        assert attrs.items() <= read[1].items()
+        return
+    code, out = run_cli(argv)
+    captured = capsys.readouterr()
+    assert (code, out) == ((0, "") if outcome == "help" else (2, ""))
+    if outcome == "help":
+        assert captured.out.startswith("usage: flagchow")
+    else:
+        assert captured.err.startswith("error: ")
+        assert "\nusage: flagchow" in captured.err
+
+
+def test_two_dashes_after_equals_are_the_value(capsys):
+    # argparse 3.11 made `--group=--` an empty list, which raised in the
+    # handler; the flag table keeps `--` as the value
+    assert oracles.table_outcome(["catalog", "--group=--"])[1]["group"] == "--"
+    assert run_cli(["catalog", "--group=--"]) == (2, "")
+    assert "unknown group '--'" in capsys.readouterr().err
+
+
+def test_help_lists_every_subcommand_and_flag(capsys):
+    assert run_cli(["--help"]) == (0, "")
+    top = capsys.readouterr().out
+    for name, (about, flags) in cli._COMMANDS.items():
+        assert "  %s " % name in top and about in top
+        assert run_cli([name, "--help"]) == (0, "")
+        text = capsys.readouterr().out
+        assert text.startswith("usage: flagchow %s " % name)
+        for flag in list(flags) + ["format", "help"]:
+            assert "--" + flag in text
+
+
+def _fresh_process(*args):
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_a_fresh_process_answers_as_the_in_process_call():
+    argv = ["rost", "--n", "2", "--p", "2"]
+    done = _fresh_process("-m", "flagchow.cli", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == run_cli(argv) + ("",)
+    bogus = _fresh_process("-m", "flagchow.cli", "--bogus")
+    assert (bogus.returncode, bogus.stdout) == (2, "")
+    assert "usage: flagchow" in bogus.stderr and "Traceback" not in bogus.stderr
+    helped = _fresh_process("-m", "flagchow.cli", "--help")
+    assert helped.returncode == 0 and helped.stdout.startswith("usage: flagchow")
+
+
+def test_importing_the_cli_leaves_argparse_unloaded():
+    done = _fresh_process(
+        "-c", "import sys, flagchow.cli; print('argparse' in sys.modules)")
+    assert (done.returncode, done.stdout) == (0, "False\n")
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch):
+    argv = ["rost", "--n", "2", "--p", "3"]
+    monkeypatch.setattr(sys, "argv", ["flagchow"] + argv)
+    out = io.StringIO()
+    assert (main(None, out=out), out.getvalue()) == run_cli(argv)
 
 
 def test_shared_models_read_the_same_after_every_benchmark_call(monkeypatch):

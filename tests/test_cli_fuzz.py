@@ -1,14 +1,17 @@
-"""Property test of the CLI argument grammar: every argv keeps the contract.
+"""Property tests of the CLI argument grammar.
 
-Exit 0, 1 or 2, never a traceback on stderr and never an escaping
-exception.  All calls run in one process, so they share the one parser.
-Sizes stay small (rank <= 4, maxdeg <= 30 or just over the cap 60, rost
-n <= 3 and p <= 12) because the CLI has no work budget yet.
+Every argv keeps the contract: exit 0, 1 or 2, never a traceback on stderr
+and never an escaping exception.  And the flag table reads every argv as the
+argparse parser it replaced does (`oracles.build_parser`).  All calls run
+in one process, so they share the one flag table.  Sizes stay small
+(rank <= 4, maxdeg <= 30 or just over the cap 60, rost n <= 3 and
+p <= 12) because the CLI has no work budget yet.
 """
 
 import contextlib
 import io
 
+import oracles
 import pytest
 
 from flagchow import cli
@@ -97,3 +100,11 @@ def test_every_argv_keeps_the_exit_code_contract(argv):
         code = cli.main(argv, out=out)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
+@hypothesis.given(argvs())
+def test_the_flag_table_reads_every_argv_as_the_argparse_reference(argv):
+    # the same outcome (parsed, help or usage error) and, once parsed, the
+    # same value of every namespace attribute
+    assert oracles.table_outcome(argv) == oracles.argparse_outcome(argv), argv

@@ -16,7 +16,7 @@ HERE = os.path.dirname(__file__)
 SRC = os.path.join(HERE, os.pardir, "src", "flagchow")
 PERFBENCH = os.path.join(HERE, os.pardir, "perfbench")
 
-# argparse dispatches to cli._cmd_<subcommand> by name
+# cli.main dispatches to cli._cmd_<subcommand> by name
 DISPATCHED_PREFIX = "_cmd_"
 # ROADMAP item 1 gives these callers: the alternant formula for the type-B
 # torsion index is checked against marlin_bound, and the rank-8 spin
