@@ -450,8 +450,8 @@ def _usage(cmd):
     words = ["usage: flagchow" if cmd is None else "usage: flagchow " + cmd,
              "[-h]", "[%s]" % _spelling("format", _FORMAT[0])]
     if cmd is None:
-        words.append("{%s} ..." % ",".join(_COMMANDS))
-    for name, (kind, _, required) in _COMMANDS.get(cmd, (None, {}))[1].items():
+        return " ".join(words + ["{%s} ..." % ",".join(_COMMANDS)])
+    for name, (kind, _, required) in _COMMANDS[cmd][1].items():
         word = _spelling(name, kind)
         words.append(word if required else "[%s]" % word)
     return " ".join(words)

@@ -311,7 +311,7 @@ def test_dispatch_sees_a_handler_replaced_after_the_first_call(monkeypatch):
     assert (code, text, seen) == (0, "patched: True\n", [3])
 
 
-G = ["catalog", "--group", "U"]
+CATALOG_U = ["catalog", "--group", "U"]
 # argv, the outcome (parsed, help or usage error), attributes it must set
 GRAMMAR_EDGES = [
     # --flag=value, a value holding `=`, and unique prefixes
@@ -323,26 +323,28 @@ GRAMMAR_EDGES = [
     (["steenrod", "--g", "x3", "--group", "SO", "--op", "Q1"], "usage error", {}),
     (["steenrod", "-h", "--g"], "usage error", {}),
     # --format before the subcommand, by prefix, and after it, which wins
-    (["--f", "json"] + G, "parsed", {"format": "json", "format_sub": None}),
-    (["--fo", "json"] + G, "parsed", {"format": "json", "format_sub": None}),
-    (["--format", "json"] + G + ["--format", "text"], "parsed",
+    (["--f", "json"] + CATALOG_U, "parsed",
+     {"format": "json", "format_sub": None}),
+    (["--fo", "json"] + CATALOG_U, "parsed",
+     {"format": "json", "format_sub": None}),
+    (["--format", "json"] + CATALOG_U + ["--format", "text"], "parsed",
      {"format": "json", "format_sub": "text"}),
-    (G + ["--format", "xml"], "usage error", {}),
+    (CATALOG_U + ["--format", "xml"], "usage error", {}),
     # a value may be `-` or a negative number, never another dash-word
     (["catalog", "--group", "-"], "parsed", {"group": "-"}),
     (["catalog", "--group", "-.5"], "parsed", {"group": "-.5"}),
-    (G + ["--rank", "-1"], "parsed", {"rank": -1}),
-    (G + ["--rank", "-.5"], "usage error", {}),
-    (G + ["--rank", "-x"], "usage error", {}),
-    (G + ["--rank", "-1e3"], "usage error", {}),
+    (CATALOG_U + ["--rank", "-1"], "parsed", {"rank": -1}),
+    (CATALOG_U + ["--rank", "-.5"], "usage error", {}),
+    (CATALOG_U + ["--rank", "-x"], "usage error", {}),
+    (CATALOG_U + ["--rank", "-1e3"], "usage error", {}),
     # the last repeat wins
-    (G + ["--group", "SO", "--rank", "2", "--rank", "3"], "parsed",
+    (CATALOG_U + ["--group", "SO", "--rank", "2", "--rank", "3"], "parsed",
      {"group": "SO", "rank": 3}),
     # a switch takes no value
     (["verify", "--all"], "parsed", {"all": True, "case": None}),
     (["verify", "--all=yes"], "usage error", {}),
     # a bad int or a missing value fails where the walk reaches it
-    (G + ["--rank", "x"], "usage error", {}),
+    (CATALOG_U + ["--rank", "x"], "usage error", {}),
     (["catalog", "--group"], "usage error", {}),
     (["catalog", "--group", "U", "--rank", "x", "-h"], "usage error", {}),
     # help where the walk reaches it; -h with more letters than h fails
@@ -355,15 +357,15 @@ GRAMMAR_EDGES = [
     (["catalog", "--bogus", "-h"], "help", {}),
     (["-x", "catalog", "-h"], "help", {}),
     # `--` in each position
-    (["--"] + G, "usage error", {}),
+    (["--"] + CATALOG_U, "usage error", {}),
     (["catalog", "--", "--group", "U"], "usage error", {}),
     (["catalog", "--group", "--", "U"], "usage error", {}),
-    (G + ["--"], "usage error", {}),
+    (CATALOG_U + ["--"], "usage error", {}),
     (["catalog", "--", "-h"], "usage error", {}),
     # unknown flags, stray words and subcommands, reported at the end
-    (G + ["--bogus"], "usage error", {}),
-    (["--bogus"] + G, "usage error", {}),
-    (G + ["junk"], "usage error", {}),
+    (CATALOG_U + ["--bogus"], "usage error", {}),
+    (["--bogus"] + CATALOG_U, "usage error", {}),
+    (CATALOG_U + ["junk"], "usage error", {}),
     (["nosuch"], "usage error", {}),
     ([], "usage error", {}),
 ]
