@@ -29,7 +29,7 @@ import functools
 from operator import lt
 
 from .errors import DataMissingError, UnsupportedCaseError, ValidationError
-from .ring import GradedVariable, PolyRing, is_prime
+from .ring import GradedVariable, PolyRing, Polynomial, is_prime
 from .symclass import t_ring
 
 
@@ -763,6 +763,17 @@ def is_reduced(body, ring, truncs):
             and all(all(map(lt, m, truncs)) for m in body.terms))
 
 
+def _well_formed_target(target):
+    """Whether an operation-rule target is ("ypoly", Polynomial) or
+    ("xgen", name, int coefficient)."""
+    if not isinstance(target, tuple) or not target:
+        return False
+    if target[0] == "ypoly":
+        return len(target) == 2 and isinstance(target[1], Polynomial)
+    return (target[0] == "xgen" and len(target) == 3
+            and isinstance(target[1], str) and isinstance(target[2], int))
+
+
 def validate_model(model):
     """All structural invariants of one model, in one pass; returns a list of
     failures.  A message is formatted only when its check fails, and a
@@ -837,10 +848,10 @@ def validate_model(model):
         if src_deg is None:
             fail("operation rule names unknown generator %r", rule.source)
             continue
-        kind = rule.target[0] if rule.target else None
-        if (kind, len(rule.target)) not in (("ypoly", 2), ("xgen", 3)):
+        if not _well_formed_target(rule.target):
             fail("%s(%s) has a malformed target", rule.op, rule.source)
             continue
+        kind = rule.target[0]
         if kind == "ypoly":
             if rule.target[1].term_topdegs() != {src_deg + d}:
                 fail("%s(%s) target degree mismatch", rule.op, rule.source)

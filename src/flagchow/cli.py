@@ -19,7 +19,6 @@ through `main`'s one `FlagchowError` path, with the usage line on stderr.
 Each call dispatches by subcommand name to the module's `_cmd_<name>`.
 """
 
-import functools
 import json
 import os
 import re
@@ -305,12 +304,10 @@ _LEVELS.update((cmd, _options(flags, "format_sub"))
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-@functools.lru_cache(maxsize=1024)
 def _read(token, cmd):
     """How one level reads a token other than `--`: None for a word, else the
     option string it names (None if it names none) and the value given with
-    it, after `=` or after a short option's letter (None if none).  Cached,
-    since most calls repeat the table's own flag names."""
+    it, after `=` or after a short option's letter (None if none)."""
     opts = _LEVELS[cmd]
     if token[:1] != "-":
         return None

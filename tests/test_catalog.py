@@ -450,6 +450,18 @@ MUTANTS = {
         lambda mp: _with_rule(_g2(), "P1", "x1",
                               OperationRule("P1", "x1", ("xgen", "x2"))),
         ["(G2, 2): P1(x1) has a malformed target"]),
+    "rule-none-target": (
+        lambda mp: _with_rule(_g2(), "P1", "x1",
+                              OperationRule("P1", "x1", None)),
+        ["(G2, 2): P1(x1) has a malformed target"]),
+    "rule-ypoly-not-a-polynomial": (
+        lambda mp: _with_rule(_g2(), "P1", "x1",
+                              OperationRule("P1", "x1", ("ypoly", "y2"))),
+        ["(G2, 2): P1(x1) has a malformed target"]),
+    "rule-xgen-coefficient-not-an-int": (
+        lambda mp: _with_rule(_g2(), "P1", "x1",
+                              OperationRule("P1", "x1", ("xgen", "x2", "1"))),
+        ["(G2, 2): P1(x1) has a malformed target"]),
     "bockstein-disagrees": (
         lambda mp: _with_rule(_e8_2(), "Sq1", "x6", OperationRule(
             "Sq1", "x6", ("ypoly", _e8_2().y_ring().gen("y6", 4)))),

@@ -102,6 +102,7 @@ def test_every_argv_keeps_the_exit_code_contract(argv):
     assert "Traceback" not in err.getvalue(), argv
 
 
+@oracles.ON_REFERENCE_PYTHON
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
 @hypothesis.given(argvs())
 def test_the_flag_table_reads_every_argv_as_the_argparse_reference(argv):
