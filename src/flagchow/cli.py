@@ -9,7 +9,7 @@ variable FLAGCHOW_MAXDEG caps the truncation degree (default 60).
 The grammar is one table, `_COMMANDS`: each subcommand's one-line help and
 its flags, each an int, a str or a switch, with a default and a required
 mark.  `_parse` reads argv against it left to right, as the argparse parser
-it replaced did under Python 3.11: `--flag value` or `--flag=value`, any
+it replaced did under Python 3.11, on every Python: `--flag value` or `--flag=value`, any
 unique prefix of a flag, `--format` before or after the subcommand (after
 wins), `-` or a negative number as a value, the last repeat of a flag wins.
 A bad or missing value is a usage error at once, and -h or --help prints
