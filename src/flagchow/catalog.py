@@ -129,12 +129,12 @@ class CohomologyModel:
 
     __slots__ = ("family", "rank", "prime", "y_gens", "x_gens", "transgression",
                  "op_rules", "torsion_index_p", "witness", "sharp", "notes",
-                 "is_type_one", "dim_gt", "extras",
+                 "is_type_one", "dim_gt", "explicit_b",
                  "_y_ring", "_by_topdeg", "_presentation")
 
     def __init__(self, family, rank, prime, y_gens, x_gens, transgression,
                  op_rules, torsion_index_p=None, witness=None, sharp=None,
-                 notes=(), is_type_one=False, dim_gt=None, extras=None):
+                 notes=(), is_type_one=False, dim_gt=None, explicit_b=None):
         self.family = family
         self.rank = rank
         self.prime = prime
@@ -148,7 +148,7 @@ class CohomologyModel:
         self.notes = tuple(notes)
         self.is_type_one = is_type_one
         self.dim_gt = dim_gt
-        self.extras = extras or {}
+        self.explicit_b = explicit_b  # {entry index: form on the torus} or None
         self._y_ring = None
         self._by_topdeg = None
         self._presentation = None
@@ -345,16 +345,9 @@ def _model_Spin_odd(l):
     zdeg = 2 ** (tpar + 2) - 1
     x_gens = [XGen("x%d" % (2 * i - 1), 2 * i - 1) for i in range(2, l + 1)]
     x_gens.append(XGen("z%d" % zdeg, zdeg))
-    extras = {
-        "lbar": l - 1 if l & (l - 1) == 0 else l,
-        "torsion_elements": ["c'_%d - 2*c_1^%d" % (2 ** j, 2 ** j)
-                             for j in range(1, l.bit_length())
-                             if 2 ** j <= l],
-    }
     model = CohomologyModel(
         "Spin_odd", l, 2, y_gens, x_gens, [], [], torsion_index_p=torsion,
-        witness=witness, dim_gt=2 * l * l,
-        is_type_one=l in (3, 4), extras=extras,
+        witness=witness, dim_gt=2 * l * l, is_type_one=l in (3, 4),
         notes=("torsion-element list kept with coefficient 2 on the "
                "c_1-power term, matching the summary statement; the in-text "
                "corollary prints coefficient 1",
@@ -403,7 +396,8 @@ def _r_of(trunc, p):
     return r
 
 
-def _type_one_model(family, p, x_degrees, yname, ydeg, dim_gt, extras=None):
+def _type_one_model(family, p, x_degrees, yname, ydeg, dim_gt,
+                    explicit_b=None):
     l = len(x_degrees)
     y_gens = [YGen(yname, ydeg, p)]
     x_gens = [XGen("x%d" % (i + 1), d) for i, d in enumerate(x_degrees)]
@@ -411,7 +405,8 @@ def _type_one_model(family, p, x_degrees, yname, ydeg, dim_gt, extras=None):
                 for i in range(1, l + 1, 2)]
     model = CohomologyModel(family, l, p, y_gens, x_gens, [], op_rules,
                             torsion_index_p=p, witness=(2 * p - 2,),
-                            is_type_one=True, dim_gt=dim_gt, extras=extras)
+                            is_type_one=True, dim_gt=dim_gt,
+                            explicit_b=explicit_b)
     ring = model.y_ring()
     trans = []
     for i in range(1, l + 1):
@@ -434,7 +429,7 @@ def _model_G2():
     t1, t2 = ring.gen("t1"), ring.gen("t2")
     explicit_b = {1: t1 * t1 + t1 * t2 + t2 * t2, 2: t2 ** 3}
     return _type_one_model("G2", 2, [3, 5], "y6", 6, dim_gt=12,
-                           extras={"explicit_b": explicit_b})
+                           explicit_b=explicit_b)
 
 
 def _model_F4():
@@ -902,7 +897,7 @@ def validate_model(model):
     by_index = {}
     for e in model.transgression:
         by_index.setdefault(e.index, e)
-    for i, poly in model.extras.get("explicit_b", {}).items():
+    for i, poly in (model.explicit_b or {}).items():
         e = by_index.get(i)
         if e is None or poly.term_topdegs() != {e.topdeg}:
             fail("explicit form of %s has wrong degree",

@@ -96,9 +96,8 @@ def _torus_forms(model):
     catalog stores none: the Pontryagin classes p_1..p_l for Sp, the stored
     explicit forms of a one-generator case, else the Chern classes
     e_1..e_l."""
-    if "explicit_b" in model.extras:
-        forms = model.extras["explicit_b"]
-        return [forms[i] for i in sorted(forms)]
+    if model.explicit_b is not None:
+        return [model.explicit_b[i] for i in sorted(model.explicit_b)]
     fam = model.family
     if fam not in ("U", "Sp", "PU", "SO_odd", "SO_even"):
         return None
@@ -144,31 +143,17 @@ def rost_chow_basis(n, p):
     return out
 
 
-def rost_part_basis(model, variant="default"):
+def rost_part_basis(model):
     """Additive basis data for the indecomposable summand of the model.
 
-    Returns (kind, elements): kind is "exact", "surjection-target", or
-    "mod-torsion" (the torsion-free quotient basis, stored for the rank-7
-    and rank-8 odd-prime cases).
+    Returns (kind, elements): kind is "exact" or "surjection-target".
     """
     fam = model.family
     p = model.prime
     l = model.rank
-    if variant not in ("default", "mod-torsion"):
-        raise ValidationError("unknown variant %r" % (variant,))
 
     def unit():
         return BasisElement("1", 0, "rost-part")
-
-    if variant == "mod-torsion":
-        if fam == "E7" and p == 2:
-            return "mod-torsion", _b_products(model, [[i] for i in range(2, 8)]
-                                              + [[2, 7]])
-        if fam == "E8" and p == 3:
-            return "mod-torsion", _b_products(model, [[i] for i in range(2, 9)]
-                                              + [[2, 8]])
-        raise UnsupportedCaseError(
-            "no torsion-free quotient basis stored for %s" % model.label())
 
     if fam in ("U", "Sp"):
         return "exact", [unit()]
@@ -181,12 +166,11 @@ def rost_part_basis(model, variant="default"):
         return "exact", _square_free_monomials(model, l)
     if fam == "SO_even":
         return "exact", _square_free_monomials(model, l - 1)
+    if model.is_type_one:
+        # the unit and the first 2p - 2 transgression entries
+        return "exact", [unit()] + [BasisElement(e.name, e.topdeg, "rost-part")
+                                    for e in model.transgression[:2 * p - 2]]
     if fam == "Spin_odd":
-        if model.is_type_one:
-            out = [unit(),
-                   BasisElement("c'_2", 4, "rost-part"),
-                   BasisElement("c'_3", 6, "rost-part")]
-            return "exact", out
         if l == 5:
             elems = [unit()]
             for idx in (2, 3, 4, 5):
@@ -194,13 +178,11 @@ def rost_part_basis(model, variant="default"):
             elems.append(BasisElement("c'_2c'_4", 12, "rost-part"))
             elems.append(BasisElement("c_1^8", 16, "rost-part"))
             return "surjection-target", elems
-        lbar = model.extras["lbar"]
+        lbar = l - 1 if l & (l - 1) == 0 else l  # l - 1 at a power of 2
         elems = [unit()]
         for idx in range(2, lbar + 1):
             elems.append(BasisElement("c'_%d" % idx, 2 * idx, "rost-part"))
         return "surjection-target", elems
-    if model.is_type_one:
-        return "exact", _b_products(model, [[i] for i in range(1, 2 * p - 1)])
     if fam == "E8" and p == 3:
         return "surjection-target", _b_products(
             model, [[i] for i in range(1, 9)] + [[1, 6], [1, 8], [2, 8]])

@@ -195,7 +195,8 @@ def _cmd_steenrod(args):
     q = re.fullmatch(r"Q(\d+)", op)
     sq = re.fullmatch(r"Sq(\d+)", op)
     if q or op in ("beta", "Sq1"):
-        out = _steenrod.q_milnor(model, gen, int(q.group(1)) if q else 0)
+        n = int(q.group(1)) if q else 0
+        out = _steenrod.q_milnor(model, gen, n).pretty()
         provenance = "stored rule or transgression table"
     elif sq:
         index = re.fullmatch(r"[xz](\d+)", gen)
@@ -209,7 +210,7 @@ def _cmd_steenrod(args):
         raise ValidationError(
             "unknown operation %r; use Q<n>, beta, Sq1 or Sq<k>" % (op,))
     payload = {"case": model.label(), "op": op, "generator": gen,
-               "image": out.pretty(), "provenance": provenance}
+               "image": out, "provenance": provenance}
     return 0, payload
 
 

@@ -144,12 +144,11 @@ class PolyRing:
         exps[self.var_index(name)] = power
         return Polynomial(self, {tuple(exps): 1})
 
-    def monomial(self, exps, coef=1):
+    def monomial(self, exps):
         exps = tuple(exps)
         if len(exps) != self.nvars:
             raise ValidationError("exponent tuple length mismatch")
-        c = self.normalize_coeff(coef)
-        return Polynomial(self, {exps: c} if c != 0 else {})
+        return Polynomial(self, {exps: 1})
 
     def from_terms(self, terms):
         """Build a polynomial from an iterable of (exps, coef), merging

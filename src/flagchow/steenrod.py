@@ -1,13 +1,14 @@
 """Steenrod squares on orthogonal generators, Milnor operations from the
 transgression table.
 
-A square Sq^k on a generator of the orthogonal family is a GeneratorTerm,
-a formal sum of basis symbols (x_names, y_exponents): here zero, one odd
-generator or one y-class.  A Milnor operation Q_n on a generator is a
-polynomial in the model's P(y), read from the generator's transgression
-entry alone; the stored operation rules are not consulted.  Out-of-range
-targets evaluate to zero (range truncation); an operation whose value is
-not recorded and not forced to zero raises, never returning a silent zero.
+A square Sq^k on a generator x_i of the orthogonal family follows one rule,
+Sq^k x_i = binom(i, k) x_{i+k}, where an even index names a class of P(y):
+its value is zero, one odd generator or one y-class.  A Milnor operation Q_n
+on a generator is a polynomial in the model's P(y), read from the
+generator's transgression entry alone; the stored operation rules are not
+consulted.  Out-of-range targets evaluate to zero (range truncation); an
+operation whose value is not recorded and not forced to zero raises, never
+returning a silent zero.
 """
 
 from .catalog import lookup_model
@@ -17,84 +18,35 @@ from .symclass import lucas_binomial
 _SO_FAMILIES = ("SO_odd", "SO_even", "Spin_odd")
 
 
-class GeneratorTerm:
-    """Formal F_p sum over symbols ((x_1,..,x_k), y_exps)."""
-
-    __slots__ = ("model", "coeffs")
-
-    def __init__(self, model, coeffs):
-        self.model = model
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, model):
-        return cls(model, {})
-
-    @classmethod
-    def from_x(cls, model, name):
-        unit = (0,) * len(model.y_gens)
-        return cls(model, {((model.x_gen(name).name,), unit): 1})
-
-    @classmethod
-    def from_y_poly(cls, model, poly):
-        return cls(model, {((), m): c for m, c in poly.terms.items()})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, GeneratorTerm)
-                and self.model.key() == other.model.key()
-                and self.coeffs == other.coeffs)
-
-    def pretty(self):
-        if not self.coeffs:
-            return "0"
-        names = [g.name for g in self.model.y_gens]
-        parts = []
-        for (xs, yexps), c in sorted(self.coeffs.items()):
-            factors = list(xs)
-            factors += ["%s^%d" % (n, e) if e > 1 else n
-                        for n, e in zip(names, yexps) if e]
-            body = "*".join(factors) if factors else "1"
-            parts.append(body if c == 1 else "%d*%s" % (c, body))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "GeneratorTerm(%s)" % self.pretty()
-
-
 # ---------------------------------------------------------------------------
 # squares on orthogonal generators
 
 
-def _so_symbol(model, index):
-    """x_index of the rank-l orthogonal model, identifying even indices with
-    y-classes; None past the range bound."""
-    if index > 2 * model.rank:
+def _sq_index(model, i, k):
+    """The index j = i + k of Sq^k(x_i) on the rank-l orthogonal model, or
+    None where the square is zero: binom(i, k) even, j past the range bound
+    2l, or j even with no class in P(y)."""
+    j = i + k
+    if (lucas_binomial(i, k, 2) == 0 or j > 2 * model.rank
+            or (j % 2 == 0 and model.y_class(j) is None)):
         return None
-    if index % 2 == 1:
-        return GeneratorTerm.from_x(model, "x%d" % index)
-    cls = model.y_class(index)
-    if cls is None:
-        return None
-    return GeneratorTerm.from_y_poly(model, cls)
+    return j
 
 
 def sq_on_so_generator(i, k, model):
-    """Sq^k(x_i) = binom(i, k) x_{i+k} on the rank-l orthogonal model."""
+    """Sq^k(x_i) = binom(i, k) x_{i+k} on the rank-l orthogonal model, as
+    printed: an x-generator's name, a class of P(y), or "0"."""
     if model.family not in _SO_FAMILIES:
         raise UnsupportedCaseError(
             "binomial squaring rule only applies to the orthogonal family")
     if not 1 <= i <= 2 * model.rank:
         raise ValidationError("generator index out of range")
-    if k == 0:
-        return _so_symbol(model, i)
-    c = lucas_binomial(i, k, 2)
-    if c == 0:
-        return GeneratorTerm.zero(model)
-    sym = _so_symbol(model, i + k)
-    return GeneratorTerm.zero(model) if sym is None else sym
+    j = _sq_index(model, i, k)
+    if j is None:
+        return "0"
+    if j % 2:
+        return model.x_gen("x%d" % j).name
+    return model.y_class(j).pretty()
 
 
 def sq_on_y(i, k, l):
@@ -179,14 +131,13 @@ def derive_q1_check(l):
 
 
 def _compose_sq(model, index, ks):
-    """Apply Sq^{ks[0]} then Sq^{ks[1]} ... to x_index via the binomial rule.
+    """Apply Sq^{ks[0]} then Sq^{ks[1]} ... to x_index by the binomial rule.
 
     Sq^k sends x_i to x_{i+k} or to zero, so one index is followed.  The
     index is odd and in range and the shifts have odd total, so the value is
     a class of P(y): the y-class of the final even index, or zero."""
     for k in ks:
-        if lucas_binomial(index, k, 2) == 0 or index + k > 2 * model.rank:
+        index = _sq_index(model, index, k)
+        if index is None:
             return model.y_ring().zero()
-        index += k
-    cls = model.y_class(index)
-    return model.y_ring().zero() if cls is None else cls
+    return model.y_class(index)

@@ -21,9 +21,9 @@ bound absorbs.
 """
 
 from itertools import combinations
-from math import factorial, gcd, log2
+from math import factorial, gcd
 
-from .catalog import WitnessPolynomial, lookup_model
+from .catalog import WitnessPolynomial
 from .errors import (
     DataMissingError,
     InternalInconsistencyError,
@@ -119,14 +119,6 @@ def torsion_index_so(l, return_details=False):
 
 # ---------------------------------------------------------------------------
 # bounds and witnesses
-
-
-def marlin_bound(l):
-    """2^(l - floor(log2 l) - 1): the classical divisibility bound for the
-    spin-group torsion index."""
-    if l < 1:
-        raise ValidationError("rank must be positive")
-    return 2 ** (l - int(log2(l)) - 1)
 
 
 def witness_product(model, indices):
@@ -236,22 +228,3 @@ def torsion_index_report(model):
     if stored is not None:
         return stored, "TABLE", {}
     raise DataMissingError("no torsion data for %s" % model.label())
-
-
-def spin17_nonzero_products():
-    """The two stored nonzero products for the rank-8 spin case: the plain
-    witness, and the variant routing one factor through its level-1 term."""
-    model = lookup_model("Spin_odd", 8, 2)
-    plain = witness_product(model, model.witness)
-    ok_plain = plain.s == 4 and plain.body == model.y_top()
-    partial = witness_product(model, [3, 6, 7])
-    v1_body = None
-    for n, body in model.entry(4).v_terms:
-        if n == 1:
-            v1_body = body
-    if v1_body is None:
-        raise DataMissingError("missing level-1 term on entry 4")
-    mixed = model.reduce_y(partial.body * v1_body)
-    ok_mixed = partial.s == 3 and mixed == model.y_top()
-    return {"plain": ok_plain, "with_v1_factor": ok_mixed,
-            "plain_exponent": plain.s, "mixed_exponent": partial.s}

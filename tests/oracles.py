@@ -8,7 +8,9 @@ tuple-based Buchberger that preceded the packed engine is kept here as the
 engine's reference, with its counters and its order of work, and a reader
 of the documented JSON forms checks that the writers lose nothing.  The
 argparse parser that the CLI's flag table replaced is kept as the
-reference for its grammar, which is Python 3.11's.
+reference for its grammar, which is Python 3.11's.  Paper data that no
+program path reads (the mod-torsion bases, the spin divisibility bound and
+the rank-8 spin products) is kept here for the tests that check it.
 """
 
 import argparse
@@ -24,9 +26,10 @@ import pytest
 from flagchow import cli
 from flagchow.catalog import RestrictionTable, lookup_model
 from flagchow.chow import BasisElement
-from flagchow.errors import ValidationError
+from flagchow.errors import UnsupportedCaseError, ValidationError
 from flagchow.groebner import HilbertSeries, QuotientPresentation
 from flagchow.ring import GradedVariable, PolyRing, Polynomial
+from flagchow.torsion import witness_product
 
 
 def naive_product_terms(a, b):
@@ -266,6 +269,52 @@ def a_filtration_basis(model, bound):
     rec(0, 0, [])
     out.sort(key=lambda b: (b.topdeg, b.name))
     return out
+
+
+# --- paper data that no program path reads ------------------------------------
+
+# the torsion-free quotient bases of the indecomposable summand, stored for
+# (E7, 2) and (E8, 3): products of transgression classes
+MOD_TORSION_PRODUCTS = {
+    ("E7", 7, 2): [[i] for i in range(2, 8)] + [[2, 7]],
+    ("E8", 8, 3): [[i] for i in range(2, 9)] + [[2, 8]],
+}
+
+
+def mod_torsion_basis(model):
+    """The unit and the stored products of the model's transgression
+    classes, named and graded by their entries."""
+    if model.key() not in MOD_TORSION_PRODUCTS:
+        raise UnsupportedCaseError(
+            "no torsion-free quotient basis stored for %s" % model.label())
+    out = [BasisElement("1", 0, "mod-torsion")]
+    for idxs in MOD_TORSION_PRODUCTS[model.key()]:
+        entries = [model.entry(i) for i in idxs]
+        out.append(BasisElement("".join(e.name for e in entries),
+                                sum(e.topdeg for e in entries), "mod-torsion"))
+    return out
+
+
+def marlin_bound(l):
+    """2^(l - floor(log2 l) - 1): the classical divisibility bound for the
+    spin-group torsion index."""
+    if l < 1:
+        raise ValidationError("rank must be positive")
+    return 2 ** (l - l.bit_length())
+
+
+def spin17_nonzero_products():
+    """The two stored nonzero products for the rank-8 spin case: the plain
+    witness, and the one routing one factor through its level-1 term."""
+    model = lookup_model("Spin_odd", 8, 2)
+    plain = witness_product(model, model.witness)
+    ok_plain = plain.s == 4 and plain.body == model.y_top()
+    partial = witness_product(model, [3, 6, 7])
+    v1_body = dict(model.entry(4).v_terms)[1]
+    mixed = model.reduce_y(partial.body * v1_body)
+    ok_mixed = partial.s == 3 and mixed == model.y_top()
+    return {"plain": ok_plain, "with_v1_factor": ok_mixed,
+            "plain_exponent": plain.s, "mixed_exponent": partial.s}
 
 
 def object_state(obj):

@@ -16,6 +16,7 @@ from flagchow.catalog import (
     validate_catalog,
     validate_model,
 )
+from flagchow.chow import rost_part_basis
 from flagchow.errors import DataMissingError, UnsupportedCaseError, ValidationError
 
 
@@ -124,13 +125,13 @@ def test_spin11_entries():
     assert c4.leading is None
     assert [(n, b.pretty()) for n, b in c4.v_terms] == [(1, "y10")]
     assert m.torsion_index_p == 2
-    assert m.extras["lbar"] == 5
 
 
-def test_spin_lbar_drops_at_2_powers():
-    assert lookup_model("Spin_odd", 4, 2).extras["lbar"] == 3
-    assert lookup_model("Spin_odd", 8, 2).extras["lbar"] == 7
-    assert lookup_model("Spin_odd", 6, 2).extras["lbar"] == 6
+def test_spin_surjection_target_drops_its_last_class_at_2_powers():
+    last = {l: rost_part_basis(lookup_model("Spin_odd", l, 2))[1][-1]
+            for l in range(5, 9)}
+    assert {l: (b.name, b.topdeg) for l, b in last.items()} == {
+        5: ("c_1^8", 16), 6: ("c'_6", 12), 7: ("c'_7", 14), 8: ("c'_7", 14)}
 
 
 def test_mutated_entry_fails_validation():
@@ -141,7 +142,7 @@ def test_mutated_entry_fails_validation():
     mutated = CohomologyModel(
         m.family, m.rank, m.prime, m.y_gens, m.x_gens,
         (bad_entry,) + m.transgression[1:], m.op_rules,
-        is_type_one=True, dim_gt=m.dim_gt, extras={})
+        is_type_one=True, dim_gt=m.dim_gt, explicit_b=None)
     fails = validate_model(mutated)
     assert any("degree" in f or "|" in f for f in fails)
 
@@ -203,18 +204,13 @@ def test_restriction_tables_of_a_model_filter_the_full_list():
 
 def test_g2_explicit_forms():
     m = lookup_model("G2", prime=2)
-    eb = m.extras["explicit_b"]
+    eb = m.explicit_b
     assert eb[1].term_topdegs() == {4}
     assert eb[2].term_topdegs() == {6}
     assert eb[1].terms == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
     assert eb[2].terms == {(0, 3): 1}
     # over the model's field, so the presentation takes them as they are
     assert eb[1].ring.p == eb[2].ring.p == m.prime
-
-
-def test_spin_torsion_element_list():
-    m = lookup_model("Spin_odd", 5, 2)
-    assert m.extras["torsion_elements"] == ["c'_2 - 2*c_1^2", "c'_4 - 2*c_1^4"]
 
 
 def test_witness_polynomial_invariants():
@@ -306,7 +302,8 @@ def _mutant(base, **changes):
         y_gens=base.y_gens, x_gens=base.x_gens, transgression=base.transgression,
         op_rules=base.op_rules, torsion_index_p=base.torsion_index_p,
         witness=base.witness, sharp=base.sharp, notes=base.notes,
-        is_type_one=base.is_type_one, dim_gt=base.dim_gt, extras=base.extras)
+        is_type_one=base.is_type_one, dim_gt=base.dim_gt,
+        explicit_b=base.explicit_b)
     fields.update(changes)
     return CohomologyModel(**fields)
 
@@ -495,8 +492,8 @@ MUTANTS = {
         ["(E8, 2): truncations must be 8,4,2,2",
          "(E8, 2): degree bookkeeping != dim(G/T)"]),
     "explicit-form-degree": (
-        lambda mp: _mutant(_g2(), extras={"explicit_b": {
-            1: _g2().extras["explicit_b"][2], 2: _g2().extras["explicit_b"][2]}}),
+        lambda mp: _mutant(_g2(), explicit_b={
+            1: _g2().explicit_b[2], 2: _g2().explicit_b[2]}),
         ["(G2, 2): explicit form of b_1 has wrong degree"]),
     "witness-without-leading": (
         lambda mp: _mutant(_g2(), witness=(1,)),

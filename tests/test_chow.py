@@ -24,6 +24,7 @@ from oracles import (
     a_filtration_basis,
     graded_quotient_dims,
     homogeneous_topdeg,
+    mod_torsion_basis,
     with_restriction_image,
 )
 
@@ -124,7 +125,7 @@ def test_a_model_built_by_hand_gets_its_own_presentation():
     # the catalog case without its explicit torus forms: symbolic, not explicit
     hand = CohomologyModel(m.family, m.rank, m.prime, m.y_gens, m.x_gens,
                            m.transgression, m.op_rules, is_type_one=True,
-                           dim_gt=m.dim_gt, extras={})
+                           dim_gt=m.dim_gt, explicit_b=None)
     pres = chow_presentation(hand)
     assert pres is not shared and pres.note is not None
     assert [v.name for v in pres.ring.variables] == ["B1", "B2"]
@@ -182,14 +183,13 @@ def test_rost_part_exceptional():
     assert [b.name for b in els] == ["1"] + ["b_%d" % i for i in range(1, 9)] + \
         ["b_1b_6", "b_1b_8", "b_2b_8"]
     assert len(els) == 12
-    kind, els = rost_part_basis(lookup_model("E7", prime=2), variant="mod-torsion")
-    assert kind == "mod-torsion"
+    els = mod_torsion_basis(lookup_model("E7", prime=2))
     assert [b.name for b in els] == ["1", "b_2", "b_3", "b_4", "b_5", "b_6",
                                      "b_7", "b_2b_7"]
-    kind, els = rost_part_basis(lookup_model("E8", prime=3), variant="mod-torsion")
+    els = mod_torsion_basis(lookup_model("E8", prime=3))
     assert len(els) == 9
     with pytest.raises(UnsupportedCaseError):
-        rost_part_basis(lookup_model("E8", prime=2), variant="mod-torsion")
+        mod_torsion_basis(lookup_model("E8", prime=2))
 
 
 def test_rost_part_spin_cases():
@@ -225,6 +225,15 @@ def test_surjection_targets_inside_filtration():
         filt = a_filtration_basis(m, m.y_top().topdeg())
         names = {(b.name, b.topdeg) for b in filt}
         for b in els:
+            assert (b.name, b.topdeg) in names, (fam, p, b.name)
+
+
+def test_mod_torsion_bases_inside_filtration():
+    for fam, r, p in [("E7", 7, 2), ("E8", 8, 3)]:
+        m = lookup_model(fam, r, p)
+        filt = a_filtration_basis(m, m.y_top().topdeg())
+        names = {(b.name, b.topdeg) for b in filt}
+        for b in mod_torsion_basis(m):
             assert (b.name, b.topdeg) in names, (fam, p, b.name)
 
 

@@ -268,6 +268,35 @@ def test_contract_breaks_exit_2_without_traceback(capsys):
         assert "Traceback" not in err
 
 
+def test_sq0_on_an_even_index_with_no_class_prints_zero(capsys):
+    # each raised AttributeError out of main while Sq^0 had its own rule
+    for group, rank, gen in (("SOeven", 2, "x4"), ("Spin", 3, "x2")):
+        argv = ["steenrod", "--group", group, "--rank", str(rank),
+                "--prime", "2", "--op", "Sq0", "--gen", gen]
+        code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 0, argv
+        assert "image: 0\n" in out, (argv, out)
+        assert "Traceback" not in err, argv
+
+
+def test_squares_on_small_orthogonal_models_keep_the_contract(capsys):
+    # every orthogonal model of rank <= 5, Sq^0..Sq^4 on x1..x10
+    for case in ("SO(2l+1) p=2", "SO(2l) p=2", "Spin(2l+1) p=2"):
+        for g, l, p in CATALOG_CASE_SPELLINGS[case]:
+            if l > 5:
+                continue
+            for k in range(5):
+                for i in range(1, 11):
+                    argv = ["steenrod", "--group", g, "--rank", str(l),
+                            "--prime", str(p), "--op", "Sq%d" % k,
+                            "--gen", "x%d" % i]
+                    code, _ = run_cli(argv)
+                    err = capsys.readouterr().err
+                    assert code in (0, 2), (argv, code)
+                    assert "Traceback" not in err, argv
+
+
 def test_shared_parser_gives_each_call_its_stand_alone_result(capsys):
     # usage error, help and valid calls in one process, each compared with
     # the same call run again after all of them, in reverse order

@@ -52,8 +52,8 @@ VALUES = {
     "--p": _ints(-3, 12),
     "--table": st.sampled_from(
         tuple(t.name for t in restriction_tables()) + ("nope",)),
-    "--op": st.sampled_from(("Q0", "Q1", "Q2", "beta", "Sq1", "Sq2", "Sq4",
-                             "P1", "Qx", "Sq", "")),
+    "--op": st.sampled_from(("Q0", "Q1", "Q2", "beta", "Sq0", "Sq1", "Sq2",
+                             "Sq3", "Sq4", "P1", "Qx", "Sq", "")),
     "--gen": st.sampled_from(("x1", "x2", "x3", "x4", "x5", "z3", "z7",
                               "y4", "y6", "b_1", "")),
     "--case": st.sampled_from(tuple(name for name, _ in CASES) + ("nope",)),

@@ -2,8 +2,8 @@
 
 The benchmark tracer wraps functions by name, so each of its targets must
 resolve; every other definition must be named somewhere else in src/, and
-every defaulted parameter of a module-level function must be passed by some
-call in src/.
+every defaulted parameter of a module-level function, a method or a class's
+`__init__` must be passed by some call in src/.
 """
 
 import ast
@@ -18,16 +18,13 @@ PERFBENCH = os.path.join(HERE, os.pardir, "perfbench")
 
 # cli.main dispatches to cli._cmd_<subcommand> by name
 DISPATCHED_PREFIX = "_cmd_"
-# ROADMAP item 1 gives these callers: the alternant formula for the type-B
-# torsion index is checked against marlin_bound, and the rank-8 spin
-# products back a verification case
-AWAITING_CALLERS = {"marlin_bound", "spin17_nonzero_products"}
+# definitions kept for a caller that ROADMAP names; paper data that only
+# tests read lives in tests/oracles.py instead
+AWAITING_CALLERS = set()
 # defaulted parameters no src/ call passes, kept on purpose
 UNPASSED_PARAMETERS = {
     # the entry point: tests and the benchmark call main(argv, out)
     ("main", "argv"), ("main", "out"),
-    # the mod-torsion bases are stored paper data that only tests read
-    ("rost_part_basis", "variant"),
 }
 
 
@@ -102,9 +99,30 @@ def _passes(call, index, param):
         or any(isinstance(a, ast.Starred) for a in call.args))
 
 
+def _callables(tree):
+    """(function node, name it is called by, leading parameters a call does
+    not pass) for each module-level function, each method (called by its
+    own name, self or cls bound) and each `__init__` (called by its class's
+    name).  Other dunders run through operators, never by name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node, node.name, 0
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in fn.decorator_list)
+                if fn.name == "__init__":
+                    yield fn, node.name, 1
+                elif not (fn.name.startswith("__") and fn.name.endswith("__")):
+                    yield fn, fn.name, 0 if static else 1
+
+
 def _unpassed_parameters():
     """(file, function, parameter) of each defaulted parameter of a
-    module-level function that no call in src/ passes."""
+    module-level function, method or `__init__` that no call in src/
+    passes."""
     trees = _parse_src()
     calls = {}
     for tree in trees.values():
@@ -114,18 +132,16 @@ def _unpassed_parameters():
                 calls.setdefault(name, []).append(node)
     out = []
     for fname, tree in trees.items():
-        for fn in tree.body:
-            if not isinstance(fn, ast.FunctionDef):
-                continue
+        for fn, called_as, bound in _callables(tree):
             args = fn.args
-            positional = args.posonlyargs + args.args
+            positional = (args.posonlyargs + args.args)[bound:]
             first = len(positional) - len(args.defaults)
             defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
             defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
                           if d is not None]
             for index, param in defaulted:
                 if not any(_passes(call, index, param)
-                           for call in calls.get(fn.name, ())):
+                           for call in calls.get(called_as, ())):
                     out.append((fname, fn.name, param))
     return out
 

@@ -287,7 +287,7 @@ def test_catalog_relation_sequences_are_regular():
     g2 = lookup_model("G2", prime=2)
     ring = t_ring(2, 2)
     ambient = QuotientPresentation(ring, [])
-    bs = [g2.extras["explicit_b"][i] for i in (1, 2)]
+    bs = [g2.explicit_b[i] for i in (1, 2)]
     assert is_regular_sequence(ambient, bs, 24)
 
 

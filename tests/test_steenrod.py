@@ -3,7 +3,6 @@ import pytest
 from flagchow.catalog import OperationRule, lookup_model
 from flagchow.errors import DataMissingError, UnsupportedCaseError
 from flagchow.steenrod import (
-    GeneratorTerm,
     beta_preimage,
     derive_q1_check,
     q_milnor,
@@ -14,26 +13,29 @@ from flagchow.steenrod import (
 from flagchow.symclass import lucas_binomial
 
 
-def _y(model, name, power=1):
-    return GeneratorTerm.from_y_poly(model, model.y_ring().gen(name, power))
-
-
 def test_sq0_is_identity():
     m = lookup_model("SO_odd", 3, 2)
-    assert sq_on_so_generator(3, 0, m) == GeneratorTerm.from_x(m, "x3")
+    assert sq_on_so_generator(3, 0, m) == "x3"
+    assert sq_on_so_generator(4, 0, m) == "y2^2"
+
+
+def test_sq0_on_an_even_index_with_no_class_is_zero():
+    # SO(4) has no degree-4 class in P(y), Spin(7) none of degree 2 or 4
+    assert sq_on_so_generator(4, 0, lookup_model("SO_even", 2, 2)) == "0"
+    spin7 = lookup_model("Spin_odd", 3, 2)
+    assert [sq_on_so_generator(i, 0, spin7) for i in (2, 4, 6)] == ["0", "0", "y6"]
 
 
 def test_sq1_x3_is_the_degree4_class():
     # binom(3,1) = 3 is odd, and x_4 is the square class y_4 = y2^2
     m = lookup_model("SO_odd", 3, 2)
-    out = sq_on_so_generator(3, 1, m)
-    assert out == GeneratorTerm.from_y_poly(m, m.y_ring().gen("y2", 2))
+    assert sq_on_so_generator(3, 1, m) == "y2^2"
 
 
 def test_sq2_x4_vanishes():
     # binom(4,2) = 6 is even
     m = lookup_model("SO_odd", 4, 2)
-    assert sq_on_so_generator(4, 2, m).is_zero()
+    assert sq_on_so_generator(4, 2, m) == "0"
 
 
 def test_sq_rejects_other_families():
@@ -42,11 +44,11 @@ def test_sq_rejects_other_families():
 
 
 def test_sq_on_y_cases():
-    assert sq_on_y(1, 1, 3) == _y(lookup_model("SO_odd", 3, 2), "y2", 2)
-    m4 = lookup_model("SO_odd", 4, 2)
-    assert sq_on_y(2, 2, 4) == GeneratorTerm.from_y_poly(m4, m4.y_class(8))
-    assert sq_on_y(2, 1, 4).is_zero()  # binom(2,1) even
-    assert sq_on_y(3, 2, 4).is_zero()  # past the rank bound
+    assert sq_on_y(1, 1, 3) == "y2^2"
+    assert sq_on_y(2, 2, 4) == lookup_model("SO_odd", 4, 2).y_class(8).pretty()
+    assert sq_on_y(2, 2, 4) == "y2^4"
+    assert sq_on_y(2, 1, 4) == "0"  # binom(2,1) even
+    assert sq_on_y(3, 2, 4) == "0"  # past the rank bound
 
 
 def test_sq_hits_examples():
@@ -169,5 +171,5 @@ def test_wu_composition_against_binomials():
     m = lookup_model("SO_odd", 4, 2)
     for i in range(1, 5):
         out = sq_on_so_generator(2 * i - 1, 1, m)
-        assert not out.is_zero()
+        assert out == m.y_class(2 * i).pretty()
         assert lucas_binomial(2 * i - 1, 1, 2) == 1

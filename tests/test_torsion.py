@@ -19,17 +19,20 @@ from flagchow.catalog import (
 from flagchow.errors import DataMissingError, InternalInconsistencyError, ValidationError
 from flagchow.ring import GradedVariable, PolyRing, Polynomial
 from flagchow.torsion import (
-    marlin_bound,
     sharp_of_y_top,
     sharp_y_bound,
-    spin17_nonzero_products,
     torsion_index,
     torsion_index_report,
     torsion_index_so,
     build_integral_flag_ring,
     witness_product,
 )
-from oracles import demazure_degree, monomials_of_topdeg
+from oracles import (
+    demazure_degree,
+    marlin_bound,
+    monomials_of_topdeg,
+    spin17_nonzero_products,
+)
 
 
 # --- the degree map ------------------------------------------------------------
