@@ -45,7 +45,6 @@ def test_sq_rejects_other_families():
 
 def test_sq_on_y_cases():
     assert sq_on_y(1, 1, 3) == "y2^2"
-    assert sq_on_y(2, 2, 4) == lookup_model("SO_odd", 4, 2).y_class(8).pretty()
     assert sq_on_y(2, 2, 4) == "y2^4"
     assert sq_on_y(2, 1, 4) == "0"  # binom(2,1) even
     assert sq_on_y(3, 2, 4) == "0"  # past the rank bound
