@@ -292,6 +292,36 @@ def test_validate_catalog_checks_the_54_served_models_on_every_call(monkeypatch)
         assert all(lookup_model(*m.key()) is m for m in seen)
 
 
+def test_summand_bases_and_case_dispatch_match_the_pinned_digests():
+    import hashlib
+    # sha256 of rost_part_basis on the 54 served models (kind, then each
+    # element's name, topdeg and provenance, in order), and of what `_case`
+    # gives on every spelling below: the builder's name and the key of the
+    # model it builds, or the exception's type and message
+    basis = hashlib.sha256()
+    for models in catalog._CASE_MODELS.values():
+        for m in models():
+            kind, elems = rost_part_basis(m)
+            basis.update(repr((m.key(), kind, [(b.name, b.topdeg, b.provenance)
+                                               for b in elems])).encode())
+    assert basis.hexdigest() == (
+        "0e588fa22af48c245ed501d9ddb24a30a1b785999e13e65004319ce73d755ada")
+    cases = hashlib.sha256()
+    for fam in ("U", "Sp", "PU", "SO_odd", "SO_even", "Spin_odd", "G2", "F4",
+                "E8", "E7", "E6", "SO", "", None):
+        for rank in (None, *range(-1, 101)):
+            for p in (None, *range(-2, 12)):
+                try:
+                    builder, *args = catalog._case(fam, rank, p)
+                except Exception as err:
+                    got = (type(err).__name__, str(err))
+                else:
+                    got = (builder.__name__, builder(*args).key())
+                cases.update(repr((fam, rank, p, got)).encode())
+    assert cases.hexdigest() == (
+        "c1ef72678ea2f0fc2fcd72e8aa00c75330b42b346085cc85763e0a8f80f3efe6")
+
+
 # --- one hand-built mutant per failure message of validate_model ---------------
 
 
