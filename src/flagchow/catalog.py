@@ -306,11 +306,11 @@ def _so_transgression(model, l, skip_dead=False):
     return entries
 
 
-def _model_SO_odd(l):
+def _model_SO_odd(l, p):
     y_gens = _so_like_y_gens(l, 2 * l)
     x_gens = [XGen("x%d" % (2 * i - 1), 2 * i - 1) for i in range(1, l + 1)]
     model = CohomologyModel(
-        "SO_odd", l, 2, y_gens, x_gens, [], [], torsion_index_p=2 ** l,
+        "SO_odd", l, p, y_gens, x_gens, [], [], torsion_index_p=2 ** l,
         witness=tuple(range(1, l + 1)), dim_gt=2 * l * l,
         notes=("periodic-operation rule on odd generators stored with the "
                "'+' index convention y_{2i + 2^{n+1} - 2}; the alternative "
@@ -323,10 +323,10 @@ def _model_SO_odd(l):
     return model
 
 
-def _model_SO_even(l):
+def _model_SO_even(l, p):
     y_gens = _so_like_y_gens(l, 2 * l - 2)
     x_gens = [XGen("x%d" % (2 * i - 1), 2 * i - 1) for i in range(1, l + 1)]
-    model = CohomologyModel("SO_even", l, 2, y_gens, x_gens, [], [],
+    model = CohomologyModel("SO_even", l, p, y_gens, x_gens, [], [],
                             torsion_index_p=2 ** (l - 1),
                             witness=tuple(range(1, l)), dim_gt=2 * l * (l - 1))
     model.transgression = tuple(_so_transgression(model, l))
@@ -338,7 +338,7 @@ _SPIN_TORSION = {3: (2, (3,)), 4: (2, (3,)), 5: (2, ("z",)),
                  8: (16, (3, 5, 6, 7))}
 
 
-def _model_Spin_odd(l):
+def _model_Spin_odd(l, p):
     tpar = l.bit_length() - 1  # floor(log2 l)
     y_gens = _so_like_y_gens(l, 2 * l, min_oddpart=3)
     torsion, witness = _SPIN_TORSION.get(l, (None, None))
@@ -346,7 +346,7 @@ def _model_Spin_odd(l):
     x_gens = [XGen("x%d" % (2 * i - 1), 2 * i - 1) for i in range(2, l + 1)]
     x_gens.append(XGen("z%d" % zdeg, zdeg))
     model = CohomologyModel(
-        "Spin_odd", l, 2, y_gens, x_gens, [], [], torsion_index_p=torsion,
+        "Spin_odd", l, p, y_gens, x_gens, [], [], torsion_index_p=torsion,
         witness=witness, dim_gt=2 * l * l, is_type_one=l in (3, 4),
         notes=("torsion-element list kept with coefficient 2 on the "
                "c_1-power term, matching the summary statement; the in-text "
@@ -396,6 +396,18 @@ def _r_of(trunc, p):
     return r
 
 
+def _b_entries(model, rows):
+    """The entries b_i, one per x-generator x_i, of topdeg |x_i| + 1, from
+    rows (leading body or None, v-terms, complete); a leading body is read
+    as the witness p * body."""
+    return tuple(
+        TransgressionEntry(i, "b_%d" % i, x.topdeg + 1,
+                           None if lead is None else WitnessPolynomial(1, lead),
+                           v_terms, complete)
+        for i, (x, (lead, v_terms, complete))
+        in enumerate(zip(model.x_gens, rows), start=1))
+
+
 def _type_one_model(family, p, x_degrees, yname, ydeg, dim_gt,
                     explicit_b=None):
     l = len(x_degrees)
@@ -407,20 +419,11 @@ def _type_one_model(family, p, x_degrees, yname, ydeg, dim_gt,
                             torsion_index_p=p, witness=(2 * p - 2,),
                             is_type_one=True, dim_gt=dim_gt,
                             explicit_b=explicit_b)
-    ring = model.y_ring()
-    trans = []
-    for i in range(1, l + 1):
-        power = (i + 1) // 2
-        if i % 2 == 1:
-            trans.append(TransgressionEntry(
-                i, "b_%d" % i, x_degrees[i - 1] + 1, None,
-                [(1, ring.gen(yname, power))], complete=(i == 1)))
-        else:
-            trans.append(TransgressionEntry(
-                i, "b_%d" % i, x_degrees[i - 1] + 1,
-                WitnessPolynomial(1, ring.gen(yname, power)), [],
-                complete=(i == 2)))
-    model.transgression = tuple(trans)
+    ys = [model.y_ring().gen(yname, (i + 1) // 2) for i in range(1, l + 1)]
+    # odd i: b_i = v_1 * y^((i+1)/2); even i: b_i = p * y^(i/2)
+    model.transgression = _b_entries(model, [
+        (None, [(1, y)], i == 1) if i % 2 else (y, [], i == 2)
+        for i, y in enumerate(ys, start=1)])
     return model
 
 
@@ -457,21 +460,16 @@ def _model_E8_3():
     R = model.y_ring()
     y = R.gen("y8")
     yp = R.gen("y20")
-
-    def W(s, poly):
-        return WitnessPolynomial(s, poly)
-
-    model.transgression = (
-        TransgressionEntry(1, "b_1", 4, None, [(1, y), (2, yp)], complete=True),
-        TransgressionEntry(2, "b_2", 8, W(1, y), [], complete=True),
-        TransgressionEntry(3, "b_3", 16, W(1, y ** 2), [(1, yp)], complete=False),
-        TransgressionEntry(4, "b_4", 20, W(1, yp), [], complete=False),
-        TransgressionEntry(5, "b_5", 28, W(1, y * yp), [], complete=False),
-        TransgressionEntry(6, "b_6", 36, W(1, y ** 2 * yp), [(1, yp ** 2)],
-                           complete=False),
-        TransgressionEntry(7, "b_7", 40, W(1, yp ** 2), [], complete=False),
-        TransgressionEntry(8, "b_8", 48, W(1, y * yp ** 2), [], complete=False),
-    )
+    model.transgression = _b_entries(model, [
+        (None, [(1, y), (2, yp)], True),
+        (y, [], True),
+        (y ** 2, [(1, yp)], False),
+        (yp, [], False),
+        (y * yp, [], False),
+        (y ** 2 * yp, [(1, yp ** 2)], False),
+        (yp ** 2, [], False),
+        (y * yp ** 2, [], False),
+    ])
     beta = [("x2", y), ("x3", y ** 2), ("x4", yp), ("x5", y * yp),
             ("x6", y ** 2 * yp), ("x7", yp ** 2), ("x8", y * yp ** 2)]
     op_rules = [OperationRule("beta", src, ("ypoly", tgt)) for src, tgt in beta]
@@ -503,27 +501,18 @@ def _model_E8_2():
         dim_gt=240)
     R = model.y_ring()
     y1, y2, y3, y4 = (R.gen(n) for n in ("y6", "y10", "y18", "y30"))
-
-    def W(poly):
-        return WitnessPolynomial(1, poly)
-
-    model.transgression = (
-        TransgressionEntry(1, "b_1", 4, None,
-                           [(1, y1), (2, y2), (3, y3)], complete=True),
-        TransgressionEntry(2, "b_2", 6, W(y1),
-                           [(2, y1 ** 2), (3, y2 ** 2)], complete=True),
-        TransgressionEntry(3, "b_3", 10, W(y2),
-                           [(1, y1 ** 2), (3, y1 ** 4)], complete=True),
-        TransgressionEntry(4, "b_4", 18, W(y3), [(1, y2 ** 2)], complete=True),
+    model.transgression = _b_entries(model, [
+        (None, [(1, y1), (2, y2), (3, y3)], True),
+        (y1, [(2, y1 ** 2), (3, y2 ** 2)], True),
+        (y2, [(1, y1 ** 2), (3, y1 ** 4)], True),
+        (y3, [(1, y2 ** 2)], True),
         # a mixed middle-level term with positive-degree torus factors is
         # dropped from b_5
-        TransgressionEntry(5, "b_5", 16, W(y1 * y2),
-                           [(1, y3), (3, y4)], complete=False),
-        TransgressionEntry(6, "b_6", 24, W(y1 * y3 + y1 ** 4), [],
-                           complete=False),
-        TransgressionEntry(7, "b_7", 28, W(y2 * y3), [(1, y4)], complete=False),
-        TransgressionEntry(8, "b_8", 30, W(y4), [], complete=False),
-    )
+        (y1 * y2, [(1, y3), (3, y4)], False),
+        (y1 * y3 + y1 ** 4, [], False),
+        (y2 * y3, [(1, y4)], False),
+        (y4, [], False),
+    ])
     sq1 = [("x2", y1), ("x3", y2), ("x4", y3), ("x8", y4),
            ("x5", y1 * y2), ("x6", y1 * y3 + y1 ** 4), ("x7", y2 * y3)]
     op_rules = [OperationRule("Sq1", src, ("ypoly", tgt)) for src, tgt in sq1]
@@ -549,20 +538,15 @@ def _model_E7_2():
         sharp=SharpData(), dim_gt=126)
     R = model.y_ring()
     y1, y2, y3 = (R.gen(n) for n in ("y6", "y10", "y18"))
-
-    def W(poly):
-        return WitnessPolynomial(1, poly)
-
-    model.transgression = (
-        TransgressionEntry(1, "b_1", 4, None,
-                           [(1, y1), (2, y2), (3, y3)], complete=True),
-        TransgressionEntry(2, "b_2", 6, W(y1), [], complete=True),
-        TransgressionEntry(3, "b_3", 10, W(y2), [], complete=True),
-        TransgressionEntry(4, "b_4", 18, W(y3), [], complete=True),
-        TransgressionEntry(5, "b_5", 16, W(y1 * y2), [], complete=False),
-        TransgressionEntry(6, "b_6", 24, W(y1 * y3), [], complete=False),
-        TransgressionEntry(7, "b_7", 28, W(y2 * y3), [], complete=False),
-    )
+    model.transgression = _b_entries(model, [
+        (None, [(1, y1), (2, y2), (3, y3)], True),
+        (y1, [], True),
+        (y2, [], True),
+        (y3, [], True),
+        (y1 * y2, [], False),
+        (y1 * y3, [], False),
+        (y2 * y3, [], False),
+    ])
     return model
 
 
@@ -598,45 +582,39 @@ def _build(builder, *args):
     return builder(*args)
 
 
+# family -> (builder, least rank, primes) of a family served at every rank
+_FAMILY_CASES = {
+    "U": (_model_U, 1, _SUPPORTED_PRIMES),
+    "Sp": (_model_Sp, 1, _SUPPORTED_PRIMES),
+    "SO_odd": (_model_SO_odd, 1, (2,)),
+    "SO_even": (_model_SO_even, 2, (2,)),
+    "Spin_odd": (_model_Spin_odd, 3, (2,)),
+}
+
+# (family, prime) -> (rank, builder) of an exceptional case
+_EXCEPTIONAL_CASES = {
+    ("G2", 2): (2, _model_G2),
+    ("F4", 3): (4, _model_F4),
+    ("E8", 5): (8, _model_E8_5),
+    ("E8", 3): (8, _model_E8_3),
+    ("E8", 2): (8, _model_E8_2),
+    ("E7", 2): (7, _model_E7_2),
+}
+
+
 def _case(family, rank, prime):
     """(builder, *args) of a supported case: one tuple per case."""
-    if family == "U":
-        if rank is None or rank < 1 or prime not in _SUPPORTED_PRIMES:
-            raise UnsupportedCaseError(_unsupported(family, rank, prime))
-        return _model_U, rank, prime
-    if family == "Sp":
-        if rank is None or rank < 1 or prime not in _SUPPORTED_PRIMES:
-            raise UnsupportedCaseError(_unsupported(family, rank, prime))
-        return _model_Sp, rank, prime
-    if family == "PU":
-        if prime not in _SUPPORTED_PRIMES or (rank is not None and rank != prime - 1):
-            raise UnsupportedCaseError(_unsupported(family, rank, prime))
-        return _model_PU, prime
-    if family == "SO_odd":
-        if prime != 2 or rank is None or rank < 1:
-            raise UnsupportedCaseError(_unsupported(family, rank, prime))
-        return _model_SO_odd, rank
-    if family == "SO_even":
-        if prime != 2 or rank is None or rank < 2:
-            raise UnsupportedCaseError(_unsupported(family, rank, prime))
-        return _model_SO_even, rank
-    if family == "Spin_odd":
-        if prime != 2 or rank is None or rank < 3:
-            raise UnsupportedCaseError(_unsupported(family, rank, prime))
-        return _model_Spin_odd, rank
-    if family == "G2" and prime == 2 and rank in (None, 2):
-        return (_model_G2,)
-    if family == "F4" and prime == 3 and rank in (None, 4):
-        return (_model_F4,)
-    if family == "E8" and rank in (None, 8):
-        if prime == 5:
-            return (_model_E8_5,)
-        if prime == 3:
-            return (_model_E8_3,)
-        if prime == 2:
-            return (_model_E8_2,)
-    if family == "E7" and prime == 2 and rank in (None, 7):
-        return (_model_E7_2,)
+    if family in _FAMILY_CASES:
+        builder, least, primes = _FAMILY_CASES[family]
+        if rank is not None and rank >= least and prime in primes:
+            return builder, rank, prime
+    elif family == "PU":
+        if prime in _SUPPORTED_PRIMES and rank in (None, prime - 1):
+            return _model_PU, prime
+    elif (family, prime) in _EXCEPTIONAL_CASES:
+        case_rank, builder = _EXCEPTIONAL_CASES[family, prime]
+        if rank in (None, case_rank):
+            return (builder,)
     raise UnsupportedCaseError(_unsupported(family, rank, prime))
 
 
@@ -924,9 +902,6 @@ _CASE_MODELS = {
     "(E8, 2)": lambda: [lookup_model("E8", prime=2)],
     "(E7, 2)": lambda: [lookup_model("E7", prime=2)],
 }
-
-CASE_IDS = tuple(_CASE_MODELS)
-
 
 def validate_catalog():
     """Validate every entry; returns [(case id, ok, failures)] in fixed order.

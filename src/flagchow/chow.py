@@ -143,76 +143,55 @@ def rost_chow_basis(n, p):
     return out
 
 
+# (family, prime) -> the entry-index products of a summand known through
+# its surjection target, the unit aside, in the cited order
+_SURJECTION_PRODUCTS = {
+    ("E8", 3): [(i,) for i in range(1, 9)] + [(1, 6), (1, 8), (2, 8)],
+    ("E8", 2): [(i,) for i in range(1, 9)],
+    ("E7", 2): [(i,) for i in range(1, 8)] + [(1, 5), (1, 6), (1, 7), (2, 7)],
+}
+
+
 def rost_part_basis(model):
     """Additive basis data for the indecomposable summand of the model.
 
-    Returns (kind, elements): kind is "exact" or "surjection-target".
+    Returns (kind, elements): kind is "exact" or "surjection-target".  Each
+    element is the unit or a product of transgression entries, named by
+    their names and graded by the sum of their topdegs; an exact basis is
+    listed by (topdeg, name), a surjection target in its cited order.
     """
-    fam = model.family
-    p = model.prime
-    l = model.rank
+    kind, products = _summand_products(model)
+    entry = {e.index: e for e in model.transgression}
+    out = [BasisElement("1", 0, "rost-part")] + [
+        BasisElement("".join(entry[i].name for i in idxs),
+                     sum(entry[i].topdeg for i in idxs), "rost-part")
+        for idxs in products]
+    if kind == "exact":
+        out.sort(key=lambda b: (b.topdeg, b.name))
+    return kind, out
 
-    def unit():
-        return BasisElement("1", 0, "rost-part")
 
+def _summand_products(model):
+    """(kind, entry-index products) of the summand basis, the unit aside."""
+    fam, p, l = model.family, model.prime, model.rank
     if fam in ("U", "Sp"):
-        return "exact", [unit()]
-    if fam == "PU":
-        out = [unit()]
-        for i in range(1, p):
-            out.append(BasisElement("c_%d" % i, 2 * i, "rost-part"))
-        return "exact", out
-    if fam == "SO_odd":
-        return "exact", _square_free_monomials(model, l)
-    if fam == "SO_even":
-        return "exact", _square_free_monomials(model, l - 1)
-    if model.is_type_one:
-        # the unit and the first 2p - 2 transgression entries
-        return "exact", [unit()] + [BasisElement(e.name, e.topdeg, "rost-part")
-                                    for e in model.transgression[:2 * p - 2]]
+        return "exact", []
+    if fam in ("SO_odd", "SO_even"):
+        # the square-free products of c_1..c_l, or of c_1..c_{l-1} for SO(2l)
+        top = range(1, l + 1 if fam == "SO_odd" else l)
+        return "exact", [s for k in range(1, len(top) + 1)
+                         for s in combinations(top, k)]
+    if fam == "PU" or model.is_type_one:
+        # the first 2p - 2 entries of a one-generator part; all p - 1 of PU(p)
+        return "exact", [(e.index,) for e in model.transgression[:2 * p - 2]]
     if fam == "Spin_odd":
         if l == 5:
-            elems = [unit()]
-            for idx in (2, 3, 4, 5):
-                elems.append(BasisElement("c'_%d" % idx, 2 * idx, "rost-part"))
-            elems.append(BasisElement("c'_2c'_4", 12, "rost-part"))
-            elems.append(BasisElement("c_1^8", 16, "rost-part"))
-            return "surjection-target", elems
+            return "surjection-target", [(2,), (3,), (4,), (5,), (2, 4), ("z",)]
         lbar = l - 1 if l & (l - 1) == 0 else l  # l - 1 at a power of 2
-        elems = [unit()]
-        for idx in range(2, lbar + 1):
-            elems.append(BasisElement("c'_%d" % idx, 2 * idx, "rost-part"))
-        return "surjection-target", elems
-    if fam == "E8" and p == 3:
-        return "surjection-target", _b_products(
-            model, [[i] for i in range(1, 9)] + [[1, 6], [1, 8], [2, 8]])
-    if fam == "E8" and p == 2:
-        return "surjection-target", _b_products(model, [[i] for i in range(1, 9)])
-    if fam == "E7" and p == 2:
-        return "surjection-target", _b_products(
-            model, [[i] for i in range(1, 8)] + [[1, 5], [1, 6], [1, 7], [2, 7]])
+        return "surjection-target", [(i,) for i in range(2, lbar + 1)]
+    if (fam, p) in _SURJECTION_PRODUCTS:
+        return "surjection-target", _SURJECTION_PRODUCTS[fam, p]
     raise UnsupportedCaseError("no basis data for %s" % model.label())
-
-
-def _b_products(model, index_lists):
-    out = [BasisElement("1", 0, "rost-part")]
-    degs = {e.index: e.topdeg for e in model.transgression}
-    names = {e.index: e.name for e in model.transgression}
-    for idxs in index_lists:
-        name = "".join(names[i] for i in idxs)
-        out.append(BasisElement(name, sum(degs[i] for i in idxs), "rost-part"))
-    return out
-
-
-def _square_free_monomials(model, top):
-    out = []
-    for k in range(top + 1):
-        for subset in combinations(range(1, top + 1), k):
-            name = "".join("c_%d" % i for i in subset) if subset else "1"
-            out.append(BasisElement(name, sum(2 * i for i in subset),
-                                    "rost-part"))
-    out.sort(key=lambda b: (b.topdeg, b.name))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,7 @@ def _cmd_decompose(args):
 
 def _cmd_torsion_index(args):
     model = _model(args)
-    value, level, details = _torsion.torsion_index_report(model)
+    value, level, details = _torsion.torsion_index(model)
     payload = {"case": model.label(), "value": value,
                "verification": level}
     if level == "EXACT":

@@ -128,14 +128,12 @@ class HilbertSeries:
 
 
 def hs_product(a, b, maxdeg):
-    """Truncated Cauchy product of two integer series."""
-    da = a.dims if isinstance(a, HilbertSeries) else list(a)
-    db = b.dims if isinstance(b, HilbertSeries) else list(b)
+    """Truncated Cauchy product of two HilbertSeries."""
     dims = [0] * (maxdeg + 1)
-    for i, x in enumerate(da):
+    for i, x in enumerate(a.dims):
         if i > maxdeg or x == 0:
             continue
-        for j, y in enumerate(db):
+        for j, y in enumerate(b.dims):
             if i + j > maxdeg:
                 break
             dims[i + j] += x * y

@@ -35,12 +35,15 @@ def _sq_index(model, i, k):
 
 def sq_on_so_generator(i, k, model):
     """Sq^k(x_i) = binom(i, k) x_{i+k} on the rank-l orthogonal model, as
-    printed: an x-generator's name, a class of P(y), or "0"."""
+    printed: an x-generator's name, a class of P(y), or "0".  An odd i that
+    names no x-generator of the model raises DataMissingError."""
     if model.family not in _SO_FAMILIES:
         raise UnsupportedCaseError(
             "binomial squaring rule only applies to the orthogonal family")
     if not 1 <= i <= 2 * model.rank:
         raise ValidationError("generator index out of range")
+    if i % 2:
+        model.x_gen("x%d" % i)
     j = _sq_index(model, i, k)
     if j is None:
         return "0"

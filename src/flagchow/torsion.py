@@ -184,7 +184,8 @@ def sharp_of_y_top(model):
 
 
 def torsion_index(model):
-    """(value, verification level) for the model.
+    """(value, verification level, details) for the model; the details of
+    an EXACT result are those of `torsion_index_so`, else empty.
 
     EXACT: the degree gcd ran (odd orthogonal, desk-scale rank) and its
     degree map passed the |W| certificate.
@@ -194,13 +195,6 @@ def torsion_index(model):
     stores its witness, so only a model built by hand with witness=None
     reaches this level.
     """
-    value, level, _ = torsion_index_report(model)
-    return value, level
-
-
-def torsion_index_report(model):
-    """(value, verification level, details) as in `torsion_index`; the
-    details of an EXACT result are those of `torsion_index_so`, else empty."""
     stored = model.torsion_index_p
     if model.family == "SO_odd" and 2 <= model.rank <= 4:
         value, details = torsion_index_so(model.rank, return_details=True)

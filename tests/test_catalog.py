@@ -3,7 +3,6 @@ import pytest
 import oracles
 from flagchow import catalog
 from flagchow.catalog import (
-    CASE_IDS,
     CohomologyModel,
     OperationRule,
     TransgressionEntry,
@@ -18,6 +17,8 @@ from flagchow.catalog import (
 )
 from flagchow.chow import rost_part_basis
 from flagchow.errors import DataMissingError, UnsupportedCaseError, ValidationError
+
+CASE_IDS = tuple(catalog._CASE_MODELS)
 
 
 def test_validate_catalog_all_entries_pass():

@@ -280,6 +280,18 @@ def test_sq0_on_an_even_index_with_no_class_prints_zero(capsys):
         assert "Traceback" not in err, argv
 
 
+def test_a_square_on_an_odd_index_that_names_no_generator_is_a_data_error(capsys):
+    # Spin(7) has no x1: Sq0 and Sq1 already said so, Sq2 and Sq4 printed 0
+    for op in ("Sq0", "Sq1", "Sq2", "Sq4"):
+        argv = ["steenrod", "--group", "Spin", "--rank", "3", "--prime", "2",
+                "--op", op, "--gen", "x1"]
+        code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert "no x-generator named 'x1'" in err, (argv, err)
+        assert "Traceback" not in err, argv
+
+
 def test_squares_on_small_orthogonal_models_keep_the_contract(capsys):
     # every orthogonal model of rank <= 5, Sq^0..Sq^4 on x1..x10
     for case in ("SO(2l+1) p=2", "SO(2l) p=2", "Spin(2l+1) p=2"):
@@ -572,7 +584,7 @@ def test_catalog_and_witness_outputs_match_the_pinned_digests(capsys):
         "(E7, 2)":
             "323a9042cf9391526f91d285c88e51f87cfa9bd2da5ff321ce8727ab8a6020b9",
     }
-    assert list(CATALOG_CASE_SPELLINGS) == list(catalog.CASE_IDS)
+    assert list(CATALOG_CASE_SPELLINGS) == list(catalog._CASE_MODELS)
     got = {}
     for case, spellings in CATALOG_CASE_SPELLINGS.items():
         served = catalog._CASE_MODELS[case]()

@@ -1,9 +1,10 @@
 """src/flagchow holds only code that a program path reaches.
 
 The benchmark tracer wraps functions by name, so each of its targets must
-resolve; every other definition must be named somewhere else in src/, and
-every defaulted parameter of a module-level function, a method or a class's
-`__init__` must be passed by some call in src/.
+resolve; every other definition must be named somewhere else in src/, every
+module-level assignment must be read somewhere in src/, and every defaulted
+parameter of a module-level function, a method or a class's `__init__` must
+be passed by some call in src/.
 """
 
 import ast
@@ -87,6 +88,41 @@ def test_every_definition_in_src_has_a_caller(perfbench):
               if name not in targets and name not in AWAITING_CALLERS
               and not name.startswith(DISPATCHED_PREFIX)]
     assert unused == []
+
+
+def _unread_module_data():
+    """(file, line, name) of each name a module-level assignment binds,
+    dunders aside, that no src/ code reads as a name, an attribute or an
+    import."""
+    trees = _parse_src()
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    out = []
+    for fname, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for name in (n for t in targets for n in ast.walk(t)):
+                if (isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                        and not (name.id.startswith("__") and name.id.endswith("__"))
+                        and name.id not in read):
+                    out.append((fname, node.lineno, name.id))
+    return out
+
+
+def test_every_module_level_datum_in_src_is_read():
+    assert _unread_module_data() == []
 
 
 def _passes(call, index, param):

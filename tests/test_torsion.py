@@ -22,7 +22,6 @@ from flagchow.torsion import (
     sharp_of_y_top,
     sharp_y_bound,
     torsion_index,
-    torsion_index_report,
     torsion_index_so,
     build_integral_flag_ring,
     witness_product,
@@ -356,18 +355,20 @@ def test_sharp_bound_missing_data():
 
 def test_torsion_index_so7_exact():
     m = lookup_model("SO_odd", 3, 2)
-    assert torsion_index(m) == (8, "EXACT")
+    value, level, details = torsion_index(m)
+    assert (value, level) == (8, "EXACT")
+    assert details["monomials_checked"] == 55
 
 
 def test_torsion_index_witness_levels():
-    assert torsion_index(lookup_model("E8", prime=2)) == (64, "UPPER+COUNT")
-    assert torsion_index(lookup_model("F4", prime=3)) == (3, "UPPER-WITNESS")
-    assert torsion_index(lookup_model("E8", prime=3)) == (9, "UPPER-WITNESS")
-    assert torsion_index(lookup_model("E7", prime=2)) == (4, "UPPER-WITNESS")
-    assert torsion_index(lookup_model("Spin_odd", 5, 2)) == (2, "UPPER-WITNESS")
-    assert torsion_index(lookup_model("Spin_odd", 8, 2)) == (16, "UPPER-WITNESS")
-    assert torsion_index(lookup_model("U", 4, 3)) == (1, "UPPER-WITNESS")
-    assert torsion_index(lookup_model("SO_odd", 6, 2)) == (64, "UPPER-WITNESS")
+    assert torsion_index(lookup_model("E8", prime=2)) == (64, "UPPER+COUNT", {})
+    assert torsion_index(lookup_model("F4", prime=3)) == (3, "UPPER-WITNESS", {})
+    assert torsion_index(lookup_model("E8", prime=3)) == (9, "UPPER-WITNESS", {})
+    assert torsion_index(lookup_model("E7", prime=2)) == (4, "UPPER-WITNESS", {})
+    assert torsion_index(lookup_model("Spin_odd", 5, 2)) == (2, "UPPER-WITNESS", {})
+    assert torsion_index(lookup_model("Spin_odd", 8, 2)) == (16, "UPPER-WITNESS", {})
+    assert torsion_index(lookup_model("U", 4, 3)) == (1, "UPPER-WITNESS", {})
+    assert torsion_index(lookup_model("SO_odd", 6, 2)) == (64, "UPPER-WITNESS", {})
 
 
 def test_every_served_torsion_report_is_consistent():
@@ -375,7 +376,7 @@ def test_every_served_torsion_report_is_consistent():
     missing = []
     for m in (m for build in catalog._CASE_MODELS.values() for m in build()):
         try:
-            value, level, _ = torsion_index_report(m)
+            value, level, _ = torsion_index(m)
         except DataMissingError:
             missing.append(m.label())
             continue
@@ -395,18 +396,18 @@ def _mutant(family, rank, prime, **fields):
 def test_a_mutated_witness_or_index_fails_the_torsion_report():
     # (E8, 3) with one of its two witness indices lost: p^1 * y8*y20^2
     with pytest.raises(InternalInconsistencyError, match="top class"):
-        torsion_index_report(_mutant("E8", 8, 3, witness=(8,)))
+        torsion_index(_mutant("E8", 8, 3, witness=(8,)))
     # a witness index repeated overshoots the top class, and so does one
     # added to the SO(13) product
     with pytest.raises(InternalInconsistencyError, match="top class"):
-        torsion_index_report(_mutant("E7", 7, 2, witness=(2, 2, 7)))
+        torsion_index(_mutant("E7", 7, 2, witness=(2, 2, 7)))
     with pytest.raises(InternalInconsistencyError, match="top class"):
-        torsion_index_report(_mutant("SO_odd", 6, 2, witness=(1, 2, 3, 4, 5, 6, 6)))
+        torsion_index(_mutant("SO_odd", 6, 2, witness=(1, 2, 3, 4, 5, 6, 6)))
     # the stored index no longer p^s of its witness
     with pytest.raises(InternalInconsistencyError, match="stored index"):
-        torsion_index_report(_mutant("E7", 7, 2, torsion_index_p=8))
+        torsion_index(_mutant("E7", 7, 2, torsion_index_p=8))
     with pytest.raises(InternalInconsistencyError, match="stored index"):
-        torsion_index_report(_mutant("PU", 2, 3, torsion_index_p=1))
+        torsion_index(_mutant("PU", 2, 3, torsion_index_p=1))
 
 
 def test_torsion_index_missing_spin_data():
