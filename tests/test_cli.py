@@ -285,7 +285,7 @@ def test_a_square_on_an_odd_index_that_names_no_generator_is_a_data_error(capsys
     for op in ("Sq0", "Sq1", "Sq2", "Sq4"):
         argv = ["steenrod", "--group", "Spin", "--rank", "3", "--prime", "2",
                 "--op", op, "--gen", "x1"]
-        code, out = run_cli(argv)
+        code, _ = run_cli(argv)
         err = capsys.readouterr().err
         assert code == 2, argv
         assert "no x-generator named 'x1'" in err, (argv, err)
