@@ -7,10 +7,12 @@ degree map is the Demazure operator of the longest Weyl element,
 deg = d_{w0} (Demazure, Invent. Math. 21, 1973; Totaro, Duke Math. J. 129,
 2005).  The Weyl group of type B_l acts on the torus variables t_1..t_l:
 for i < l, s_i swaps t_i and t_{i+1} (root t_i - t_{i+1}), and s_l negates
-t_l (root t_l); d_i f = (f - s_i f) / alpha_i.  Along the reduced word
-(s_1 ... s_l)^l of w0 the point functional is pulled back one degree at a
-time, so every layer is an integer functional on the monomials of its
-degree: integers only, no Groebner basis, no rational arithmetic.  The
+t_l (root t_l); d_i f = (f - s_i f) / alpha_i.  The degree functional is
+pushed forward along the reduced word (s_1 ... s_l)^l of w0 from the point
+functional, one degree at a time, through the transpose of each d_i.  Each
+layer is an integer functional on the monomials of its degree, stored by
+its nonzero entries: integers only, no Groebner basis, no rational
+arithmetic.  Every top monomial still gets a value, zero included.  The
 degree map is certified by deg(product of the positive roots) = |W| =
 2^l l!, which fails when the word is not a reduced word of w0.
 
@@ -20,7 +22,6 @@ computation, and the discarded torus tails are exactly what the witness
 bound absorbs.
 """
 
-from itertools import combinations
 from math import factorial, gcd
 
 from .catalog import WitnessPolynomial
@@ -40,29 +41,35 @@ def _w0_word(l):
     return list(range(1, l + 1)) * l
 
 
-def _divided_difference(exps, i):
-    """d_i t^exps as (exponent tuple, integer coefficient) terms."""
-    l = len(exps)
+def _push(layer, i, l):
+    """The layer f -> layer(d_i f) one degree up, from the nonzero entries
+    of `layer`: the transpose of the divided difference d_i."""
+    pushed = {}
     if i == l:
-        # (t^a - (-t)^a) / t
-        if exps[-1] % 2 == 0:
-            return []
-        return [(exps[:-1] + (exps[-1] - 1,), 2)]
-    a, b = exps[i - 1], exps[i]
-    lo, hi = min(a, b), max(a, b)
-    sign = 1 if a > b else -1
-    # (t_i^a t_{i+1}^b - t_i^b t_{i+1}^a) / (t_i - t_{i+1}); empty when a == b
-    return [(exps[:i - 1] + (hi - 1 - j, lo + j) + exps[i + 1:], sign)
-            for j in range(hi - lo)]
+        # d_l t^m = 2 t^(m - e_l) when the last exponent of m is odd
+        for n, v in layer.items():
+            if n[-1] % 2 == 0:
+                pushed[n[:-1] + (n[-1] + 1,)] = 2 * v
+        return pushed
+    # t^n with (u, w) at i, i+1 is a term of d_i t^m, with sign +1 for
+    # m = (s - lo, lo) and -1 for m = (lo, s - lo), s = u + w + 1, at each
+    # lo <= min(u, w)
+    for n, v in layer.items():
+        head, (u, w), tail = n[:i - 1], n[i - 1:i + 1], n[i + 1:]
+        s = u + w + 1
+        for lo in range(min(u, w) + 1):
+            up = head + (s - lo, lo) + tail
+            down = head + (lo, s - lo) + tail
+            pushed[up] = pushed.get(up, 0) + v
+            pushed[down] = pushed.get(down, 0) - v
+    return {m: c for m, c in pushed.items() if c}
 
 
 def _monomials(l, k):
-    """Exponent tuples of length l and total degree k, by stars and bars."""
-    out = []
-    for bars in combinations(range(k + l - 1), l - 1):
-        cuts = (-1,) + bars + (k + l - 1,)
-        out.append(tuple(b - a - 1 for a, b in zip(cuts, cuts[1:])))
-    return out
+    """Exponent tuples of length l and total degree k, in lexicographic order."""
+    if l == 1:
+        return [(k,)]
+    return [(a,) + rest for a in range(k + 1) for rest in _monomials(l - 1, k - a)]
 
 
 def _positive_root_product(l):
@@ -86,17 +93,20 @@ def _positive_root_product(l):
 
 
 def build_integral_flag_ring(l):
-    """The degree map {exponent tuple: deg(t^a)} on the torus monomials of
-    degree l^2, pulled back through the word one layer at a time."""
+    """The degree map {exponent tuple: deg(t^a)} on every torus monomial of
+    degree l^2, zeros included, pushed forward through the word one layer at
+    a time."""
     if not 2 <= l <= 4:
         raise ValidationError("desk-scale ranks are 2..4")
     # after letter k of the word i_1..i_N, the layer is the functional
-    # t^a -> d_{i_1} ... d_{i_k} t^a (a constant) on the degree-k monomials
+    # t^a -> d_{i_1} ... d_{i_k} t^a (a constant) on the degree-k monomials,
+    # kept where it is not zero
     layer = {(0,) * l: 1}
-    for k, i in enumerate(_w0_word(l), start=1):
-        layer = {m: sum(c * layer[n] for n, c in _divided_difference(m, i))
-                 for m in _monomials(l, k)}
-    return layer
+    for i in _w0_word(l):
+        layer = _push(layer, i, l)
+    degrees = dict.fromkeys(_monomials(l, l * l), 0)
+    degrees.update(layer)
+    return degrees
 
 
 def torsion_index_so(l, return_details=False):

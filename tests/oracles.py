@@ -10,7 +10,9 @@ of the documented JSON forms checks that the writers lose nothing.  The
 argparse parser that the CLI's flag table replaced is kept as the
 reference for its grammar, which is Python 3.11's.  Paper data that no
 program path reads (the mod-torsion bases, the spin divisibility bound and
-the rank-8 spin products) is kept here for the tests that check it.
+the rank-8 spin products) is kept here for the tests that check it, and
+so is the pull-back walk of the SO(2l+1) degree map, the reference for its
+push-forward.
 """
 
 import argparse
@@ -385,6 +387,35 @@ def demazure_degree(exps, word):
         raise AssertionError("word too short for the degree of the monomial")
     return f[(0,) * l]
 
+
+
+def _divided_difference(exps, i):
+    """d_i t^exps as (exponent tuple, integer coefficient) terms."""
+    l = len(exps)
+    if i == l:
+        # (t^a - (-t)^a) / t
+        if exps[-1] % 2 == 0:
+            return []
+        return [(exps[:-1] + (exps[-1] - 1,), 2)]
+    a, b = exps[i - 1], exps[i]
+    lo, hi = min(a, b), max(a, b)
+    sign = 1 if a > b else -1
+    # (t_i^a t_{i+1}^b - t_i^b t_{i+1}^a) / (t_i - t_{i+1}); empty when a == b
+    return [(exps[:i - 1] + (hi - 1 - j, lo + j) + exps[i + 1:], sign)
+            for j in range(hi - lo)]
+
+
+def pulled_back_degrees(l):
+    """{exps: deg(t^exps)} on every monomial of degree l^2 in t_1..t_l, the
+    point functional pulled back through the word (s_1 ... s_l)^l one layer
+    at a time: after letter k, each degree-k monomial reads the layer below
+    at the terms of its d_i.  The walk that the push-forward of
+    `torsion.build_integral_flag_ring` replaced, kept as its reference."""
+    layer = {(0,) * l: 1}
+    for k, i in enumerate(list(range(1, l + 1)) * l, start=1):
+        layer = {m: sum(c * layer[n] for n, c in _divided_difference(m, i))
+                 for m in monomials_of_topdeg([1] * l, k)}
+    return layer
 
 # --- the tuple Groebner engine, kept as the reference for the packed one ----
 

@@ -49,20 +49,57 @@ def test_build_integral_flag_ring_rank3():
     assert details["rank"] == 48              # 2^3 * 3!
 
 
+def _short_root_halved(push):
+    # the short-root step without its factor 2 (the type-C rule)
+    def mutated(layer, i, l):
+        pushed = push(layer, i, l)
+        if i == l:
+            return {m: c // 2 for m, c in pushed.items()}
+        return pushed
+    return mutated
+
+
+def _long_root_signs_swapped(push):
+    # -v at the pair (s - lo, lo) and +v at (lo, s - lo)
+    def mutated(layer, i, l):
+        pushed = push(layer, i, l)
+        if i < l:
+            return {m: -c for m, c in pushed.items()}
+        return pushed
+    return mutated
+
+
+def _long_root_sign_dropped(push):
+    # +v at both pairs, as if d_i were (f + s_i f) / alpha_i
+    def mutated(layer, i, l):
+        if i == l:
+            return push(layer, i, l)
+        pushed = {}
+        for n, v in layer.items():
+            for m in push({n: v}, i, l):
+                pushed[m] = pushed.get(m, 0) + v
+        return {m: c for m, c in pushed.items() if c}
+    return mutated
+
+
 def test_mutated_relations_fail_rank_check(monkeypatch):
-    # injected fault: the short-root operator without its factor 2 (the
-    # type-C rule), so the walk computes a different degree map
-    original = torsion._divided_difference
+    # injected faults in the push step, so the walk computes a different
+    # degree map and the |W| certificate must catch it
+    original = torsion._push
+    for mutant in (_short_root_halved, _long_root_sign_dropped):
+        monkeypatch.setattr(torsion, "_push", mutant(original))
+        for l in (2, 3, 4):
+            with pytest.raises(InternalInconsistencyError):
+                torsion_index_so(l)
 
-    def mutated(exps, i):
-        terms = original(exps, i)
-        if i == len(exps):
-            return [(m, c // 2) for m, c in terms]
-        return terms
 
-    monkeypatch.setattr(torsion, "_divided_difference", mutated)
-    with pytest.raises(InternalInconsistencyError):
-        torsion_index_so(2)
+def test_swapped_long_root_signs_leave_the_degree_map_unchanged(monkeypatch):
+    # the swap negates every layer pushed by a letter i < l, and the word
+    # has l(l - 1) of them, an even number: the same map, so no check can
+    # tell it from the unmutated walk
+    monkeypatch.setattr(torsion, "_push", _long_root_signs_swapped(torsion._push))
+    for l in (2, 3, 4):
+        assert build_integral_flag_ring(l) == oracles.pulled_back_degrees(l)
 
 
 def test_non_reduced_word_is_caught_by_the_certificate(monkeypatch):
@@ -106,6 +143,14 @@ def test_monomials_checked_counts_every_top_monomial():
     for l, count in [(2, 5), (3, 55), (4, 969)]:
         _, details = torsion_index_so(l, return_details=True)
         assert details["monomials_checked"] == comb(l * l + l - 1, l - 1) == count
+
+
+def test_pushed_degree_map_equals_the_pull_back_walk():
+    for l in (2, 3, 4):
+        degrees = build_integral_flag_ring(l)
+        assert degrees == oracles.pulled_back_degrees(l)
+        assert set(degrees) == set(monomials_of_topdeg([1] * l, l * l))
+        assert 0 in degrees.values()
 
 
 def test_degree_map_matches_the_other_reduced_word():
