@@ -19,7 +19,6 @@ through `main`'s one `FlagchowError` path, with the usage line on stderr.
 Each call dispatches by subcommand name to the module's `_cmd_<name>`.
 """
 
-import json
 import os
 import re
 import sys
@@ -495,7 +494,7 @@ def main(argv=None, out=None):
         return 2
     fmt = args.format_sub or args.format or "text"
     if fmt == "json":
-        out.write(json.dumps(payload, indent=2, sort_keys=True))
+        out.write(_ser.json_text(payload))
         out.write("\n")
     else:
         _render_text(payload, out)

@@ -1,10 +1,18 @@
+import contextlib
+import importlib
+import io
 import json
+import os
 
+import pytest
+
+from flagchow import cli, serialize
 from flagchow.catalog import lookup_model
 from flagchow.chow import chow_presentation, rost_chow_basis
 from flagchow.groebner import HilbertSeries, hilbert_series
 from flagchow.serialize import (
     basis_to_json,
+    json_text,
     poly_to_json,
     presentation_to_json,
     series_to_json,
@@ -12,6 +20,11 @@ from flagchow.serialize import (
 from flagchow.symclass import elementary_symmetric, t_ring
 
 from oracles import poly_from_json, presentation_from_json, series_from_json
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 def test_poly_round_trip_over_fp():
@@ -57,3 +70,59 @@ def test_basis_json_carries_both_degree_conventions():
     data = basis_to_json(rost_chow_basis(2, 2))
     assert data[1] == {"name": "c_0(y)", "topdeg": 6, "chowdeg": 3,
                        "provenance": "rost-basis"}
+
+
+def _stdlib(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# str with non-ASCII, quotes, backslashes and control characters; big and
+# negative ints; bools, None and finite floats
+_CHARS = st.sampled_from('aZ \u00e9\u4e2d\U0001f600"\\/\x00\x1f\n\t\x7f')
+_LEAVES = (st.text(alphabet=_CHARS)
+           | st.integers(min_value=-10 ** 40, max_value=10 ** 40)
+           | st.booleans() | st.none()
+           | st.floats(allow_nan=False, allow_infinity=False))
+# the keys of one dict share a type, as sort_keys needs
+_KEYS = st.sampled_from([st.text(max_size=4), st.integers(-10 ** 20, 10 ** 20)])
+
+
+def _dicts(values):
+    return _KEYS.flatmap(lambda keys: st.dictionaries(keys, values, max_size=4))
+
+
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple) | _dicts(inner)),
+    max_leaves=30)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
+@hypothesis.given(_VALUES)
+def test_json_text_is_the_stdlib_indented_sorted_dump(value):
+    assert json_text(value) == _stdlib(value)
+
+
+def test_json_text_on_empty_containers_and_odd_keys():
+    for value in ({}, [], (), {"a": {}, "b": [], "c": ()}, [[[]], {}],
+                  {True: 1, 2.5: 3}, {None: 2}, {-3: "x", 10 ** 30: "y"},
+                  {1.0: [0.1, -0.0, 1e300]}):
+        assert json_text(value) == _stdlib(value), value
+
+
+def test_json_text_matches_the_stdlib_on_every_cli_mix_payload(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    payloads = []
+
+    def recorded(payload):
+        payloads.append(payload)
+        return json_text(payload)
+    monkeypatch.setattr(serialize, "json_text", recorded)
+    for argv, _, _ in workloads.cli_mix_calls():
+        with contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv.split(), out=io.StringIO())
+    assert len(payloads) == 31
+    for payload in payloads:
+        assert json_text(payload) == _stdlib(payload)
