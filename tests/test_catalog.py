@@ -237,6 +237,22 @@ def test_each_catalog_case_is_one_shared_model():
             assert lookup_model(*m.key()) is m, m.label()
 
 
+def test_the_case_tables_agree_with_the_validated_models():
+    # `_case` reads _FAMILY_CASES, _EXCEPTIONAL_CASES and the PU branch, the
+    # unsupported-case message lists SUPPORTED_CASES, and validate_catalog
+    # builds the _CASE_MODELS: a case added to one of them only fails here
+    built = {m.key() for build in catalog._CASE_MODELS.values() for m in build()}
+    for family, (_, least, primes) in catalog._FAMILY_CASES.items():
+        for p in primes:
+            assert (family, least, p) in built, (family, p)
+    for (family, p), (rank, _) in catalog._EXCEPTIONAL_CASES.items():
+        assert (family, rank, p) in built, (family, p)
+    for p in catalog._SUPPORTED_PRIMES:
+        assert ("PU", p - 1, p) in built, p
+    assert len(catalog.SUPPORTED_CASES) == (
+        len(catalog._FAMILY_CASES) + len(catalog._EXCEPTIONAL_CASES) + 1)
+
+
 def test_every_spelling_of_a_case_is_one_model():
     for fam, rank, p in [("E8", 8, 2), ("E8", 8, 3), ("E8", 8, 5), ("E7", 7, 2),
                          ("G2", 2, 2), ("F4", 4, 3), ("PU", 1, 2), ("PU", 2, 3),
