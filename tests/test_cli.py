@@ -728,6 +728,95 @@ def test_steenrod_outputs_match_the_pinned_digests(capsys):
     assert got == expected
 
 
+def _digests(argvs, capsys):
+    """sha256 of the exit code, stdout and stderr of each argv, by argv."""
+    import hashlib
+    got = {}
+    for argv in argvs:
+        code, out = run_cli(argv.split())
+        err = capsys.readouterr().err
+        got[argv] = hashlib.sha256(repr((code, out, err)).encode()).hexdigest()
+    return got
+
+
+def test_verify_outputs_match_the_pinned_digests(capsys):
+    # `verify --all` in text and JSON, and each case alone in JSON
+    expected = {
+        "verify --all":
+            "4f1c6bfed3fd143e7ea75bba42393d50231479ba8d705b1c2e26eaf61a99c2d4",
+        "--format json verify --all":
+            "844f9d995749aad648185b23f2b4511d7379f56d600d00023a64ecfb88df2565",
+    }
+    cases = {
+        "torsion-so-l2":
+            "320d5a6b74cb1ba7ffa33b206a8f9e1572e8e8ee54c772f680915abe2f2c9718",
+        "torsion-so-l3":
+            "5916c33a77e663692757f982a63ec530d1d80b4454340c8b3186f92bf5e32e83",
+        "torsion-so-l4":
+            "6546f55f9f4e3c946754d87fcb7d67e357540b49ca37073eaf06226eee52d713",
+        "decomp-so(5)p=2":
+            "adb1e89014e5f9e3177916147923b4aaeaddfd1ec34949b4e7f824b3b6acfa91",
+        "decomp-so(7)p=2":
+            "47661e3700222ccef86b466c8effff99a9c07d7439ed2646aca4e531479a128e",
+        "decomp-so(9)p=2":
+            "80589eefe7b3a8f7be27128965d088e2ae48592e7995f909669b026201fe6f5c",
+        "decomp-pu(3)":
+            "9f2041272acbc81f0a0e4b12e7594cb8bdc6e243aa3dc050c72519f5f952b4ea",
+        "decomp-pu(5)":
+            "b497fc18e9dc54d5003cfff3df8222bc5374c44d7bd37854f76266da36946416",
+        "coinvariant-counts":
+            "ee2122900dea04f99157d94e8980605a58ec57f7e6627005b1c0c9c864545d69",
+        "rost-basis":
+            "f70260cacf60d1897be2b6a4c14b687a189a44d29fe948bcdabd9f4e67a9f10b",
+        "sq-hits":
+            "4f75b10b4da2cb47ca43c6a8664dd80948faced12d4143b5eef63a79e3ce1001",
+        "witness-e8-2":
+            "fcc9e52cdca1ef603520db50c5c0a164dd92ca5d9ec41a74ff21d62df80971d4",
+        "sharp-e8-2":
+            "d3d51614fc7c8196407f903f000a104ef773f471ac6854a6304fee70f4c73719",
+        "witness-e8-3":
+            "e9a19e82e8d5a888c86390c6e7411d024d504666e483452a2b3f07d6afbd88f4",
+        "witness-e7-2":
+            "7e159f0e1220133694ad6021b1c5ecef29b968f05de233ecdd157bca6e5fdb7a",
+        "witness-g2-2":
+            "00e9c7a2f8d508097ec15379871532d6ac1cb54f57957c4a219cb1fbf806f981",
+        "witness-f4-3":
+            "dc984ab357370be5c5f95ea525925dc57bfdcf7349ac6ed569137629a5d78b71",
+        "witness-e8-5":
+            "aaf6a70f3b32a69f4945ebe80ed638974572c609c3752bbeb15eaac72313a3af",
+        "beta-no-preimage":
+            "c11e14a567c259cfabb9bf536185f5b2fbf29010485ce74986596461bdf306df",
+        "restriction-tables":
+            "24b815ff3573959e75d475dd412c75d7175927a53e3ec27ab83cc88c62a89a5a",
+        "catalog-validate":
+            "a769cb8a91d11d0a868630d4947ac6acd14b8b551e4d3c5eac1a0b68a3a1aa9a",
+        "q1-derivation":
+            "72b15b05c49d69ee137f5406d054e39fc3e048601945f1ed7ab202ff15fd1b91",
+    }
+    expected.update(("--format json verify --case " + name, digest)
+                    for name, digest in cases.items())
+    assert _digests(expected, capsys) == expected
+
+
+def test_unsupported_and_unknown_groups_match_the_pinned_digests(capsys):
+    # each exits 2 with its one-line error on stderr and nothing on stdout
+    expected = {
+        "catalog --group U --rank 2 --prime 7":
+            "511838b0ab2f00be10d1336bb046daea5e60286739cd76ffc0448f8489d7300b",
+        "catalog --group PU --prime 7":
+            "1fcc46bdc10365d8f309717aa110a32800c1711aacc69cd5779197f97828b28d",
+        "catalog --group G2 --prime 3":
+            "7fa37ef6ba9b13c6a0b71520149acea31eafb6517676299357939b12934f7e4c",
+        "catalog --group E8 --rank 7 --prime 2":
+            "e595e2de697154ebaa0ad180e6ef821c3626ae8166bf1ff151e03155dad4aca5",
+        "catalog --group SOeven --rank 1 --prime 2":
+            "930bf1ec4d4cfc21557844718be81f04957bcc1263b887d171d311d9b4f465f4",
+        "catalog --group XX":
+            "2d6825f917f6b3511b2b1c8749254520b7c872426a5937a40732e086653dac7e",
+    }
+    assert _digests(expected, capsys) == expected
+
+
 # one-line data mutants of the stored restriction images, each of which
 # `restrict` and `verify --case restriction-tables` passed when an image was
 # stored as a label with a separate degree: (table, source, level, y-power)
