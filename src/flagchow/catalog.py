@@ -1,7 +1,7 @@
 """Per-group data: cohomology models, transgression tables, operation rules.
 
-Each supported (group, prime) case is one CohomologyModel, built by its one
-builder, holding
+Each supported (group, prime) case is one row of the served-case table,
+`_SERVED`, and one CohomologyModel, built by its row's builder, holding
 
   * its key (family, rank, prime) and label;
   * y-generators of the truncated polynomial part, with truncation exponents
@@ -25,6 +25,7 @@ tables are kept by model key, with each image a polynomial in the model's
 P(y), and feed the chow checks.
 """
 
+import collections
 import functools
 from operator import lt
 
@@ -260,8 +261,7 @@ def _model_Sp(l, p):
                            witness=(), dim_gt=2 * l * l)
 
 
-def _model_PU(p):
-    l = p - 1
+def _model_PU(l, p):
     y_gens = [YGen("y2", 2, p)]
     x_gens = [XGen("x%d" % i, 2 * i - 1) for i in range(1, l + 1)]
     model = CohomologyModel("PU", l, p, y_gens, x_gens, [], [],
@@ -408,9 +408,15 @@ def _b_entries(model, rows):
         in enumerate(zip(model.x_gens, rows), start=1))
 
 
-def _type_one_model(family, p, x_degrees, yname, ydeg, dim_gt,
+def _bockstein_rules(model, op, indices):
+    """op(x_i) = the leading body of b_i, for each index i in order."""
+    return [OperationRule(op, model.x_gens[i - 1].name,
+                          ("ypoly", model.entry(i).leading.body))
+            for i in indices]
+
+
+def _type_one_model(family, l, p, x_degrees, yname, ydeg, dim_gt,
                     explicit_b=None):
-    l = len(x_degrees)
     y_gens = [YGen(yname, ydeg, p)]
     x_gens = [XGen("x%d" % (i + 1), d) for i, d in enumerate(x_degrees)]
     op_rules = [OperationRule("P1", "x%d" % i, ("xgen", "x%d" % (i + 1), 1))
@@ -427,32 +433,32 @@ def _type_one_model(family, p, x_degrees, yname, ydeg, dim_gt,
     return model
 
 
-def _model_G2():
-    ring = t_ring(2, 2)
+def _model_G2(l, p):
+    ring = t_ring(l, p)
     t1, t2 = ring.gen("t1"), ring.gen("t2")
     explicit_b = {1: t1 * t1 + t1 * t2 + t2 * t2, 2: t2 ** 3}
-    return _type_one_model("G2", 2, [3, 5], "y6", 6, dim_gt=12,
+    return _type_one_model("G2", l, p, [3, 5], "y6", 6, dim_gt=12,
                            explicit_b=explicit_b)
 
 
-def _model_F4():
-    return _type_one_model("F4", 3, [3, 7, 11, 15], "y8", 8, dim_gt=48)
+def _model_F4(l, p):
+    return _type_one_model("F4", l, p, [3, 7, 11, 15], "y8", 8, dim_gt=48)
 
 
-def _model_E8_5():
-    model = _type_one_model("E8", 5, [3, 11, 15, 23, 27, 35, 39, 47], "y12",
-                            12, dim_gt=240)
+def _model_E8_5(l, p):
+    model = _type_one_model("E8", l, p, [3, 11, 15, 23, 27, 35, 39, 47],
+                            "y12", 12, dim_gt=240)
     model.x_gens = tuple(XGen(x.name, x.topdeg, "z%d" % x.topdeg)
                          for x in model.x_gens)
     return model
 
 
-def _model_E8_3():
+def _model_E8_3(l, p):
     y_gens = [YGen("y8", 8, 3), YGen("y20", 20, 3)]
     degrees = [3, 7, 15, 19, 27, 35, 39, 47]
     x_gens = [XGen("x%d" % (i + 1), d, "z%d" % d) for i, d in enumerate(degrees)]
     model = CohomologyModel(
-        "E8", 8, 3, y_gens, x_gens, [], [], torsion_index_p=9, witness=(2, 8),
+        "E8", l, p, y_gens, x_gens, [], [], torsion_index_p=9, witness=(2, 8),
         sharp=SharpData(), dim_gt=240,
         notes=("that the square of the top-level product is not a Bockstein "
                "image is a derived lookup against the stored table, not an "
@@ -470,10 +476,7 @@ def _model_E8_3():
         (yp ** 2, [], False),
         (y * yp ** 2, [], False),
     ])
-    beta = [("x2", y), ("x3", y ** 2), ("x4", yp), ("x5", y * yp),
-            ("x6", y ** 2 * yp), ("x7", yp ** 2), ("x8", y * yp ** 2)]
-    op_rules = [OperationRule("beta", src, ("ypoly", tgt)) for src, tgt in beta]
-    op_rules += [
+    model.op_rules = tuple(_bockstein_rules(model, "beta", range(2, 9)) + [
         OperationRule("P1", "x1", ("xgen", "x2", 1)),
         OperationRule("P1", "x3", ("xgen", "x4", 1)),
         OperationRule("P1", "x6", ("xgen", "x7", 1)),
@@ -482,18 +485,17 @@ def _model_E8_3():
         OperationRule("P3", "x5", ("xgen", "x7", -1)),
         OperationRule("P3", "x6", ("xgen", "x8", 1)),
         OperationRule("P3", "y8", ("ypoly", yp)),
-    ]
-    model.op_rules = tuple(op_rules)
+    ])
     return model
 
 
-def _model_E8_2():
+def _model_E8_2(l, p):
     y_gens = [YGen("y6", 6, 8), YGen("y10", 10, 4), YGen("y18", 18, 2),
               YGen("y30", 30, 2)]
     degrees = [3, 5, 9, 17, 15, 23, 27, 29]
     x_gens = [XGen("x%d" % (i + 1), d, "z%d" % d) for i, d in enumerate(degrees)]
     model = CohomologyModel(
-        "E8", 8, 2, y_gens, x_gens, [], [], torsion_index_p=64,
+        "E8", l, p, y_gens, x_gens, [], [], torsion_index_p=64,
         witness=(5, 5, 5, 4, 6, 8),
         sharp=SharpData(
             min_uses={8: 1},   # the top class needs the unique y30 carrier
@@ -513,10 +515,8 @@ def _model_E8_2():
         (y2 * y3, [(1, y4)], False),
         (y4, [], False),
     ])
-    sq1 = [("x2", y1), ("x3", y2), ("x4", y3), ("x8", y4),
-           ("x5", y1 * y2), ("x6", y1 * y3 + y1 ** 4), ("x7", y2 * y3)]
-    op_rules = [OperationRule("Sq1", src, ("ypoly", tgt)) for src, tgt in sq1]
-    op_rules += [
+    sq1 = _bockstein_rules(model, "Sq1", (2, 3, 4, 8, 5, 6, 7))
+    model.op_rules = tuple(sq1 + [
         OperationRule("Sq2", "x1", ("xgen", "x2", 1)),
         OperationRule("Sq4", "x2", ("xgen", "x3", 1)),
         OperationRule("Sq8", "x3", ("xgen", "x4", 1)),
@@ -524,17 +524,16 @@ def _model_E8_2():
         OperationRule("Sq4", "x6", ("xgen", "x7", 1)),
         OperationRule("Sq2", "x7", ("xgen", "x8", 1)),
         OperationRule("Sq2", "x5", ("xgen", "x4", 1)),
-    ]
-    model.op_rules = tuple(op_rules)
+    ])
     return model
 
 
-def _model_E7_2():
+def _model_E7_2(l, p):
     y_gens = [YGen("y6", 6, 2), YGen("y10", 10, 2), YGen("y18", 18, 2)]
     degrees = [3, 5, 9, 17, 15, 23, 27]
     x_gens = [XGen("x%d" % (i + 1), d, "z%d" % d) for i, d in enumerate(degrees)]
     model = CohomologyModel(
-        "E7", 7, 2, y_gens, x_gens, [], [], torsion_index_p=4, witness=(2, 7),
+        "E7", l, p, y_gens, x_gens, [], [], torsion_index_p=4, witness=(2, 7),
         sharp=SharpData(), dim_gt=126)
     R = model.y_ring()
     y1, y2, y3 = (R.gen(n) for n in ("y6", "y10", "y18"))
@@ -555,21 +554,52 @@ def _model_E7_2():
 
 _SUPPORTED_PRIMES = (2, 3, 5)
 
-SUPPORTED_CASES = tuple(
-    "%s at p in %s" % (group, _SUPPORTED_PRIMES)
-    for group in ("U(l)", "Sp(l)", "PU(p)")) + (
-    "SO(2l+1) at p=2", "SO(2l) at p=2", "Spin(2l+1) at p=2",
-    "(G2, 2)", "(F4, 3)", "(E8, 5)", "(E8, 3)", "(E8, 2)", "(E7, 2)",
+_Served = collections.namedtuple(
+    "_Served", "group family builder primes least most name case_id checked")
+
+# One row per served case: the CLI's spelling of its group; its family,
+# builder and primes; the ranks it serves, least to most (None: no bound),
+# where a case of one rank may leave its rank out; its name in the
+# unsupported-case message; its validate_catalog id and the ranks checked
+# under that id.
+_SERVED = (
+    _Served("U", "U", _model_U, _SUPPORTED_PRIMES, 1, None,
+            "U(l) at p in (2, 3, 5)", "U/Sp (any p)", (1, 2, 3, 5)),
+    _Served("Sp", "Sp", _model_Sp, _SUPPORTED_PRIMES, 1, None,
+            "Sp(l) at p in (2, 3, 5)", "U/Sp (any p)", (1, 2, 3, 5)),
+    *(_Served("PU", "PU", _model_PU, (p,), p - 1, p - 1,
+              "PU(p) at p in (2, 3, 5)", "PU(p)", (p - 1,))
+      for p in _SUPPORTED_PRIMES),
+    _Served("SO", "SO_odd", _model_SO_odd, (2,), 1, None,
+            "SO(2l+1) at p=2", "SO(2l+1) p=2", range(1, 9)),
+    _Served("SOeven", "SO_even", _model_SO_even, (2,), 2, None,
+            "SO(2l) at p=2", "SO(2l) p=2", range(2, 9)),
+    _Served("Spin", "Spin_odd", _model_Spin_odd, (2,), 3, None,
+            "Spin(2l+1) at p=2", "Spin(2l+1) p=2", range(3, 9)),
+    _Served("G2", "G2", _model_G2, (2,), 2, 2, "(G2, 2)", "(G2, 2)", (2,)),
+    _Served("F4", "F4", _model_F4, (3,), 4, 4, "(F4, 3)", "(F4, 3)", (4,)),
+    _Served("E8", "E8", _model_E8_5, (5,), 8, 8, "(E8, 5)", "(E8, 5)", (8,)),
+    _Served("E8", "E8", _model_E8_3, (3,), 8, 8, "(E8, 3)", "(E8, 3)", (8,)),
+    _Served("E8", "E8", _model_E8_2, (2,), 8, 8, "(E8, 2)", "(E8, 2)", (8,)),
+    _Served("E7", "E7", _model_E7_2, (2,), 7, 7, "(E7, 2)", "(E7, 2)", (7,)),
 )
+
+# what `_case`, the CLI's --group and the unsupported-case message read;
+# `_case` gets (builder, least, most) by (family, prime)
+_RANKS_OF = {(row.family, p): (row.builder, row.least, row.most)
+             for row in _SERVED for p in row.primes}
+GROUP_FAMILIES = {row.group: row.family for row in _SERVED}
+SUPPORTED_CASES = tuple(dict.fromkeys(row.name for row in _SERVED))
 
 
 def lookup_model(family, rank=None, prime=None):
-    """The model of a supported case, built once and shared read-only.
+    """The model of a served case, built once and shared read-only.
 
     A rank or prime that is not an int (a bool included) raises
-    ValidationError before the memo.  Every spelling of a case is one
-    `_build` entry; `_build` keeps the 128 cases used most recently, and an
-    evicted case is rebuilt to an equal model on its next lookup.
+    ValidationError before the memo.  `_case` reads the case from the one
+    table of served cases, and every spelling of a case is one `_build`
+    entry; `_build` keeps the 128 cases used most recently, and an evicted
+    case is rebuilt to an equal model on its next lookup.
     """
     for name, value in (("rank", rank), ("prime", prime)):
         if value is not None and type(value) is not int:
@@ -582,39 +612,17 @@ def _build(builder, *args):
     return builder(*args)
 
 
-# family -> (builder, least rank, primes) of a family served at every rank
-_FAMILY_CASES = {
-    "U": (_model_U, 1, _SUPPORTED_PRIMES),
-    "Sp": (_model_Sp, 1, _SUPPORTED_PRIMES),
-    "SO_odd": (_model_SO_odd, 1, (2,)),
-    "SO_even": (_model_SO_even, 2, (2,)),
-    "Spin_odd": (_model_Spin_odd, 3, (2,)),
-}
-
-# (family, prime) -> (rank, builder) of an exceptional case
-_EXCEPTIONAL_CASES = {
-    ("G2", 2): (2, _model_G2),
-    ("F4", 3): (4, _model_F4),
-    ("E8", 5): (8, _model_E8_5),
-    ("E8", 3): (8, _model_E8_3),
-    ("E8", 2): (8, _model_E8_2),
-    ("E7", 2): (7, _model_E7_2),
-}
-
-
 def _case(family, rank, prime):
-    """(builder, *args) of a supported case: one tuple per case."""
-    if family in _FAMILY_CASES:
-        builder, least, primes = _FAMILY_CASES[family]
-        if rank is not None and rank >= least and prime in primes:
+    """(builder, rank, prime) of a served case, from its row of `_SERVED`;
+    the rank of a case of one rank is filled in when it is left out, so each
+    case has one tuple."""
+    served = _RANKS_OF.get((family, prime))
+    if served is not None:
+        builder, least, most = served
+        if rank is None:
+            rank = most
+        if rank is not None and least <= rank and (most is None or most == rank):
             return builder, rank, prime
-    elif family == "PU":
-        if prime in _SUPPORTED_PRIMES and rank in (None, prime - 1):
-            return _model_PU, prime
-    elif (family, prime) in _EXCEPTIONAL_CASES:
-        case_rank, builder = _EXCEPTIONAL_CASES[family, prime]
-        if rank in (None, case_rank):
-            return (builder,)
     raise UnsupportedCaseError(_unsupported(family, rank, prime))
 
 
@@ -888,20 +896,13 @@ def validate_model(model):
     return fails
 
 
-_CASE_MODELS = {
-    "U/Sp (any p)": lambda: [lookup_model(fam, l, p) for fam in ("U", "Sp")
-                             for l in (1, 2, 3, 5) for p in (2, 3, 5)],
-    "PU(p)": lambda: [lookup_model("PU", prime=p) for p in (2, 3, 5)],
-    "SO(2l+1) p=2": lambda: [lookup_model("SO_odd", l, 2) for l in range(1, 9)],
-    "SO(2l) p=2": lambda: [lookup_model("SO_even", l, 2) for l in range(2, 9)],
-    "Spin(2l+1) p=2": lambda: [lookup_model("Spin_odd", l, 2) for l in range(3, 9)],
-    "(G2, 2)": lambda: [lookup_model("G2", prime=2)],
-    "(F4, 3)": lambda: [lookup_model("F4", prime=3)],
-    "(E8, 5)": lambda: [lookup_model("E8", prime=5)],
-    "(E8, 3)": lambda: [lookup_model("E8", prime=3)],
-    "(E8, 2)": lambda: [lookup_model("E8", prime=2)],
-    "(E7, 2)": lambda: [lookup_model("E7", prime=2)],
-}
+def _served_models():
+    """(validate_catalog id, model) of each model it checks, in order."""
+    for row in _SERVED:
+        for rank in row.checked:
+            for p in row.primes:
+                yield row.case_id, lookup_model(row.family, rank, p)
+
 
 def validate_catalog():
     """Validate every entry; returns [(case id, ok, failures)] in fixed order.
@@ -909,10 +910,7 @@ def validate_catalog():
     Every call checks all 54 models, the very objects `lookup_model` serves;
     only their construction is shared, no check result is kept.
     """
-    report = []
-    for case, models in _CASE_MODELS.items():
-        failures = []
-        for model in models():
-            failures.extend(validate_model(model))
-        report.append((case, not failures, failures))
-    return report
+    report = {}
+    for case, model in _served_models():
+        report.setdefault(case, []).extend(validate_model(model))
+    return [(case, not failures, failures) for case, failures in report.items()]

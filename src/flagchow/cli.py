@@ -33,11 +33,6 @@ from . import verify as _verify
 from .errors import FlagchowError, ValidationError
 from .groebner import hilbert_series
 
-_FAMILIES = {
-    "U": "U", "Sp": "Sp", "PU": "PU", "SO": "SO_odd", "SOeven": "SO_even",
-    "Spin": "Spin_odd", "G2": "G2", "F4": "F4", "E7": "E7", "E8": "E8",
-}
-
 _DEFAULT_MAXDEG_CAP = 60
 
 
@@ -60,11 +55,11 @@ def _check_maxdeg(maxdeg):
 
 
 def _model(args):
-    family = _FAMILIES.get(args.group)
+    family = _catalog.GROUP_FAMILIES.get(args.group)
     if family is None:
         raise ValidationError(
             "unknown group %r; choose from %s"
-            % (args.group, ", ".join(sorted(_FAMILIES))))
+            % (args.group, ", ".join(sorted(_catalog.GROUP_FAMILIES))))
     return _catalog.lookup_model(family, args.rank, args.prime)
 
 

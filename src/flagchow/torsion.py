@@ -201,9 +201,7 @@ def torsion_index(model):
     degree map passed the |W| certificate.
     UPPER-WITNESS: a witness product confirms value <= p^s with s matching.
     UPPER+COUNT: witness plus the counting lower bound pin the value.
-    TABLE: stored value only.  Every served model that stores an index also
-    stores its witness, so only a model built by hand with witness=None
-    reaches this level.
+    A model with no witness or no stored index has no torsion data.
     """
     stored = model.torsion_index_p
     if model.family == "SO_odd" and 2 <= model.rank <= 4:
@@ -229,6 +227,4 @@ def torsion_index(model):
             raise InternalInconsistencyError(
                 "counting bound %d fails to separate the top class" % bound)
         return stored, "UPPER-WITNESS", {}
-    if stored is not None:
-        return stored, "TABLE", {}
     raise DataMissingError("no torsion data for %s" % model.label())

@@ -1,8 +1,10 @@
 """The verification harness: every headline identity as a named case.
 
-Each case recomputes its values from scratch and returns a Report whose
-details always carry the expected/computed pair, so a failure is a diff,
-never a bare flag.  Cases are independent and run in the fixed case order.
+Each case recomputes its values from scratch and returns its status and
+details, which always carry the expected/computed pair, so a failure is a
+diff, never a bare flag; `run_case` and `run_all` make the Report under the
+case's name.  One table, CRITERIA, names each case once, under its
+criterion.  Cases are independent and run in the fixed case order.
 """
 
 from math import comb, factorial
@@ -46,10 +48,10 @@ class Report:
         return "Report(%s: %s)" % (self.case, self.status)
 
 
-def _outcome(case, expected, computed, provenance):
+def _outcome(expected, computed, provenance):
     status = "pass" if expected == computed else "fail"
-    return Report(case, status, {"expected": expected, "computed": computed,
-                                 "provenance": provenance})
+    return status, {"expected": expected, "computed": computed,
+                    "provenance": provenance}
 
 
 # --- criterion 1: exact torsion indices ---------------------------------------
@@ -57,9 +59,9 @@ def _outcome(case, expected, computed, provenance):
 
 def case_torsion_so(l):
     value, details = torsion_index_so(l, return_details=True)
-    rep = _outcome("torsion-so-l%d" % l, 2 ** l, value, "gcd over top torus monomials")
-    rep.details.update(details)
-    return rep
+    status, out = _outcome(2 ** l, value, "gcd over top torus monomials")
+    out.update(details)
+    return status, out
 
 
 # --- criteria 2-3: series decompositions --------------------------------------
@@ -68,11 +70,10 @@ def case_torsion_so(l):
 def case_decomposition(family, rank, prime, maxdeg):
     model = lookup_model(family, rank, prime)
     rep = verify_additive_decomposition(model, maxdeg)
-    case = "decomp-%s" % model.label().replace(" ", "").lower()
     details = {"expected": rep.get("rhs"), "computed": rep.get("lhs"),
                "provenance": "series product vs quotient series",
                "maxdeg": maxdeg, "basis_size": rep.get("basis_size")}
-    return Report(case, rep["status"], details)
+    return rep["status"], details
 
 
 # --- criterion 4: coinvariant dimensions --------------------------------------
@@ -97,9 +98,8 @@ def case_coinvariant_counts():
             if sp != 2 ** l * fact:
                 failures.append("Sp(%d) p=%d: %d != %d" % (l, p, sp, 2 ** l * fact))
     status = "fail" if failures else "pass"
-    return Report("coinvariant-counts", status,
-                  {"failures": failures, "cases": len(checked),
-                   "provenance": "quotient series totals"})
+    return status, {"failures": failures, "cases": len(checked),
+                    "provenance": "quotient series totals"}
 
 
 # --- criterion 5: height-n summand bases --------------------------------------
@@ -127,9 +127,8 @@ def case_rost_basis():
         if names and [b.name for b in basis] != names:
             failures.append("(%d,%d): names %r" % (n, p, [b.name for b in basis]))
     status = "fail" if failures else "pass"
-    return Report("rost-basis", status,
-                  {"failures": failures, "cases": sorted(degree_cases),
-                   "provenance": "degree formula of the summand basis"})
+    return status, {"failures": failures, "cases": sorted(degree_cases),
+                    "provenance": "degree formula of the summand basis"}
 
 
 # --- criterion 6: squares reach every non-Mersenne index -----------------------
@@ -144,24 +143,23 @@ def case_sq_hits():
         if computed != (not mersenne) or computed != exists:
             failures.append(i)
     status = "fail" if failures else "pass"
-    return Report("sq-hits", status,
-                  {"failures": failures, "range": 64,
-                   "provenance": "exhaustive binomial search"})
+    return status, {"failures": failures, "range": 64,
+                    "provenance": "exhaustive binomial search"}
 
 
 # --- criteria 7-8: witnesses ----------------------------------------------------
 
 
-def case_witness(case, family, rank, prime, expected_s):
+def case_witness(family, rank, prime, expected_s):
     """The catalog witness of the case multiplies to p^expected_s times the
     top class; the expected exponents are the paper's."""
     model = lookup_model(family, rank, prime)
     w = witness_product(model, model.witness)
     expected = {"exponent": expected_s, "body": model.y_top().pretty()}
     computed = {"exponent": w.s, "body": w.body.pretty()}
-    rep = _outcome(case, expected, computed, "leading-witness product")
-    rep.details["indices"] = list(model.witness)
-    return rep
+    status, details = _outcome(expected, computed, "leading-witness product")
+    details["indices"] = list(model.witness)
+    return status, details
 
 
 def case_sharp_e8():
@@ -170,7 +168,7 @@ def case_sharp_e8():
     top = sharp_of_y_top(model)
     expected = {"bound": 11, "top": 12, "separated": True}
     computed = {"bound": bound, "top": top, "separated": bound < top}
-    return _outcome("sharp-e8-2", expected, computed, "greedy factor fill")
+    return _outcome(expected, computed, "greedy factor fill")
 
 
 def case_beta_preimage():
@@ -181,7 +179,7 @@ def case_beta_preimage():
     expected = {"top_hit": None, "probe_hit": "x5"}
     computed = {"top_hit": beta_preimage(model, top),
                 "probe_hit": beta_preimage(model, probe)}
-    return _outcome("beta-no-preimage", expected, computed, "Bockstein table scan")
+    return _outcome(expected, computed, "Bockstein table scan")
 
 
 # --- criterion 9: restriction tables -------------------------------------------
@@ -199,9 +197,8 @@ def case_restrictions():
     if cards.get("e8-2-rost-restriction") != 5:
         failures.append("image cardinality for the height-4 table != 5")
     status = "fail" if failures else "pass"
-    return Report("restriction-tables", status,
-                  {"failures": failures, "cardinalities": cards,
-                   "provenance": "degree equations and cited counts"})
+    return status, {"failures": failures, "cardinalities": cards,
+                    "provenance": "degree equations and cited counts"}
 
 
 # --- criterion 10: catalog + derived convention ---------------------------------
@@ -212,7 +209,7 @@ def case_catalog():
     failures = [(case, fails) for case, ok, fails in report if not ok]
     expected = {"entries": 11, "failing": []}
     computed = {"entries": len(report), "failing": failures}
-    return _outcome("catalog-validate", expected, computed, "catalog invariants")
+    return _outcome(expected, computed, "catalog invariants")
 
 
 def case_q1_derivation():
@@ -222,68 +219,62 @@ def case_q1_derivation():
             if not rep["agree"]:
                 failures.append((l, rep))
     status = "fail" if failures else "pass"
-    return Report("q1-derivation", status,
-                  {"failures": failures, "ranks": [2, 3, 4, 5],
-                   "provenance": "composed squares vs stored rule"})
+    return status, {"failures": failures, "ranks": [2, 3, 4, 5],
+                    "provenance": "composed squares vs stored rule"}
 
 
 # --- the suite -------------------------------------------------------------------
 
 
-CASES = (
-    ("torsion-so-l2", lambda: case_torsion_so(2)),
-    ("torsion-so-l3", lambda: case_torsion_so(3)),
-    ("torsion-so-l4", lambda: case_torsion_so(4)),
-    ("decomp-so(5)p=2", lambda: case_decomposition("SO_odd", 2, 2, 40)),
-    ("decomp-so(7)p=2", lambda: case_decomposition("SO_odd", 3, 2, 40)),
-    ("decomp-so(9)p=2", lambda: case_decomposition("SO_odd", 4, 2, 40)),
-    ("decomp-pu(3)", lambda: case_decomposition("PU", 2, 3, 30)),
-    ("decomp-pu(5)", lambda: case_decomposition("PU", 4, 5, 30)),
-    ("coinvariant-counts", case_coinvariant_counts),
-    ("rost-basis", case_rost_basis),
-    ("sq-hits", case_sq_hits),
-    ("witness-e8-2", lambda: case_witness("witness-e8-2", "E8", 8, 2, 6)),
-    ("sharp-e8-2", case_sharp_e8),
-    ("witness-e8-3", lambda: case_witness("witness-e8-3", "E8", 8, 3, 2)),
-    ("witness-e7-2", lambda: case_witness("witness-e7-2", "E7", 7, 2, 2)),
-    ("witness-g2-2", lambda: case_witness("witness-g2-2", "G2", 2, 2, 1)),
-    ("witness-f4-3", lambda: case_witness("witness-f4-3", "F4", 4, 3, 1)),
-    ("witness-e8-5", lambda: case_witness("witness-e8-5", "E8", 8, 5, 1)),
-    ("beta-no-preimage", case_beta_preimage),
-    ("restriction-tables", case_restrictions),
-    ("catalog-validate", case_catalog),
-    ("q1-derivation", case_q1_derivation),
+# each acceptance criterion and its cases, (name, function) in run order
+CRITERIA = (
+    ("1 exact torsion indices", (
+        ("torsion-so-l2", lambda: case_torsion_so(2)),
+        ("torsion-so-l3", lambda: case_torsion_so(3)),
+        ("torsion-so-l4", lambda: case_torsion_so(4)))),
+    ("2 squared-relation decomposition", (
+        ("decomp-so(5)p=2", lambda: case_decomposition("SO_odd", 2, 2, 40)),
+        ("decomp-so(7)p=2", lambda: case_decomposition("SO_odd", 3, 2, 40)),
+        ("decomp-so(9)p=2", lambda: case_decomposition("SO_odd", 4, 2, 40)))),
+    ("3 projective-unitary decomposition", (
+        ("decomp-pu(3)", lambda: case_decomposition("PU", 2, 3, 30)),
+        ("decomp-pu(5)", lambda: case_decomposition("PU", 4, 5, 30)))),
+    ("4 coinvariant dimensions", (
+        ("coinvariant-counts", case_coinvariant_counts),)),
+    ("5 summand basis formula", (("rost-basis", case_rost_basis),)),
+    ("6 square-hitting criterion", (("sq-hits", case_sq_hits),)),
+    ("7 rank-8 two-primary witness and count", (
+        ("witness-e8-2", lambda: case_witness("E8", 8, 2, 6)),
+        ("sharp-e8-2", case_sharp_e8))),
+    ("8 remaining witnesses and Bockstein gap", (
+        ("witness-e8-3", lambda: case_witness("E8", 8, 3, 2)),
+        ("witness-e7-2", lambda: case_witness("E7", 7, 2, 2)),
+        ("witness-g2-2", lambda: case_witness("G2", 2, 2, 1)),
+        ("witness-f4-3", lambda: case_witness("F4", 4, 3, 1)),
+        ("witness-e8-5", lambda: case_witness("E8", 8, 5, 1)),
+        ("beta-no-preimage", case_beta_preimage))),
+    ("9 restriction tables", (("restriction-tables", case_restrictions),)),
+    ("10 catalog and derived convention", (
+        ("catalog-validate", case_catalog),
+        ("q1-derivation", case_q1_derivation))),
 )
 
-CRITERIA = (
-    ("1 exact torsion indices", ("torsion-so-l2", "torsion-so-l3", "torsion-so-l4")),
-    ("2 squared-relation decomposition", ("decomp-so(5)p=2", "decomp-so(7)p=2",
-                                          "decomp-so(9)p=2")),
-    ("3 projective-unitary decomposition", ("decomp-pu(3)", "decomp-pu(5)")),
-    ("4 coinvariant dimensions", ("coinvariant-counts",)),
-    ("5 summand basis formula", ("rost-basis",)),
-    ("6 square-hitting criterion", ("sq-hits",)),
-    ("7 rank-8 two-primary witness and count", ("witness-e8-2", "sharp-e8-2")),
-    ("8 remaining witnesses and Bockstein gap", ("witness-e8-3", "witness-e7-2",
-                                                 "witness-g2-2", "witness-f4-3",
-                                                 "witness-e8-5",
-                                                 "beta-no-preimage")),
-    ("9 restriction tables", ("restriction-tables",)),
-    ("10 catalog and derived convention", ("catalog-validate", "q1-derivation")),
-)
+# (name, function) of every case in run order; read at call time, so a
+# wrapper set on verify.CASES is the one run
+CASES = tuple(case for _, cases in CRITERIA for case in cases)
 
 
 def run_case(name):
     for case, fn in CASES:
         if case == name:
-            return fn()
+            return Report(case, *fn())
     raise ValidationError("unknown verification case %r; known cases: %s"
                           % (name, ", ".join(case for case, _ in CASES)))
 
 
 def run_all():
     """Run every case; reports come back in the fixed declaration order."""
-    return [fn() for _, fn in CASES]
+    return [Report(case, *fn()) for case, fn in CASES]
 
 
 def criteria_summary(reports):
@@ -291,7 +282,7 @@ def criteria_summary(reports):
     by_case = {r.case: r for r in reports}
     out = []
     for label, cases in CRITERIA:
-        statuses = {c: by_case[c].status for c in cases}
+        statuses = {c: by_case[c].status for c, _ in cases}
         ok = all(s == "pass" for s in statuses.values())
         out.append((label, ok, statuses))
     return out

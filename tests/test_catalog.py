@@ -18,7 +18,7 @@ from flagchow.catalog import (
 from flagchow.chow import rost_part_basis
 from flagchow.errors import DataMissingError, UnsupportedCaseError, ValidationError
 
-CASE_IDS = tuple(catalog._CASE_MODELS)
+CASE_IDS = tuple(dict.fromkeys(row.case_id for row in catalog._SERVED))
 
 
 def test_validate_catalog_all_entries_pass():
@@ -189,7 +189,7 @@ def test_restriction_tables_are_built_once_in_registry_order():
 
 
 def _catalog_models():
-    return [m for build in catalog._CASE_MODELS.values() for m in build()]
+    return [m for _, m in catalog._served_models()]
 
 
 def test_restriction_tables_of_a_model_filter_the_full_list():
@@ -230,27 +230,30 @@ def test_model_key_and_label():
 
 
 def test_each_catalog_case_is_one_shared_model():
-    for case in CASE_IDS:
-        first, again = catalog._CASE_MODELS[case](), catalog._CASE_MODELS[case]()
-        assert all(a is b for a, b in zip(first, again)), case
-        for m in first:
-            assert lookup_model(*m.key()) is m, m.label()
+    first, again = list(catalog._served_models()), list(catalog._served_models())
+    assert len(first) == 54
+    for (case, m), (_, m_again) in zip(first, again):
+        assert m is m_again, case
+        assert lookup_model(*m.key()) is m, m.label()
 
 
-def test_the_case_tables_agree_with_the_validated_models():
-    # `_case` reads _FAMILY_CASES, _EXCEPTIONAL_CASES and the PU branch, the
-    # unsupported-case message lists SUPPORTED_CASES, and validate_catalog
-    # builds the _CASE_MODELS: a case added to one of them only fails here
-    built = {m.key() for build in catalog._CASE_MODELS.values() for m in build()}
-    for family, (_, least, primes) in catalog._FAMILY_CASES.items():
-        for p in primes:
-            assert (family, least, p) in built, (family, p)
-    for (family, p), (rank, _) in catalog._EXCEPTIONAL_CASES.items():
-        assert (family, rank, p) in built, (family, p)
-    for p in catalog._SUPPORTED_PRIMES:
-        assert ("PU", p - 1, p) in built, p
-    assert len(catalog.SUPPORTED_CASES) == (
-        len(catalog._FAMILY_CASES) + len(catalog._EXCEPTIONAL_CASES) + 1)
+def test_each_served_row_is_reached_by_its_cli_group_and_validated():
+    # `_case`, the CLI's --group lookup, the unsupported-case message and
+    # validate_catalog all read the one table `_SERVED`: at each row's least
+    # rank and each of its primes, the CLI spelling and the family reach the
+    # same model, of the row's key, and validate_catalog checks that model
+    from types import SimpleNamespace
+    from flagchow import cli
+    validated = [m for _, m in catalog._served_models()]
+    for row in catalog._SERVED:
+        assert row.name in catalog.SUPPORTED_CASES
+        for p in row.primes:
+            m = lookup_model(row.family, row.least, p)
+            assert m.key() == (row.family, row.least, p)
+            spelled = SimpleNamespace(group=row.group, rank=row.least, prime=p)
+            assert cli._model(spelled) is m, (row.group, p)
+            assert any(m is v for v in validated), m.label()
+    assert len(catalog.SUPPORTED_CASES) == 12
 
 
 def test_every_spelling_of_a_case_is_one_model():
@@ -316,11 +319,10 @@ def test_summand_bases_and_case_dispatch_match_the_pinned_digests():
     # gives on every spelling below: the builder's name and the key of the
     # model it builds, or the exception's type and message
     basis = hashlib.sha256()
-    for models in catalog._CASE_MODELS.values():
-        for m in models():
-            kind, elems = rost_part_basis(m)
-            basis.update(repr((m.key(), kind, [(b.name, b.topdeg, b.provenance)
-                                               for b in elems])).encode())
+    for _, m in catalog._served_models():
+        kind, elems = rost_part_basis(m)
+        basis.update(repr((m.key(), kind, [(b.name, b.topdeg, b.provenance)
+                                           for b in elems])).encode())
     assert basis.hexdigest() == (
         "0e588fa22af48c245ed501d9ddb24a30a1b785999e13e65004319ce73d755ada")
     cases = hashlib.sha256()

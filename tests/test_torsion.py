@@ -419,7 +419,7 @@ def test_torsion_index_witness_levels():
 def test_every_served_torsion_report_is_consistent():
     levels = {}
     missing = []
-    for m in (m for build in catalog._CASE_MODELS.values() for m in build()):
+    for _, m in catalog._served_models():
         try:
             value, level, _ = torsion_index(m)
         except DataMissingError:
@@ -458,6 +458,19 @@ def test_a_mutated_witness_or_index_fails_the_torsion_report():
 def test_torsion_index_missing_spin_data():
     with pytest.raises(DataMissingError):
         torsion_index(lookup_model("Spin_odd", 6, 2))
+
+
+def test_a_stored_index_without_a_witness_is_missing_data(monkeypatch, capsys):
+    # no served model stores an index without its witness; one built by hand
+    # is not answered from the stored value alone, in the library or the CLI
+    from flagchow.cli import main
+    bare = _mutant("E7", 7, 2, witness=None)
+    assert bare.torsion_index_p == 4
+    with pytest.raises(DataMissingError, match="no torsion data for"):
+        torsion_index(bare)
+    monkeypatch.setattr(catalog, "lookup_model", lambda *case: bare)
+    assert main(["torsion-index", "--group", "E7", "--prime", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: no torsion data for (E7, 2)\n")
 
 
 def test_spin17_products():
