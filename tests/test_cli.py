@@ -730,6 +730,61 @@ def test_steenrod_outputs_match_the_pinned_digests(capsys):
     assert got == expected
 
 
+# the squares STEENROD_OPS leaves out, and the index-named sources x<i> and
+# z<i>, odd and even, that the model's own names do not spell
+SQUARE_OPS = ("Sq0", "Sq1", "Sq2", "Sq3", "Sq4", "Sq8")
+INDEX_SOURCES = tuple("%s%d" % (c, i) for c in "xz" for i in range(1, 9))
+
+
+def test_squares_on_index_named_sources_match_the_pinned_digests(capsys):
+    import hashlib
+    # sha256 per case of the exit code, stdout and stderr of `steenrod` with
+    # Sq0 and Sq3 on each generator name of each of its models, then each of
+    # SQUARE_OPS on each of INDEX_SOURCES, in text and JSON
+    expected = {
+        "U/Sp (any p)":
+            "4ba36be172b8410417564779f5315855b908c1d290d1828c954b84b292874a99",
+        "PU(p)":
+            "3b1c2f96517cacd5fe7a9abed0f794f7651a4e4bb863489cdf92db39b5078264",
+        "SO(2l+1) p=2":
+            "80230cf8ca1eb2b73d6601356c02ac98b88c744ad9a9637b4a8e2dc6f6715377",
+        "SO(2l) p=2":
+            "db4cfdddff2a25195753605c184b0e9ad9c4e8c3bd390fc8e5c42918398ba708",
+        "Spin(2l+1) p=2":
+            "37177d9d06d6b17f176e632f23669435d0f7c8af21c858ad67dc64cf1f144703",
+        "(G2, 2)":
+            "38d954cb8a755a642d23dca89e264474fc705fe241aff9e256c2ddc6fcd05baa",
+        "(F4, 3)":
+            "3bda0250500a6265eef23345dabdbb670b767309e2fa67da9987010ad368f2a6",
+        "(E8, 5)":
+            "d4d6b17f979b185be67738120c09c770f5ba170a82990411a8d887ed04b799da",
+        "(E8, 3)":
+            "e6fff25cbd4730c3ea49f4a27632616993066092cf71bd87920dcb974413a6b2",
+        "(E8, 2)":
+            "219247b32436daf06157c7f5827a662733a6136d7757a6460be349cf4e15d559",
+        "(E7, 2)":
+            "13df620ce0dac46c0752829f1d535a7ee92b392bc95e53408168a2f35ded8e78",
+    }
+    got = {}
+    for case, spellings in CATALOG_CASE_SPELLINGS.items():
+        digest = hashlib.sha256()
+        for g, l, p in spellings:
+            model = catalog.lookup_model(catalog.GROUP_FAMILIES[g], l, p)
+            flags = ["--group", g, "--rank", str(l), "--prime", str(p)]
+            calls = [(op, name) for op in ("Sq0", "Sq3")
+                     for name in _generator_names(model)]
+            calls += [(op, name) for op in SQUARE_OPS for name in INDEX_SOURCES]
+            for op, name in calls:
+                for fmt in ("--format=text", "--format=json"):
+                    argv = [fmt, "steenrod"] + flags + ["--op", op, "--gen", name]
+                    code, out = run_cli(argv)
+                    err = capsys.readouterr().err
+                    assert "Traceback" not in err, argv
+                    digest.update(repr((argv, code, out, err)).encode())
+        got[case] = digest.hexdigest()
+    assert got == expected
+
+
 def _digests(argvs, capsys):
     """sha256 of the exit code, stdout and stderr of each argv, by argv."""
     import hashlib

@@ -486,6 +486,37 @@ def _count_reduce_calls(monkeypatch):
     return calls
 
 
+def test_pivot_recursion_node_counts_pinned(monkeypatch):
+    import flagchow.groebner as engine
+    from flagchow.catalog import lookup_model
+    from flagchow.chow import chow_presentation
+    # _k_numerator calls of one hilbert_series on each of the fourteen
+    # hilbert_sweep presentations (the same at every prime drawn for U and
+    # Sp): U, Sp and SO_odd have pairwise coprime leading monomials
+    expected = {
+        ("U", 6, (2, 3, 5), 32): 1,
+        ("Sp", 5, (2, 3, 5), 40): 1,
+        ("Sp", 6, (2, 3, 5), 26): 1,
+        ("SO_odd", 5, (2,), 36): 1,
+        ("SO_odd", 6, (2,), 26): 1,
+        ("SO_even", 5, (2,), 36): 11,
+        ("SO_even", 6, (2,), 26): 11,
+        ("PU", 4, (5,), 60): 7,
+    }
+    calls = []
+    real = engine._k_numerator
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(engine, "_k_numerator", counted)
+    for (family, rank, primes, maxdeg), nodes in expected.items():
+        for p in primes:
+            del calls[:]
+            hilbert_series(chow_presentation(lookup_model(family, rank, p)), maxdeg)
+            assert len(calls) == nodes, (family, rank, p, maxdeg)
+
+
 def test_hilbert_series_never_reduces_the_tails(monkeypatch):
     pres, maxdeg = _sweep_presentation()
     calls = _count_reduce_calls(monkeypatch)
