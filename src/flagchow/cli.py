@@ -477,22 +477,26 @@ def _help(cmd):
 
 def main(argv=None, out=None):
     out = out or sys.stdout
+    code = 0
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        if args is None:
-            return 0
-        # looked up at call time, so a wrapper set on cli._cmd_* is the one called
-        handler = globals()["_cmd_" + args.command.replace("-", "_")]
-        code, payload = handler(args)
+        if args is not None:
+            # looked up at call time, so a wrapper set on cli._cmd_* is the one called
+            handler = globals()["_cmd_" + args.command.replace("-", "_")]
+            code, payload = handler(args)
+            if (args.format_sub or args.format) == "json":
+                out.write(_ser.json_text(payload))
+                out.write("\n")
+            else:
+                _render_text(payload, out)
+        out.flush()
     except FlagchowError as err:
         sys.stderr.write("error: %s\n" % (err,))
         return 2
-    fmt = args.format_sub or args.format or "text"
-    if fmt == "json":
-        out.write(_ser.json_text(payload))
-        out.write("\n")
-    else:
-        _render_text(payload, out)
+    except BrokenPipeError:
+        # the reader closed stdout early: stop writing, and point stdout at
+        # os.devnull so that the interpreter's exit flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

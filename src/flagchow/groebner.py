@@ -314,13 +314,14 @@ def buchberger(relations, ring, maxdeg):
     """
     p = ring.p
     pk = Packing(ring.topdegs, maxdeg)
-    weights, guard = ring.topdegs, pk.guard
+    weights, kappa, guard = ring.topdegs, pk.kappa, pk.guard
     pushed = popped = product = chain = reductions = zeros = steps = 0
 
-    # per element: leading key, its exponents and topdeg, the (view, tail)
+    # per element: leading key, its exponents, its weighted exponents e_i w_i
+    # (their maxima sum to a pair's topdeg) and its topdeg, the (view, tail)
     # divisor _reduce takes, and done, whose bit k is set once the pair
     # with element k has been popped
-    leads, exps, degs, divisors, done = [], [], [], [], []
+    leads, exps, wexps, degs, divisors, done = [], [], [], [], [], []
 
     # entries (topdeg, seq, i, j) for the pair of elements i and j, seq the
     # count of pairs formed before it, and (topdeg, seq, terms, None) for a
@@ -337,7 +338,7 @@ def buchberger(relations, ring, maxdeg):
     while heap:
         d, seq, i, j = heapq.heappop(heap)
         if seq < 0:
-            work = {pk.pack(m): c for m, c in i.items()}
+            work = {sum(map(mul, m, kappa)): c for m, c in i.items()}
         else:
             popped += 1
             done[i] |= 1 << j
@@ -345,7 +346,7 @@ def buchberger(relations, ring, maxdeg):
             if d == degs[i] + degs[j]:
                 product += 1
                 continue
-            key = pk.pack(map(max, exps[i], exps[j]))
+            key = sum(map(mul, map(max, exps[i], exps[j]), kappa))
             x = pk.view(key) | guard
             both = done[i] & done[j]
             while both:
@@ -373,13 +374,15 @@ def buchberger(relations, ring, maxdeg):
         if inv != 1:
             h = {k: c * inv % p for k, c in h.items()}
         e = pk.unpack(lead)
-        for k, f in enumerate(exps):
-            lcm_deg = sum(map(mul, map(max, f, e), weights))
+        we = tuple(map(mul, e, weights))
+        for k, f in enumerate(wexps):
+            lcm_deg = sum(map(max, f, we))
             if lcm_deg <= maxdeg:
                 heapq.heappush(heap, (lcm_deg, pushed, k, len(leads)))
                 pushed += 1
         leads.append(lead)
         exps.append(e)
+        wexps.append(we)
         degs.append(d)
         divisors.append((pk.view(lead), _tail(h, lead)))
         done.append(0)
@@ -421,22 +424,9 @@ def normal_form(f, gb):
 # Hilbert series
 
 
-def _k_numerator(gens, pk, weights, maxdeg):
-    """Numerator K of HS(S/(gens)) = K / prod(1 - q^w), truncated at maxdeg.
-
-    gens are (topdeg, view) pairs of monomials in the fields of the packing
-    pk.  Pivot recursion K(I) = K(I + (p)) + q^deg(p) K(I : p) on p = x_i^e,
-    where x_i lies in the most minimal generators and e is the median
-    exponent of x_i over those of them that are not pure powers; e stays
-    below the pure power of x_i in I, so p is never in I.  The colon lowers
-    the x_i field of each generator by at most e, and generators above the
-    remaining degree cannot change the truncated series and are dropped.
-    """
-    out = [0] * (maxdeg + 1)
-    if maxdeg < 0:
-        return out
-    out[0] = 1
-    guard, emax = pk.guard, pk.emax
+def _minimal(gens, guard, maxdeg):
+    """The minimal generators of topdeg <= maxdeg among gens, (topdeg, view)
+    pairs, sorted: a pairwise divisibility scan in topdeg order."""
     mins = []
     for d, x in sorted(set(gens)):
         if d > maxdeg:
@@ -444,24 +434,54 @@ def _k_numerator(gens, pk, weights, maxdeg):
         y = x | guard
         if not any((y - g) & guard == guard for _, g in mins):
             mins.append((d, x))
-    counts = [sum(1 for _, x in mins if x >> s & emax) for s in pk.shifts]
-    most = max(counts, default=0)
-    if most <= 1:
+    return mins
+
+
+def _k_numerator(mins, pk, weights, maxdeg):
+    """Numerator K of HS(S/(mins)) = K / prod(1 - q^w), truncated at maxdeg.
+
+    mins are (topdeg, view) pairs of monomials in the fields of the packing
+    pk, minimal (none divides another) and of topdeg <= maxdeg.  Pivot
+    recursion K(I) = K(I + (p)) + q^deg(p) K(I : p) on p = x_i^e, where x_i
+    lies in the most generators and e is the median exponent of x_i over
+    those of them that are not pure powers; e stays below the pure power of
+    x_i in I, so p is never in I.  Both children stay minimal: p divides
+    exactly the generators whose x_i field is at least e and is divided by
+    none, so the pivot child drops those and adds p with no scan.  The colon
+    lowers the x_i field of each generator by at most e, which can make one
+    divide another, so only it is scanned, and generators above the
+    remaining degree cannot change the truncated series and are dropped.
+    """
+    out = [0] * (maxdeg + 1)
+    out[0] = 1
+    fields, guard, emax = pk.fields, pk.guard, pk.emax
+    # the guard bit of a field of x + fields is set when that field is not 0
+    seen = 0
+    for _, x in mins:
+        support = (x + fields) & guard
+        if seen & support:
+            break
+        seen |= support
+    else:
         # pairwise coprime supports
         hs_times(out, numer=[d for d, _ in mins])
         return out
-    i = counts.index(most)
+    counts = [sum(1 for _, x in mins if x >> s & emax) for s in pk.shifts]
+    i = counts.index(max(counts))
     s, w = pk.shifts[i], weights[i]
     # a generator is a pure power of x_i when x_i carries all its topdeg
     exps = sorted(f for f, d in ((x >> s & emax, d) for d, x in mins)
                   if f and f * w < d)
     e = exps[len(exps) // 2]
     shift = e * w
-    out = _k_numerator(mins + [(shift, e << s)], pk, weights, maxdeg)
+    pivot = [(d, x) for d, x in mins if x >> s & emax < e]
+    pivot.append((shift, e << s))
+    out = _k_numerator(pivot, pk, weights, maxdeg)
     colon = []
     for d, x in mins:
         f = min(x >> s & emax, e)
         colon.append((d - f * w, x - (f << s)))
+    colon = _minimal(colon, guard, maxdeg - shift)
     for k, c in enumerate(_k_numerator(colon, pk, weights, maxdeg - shift)):
         out[k + shift] += c
     return out
@@ -470,13 +490,13 @@ def _k_numerator(gens, pk, weights, maxdeg):
 def _standard_monomial_dims(gens, pk, weights, maxdeg):
     """Count monomials of each topdeg <= maxdeg divisible by none of gens.
 
-    gens are (topdeg, view) pairs in the fields of the packing pk.
-    Bayer-Stillman pivot recursion (J. Symb. Comp. 14, 1992) with Bigatti's
-    pivot choice (Comm. Algebra 25, 1997) on their monomial ideal, in exact
-    integers: the truncated numerator divided by prod(1 - q^w) over the
-    variable weights.
+    gens are (topdeg, view) pairs in the fields of the packing pk; they are
+    made minimal once, here.  Bayer-Stillman pivot recursion (J. Symb. Comp.
+    14, 1992) with Bigatti's pivot choice (Comm. Algebra 25, 1997) on their
+    monomial ideal, in exact integers: the truncated numerator divided by
+    prod(1 - q^w) over the variable weights.
     """
-    dims = _k_numerator(gens, pk, weights, maxdeg)
+    dims = _k_numerator(_minimal(gens, pk.guard, maxdeg), pk, weights, maxdeg)
     hs_times(dims, denom=weights)
     return dims
 

@@ -486,6 +486,29 @@ def test_a_fresh_process_answers_as_the_in_process_call():
     assert helped.returncode == 0 and helped.stdout.startswith("usage: flagchow")
 
 
+def test_a_closed_stdout_ends_the_run_with_its_code_and_no_traceback():
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    cases = [(["verify", "--all"], 0),
+             (["--format", "json", "verify", "--all"], 0),
+             (["--help"], 0),
+             (["verify", "--case", "nope"], 2)]
+    for argv, code in cases:
+        # the read end closed before the first write, and after the first
+        # line, as `| head -1` does
+        for lines in (0, 1):
+            read, write = os.pipe()
+            with subprocess.Popen([sys.executable, "-m", "flagchow.cli", *argv],
+                                  stdout=write, stderr=subprocess.PIPE,
+                                  text=True, env=env) as proc:
+                os.close(write)
+                with os.fdopen(read) as reader:
+                    for _ in range(lines):
+                        reader.readline()
+                err = proc.stderr.read()
+                assert proc.wait(timeout=120) == code, (argv, lines)
+            assert "Traceback" not in err and "Exception" not in err, (argv, err)
+
+
 def test_importing_the_cli_leaves_argparse_unloaded():
     done = _fresh_process(
         "-c", "import sys, flagchow.cli; print('argparse' in sys.modules)")
