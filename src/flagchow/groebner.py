@@ -25,6 +25,7 @@ recursion works on their packed views.
 """
 
 import heapq
+from math import gcd
 from operator import mul
 
 from .errors import OutOfRangeError, ValidationError
@@ -432,7 +433,10 @@ def _minimal(gens, guard, maxdeg):
         if d > maxdeg:
             break
         y = x | guard
-        if not any((y - g) & guard == guard for _, g in mins):
+        for _, g in mins:
+            if (y - g) & guard == guard:
+                break
+        else:
             mins.append((d, x))
     return mins
 
@@ -494,11 +498,19 @@ def _standard_monomial_dims(gens, pk, weights, maxdeg):
     made minimal once, here.  Bayer-Stillman pivot recursion (J. Symb. Comp.
     14, 1992) with Bigatti's pivot choice (Comm. Algebra 25, 1997) on their
     monomial ideal, in exact integers: the truncated numerator divided by
-    prod(1 - q^w) over the variable weights.
+    prod(1 - q^w) over the variable weights.  Every topdeg is a multiple of
+    g, the gcd of the weights, so the recursion runs on topdegs divided by g
+    and the dims of the other degrees are 0.
     """
-    dims = _k_numerator(_minimal(gens, pk.guard, maxdeg), pk, weights, maxdeg)
+    g = gcd(*weights) or 1
+    top = maxdeg // g
+    weights = [w // g for w in weights]
+    dims = _k_numerator(_minimal([(d // g, x) for d, x in gens], pk.guard, top),
+                        pk, weights, top)
     hs_times(dims, denom=weights)
-    return dims
+    out = [0] * (maxdeg + 1)
+    out[::g] = dims
+    return out
 
 
 def hilbert_series(pres, maxdeg):
