@@ -209,6 +209,8 @@ def test_standard_monomial_dims_edge_cases_match_enumeration():
         ((2, 2, 4), [(1, 1, 0), (2, 1, 0), (1, 1, 1)], 14),   # non-minimal
         ((4, 2), [(1, 2), (1, 2), (0, 3), (0, 3)], 16),       # duplicates
         ((2, 2), [(2, 1), (1, 2), (3, 0), (0, 3)], 20),       # pivot needed
+        ((3, 6), [(2, 1), (1, 2), (4, 0)], 22),    # weight gcd 3, maxdeg not a multiple
+        ((1, 2), [(3, 0), (1, 1), (0, 2)], 9),     # weight gcd 1
     ]
     for weights, lts, maxdeg in cases:
         assert (_packed_dims(lts, weights, maxdeg)
