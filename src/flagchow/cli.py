@@ -481,7 +481,8 @@ def main(argv=None, out=None):
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         if args is not None:
-            # looked up at call time, so a wrapper set on cli._cmd_* is the one called
+            # looked up at call time, so a wrapper set on cli._cmd_* is the
+            # one called
             handler = globals()["_cmd_" + args.command.replace("-", "_")]
             code, payload = handler(args)
             if (args.format_sub or args.format) == "json":
