@@ -897,6 +897,41 @@ def test_unsupported_and_unknown_groups_match_the_pinned_digests(capsys):
     assert _digests(expected, capsys) == expected
 
 
+
+DECOMPOSE_SWEEP_CASES = (
+    [(g, l) for g, ranks in (("U", range(1, 7)), ("Sp", range(1, 7)),
+                             ("SO", range(1, 9)), ("SOeven", range(2, 9)),
+                             ("Spin", range(3, 9)))
+     for l in ranks]
+    + [(g, None) for g in ("PU", "G2", "F4", "E7", "E8")])
+
+
+def test_decompose_sweep_matches_the_pinned_digest(monkeypatch, capsys):
+    import hashlib
+    # one sha256 over (argv, exit code, stdout, stderr) of `decompose` on
+    # every group and rank above, with no prime or p in (2, 3, 5, 7), at
+    # maxdeg 0, 1, 7, 20, 40, 60 and 61 (over the default cap), in text and
+    # JSON: 2660 calls, served and unserved cases alike
+    monkeypatch.delenv("FLAGCHOW_MAXDEG", raising=False)
+    digest = hashlib.sha256()
+    calls = 0
+    for group, rank in DECOMPOSE_SWEEP_CASES:
+        flags = ["--group", group] + ([] if rank is None else ["--rank", str(rank)])
+        for prime in (None, 2, 3, 5, 7):
+            pflags = [] if prime is None else ["--prime", str(prime)]
+            for maxdeg in (0, 1, 7, 20, 40, 60, 61):
+                for fmt in ([], ["--format", "json"]):
+                    argv = fmt + ["decompose"] + flags + pflags + [
+                        "--maxdeg", str(maxdeg)]
+                    code, out = run_cli(argv)
+                    err = capsys.readouterr().err
+                    digest.update(repr((argv, code, out, err)).encode())
+                    calls += 1
+    assert calls == 2660
+    assert digest.hexdigest() == (
+        "7492af48b9296a4cf773cc0c8912acb1c5ad1bd8d1ee4700a65137d285bb223b")
+
+
 # one-line data mutants of the stored restriction images, each of which
 # `restrict` and `verify --case restriction-tables` passed when an image was
 # stored as a label with a separate degree: (table, source, level, y-power)
