@@ -2,20 +2,16 @@
 
 Bases of the indecomposable-summand Chow groups are degree-tagged lists,
 never rings (no canonical ring structure exists there); quotient
-presentations are rings.  Series comparisons use the truncated Cauchy
-product: the graded-vector-space meaning of a tensor decomposition.
+presentations are rings.  The decomposition identity compares the quotient's
+series, by Groebner basis, with the summand basis times the torus factor
+S(t)/(b), which is Stanley's product for the regular sequence b.
 """
 
 from itertools import combinations
 
 from .catalog import is_reduced, lookup_model, restriction_tables
 from .errors import PresentationUnavailableError, UnsupportedCaseError, ValidationError
-from .groebner import (
-    QuotientPresentation,
-    hilbert_series,
-    hs_from_degrees,
-    hs_product,
-)
+from .groebner import QuotientPresentation, hilbert_series, hs_from_degrees, hs_times
 from .ring import GradedVariable, PolyRing, is_prime
 from .symclass import elementary_symmetric, pontryagin_class, t_ring
 
@@ -198,20 +194,15 @@ def _summand_products(model):
 # decomposition and restriction checks
 
 
-def _s_mod_b_series(model, maxdeg):
-    """Series of the torus quotient by the transgression forms."""
-    forms = _torus_forms(model)
-    if forms is None:
-        raise PresentationUnavailableError(
-            "no explicit transgression forms for %s" % model.label())
-    return hilbert_series(QuotientPresentation(forms[0].ring, forms), maxdeg)
-
-
 def verify_additive_decomposition(model, maxdeg):
     """Series identity behind the additive decomposition:
-    HS(full quotient) = HS(summand basis) * HS(torus/(b)).  The factor
-    HS(P'(y)) of the inner truncated part is 1: in a versal case each J-entry
-    equals its truncation exponent."""
+    HS(full quotient) = HS(summand basis) * HS(torus/(b)).  The left side is
+    the quotient's series by Groebner basis.  On the right, the transgression
+    forms b are a regular sequence, so HS(torus/(b)) is Stanley's product
+    prod(1 - q^|b_i|) / prod(1 - q^|t_j|) (Bull. AMS 1, 1979) over the entry
+    degrees and the presentation ring's weights.  The factor HS(P'(y)) of the
+    inner truncated part is 1: in a versal case each J-entry equals its
+    truncation exponent."""
     kind, basis = rost_part_basis(model)
     report = {"case": model.label(), "maxdeg": maxdeg}
     if kind != "exact":
@@ -229,8 +220,9 @@ def verify_additive_decomposition(model, maxdeg):
         report["detail"] = "presentation is symbolic"
         return report
     lhs = hilbert_series(pres, maxdeg)
-    rost_hs = hs_from_degrees([b.topdeg for b in basis], maxdeg)
-    rhs = hs_product(rost_hs, _s_mod_b_series(model, maxdeg), maxdeg)
+    rhs = hs_from_degrees([b.topdeg for b in basis], maxdeg)
+    hs_times(rhs.dims, numer=[e.topdeg for e in model.transgression],
+             denom=pres.ring.topdegs)
     report["status"] = "pass" if lhs == rhs else "fail"
     report["lhs"] = lhs.dims
     report["rhs"] = rhs.dims

@@ -175,7 +175,8 @@ def _cmd_torsion_index(args):
         payload["monomials_checked"] = details["monomials_checked"]
     if args.witness:
         if model.witness is not None:
-            w = _torsion.witness_product(model, model.witness)
+            w = details.get("witness") or _torsion.witness_product(
+                model, model.witness)
             payload["witness"] = {"indices": [str(i) for i in model.witness],
                                   "p_exponent": w.s,
                                   "body": w.body.pretty()}

@@ -128,19 +128,6 @@ class HilbertSeries:
         return "HilbertSeries(%r)" % (self.dims,)
 
 
-def hs_product(a, b, maxdeg):
-    """Truncated Cauchy product of two HilbertSeries."""
-    dims = [0] * (maxdeg + 1)
-    for i, x in enumerate(a.dims):
-        if i > maxdeg or x == 0:
-            continue
-        for j, y in enumerate(b.dims):
-            if i + j > maxdeg:
-                break
-            dims[i + j] += x * y
-    return HilbertSeries(dims)
-
-
 def hs_from_degrees(degrees, maxdeg):
     """Series of a graded basis given as a degree multiset."""
     dims = [0] * (maxdeg + 1)

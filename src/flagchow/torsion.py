@@ -195,7 +195,8 @@ def sharp_of_y_top(model):
 
 def torsion_index(model):
     """(value, verification level, details) for the model; the details of
-    an EXACT result are those of `torsion_index_so`, else empty.
+    an EXACT result are those of `torsion_index_so`, else {"witness": the
+    witness product}.
 
     EXACT: the degree gcd ran (odd orthogonal, desk-scale rank) and its
     degree map passed the |W| certificate.
@@ -223,8 +224,8 @@ def torsion_index(model):
         if model.key() == ("E8", 8, 2):
             bound = sharp_y_bound(model, w.s - 1)
             if bound < sharp_of_y_top(model):
-                return stored, "UPPER+COUNT", {}
+                return stored, "UPPER+COUNT", {"witness": w}
             raise InternalInconsistencyError(
                 "counting bound %d fails to separate the top class" % bound)
-        return stored, "UPPER-WITNESS", {}
+        return stored, "UPPER-WITNESS", {"witness": w}
     raise DataMissingError("no torsion data for %s" % model.label())

@@ -12,7 +12,9 @@ reference for its grammar, which is Python 3.11's.  Paper data that no
 program path reads (the mod-torsion bases, the spin divisibility bound and
 the rank-8 spin products) is kept here for the tests that check it, and
 so is the pull-back walk of the SO(2l+1) degree map, the reference for its
-push-forward.
+push-forward.  The truncated Cauchy product of two series, which the
+decomposition check no longer forms, is kept for the tests that multiply
+series.
 """
 
 import argparse
@@ -202,6 +204,19 @@ def standard_monomial_dims(lts, topdegs, maxdeg):
 
     rec(0, 0)
     return dims
+
+
+def hs_product(a, b, maxdeg):
+    """Truncated Cauchy product of two HilbertSeries."""
+    dims = [0] * (maxdeg + 1)
+    for i, x in enumerate(a.dims):
+        if i > maxdeg or x == 0:
+            continue
+        for j, y in enumerate(b.dims):
+            if i + j > maxdeg:
+                break
+            dims[i + j] += x * y
+    return HilbertSeries(dims)
 
 
 def homogeneous_topdeg(poly):

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from flagchow import catalog
@@ -9,6 +11,7 @@ from flagchow.catalog import (
 )
 from flagchow.chow import (
     BasisElement,
+    _torus_forms,
     chow_presentation,
     restriction_check,
     restriction_reports,
@@ -17,13 +20,14 @@ from flagchow.chow import (
     verify_additive_decomposition,
 )
 from flagchow.errors import PresentationUnavailableError, UnsupportedCaseError, ValidationError
-from flagchow.groebner import hilbert_series
+from flagchow.groebner import QuotientPresentation, hilbert_series, hs_times
 from flagchow.symclass import elementary_symmetric, t_ring
 
 from oracles import (
     a_filtration_basis,
     graded_quotient_dims,
     homogeneous_topdeg,
+    hs_product,
     mod_torsion_basis,
     with_restriction_image,
 )
@@ -302,6 +306,54 @@ def test_decomposition_skips_surjection_only_cases():
     assert rep["status"] == "skipped"
 
 
+def test_stanley_product_matches_the_groebner_series_of_the_torus_quotient():
+    # the torus factor of the decomposition is Stanley's product over the
+    # entry degrees and the ring weights; the Groebner series of S(t)/(b),
+    # b the torus forms, is the second route, on every model that has them
+    compared = 0
+    for _, m in catalog._served_models():
+        forms = _torus_forms(m)
+        if forms is None:
+            continue
+        ring = forms[0].ring
+        for maxdeg in (0, 1, 7, 20, 40, 60, m.dim_gt):
+            stanley = [1] + [0] * maxdeg
+            hs_times(stanley, numer=[e.topdeg for e in m.transgression],
+                     denom=ring.topdegs)
+            gb = hilbert_series(QuotientPresentation(ring, forms), maxdeg)
+            assert gb.dims == stanley, (m.label(), maxdeg)
+            compared += 1
+    assert compared == 43 * 7
+
+
+def _with_relations(model, relations):
+    """A copy of the model whose presentation is swapped for one with the
+    given relations in the same ring."""
+    hand = copy.copy(model)
+    hand._presentation = QuotientPresentation(
+        chow_presentation(model).ring, relations)
+    return hand
+
+
+def test_decomposition_fails_a_wrong_presentation():
+    # SO(2l) with its last relation e_l replaced by e_{l-1}, and U(3) with
+    # c_3 replaced by c_1*c_2: the closed-form torus factor must not hide
+    # the error in the quotient
+    for l in range(2, 9):
+        m = lookup_model("SO_even", l, 2)
+        pres = chow_presentation(m)
+        e = elementary_symmetric(pres.ring)
+        hand = _with_relations(m, list(pres.relations[:-1]) + [e[l - 2]])
+        rep = verify_additive_decomposition(hand, m.dim_gt)
+        assert rep["status"] == "fail", m.label()
+        assert verify_additive_decomposition(m, m.dim_gt)["status"] == "pass"
+    m = lookup_model("U", 3, 2)
+    c1, c2, _ = chow_presentation(m).relations
+    rep = verify_additive_decomposition(_with_relations(m, [c1, c2, c1 * c2]),
+                                        m.dim_gt)
+    assert rep["status"] == "fail"
+
+
 def test_decomposition_matches_linear_algebra_oracle_for_so5():
     # independent check of the left-hand series against Gaussian elimination
     pres = chow_presentation(lookup_model("SO_odd", 2, 2))
@@ -313,7 +365,7 @@ def test_f4_pontryagin_relations_decompose():
     # supplementary: the rank-4 case over F_3 admits symmetric-square forms
     # whose pairwise products present the quotient, and the series splits as
     # {1, b_1..b_4} (x) coinvariants
-    from flagchow.groebner import QuotientPresentation, hs_from_degrees, hs_product
+    from flagchow.groebner import hs_from_degrees
     from flagchow.symclass import pontryagin_class
     ring = t_ring(4, 3)
     ps = pontryagin_class(ring)

@@ -12,7 +12,6 @@ from flagchow.groebner import (
     groebner,
     hilbert_series,
     hs_from_degrees,
-    hs_product,
     hs_times,
     normal_form,
 )
@@ -23,6 +22,7 @@ from oracles import (
     buchberger_reference,
     graded_quotient_dims,
     homogeneous_topdeg,
+    hs_product,
     in_ideal_mod_p,
     monomials_of_topdeg,
     order_key,

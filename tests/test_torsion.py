@@ -406,14 +406,18 @@ def test_torsion_index_so7_exact():
 
 
 def test_torsion_index_witness_levels():
-    assert torsion_index(lookup_model("E8", prime=2)) == (64, "UPPER+COUNT", {})
-    assert torsion_index(lookup_model("F4", prime=3)) == (3, "UPPER-WITNESS", {})
-    assert torsion_index(lookup_model("E8", prime=3)) == (9, "UPPER-WITNESS", {})
-    assert torsion_index(lookup_model("E7", prime=2)) == (4, "UPPER-WITNESS", {})
-    assert torsion_index(lookup_model("Spin_odd", 5, 2)) == (2, "UPPER-WITNESS", {})
-    assert torsion_index(lookup_model("Spin_odd", 8, 2)) == (16, "UPPER-WITNESS", {})
-    assert torsion_index(lookup_model("U", 4, 3)) == (1, "UPPER-WITNESS", {})
-    assert torsion_index(lookup_model("SO_odd", 6, 2)) == (64, "UPPER-WITNESS", {})
+    # a witness level carries the witness product it checked
+    def witnessed(m, value, level):
+        return (value, level, {"witness": witness_product(m, m.witness)})
+
+    m = lookup_model("E8", prime=2)
+    assert torsion_index(m) == witnessed(m, 64, "UPPER+COUNT")
+    for case, value in ((("F4", None, 3), 3), (("E8", None, 3), 9),
+                        (("E7", None, 2), 4), (("Spin_odd", 5, 2), 2),
+                        (("Spin_odd", 8, 2), 16), (("U", 4, 3), 1),
+                        (("SO_odd", 6, 2), 64)):
+        m = lookup_model(*case)
+        assert torsion_index(m) == witnessed(m, value, "UPPER-WITNESS"), case
 
 
 def test_every_served_torsion_report_is_consistent():
