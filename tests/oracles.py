@@ -12,9 +12,8 @@ reference for its grammar, which is Python 3.11's.  Paper data that no
 program path reads (the mod-torsion bases, the spin divisibility bound and
 the rank-8 spin products) is kept here for the tests that check it, and
 so is the pull-back walk of the SO(2l+1) degree map, the reference for its
-push-forward.  The truncated Cauchy product of two series, which the
-decomposition check no longer forms, is kept for the tests that multiply
-series.
+push-forward.  The truncated Cauchy product of two series is kept here
+for the tests that multiply series.
 """
 
 import argparse
