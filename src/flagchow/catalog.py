@@ -275,7 +275,7 @@ def _model_PU(l, p):
     return model
 
 
-def _so_like_y_gens(l, max_even, min_oddpart=1):
+def _so_like_y_gens(max_even, min_oddpart=1):
     gens = []
     m = min_oddpart
     while 2 * m <= max_even:
@@ -307,7 +307,7 @@ def _so_transgression(model, l, skip_dead=False):
 
 
 def _model_SO_odd(l, p):
-    y_gens = _so_like_y_gens(l, 2 * l)
+    y_gens = _so_like_y_gens(2 * l)
     x_gens = [XGen("x%d" % (2 * i - 1), 2 * i - 1) for i in range(1, l + 1)]
     model = CohomologyModel(
         "SO_odd", l, p, y_gens, x_gens, [], [], torsion_index_p=2 ** l,
@@ -324,7 +324,7 @@ def _model_SO_odd(l, p):
 
 
 def _model_SO_even(l, p):
-    y_gens = _so_like_y_gens(l, 2 * l - 2)
+    y_gens = _so_like_y_gens(2 * l - 2)
     x_gens = [XGen("x%d" % (2 * i - 1), 2 * i - 1) for i in range(1, l + 1)]
     model = CohomologyModel("SO_even", l, p, y_gens, x_gens, [], [],
                             torsion_index_p=2 ** (l - 1),
@@ -340,7 +340,7 @@ _SPIN_TORSION = {3: (2, (3,)), 4: (2, (3,)), 5: (2, ("z",)),
 
 def _model_Spin_odd(l, p):
     tpar = l.bit_length() - 1  # floor(log2 l)
-    y_gens = _so_like_y_gens(l, 2 * l, min_oddpart=3)
+    y_gens = _so_like_y_gens(2 * l, min_oddpart=3)
     torsion, witness = _SPIN_TORSION.get(l, (None, None))
     zdeg = 2 ** (tpar + 2) - 1
     x_gens = [XGen("x%d" % (2 * i - 1), 2 * i - 1) for i in range(2, l + 1)]

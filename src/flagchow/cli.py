@@ -174,12 +174,9 @@ def _cmd_torsion_index(args):
     if level == "EXACT":
         payload["monomials_checked"] = details["monomials_checked"]
     if args.witness:
-        if model.witness is not None:
-            w = details.get("witness") or _torsion.witness_product(
-                model, model.witness)
-            payload["witness"] = {"indices": [str(i) for i in model.witness],
-                                  "p_exponent": w.s,
-                                  "body": w.body.pretty()}
+        w = details["witness"]
+        payload["witness"] = {"indices": [str(i) for i in model.witness],
+                              "p_exponent": w.s, "body": w.body.pretty()}
     return 0, payload
 
 

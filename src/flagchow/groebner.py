@@ -19,9 +19,10 @@ that topdeg's S-pairs, so elements are found in nondecreasing topdeg, each
 reduced by every earlier one: every element found is minimal, and a
 complete intersection needs no S-polynomial at all.  Per pair the
 bookkeeping is small: the chain criterion reads one bitmask of popped pairs
-per element, and the tails are reduced only when a reduced basis is asked
-for.  The Hilbert series needs only the leading monomials, and its pivot
-recursion works on their packed views.
+per element.  The tails are reduced only when the reduced basis is read: a
+normal form, unique for any Groebner basis (Cox, Little and O'Shea, Ideals,
+Varieties, and Algorithms, Prop. 2.6.1), reduces by the elements as found.
+The Hilbert series reads only the minimal leading monomials, packed.
 """
 
 import heapq
@@ -164,9 +165,9 @@ def hs_times(dims, numer=(), denom=()):
 
 # The counters of a run, in this order: S-pairs pushed and popped, pairs
 # skipped by the product and by the chain criterion, reductions (of the
-# relations and of the S-polynomials) and those that end in zero, reduction
-# steps (the tail reduction's included), and the basis size at its peak and
-# at the end, which are equal: every element found is minimal.
+# relations and of the S-polynomials) and those that end in zero, their
+# reduction steps, and the basis size at its peak and at the end, which are
+# equal: every element found is minimal.
 STAT_KEYS = ("pairs_pushed", "pairs_popped", "product_criterion",
              "chain_criterion", "reductions", "zero_reductions",
              "reduction_steps", "peak_basis", "final_basis")
@@ -220,65 +221,35 @@ def _tail(terms, lead):
 
 
 class GroebnerBasis:
-    """A reduced, degree-truncated basis over F_p, leading coefficients 1.
+    """A degree-truncated basis over F_p: the monic elements buchberger
+    found, each minimal, as (topdeg, leading key, view of it, tail) in
+    _minimal, in the order found and tails not reduced.  stats holds the
+    run's counters (STAT_KEYS), final when buchberger returns."""
 
-    buchberger hands over the elements it found, every one minimal, tails
-    not yet reduced: their leading monomials and number are final, and
-    hilbert_series reads no more.
-    The first read of basis or stats, or the first normal_form, reduces the
-    tails, once.  The reduced elements are kept packed, as dicts key ->
-    coefficient listing the largest key first, sorted by (topdeg, leading
-    monomial).  stats holds the run's counters (STAT_KEYS), the tail
-    reduction's steps included.
-    """
-
-    __slots__ = ("ring", "_packing", "_minimal", "_stats", "_reduced")
+    __slots__ = ("ring", "maxdeg", "stats", "_packing", "_minimal")
 
     def __init__(self, ring, packing, minimal, stats):
         self.ring = ring
+        self.maxdeg = packing.maxdeg
+        self.stats = stats
         self._packing = packing
-        # (topdeg, leading key, view of it, tail) in the order found
         self._minimal = minimal
-        self._stats = stats
-        self._reduced = None
-
-    def _interreduce(self):
-        """The reduced elements and their (view, tail) divisors, sorted; the
-        tail reduction runs on the first call.  A tail is reduced by the
-        other minimal elements in the order they were found, so the first
-        divisor, and so the step count, is that of the order found."""
-        if self._reduced is None:
-            pk, minimal = self._packing, self._minimal
-            p = self.ring.p
-            reduced = []
-            for d, lead, x, tail in minimal:
-                work = {lead + off: c for off, c in tail}
-                terms, steps = _reduce(work, [(y, t) for e, _, y, t in minimal
-                                              if e <= d and y != x], pk, p)
-                self._stats["reduction_steps"] += steps
-                reduced.append((d, lead, {lead: 1, **terms}))
-            reduced.sort()
-            self._reduced = ([t for _, _, t in reduced],
-                             [(pk.view(lead), _tail(t, lead))
-                              for _, lead, t in reduced])
-        return self._reduced
-
-    @property
-    def maxdeg(self):
-        return self._packing.maxdeg
-
-    @property
-    def stats(self):
-        self._interreduce()
-        return self._stats
 
     @property
     def basis(self):
-        """The elements as polynomials, terms largest first; built on each
-        access."""
-        unpack = self._packing.unpack
-        return tuple(Polynomial(self.ring, {unpack(k): c for k, c in t.items()})
-                     for t in self._interreduce()[0])
+        """The reduced basis, sorted by (topdeg, leading monomial), terms
+        largest first.  Each read reduces every tail by all the elements in
+        the order found: one of higher topdeg divides none of its terms, and
+        neither does the element itself, whose leading monomial is larger
+        than each of them."""
+        pk, p = self._packing, self.ring.p
+        divisors = [(x, t) for _, _, x, t in self._minimal]
+        out = []
+        for _, lead, _, tail in sorted(self._minimal):
+            terms, _ = _reduce({lead + off: c for off, c in tail}, divisors, pk, p)
+            out.append(Polynomial(self.ring, {pk.unpack(k): c for k, c
+                                              in {lead: 1, **terms}.items()}))
+        return tuple(out)
 
     def __len__(self):
         return len(self._minimal)
@@ -297,8 +268,8 @@ def buchberger(relations, ring, maxdeg):
     relation or S-polynomial is reduced by the elements found so far and
     kept if its normal form is nonzero.  Elements are found in nondecreasing
     topdeg, each reduced by every earlier one, so no leading monomial divides
-    another: every element found is minimal.  Returns that basis, whose tails
-    are reduced on demand, with the run's counters (STAT_KEYS) in its stats.
+    another: every element found is minimal.  Returns that basis, tails as
+    found, with the run's counters (STAT_KEYS) in its stats.
     """
     p = ring.p
     pk = Packing(ring.topdegs, maxdeg)
@@ -404,7 +375,7 @@ def normal_form(f, gb):
         raise OutOfRangeError("topdeg %d above truncation %d" % (d, gb.maxdeg))
     pk = gb._packing
     terms, _ = _reduce({pk.pack(m): c for m, c in f.terms.items()},
-                       gb._interreduce()[1], pk, gb.ring.p)
+                       [(x, t) for _, _, x, t in gb._minimal], pk, gb.ring.p)
     return Polynomial(gb.ring, {pk.unpack(k): c for k, c in terms.items()})
 
 
@@ -478,22 +449,22 @@ def _k_numerator(mins, pk, weights, maxdeg):
     return out
 
 
-def _standard_monomial_dims(gens, pk, weights, maxdeg):
-    """Count monomials of each topdeg <= maxdeg divisible by none of gens.
+def _standard_monomial_dims(mins, pk, weights, maxdeg):
+    """Count monomials of each topdeg <= maxdeg divisible by none of mins.
 
-    gens are (topdeg, view) pairs in the fields of the packing pk; they are
-    made minimal once, here.  Bayer-Stillman pivot recursion (J. Symb. Comp.
-    14, 1992) with Bigatti's pivot choice (Comm. Algebra 25, 1997) on their
-    monomial ideal, in exact integers: the truncated numerator divided by
-    prod(1 - q^w) over the variable weights.  Every topdeg is a multiple of
-    g, the gcd of the weights, so the recursion runs on topdegs divided by g
-    and the dims of the other degrees are 0.
+    mins are (topdeg, view) pairs in the fields of the packing pk, minimal
+    and of topdeg <= maxdeg, as buchberger's leading monomials are.
+    Bayer-Stillman pivot recursion (J. Symb. Comp. 14, 1992) with Bigatti's
+    pivot choice (Comm. Algebra 25, 1997) on their monomial ideal, in exact
+    integers: the truncated numerator divided by prod(1 - q^w) over the
+    variable weights.  Every topdeg is a multiple of g, the gcd of the
+    weights, so the recursion runs on topdegs divided by g and the dims of
+    the other degrees are 0.
     """
     g = gcd(*weights) or 1
     top = maxdeg // g
     weights = [w // g for w in weights]
-    dims = _k_numerator(_minimal([(d // g, x) for d, x in gens], pk.guard, top),
-                        pk, weights, top)
+    dims = _k_numerator([(d // g, x) for d, x in mins], pk, weights, top)
     hs_times(dims, denom=weights)
     out = [0] * (maxdeg + 1)
     out[::g] = dims
@@ -505,8 +476,9 @@ def hilbert_series(pres, maxdeg):
 
     The counts come from the truncated Bayer-Stillman pivot recursion
     (J. Symb. Comp. 14, 1992; Bigatti, Comm. Algebra 25, 1997) on the
-    leading-monomial ideal of the truncated Groebner basis, read in its
-    packed form; the basis's tails are never reduced.
+    leading-monomial ideal of the truncated Groebner basis, its minimal
+    generators read in their packed form; the basis's tails are never
+    reduced.
     """
     gb = groebner(pres, maxdeg)
     leads = [(d, x) for d, _, x, _ in gb._minimal]

@@ -22,6 +22,7 @@ computation, and the discarded torus tails are exactly what the witness
 bound absorbs.
 """
 
+from functools import cache
 from math import factorial, gcd
 
 from .catalog import WitnessPolynomial
@@ -72,8 +73,10 @@ def _monomials(l, k):
     return [(a,) + rest for a in range(k + 1) for rest in _monomials(l - 1, k - a)]
 
 
+@cache
 def _positive_root_product(l):
-    """The product of the positive roots t_i - t_j, t_i + t_j (i < j) and t_i."""
+    """The product of the positive roots t_i - t_j, t_i + t_j (i < j) and t_i,
+    as (exponent tuple, coefficient) pairs, formed once per rank."""
     units = [tuple(int(k == i) for k in range(l)) for i in range(l)]
     roots = []
     for i in range(l):
@@ -89,7 +92,7 @@ def _positive_root_product(l):
                 key = tuple(a + b for a, b in zip(m, r))
                 out[key] = out.get(key, 0) + c * d
         product = {m: c for m, c in out.items() if c}
-    return product
+    return tuple(product.items())
 
 
 def build_integral_flag_ring(l):
@@ -116,7 +119,7 @@ def torsion_index_so(l, return_details=False):
     degrees = build_integral_flag_ring(l)
     order = 2 ** l * factorial(l)
     certificate = sum(c * degrees.get(m, 0)
-                      for m, c in _positive_root_product(l).items())
+                      for m, c in _positive_root_product(l))
     if certificate != order:
         raise InternalInconsistencyError(
             "the positive-root product has degree %d, not |W| = %d"
@@ -194,38 +197,40 @@ def sharp_of_y_top(model):
 
 
 def torsion_index(model):
-    """(value, verification level, details) for the model; the details of
-    an EXACT result are those of `torsion_index_so`, else {"witness": the
-    witness product}.
+    """(value, verification level, details) for the model; the details are
+    {"witness": the witness product}, with those of `torsion_index_so` for
+    an EXACT result.
 
-    EXACT: the degree gcd ran (odd orthogonal, desk-scale rank) and its
-    degree map passed the |W| certificate.
-    UPPER-WITNESS: a witness product confirms value <= p^s with s matching.
+    Every level first checks the witness: its product must reduce to p^s
+    times the top class, with p^s the stored index.
+    EXACT: the degree gcd ran (odd orthogonal, desk-scale rank), its degree
+    map passed the |W| certificate, and it equals the stored index.
+    UPPER-WITNESS: the witness product confirms value <= p^s.
     UPPER+COUNT: witness plus the counting lower bound pin the value.
     A model with no witness or no stored index has no torsion data.
     """
     stored = model.torsion_index_p
+    if model.witness is None or stored is None:
+        raise DataMissingError("no torsion data for %s" % model.label())
+    w = witness_product(model, model.witness)
+    if w.body != model.y_top():
+        raise InternalInconsistencyError(
+            "witness product of %s does not reduce to p^s * top class"
+            % model.label())
+    if model.prime ** w.s != stored:
+        raise InternalInconsistencyError(
+            "witness exponent %d does not match the stored index %d"
+            % (w.s, stored))
     if model.family == "SO_odd" and 2 <= model.rank <= 4:
         value, details = torsion_index_so(model.rank, return_details=True)
-        if stored is not None and value != stored:
+        if value != stored:
             raise InternalInconsistencyError(
                 "computed index %d disagrees with the stored %d" % (value, stored))
-        return value, "EXACT", details
-    if model.witness is not None and stored is not None:
-        w = witness_product(model, model.witness)
-        if w.body != model.y_top():
-            raise InternalInconsistencyError(
-                "witness product of %s does not reduce to p^s * top class"
-                % model.label())
-        if model.prime ** w.s != stored:
-            raise InternalInconsistencyError(
-                "witness exponent %d does not match the stored index %d"
-                % (w.s, stored))
-        if model.key() == ("E8", 8, 2):
-            bound = sharp_y_bound(model, w.s - 1)
-            if bound < sharp_of_y_top(model):
-                return stored, "UPPER+COUNT", {"witness": w}
-            raise InternalInconsistencyError(
-                "counting bound %d fails to separate the top class" % bound)
-        return stored, "UPPER-WITNESS", {"witness": w}
-    raise DataMissingError("no torsion data for %s" % model.label())
+        return value, "EXACT", {**details, "witness": w}
+    if model.key() == ("E8", 8, 2):
+        bound = sharp_y_bound(model, w.s - 1)
+        if bound < sharp_of_y_top(model):
+            return stored, "UPPER+COUNT", {"witness": w}
+        raise InternalInconsistencyError(
+            "counting bound %d fails to separate the top class" % bound)
+    return stored, "UPPER-WITNESS", {"witness": w}

@@ -531,7 +531,8 @@ def buchberger_reference(relations, ring, order, maxdeg, stats=None):
     kept if its normal form is nonzero.  Then minimalization, which must
     drop nothing, tail reduction and a sort by (topdeg, leading monomial).
     Fills stats with the counters of flagchow.groebner.buchberger:
-    relations count as reductions, not as pairs."""
+    relations count as reductions, not as pairs, and the tail reduction
+    counts no steps."""
     stats = {} if stats is None else stats
     stats.update(dict.fromkeys(STAT_KEYS, 0))
     key = order_key(order, ring)
@@ -604,8 +605,8 @@ def buchberger_reference(relations, ring, order, maxdeg, stats=None):
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         olts = min_lts[:i] + min_lts[i + 1:]
-        reduced.append(_monic(_reduce_full(g, others, olts, key, ring, stats),
-                              key, ring))
+        reduced.append(_monic(_reduce_full(g, others, olts, key, ring,
+                                           {"reduction_steps": 0}), key, ring))
     reduced.sort(key=lambda g: (homogeneous_topdeg(g),
                                 key(leading_term(g, key)[0])))
     stats["final_basis"] = len(reduced)

@@ -403,6 +403,8 @@ def test_torsion_index_so7_exact():
     value, level, details = torsion_index(m)
     assert (value, level) == (8, "EXACT")
     assert details["monomials_checked"] == 55
+    # the witness product it checked, 2^3 times the top class
+    assert details["witness"] == witness_product(m, m.witness)
 
 
 def test_torsion_index_witness_levels():
@@ -457,6 +459,21 @@ def test_a_mutated_witness_or_index_fails_the_torsion_report():
         torsion_index(_mutant("E7", 7, 2, torsion_index_p=8))
     with pytest.raises(InternalInconsistencyError, match="stored index"):
         torsion_index(_mutant("PU", 2, 3, torsion_index_p=1))
+
+
+def test_a_mutated_exact_witness_fails_the_torsion_report(monkeypatch, capsys):
+    # SO(7) with one of its three witness indices lost: the degree gcd still
+    # gives the stored 8, but the witness no longer reaches the top class,
+    # in the library or the CLI
+    from flagchow.cli import main
+    short = _mutant("SO_odd", 3, 2, witness=(1, 2))
+    with pytest.raises(InternalInconsistencyError, match="top class"):
+        torsion_index(short)
+    monkeypatch.setattr(catalog, "lookup_model", lambda *case: short)
+    assert main(["torsion-index", "--group", "SO", "--rank", "3",
+                 "--witness"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "top class" in err
 
 
 def test_torsion_index_missing_spin_data():
