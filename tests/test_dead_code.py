@@ -1,11 +1,11 @@
 """src/flagchow holds only code that a program path reaches.
 
 The benchmark tracer wraps functions by name, so each of its targets must
-resolve, but being one is not a caller: every definition must be named
-somewhere else in src/, but for the few listed as awaiting a caller, every
-module-level assignment must be read somewhere in src/, and every defaulted
-parameter of a module-level function, a method or a class's `__init__` must
-be passed by some call in src/.
+resolve; being one is not a caller.  Every definition must be named somewhere
+else in src/, except the few listed as awaiting a caller; every module-level
+assignment must be read somewhere in src/; and every defaulted parameter of
+a module-level function, a method or a class's `__init__` must be passed by
+some call in src/.
 """
 
 import ast
