@@ -626,6 +626,67 @@ def test_catalog_and_witness_outputs_match_the_pinned_digests(capsys):
     assert got == expected
 
 
+# the (n, p) pairs of acceptance criterion 5
+ROST_PAIRS = ((1, 2), (1, 3), (2, 2), (2, 3), (2, 5), (4, 2))
+
+
+def test_text_outputs_match_the_pinned_digests(capsys):
+    import hashlib
+    # sha256 per case of the argv, exit code, stdout and stderr of text
+    # `catalog`, `present`, `hilbert` at --maxdeg 0, 12 and 30, and
+    # `torsion-index` with and without --witness on each of its models, then
+    # of `rost` in text and JSON on the criterion-5 pairs
+    expected = {
+        "U/Sp (any p)":
+            "c62aa9813cc270ddedbc1ab1db97c10ebad8c2a888577a9d9382cc2f7c6291e6",
+        "PU(p)":
+            "cffa0e2a811d56f622311bb8344abf94902f88c603c43bf4fd8787d7791a194c",
+        "SO(2l+1) p=2":
+            "5eed30bcc16465e4742125274db27be80fb8fa62323c11e89b1ad69f752e9b97",
+        "SO(2l) p=2":
+            "2feca58f5fc977d0d4102deaddbbc28abc883ea7116242e2bf75f97c855a0a44",
+        "Spin(2l+1) p=2":
+            "edcc1687ab926deb902b08fea71311784e543e8d72fc33510b433373fa8d6e5e",
+        "(G2, 2)":
+            "abd2aefb33854a4c1b96fff461fa9b47d33a6a7e9c7bcf4377d115583689051a",
+        "(F4, 3)":
+            "06a3f0fa790cd52b9d80575ec43001b84dc1bfce8c45b3769a7ad6be7c822cc1",
+        "(E8, 5)":
+            "2822e79afe0172ce187f6526db9bd2378bd637bb4b84b62c41a5367faa807522",
+        "(E8, 3)":
+            "cf79aafdb59297763bbcf4e93a2213651faaba8129598113da9dbe4c5845e105",
+        "(E8, 2)":
+            "1a9fe5afaf36fccfeae0489857a31e7b02e75be265f01ab11ce38b6ed89b2f9a",
+        "(E7, 2)":
+            "d099f3c439b3bf1f3c6db044dc958571a9f858b2396911134bb01be2c11ae8f1",
+        "rost":
+            "8da4ede6534907db225b2e94148d5e7b56c691849a4561d5685bfcec16f9229e",
+    }
+    got = {}
+    for case, spellings in CATALOG_CASE_SPELLINGS.items():
+        digest = hashlib.sha256()
+        for g, l, p in spellings:
+            flags = ["--group", g, "--rank", str(l), "--prime", str(p)]
+            commands = [["catalog"], ["present"]]
+            commands += [["hilbert", "--maxdeg", str(d)] for d in (0, 12, 30)]
+            commands += [["torsion-index"], ["torsion-index", "--witness"]]
+            for command in commands:
+                argv = command + flags
+                code, out = run_cli(argv)
+                err = capsys.readouterr().err
+                digest.update(repr((argv, code, out, err)).encode())
+        got[case] = digest.hexdigest()
+    digest = hashlib.sha256()
+    for n, p in ROST_PAIRS:
+        for fmt in ("text", "json"):
+            argv = ["--format", fmt, "rost", "--n", str(n), "--p", str(p)]
+            code, out = run_cli(argv)
+            err = capsys.readouterr().err
+            digest.update(repr((argv, code, out, err)).encode())
+    got["rost"] = digest.hexdigest()
+    assert got == expected
+
+
 RESTRICTION_TABLE_NAMES = (
     "so-rost-restriction-l3", "so-rost-restriction-l7", "e8-2-rost-restriction",
     "e8-3-rost-restriction", "e8-to-e7-rost-restriction", "e7-2-rost-restriction")
