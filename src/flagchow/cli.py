@@ -226,27 +226,38 @@ def _cmd_verify(args):
 # --- rendering ----------------------------------------------------------------
 
 
-def _render_text(payload, out, indent=0, bullet=False):
-    pad = "  " * indent
-    if isinstance(payload, dict):
-        first = True
-        for key in payload:
-            value = payload[key]
-            lead = "%s- " % ("  " * (indent - 1)) if bullet and first else pad
-            first = False
-            if isinstance(value, (dict, list)):
-                out.write("%s%s:\n" % (lead, key))
-                _render_text(value, out, indent + 1)
+def _text_lines(payload, add, pad, lead):
+    """Add the lines of payload at indent pad: `key: value` per dict key,
+    `- item` per list item, a container one level deeper; lead is what a
+    dict puts before its first key, `- ` where it is a list's item."""
+    if type(payload) is dict:
+        inner = pad + "  "
+        for key, value in payload.items():
+            if type(value) in _CONTAINERS:
+                add(f"{lead}{key}:\n")
+                _text_lines(value, add, inner, inner)
             else:
-                out.write("%s%s: %s\n" % (lead, key, value))
-    elif isinstance(payload, list):
+                add(f"{lead}{key}: {value}\n")
+            lead = pad
+    elif type(payload) is list:
+        inner, bullet = pad + "  ", pad + "- "
         for value in payload:
-            if isinstance(value, (dict, list)):
-                _render_text(value, out, indent + 1, bullet=True)
+            if type(value) in _CONTAINERS:
+                _text_lines(value, add, inner, bullet)
             else:
-                out.write("%s- %s\n" % (pad, value))
+                add(f"{bullet}{value}\n")
     else:
-        out.write("%s%s\n" % (pad, payload))
+        add(f"{pad}{payload}\n")
+
+
+_CONTAINERS = (dict, list)
+
+
+def _render_text(payload, out):
+    """Write payload as indented text in one write."""
+    lines = []
+    _text_lines(payload, lines.append, "", "")
+    out.write("".join(lines))
 
 
 # --- argument grammar ---------------------------------------------------------

@@ -8,7 +8,8 @@ tuple-based Buchberger that preceded the packed engine is kept here as the
 engine's reference, with its counters and its order of work, and a reader
 of the documented JSON forms checks that the writers lose nothing.  The
 argparse parser that the CLI's flag table replaced is kept as the
-reference for its grammar, which is Python 3.11's.  Paper data that no
+reference for its grammar, which is Python 3.11's, and the line-by-line
+text renderer as the reference for the one-write one.  Paper data that no
 program path reads (the mod-torsion bases, the spin divisibility bound and
 the rank-8 spin products) is kept here for the tests that check it, and
 so is the pull-back walk of the SO(2l+1) degree map, the reference for its
@@ -748,3 +749,28 @@ def table_outcome(argv):
         except ValidationError:
             return "usage error", None
     return ("help", None) if args is None else ("parsed", vars(args))
+
+
+def render_text_reference(payload, out, indent=0, bullet=False):
+    """The text renderer that preceded `cli._render_text`: one write per
+    line, the reference for its bytes."""
+    pad = "  " * indent
+    if isinstance(payload, dict):
+        first = True
+        for key in payload:
+            value = payload[key]
+            lead = "%s- " % ("  " * (indent - 1)) if bullet and first else pad
+            first = False
+            if isinstance(value, (dict, list)):
+                out.write("%s%s:\n" % (lead, key))
+                render_text_reference(value, out, indent + 1)
+            else:
+                out.write("%s%s: %s\n" % (lead, key, value))
+    elif isinstance(payload, list):
+        for value in payload:
+            if isinstance(value, (dict, list)):
+                render_text_reference(value, out, indent + 1, bullet=True)
+            else:
+                out.write("%s- %s\n" % (pad, value))
+    else:
+        out.write("%s%s\n" % (pad, payload))

@@ -19,7 +19,12 @@ from flagchow.serialize import (
 )
 from flagchow.symclass import elementary_symmetric, t_ring
 
-from oracles import poly_from_json, presentation_from_json, series_from_json
+from oracles import (
+    poly_from_json,
+    presentation_from_json,
+    render_text_reference,
+    series_from_json,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -109,6 +114,43 @@ def test_json_text_on_empty_containers_and_odd_keys():
                   {True: 1, 2.5: 3}, {None: 2}, {-3: "x", 10 ** 30: "y"},
                   {1.0: [0.1, -0.0, 1e300]}):
         assert json_text(value) == _stdlib(value), value
+
+
+# the scalars a payload holds, and tuples of them; dict keys are str or int
+_SCALARS = (st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
+            | st.text(alphabet=_CHARS, max_size=6))
+_TEXT_LEAVES = _SCALARS | st.lists(_SCALARS, max_size=3).map(tuple)
+_TEXT_VALUES = st.recursive(
+    _TEXT_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4) | st.integers(-9, 9),
+                                     inner, max_size=4)),
+    max_leaves=30)
+
+
+def _rendered(payload):
+    new, old = io.StringIO(), io.StringIO()
+    cli._render_text(payload, new)
+    render_text_reference(payload, old)
+    return new.getvalue(), old.getvalue()
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
+@hypothesis.given(_TEXT_VALUES)
+def test_render_text_writes_the_reference_bytes(payload):
+    new, old = _rendered(payload)
+    assert new == old
+
+
+def test_render_text_on_empty_containers_and_leading_containers():
+    # a list item whose first value is a container puts its bullet on the
+    # `key:` line; empty containers write no line of their own
+    for payload in ({}, [], "x", None, (1, "a"), [[]], [{}], {"a": {}, "b": []},
+                    [[1, [2, {"k": 3}]], {"a": [1], "b": 2}],
+                    [{"a": {"b": [{"c": []}, {}]}, "d": (1,)}],
+                    {"a": [[{"x": {"y": 1}}], [], [[]]], 3: True}):
+        new, old = _rendered(payload)
+        assert new == old, payload
 
 
 def test_json_text_matches_the_stdlib_on_every_cli_mix_payload(monkeypatch):
