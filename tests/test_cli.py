@@ -373,12 +373,27 @@ GRAMMAR_EDGES = [
     # --g could be --group or --gen; every word is read before help acts
     (["steenrod", "--g", "x3", "--group", "SO", "--op", "Q1"], "usage error", {}),
     (["steenrod", "-h", "--g"], "usage error", {}),
+    (["steenrod", "--group", "SO", "--op", "Q1", "--g=x3"], "usage error", {}),
     # --format before the subcommand, by prefix, and after it, which wins
     (["--f", "json"] + CATALOG_U, "parsed", {"format": "json", "group": "U"}),
     (["--fo", "json"] + CATALOG_U, "parsed", {"format": "json", "group": "U"}),
     (["--format", "json"] + CATALOG_U + ["--format", "text"], "parsed",
      {"format": "json", "format_sub": "text", "group": "U"}),
     (CATALOG_U + ["--format", "xml"], "usage error", {}),
+    # the walk reads on past a word before the subcommand: a repeat before
+    # it is still an option, and the last one wins
+    (["--format", "json", "--format", "text"] + CATALOG_U, "parsed",
+     {"format": "text", "group": "U"}),
+    (["--f", "json", "--fo", "text"] + CATALOG_U, "parsed",
+     {"format": "text", "group": "U"}),
+    (["--format=json"] + CATALOG_U, "parsed", {"format": "json", "group": "U"}),
+    (["--format", "json", "-h", "catalog"], "help", {}),
+    (["--format", "-"] + CATALOG_U, "usage error", {}),
+    # `--=x` could match every long option of the level before the
+    # subcommand, wherever it stands, and fails before a bad value applies
+    (["--format", "xml", "--=x"] + CATALOG_U, "usage error", {}),
+    (CATALOG_U + ["--=x"], "usage error", {}),
+    (["--=x"] + CATALOG_U, "usage error", {}),
     # a value may be `-` or a negative number, never another dash-word
     (["catalog", "--group", "-"], "parsed", {"group": "-"}),
     (["catalog", "--group", "-.5"], "parsed", {"group": "-.5"}),
@@ -447,6 +462,19 @@ def test_argument_grammar_edges_read_as_recorded(argv, outcome, attrs, capsys):
                          ids=EDGE_IDS)
 def test_argument_grammar_edges_match_the_argparse_reference(argv):
     assert oracles.table_outcome(argv) == oracles.argparse_outcome(argv)
+
+
+def test_an_empty_long_option_names_the_top_level_options(capsys):
+    # only the read of every token at the level before the subcommand gives
+    # this message and usage line, whichever level `--=x` stands in
+    usage = ("usage: flagchow [-h] [--format {text,json}] {catalog,present,"
+             "hilbert,rost,restrict,decompose,torsion-index,steenrod,verify} ...")
+    for argv in (["--format", "xml", "--=x"] + CATALOG_U, CATALOG_U + ["--=x"],
+                 ["--=x"] + CATALOG_U):
+        assert run_cli(argv) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: ambiguous option: --=x could match --help, --format\n"
+            + usage + "\n"), argv
 
 
 def test_two_dashes_after_equals_are_the_value(capsys):
