@@ -9,14 +9,17 @@ variable FLAGCHOW_MAXDEG caps the truncation degree (default 60).
 The grammar is one table, `_COMMANDS`: each subcommand's one-line help and
 its flags, each an int, a str or a switch, with a default and a required
 mark.  `_parse` reads argv against it left to right, as the argparse parser
-it replaced did under Python 3.11, on every Python: `--flag value` or `--flag=value`, any
-unique prefix of a flag, `--format` before or after the subcommand (after
-wins), `-` or a negative number as a value, the last repeat of a flag wins.
-A bad or missing value is a usage error at once, and -h or --help prints
-the help and exits 0 where the walk reaches it; unknown flags, stray words
-and anything after `--` are reported at the end.  A usage error exits 2
-through `main`'s one `FlagchowError` path, with the usage line on stderr.
-Each call dispatches by subcommand name to the module's `_cmd_<name>`.
+it replaced did under Python 3.11, on every Python: `--flag value` or
+`--flag=value`, any unique prefix of a flag (looked up in `_PREFIXES`, each
+level's table of every prefix of its long options, built at import),
+`--format` before or after the subcommand (after wins), `-` or a negative
+number as a value, the last repeat of a flag wins.  A bad or missing value
+is a usage error at once, and -h or --help prints the help and exits 0
+where the walk reaches it; unknown flags, stray words and anything after
+`--` are reported at the end.  A usage error exits 2 through `main`'s one
+`FlagchowError` path, with the usage line on stderr.  Each call dispatches
+by subcommand name to the module's `_cmd_<name>`, and its text output is
+gathered line by line and written in one join.
 """
 
 import os
@@ -233,7 +236,7 @@ def _text_lines(payload, add, pad, lead):
     if type(payload) is dict:
         inner = pad + "  "
         for key, value in payload.items():
-            if type(value) in _CONTAINERS:
+            if type(value) in (dict, list):
                 add(f"{lead}{key}:\n")
                 _text_lines(value, add, inner, inner)
             else:
@@ -242,15 +245,12 @@ def _text_lines(payload, add, pad, lead):
     elif type(payload) is list:
         inner, bullet = pad + "  ", pad + "- "
         for value in payload:
-            if type(value) in _CONTAINERS:
+            if type(value) in (dict, list):
                 _text_lines(value, add, inner, bullet)
             else:
                 add(f"{bullet}{value}\n")
     else:
         add(f"{pad}{payload}\n")
-
-
-_CONTAINERS = (dict, list)
 
 
 def _render_text(payload, out):
@@ -300,10 +300,22 @@ def _options(flags, format_dest):
     return opts
 
 
+def _prefixes(opts):
+    """Each prefix of each long option of one level -> the options it
+    names, in table order."""
+    table = {}
+    for option in opts:
+        if option[:2] == "--":
+            for end in range(2, len(option) + 1):
+                table.setdefault(option[:end], []).append(option)
+    return table
+
+
 # levels by subcommand, None before it; --format after it sets format_sub
 _LEVELS = {None: _options({}, "format")}
 _LEVELS.update((cmd, _options(flags, "format_sub"))
                for cmd, (_, flags) in _COMMANDS.items())
+_PREFIXES = {cmd: _prefixes(opts) for cmd, opts in _LEVELS.items()}
 # a word that looks like this is a value, not an unknown option
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
@@ -324,7 +336,7 @@ def _read(token, cmd):
         return head, value
     if token[1] == "-":
         # a long option by any unique prefix
-        found = [option for option in opts if option.startswith(head)]
+        found = _PREFIXES[cmd].get(head, ())
         value = value if eq else None
     else:
         # -h and what follows its letter
