@@ -2,10 +2,13 @@
 
 Every argv keeps the contract: exit 0, 1 or 2, never a traceback on stderr
 and never an escaping exception.  And the flag table reads every argv as the
-argparse parser it replaced does (`oracles.build_parser`).  All calls run
-in one process, so they share the one flag table.  Sizes stay small
-(rank <= 4, maxdeg <= 30 or just over the cap 60, rost n <= 3 and
-p <= 12) because the CLI has no work budget yet.
+argparse parser it replaced does (`oracles.build_parser`).  The argvs are
+drawn from the flag table itself, `cli._COMMANDS`, so a new flag is fuzzed
+with no edit here: each flag in full or by a unique or an ambiguous prefix,
+its value as the next word or after `=`, a switch bare or given `=value`.
+All calls run in one process, so they share the one flag table.  Sizes
+stay small (rank <= 4, maxdeg <= 30 or just over the cap 60, rost n <= 3
+and p <= 12) because the CLI has no work budget yet.
 """
 
 import contextlib
@@ -21,73 +24,92 @@ from flagchow.verify import CASES
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-SUBCOMMANDS = ("catalog", "present", "hilbert", "rost", "restrict",
-               "decompose", "torsion-index", "steenrod", "verify")
-GROUP_FLAGS = ("--group", "--rank", "--prime")
-OWN_FLAGS = {
-    "catalog": GROUP_FLAGS,
-    "present": GROUP_FLAGS,
-    "hilbert": GROUP_FLAGS + ("--maxdeg",),
-    "rost": ("--n", "--p"),
-    "restrict": ("--table",),
-    "decompose": GROUP_FLAGS + ("--maxdeg",),
-    "torsion-index": GROUP_FLAGS + ("--witness",),
-    "steenrod": GROUP_FLAGS + ("--op", "--gen"),
-    "verify": ("--all", "--case"),
-}
-SWITCHES = ("--all", "--witness")
-
 
 def _ints(lo, hi):
     return st.integers(lo, hi).map(str)
 
 
+# the values drawn for each flag of `cli._COMMANDS`, by namespace attribute
 VALUES = {
-    "--group": st.sampled_from(("U", "Sp", "PU", "SO", "SOeven", "Spin", "G2",
-                                "F4", "E7", "E8", "E6", "so", "")),
-    "--rank": _ints(-1, 4),
-    "--prime": st.sampled_from(("-2", "0", "1", "2", "3", "4", "5", "7")),
-    "--maxdeg": st.one_of(_ints(-2, 30), _ints(61, 63)),
-    "--n": _ints(-2, 3),
-    "--p": _ints(-3, 12),
-    "--table": st.sampled_from(
+    "group": st.sampled_from(("U", "Sp", "PU", "SO", "SOeven", "Spin", "G2",
+                              "F4", "E7", "E8", "E6", "so", "")),
+    "rank": _ints(-1, 4),
+    "prime": st.sampled_from(("-2", "0", "1", "2", "3", "4", "5", "7")),
+    "maxdeg": st.one_of(_ints(-2, 30), _ints(61, 63)),
+    "n": _ints(-2, 3),
+    "p": _ints(-3, 12),
+    "table": st.sampled_from(
         tuple(t.name for t in restriction_tables()) + ("nope",)),
-    "--op": st.sampled_from(("Q0", "Q1", "Q2", "beta", "Sq0", "Sq1", "Sq2",
-                             "Sq3", "Sq4", "P1", "Qx", "Sq", "")),
-    "--gen": st.sampled_from(("x1", "x2", "x3", "x4", "x5", "z3", "z7",
-                              "y4", "y6", "b_1", "")),
-    "--case": st.sampled_from(tuple(name for name, _ in CASES) + ("nope",)),
-    "--format": st.sampled_from(("text", "json", "xml")),
+    "op": st.sampled_from(("Q0", "Q1", "Q2", "beta", "Sq0", "Sq1", "Sq2",
+                           "Sq3", "Sq4", "P1", "Qx", "Sq", "")),
+    "gen": st.sampled_from(("x1", "x2", "x3", "x4", "x5", "z3", "z7",
+                            "y4", "y6", "b_1", "")),
+    "case": st.sampled_from(tuple(name for name, _ in CASES) + ("nope",)),
+    "format": st.sampled_from(("text", "json", "xml")),
 }
 JUNK = st.sampled_from(("--bogus", "-x", "--", "-", "7", "junk", "--rank=2",
-                        "--format=json", "-h", "--maxdeg=-1", "é"))
+                        "--format=json", "-h", "--maxdeg=-1", "é", "-hh",
+                        "--=x", "a b", "-1 2"))
+# what a switch is given after `=`
+SWITCH_VALUES = st.sampled_from(("", "x", "yes", "--"))
 
 
-def _flag(flag):
-    """A flag with a valid, an invalid or a missing value."""
-    if flag in SWITCHES:
-        return st.just([flag])
-    return st.one_of(VALUES[flag].map(lambda v: [flag, v]),
-                     JUNK.map(lambda v: [flag, v]),
-                     st.just([flag]))
+def _spellings(name, names):
+    """--name in full, its prefixes that name it alone and its prefixes that
+    also name another of the level's options in `names` (each may be empty)."""
+    option = "--" + name
+    prefixes = [option[:end] for end in range(3, len(option))]
+    unique = [p for p in prefixes if sum(("--" + n).startswith(p)
+                                         for n in names) == 1]
+    return [option], unique, [p for p in prefixes if p not in unique]
+
+
+@st.composite
+def _flag(draw, name, switch, names):
+    """A flag of one level, spelled in full or by a unique or an ambiguous
+    prefix, with a valid, an invalid, an `=` or a missing value; a switch
+    with no value or an `=` value."""
+    spellings = [s for s in _spellings(name, names) if s]
+    spelled = draw(st.sampled_from(draw(st.sampled_from(spellings))))
+    if switch:
+        return draw(st.one_of(
+            st.just([spelled]),
+            SWITCH_VALUES.map(lambda v: ["%s=%s" % (spelled, v)])))
+    values = VALUES[name] | JUNK
+    # argparse 3.11 reads `--flag=--` as an empty list, where the flag table
+    # keeps `--` (test_cli.py::test_two_dashes_after_equals_are_the_value)
+    given = values.filter(lambda v: v != "--")
+    return draw(st.one_of(values.map(lambda v: [spelled, v]),
+                          given.map(lambda v: ["%s=%s" % (spelled, v)]),
+                          st.just([spelled])))
+
+
+# the options every level has besides its own flags
+LEVEL_OPTIONS = ("help", "format")
 
 
 @st.composite
 def argvs(draw):
-    sub = draw(st.sampled_from(SUBCOMMANDS))
-    own = draw(st.permutations(OWN_FLAGS[sub]))
-    flags = own[:draw(st.integers(0, len(own)))]
-    flags += draw(st.lists(st.sampled_from(sorted(VALUES) + list(SWITCHES)),
-                           max_size=2))
+    sub = draw(st.sampled_from(tuple(cli._COMMANDS)))
+    flags = cli._COMMANDS[sub][1]
+    names = LEVEL_OPTIONS + tuple(flags)
+    own = draw(st.permutations(tuple(flags)))
+    chosen = own[:draw(st.integers(0, len(own)))]
+    chosen += draw(st.lists(st.sampled_from(tuple(flags) + ("format",)),
+                            max_size=2))
     argv = [sub]
-    for flag in flags:
-        argv += draw(_flag(flag))
+    for name in chosen:
+        switch = name != "format" and flags[name][0] is bool
+        argv += draw(_flag(name, switch, names))
     for _ in range(draw(st.integers(0, 2))):
         argv.insert(draw(st.integers(0, len(argv))), draw(JUNK))
-    where = draw(st.sampled_from(("none", "before", "after")))
-    if where != "none":
-        fmt = draw(_flag("--format"))
-        argv = fmt + argv if where == "before" else argv + fmt
+    # --format before the subcommand, after it, or twice
+    for where in draw(st.lists(st.sampled_from(("before", "after")),
+                               max_size=2)):
+        if where == "before":
+            argv = draw(_flag("format", False, LEVEL_OPTIONS)) + argv
+        else:
+            argv += draw(_flag("format", False, names))
     return argv
 
 
