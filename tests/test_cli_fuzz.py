@@ -84,8 +84,9 @@ def _flag(draw, name, switch, names):
                           st.just([spelled])))
 
 
-# the options every level has besides its own flags
-LEVEL_OPTIONS = ("help", "format")
+# the long options every level has besides its own flags
+LEVEL_OPTIONS = tuple(option[2:] for option in cli._LEVELS[None]
+                      if option[:2] == "--")
 
 
 @st.composite
