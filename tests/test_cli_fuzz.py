@@ -56,7 +56,8 @@ SWITCH_VALUES = st.sampled_from(("", "x", "yes", "--"))
 
 def _spellings(name, names):
     """--name in full, its prefixes that name it alone and its prefixes that
-    also name another of the level's options in `names` (each may be empty)."""
+    also name another of the level's options in `names` (the last two lists
+    may be empty)."""
     option = "--" + name
     prefixes = [option[:end] for end in range(3, len(option))]
     unique = [p for p in prefixes if sum(("--" + n).startswith(p)
