@@ -4,11 +4,12 @@ Every argv keeps the contract: exit 0, 1 or 2, never a traceback on stderr
 and never an escaping exception.  And the flag table reads every argv as the
 argparse parser it replaced does (`oracles.build_parser`).  The argvs are
 drawn from the flag table itself, `cli._COMMANDS`, so a new flag is fuzzed
-with no edit here: each flag in full or by a unique or an ambiguous prefix,
-its value as the next word or after `=`, a switch bare or given `=value`.
-All calls run in one process, so they share the one flag table.  Sizes
-stay small (rank <= 4, maxdeg <= 30 or just over the cap 60, rost n <= 3
-and p <= 12) because the CLI has no work budget yet.
+with no edit here: a subcommand's own flags and any level's, each in full
+or by a prefix the subcommand reads as one, several or none of its
+options, its value as the next word or after `=`, a switch bare or given
+`=value`.  All calls run in one process, so they share the one flag table.
+Sizes stay small (rank <= 4, maxdeg <= 30 or just over the cap 60, rost
+n <= 3 and p <= 12) because the CLI has no work budget yet.
 """
 
 import contextlib
@@ -55,21 +56,23 @@ SWITCH_VALUES = st.sampled_from(("", "x", "yes", "--"))
 
 
 def _spellings(name, names):
-    """--name in full, its prefixes that name it alone and its prefixes that
-    also name another of the level's options in `names` (the last two lists
-    may be empty)."""
+    """--name in full, and its prefixes split by how many of the level's
+    long options in `names` each names: one, several or none (any of the
+    last three lists may be empty)."""
     option = "--" + name
-    prefixes = [option[:end] for end in range(3, len(option))]
-    unique = [p for p in prefixes if sum(("--" + n).startswith(p)
-                                         for n in names) == 1]
-    return [option], unique, [p for p in prefixes if p not in unique]
+    by_count = {}
+    for prefix in (option[:end] for end in range(3, len(option))):
+        count = sum(("--" + n).startswith(prefix) for n in names)
+        by_count.setdefault(min(count, 2), []).append(prefix)
+    return [option], by_count.get(1, []), by_count.get(2, []), \
+        by_count.get(0, [])
 
 
 @st.composite
 def _flag(draw, name, switch, names):
-    """A flag of one level, spelled in full or by a unique or an ambiguous
-    prefix, with a valid, an invalid, an `=` or a missing value; a switch
-    with no value or an `=` value."""
+    """A flag, spelled in full or by a prefix the level reads as one, several
+    or none of its options, with a valid, an invalid, an `=` or a missing
+    value; a switch with no value or an `=` value."""
     spellings = [s for s in _spellings(name, names) if s]
     spelled = draw(st.sampled_from(draw(st.sampled_from(spellings))))
     if switch:
@@ -88,6 +91,9 @@ def _flag(draw, name, switch, names):
 # the long options every level has besides its own flags
 LEVEL_OPTIONS = tuple(option[2:] for option in cli._LEVELS[None]
                       if option[:2] == "--")
+# every flag of every subcommand -> whether it is a switch
+ALL_FLAGS = {name: kind is bool for _, flags in cli._COMMANDS.values()
+             for name, (kind, _, _) in flags.items()}
 
 
 @st.composite
@@ -97,12 +103,12 @@ def argvs(draw):
     names = LEVEL_OPTIONS + tuple(flags)
     own = draw(st.permutations(tuple(flags)))
     chosen = own[:draw(st.integers(0, len(own)))]
-    chosen += draw(st.lists(st.sampled_from(tuple(flags) + ("format",)),
+    # and up to two of any level's flags, so a level meets another's too
+    chosen += draw(st.lists(st.sampled_from(sorted(ALL_FLAGS) + ["format"]),
                             max_size=2))
     argv = [sub]
     for name in chosen:
-        switch = name != "format" and flags[name][0] is bool
-        argv += draw(_flag(name, switch, names))
+        argv += draw(_flag(name, ALL_FLAGS.get(name, False), names))
     for _ in range(draw(st.integers(0, 2))):
         argv.insert(draw(st.integers(0, len(argv))), draw(JUNK))
     # --format before the subcommand, after it, or twice
