@@ -654,11 +654,7 @@ def test_catalog_and_witness_outputs_match_the_pinned_digests(capsys):
     assert got == expected
 
 
-# the (n, p) pairs of acceptance criterion 5
-ROST_PAIRS = ((1, 2), (1, 3), (2, 2), (2, 3), (2, 5), (4, 2))
-
-
-def test_text_outputs_match_the_pinned_digests(capsys):
+def test_text_outputs_match_the_pinned_digests(capsys, monkeypatch):
     import hashlib
     # sha256 per case of the argv, exit code, stdout and stderr of text
     # `catalog`, `present`, `hilbert` at --maxdeg 0, 12 and 30, and
@@ -704,8 +700,10 @@ def test_text_outputs_match_the_pinned_digests(capsys):
                 err = capsys.readouterr().err
                 digest.update(repr((argv, code, out, err)).encode())
         got[case] = digest.hexdigest()
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = importlib.import_module("workloads")
     digest = hashlib.sha256()
-    for n, p in ROST_PAIRS:
+    for n, p in workloads.CRITERION_5_PAIRS:
         for fmt in ("text", "json"):
             argv = ["--format", fmt, "rost", "--n", str(n), "--p", str(p)]
             code, out = run_cli(argv)

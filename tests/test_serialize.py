@@ -128,29 +128,26 @@ _TEXT_VALUES = st.recursive(
     max_leaves=30)
 
 
-def _rendered(payload):
+# a list item whose first value is a container puts its bullet on the
+# `key:` line; empty containers write no line of their own
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
+@hypothesis.given(_TEXT_VALUES)
+@hypothesis.example({})
+@hypothesis.example([])
+@hypothesis.example("x")
+@hypothesis.example(None)
+@hypothesis.example((1, "a"))
+@hypothesis.example([[]])
+@hypothesis.example([{}])
+@hypothesis.example({"a": {}, "b": []})
+@hypothesis.example([[1, [2, {"k": 3}]], {"a": [1], "b": 2}])
+@hypothesis.example([{"a": {"b": [{"c": []}, {}]}, "d": (1,)}])
+@hypothesis.example({"a": [[{"x": {"y": 1}}], [], [[]]], 3: True})
+def test_render_text_writes_the_reference_bytes(payload):
     new, old = io.StringIO(), io.StringIO()
     cli._render_text(payload, new)
     render_text_reference(payload, old)
-    return new.getvalue(), old.getvalue()
-
-
-@hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
-@hypothesis.given(_TEXT_VALUES)
-def test_render_text_writes_the_reference_bytes(payload):
-    new, old = _rendered(payload)
-    assert new == old
-
-
-def test_render_text_on_empty_containers_and_leading_containers():
-    # a list item whose first value is a container puts its bullet on the
-    # `key:` line; empty containers write no line of their own
-    for payload in ({}, [], "x", None, (1, "a"), [[]], [{}], {"a": {}, "b": []},
-                    [[1, [2, {"k": 3}]], {"a": [1], "b": 2}],
-                    [{"a": {"b": [{"c": []}, {}]}, "d": (1,)}],
-                    {"a": [[{"x": {"y": 1}}], [], [[]]], 3: True}):
-        new, old = _rendered(payload)
-        assert new == old, payload
+    assert new.getvalue() == old.getvalue()
 
 
 def test_json_text_matches_the_stdlib_on_every_cli_mix_payload(monkeypatch):
