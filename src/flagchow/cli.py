@@ -10,15 +10,16 @@ The grammar is one table, `_COMMANDS`: each subcommand's one-line help and
 its flags, each an int, a str or a switch, with a default and a required
 mark.  `_parse` reads argv against it left to right, as the argparse parser
 it replaced did under Python 3.11, on every Python: `--flag value` or
-`--flag=value`, any unique prefix of a flag, `--format` before or after
-the subcommand (after wins), `-` or a negative number as a value, the last
-repeat of a flag wins.  A bad or missing value is a usage error at once,
-and -h or --help prints the help and exits 0 where the walk reaches it;
-unknown flags, stray words and anything after `--` are reported at the
-end.  A usage error exits 2 through `main`'s one `FlagchowError` path, with
-the usage line on stderr.  Each call dispatches by subcommand name to the
-module's `_cmd_<name>`, and its text output is gathered line by line and
-written in one join.
+`--flag=value`, any unique prefix of a flag (looked up in `_PREFIXES`, each
+level's table of every prefix of its long options, built at import),
+`--format` before or after the subcommand (after wins), `-` or a negative
+number as a value, the last repeat of a flag wins.  A bad or missing value
+is a usage error at once, and -h or --help prints the help and exits 0
+where the walk reaches it; unknown flags, stray words and anything after
+`--` are reported at the end.  A usage error exits 2 through `main`'s one
+`FlagchowError` path, with the usage line on stderr.  Each call dispatches
+by subcommand name to the module's `_cmd_<name>`, and its text output is
+gathered line by line and written in one join.
 """
 
 import os
@@ -299,10 +300,22 @@ def _options(flags, format_dest):
     return opts
 
 
+def _prefixes(opts):
+    """Each prefix of each long option of one level -> the options it
+    names, in table order."""
+    table = {}
+    for option in opts:
+        if option[:2] == "--":
+            for end in range(2, len(option) + 1):
+                table.setdefault(option[:end], []).append(option)
+    return table
+
+
 # levels by subcommand, None before it; --format after it sets format_sub
 _LEVELS = {None: _options({}, "format")}
 _LEVELS.update((cmd, _options(flags, "format_sub"))
                for cmd, (_, flags) in _COMMANDS.items())
+_PREFIXES = {cmd: _prefixes(opts) for cmd, opts in _LEVELS.items()}
 # a word that looks like this is a value, not an unknown option
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
@@ -323,7 +336,7 @@ def _read(token, cmd):
         return head, value
     if token[1] == "-":
         # a long option by any unique prefix
-        found = [option for option in opts if option.startswith(head)]
+        found = _PREFIXES[cmd].get(head, ())
         value = value if eq else None
     else:
         # -h and what follows its letter
