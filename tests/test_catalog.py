@@ -561,3 +561,45 @@ def test_each_validate_model_mutant_reports_its_exact_failures(name, monkeypatch
     build, expected = MUTANTS[name]
     fails = validate_model(build(monkeypatch))
     assert sorted(fails) == sorted(expected)
+
+
+# the order in which validate_model lists them, which `verify` prints, where
+# it differs from the order written in MUTANTS
+FAILURE_ORDER = {
+    "truncation-zero": [
+        "(G2, 2): truncation exponent must be a power of p",
+        "(G2, 2): v-term (1, ...) of b_1 not reduced",
+        "(G2, 2): leading witness of b_2 not reduced",
+        "(G2, 2): degree bookkeeping != dim(G/T)"],
+    "e8-y-degrees": [
+        "(E8, 2): v-term (1, ...) of b_1 not reduced",
+        "(E8, 2): v-term (2, ...) of b_1 not reduced",
+        "(E8, 2): v-term (3, ...) of b_1 not reduced",
+        "(E8, 2): leading witness of b_2 not reduced",
+        "(E8, 2): v-term (2, ...) of b_2 not reduced",
+        "(E8, 2): v-term (3, ...) of b_2 not reduced",
+        "(E8, 2): leading witness of b_3 not reduced",
+        "(E8, 2): v-term (1, ...) of b_3 not reduced",
+        "(E8, 2): v-term (3, ...) of b_3 not reduced",
+        "(E8, 2): leading witness of b_4 not reduced",
+        "(E8, 2): v-term (1, ...) of b_4 not reduced",
+        "(E8, 2): leading witness of b_5 not reduced",
+        "(E8, 2): v-term (1, ...) of b_5 not reduced",
+        "(E8, 2): v-term (3, ...) of b_5 not reduced",
+        "(E8, 2): leading witness of b_6 not reduced",
+        "(E8, 2): leading witness of b_7 not reduced",
+        "(E8, 2): v-term (1, ...) of b_7 not reduced",
+        "(E8, 2): leading witness of b_8 not reduced",
+        "(E8, 2): degree bookkeeping != dim(G/T)",
+        "(E8, 2): y-degrees must be 6,10,18,30"],
+    "e8-truncations": [
+        "(E8, 2): degree bookkeeping != dim(G/T)",
+        "(E8, 2): truncations must be 8,4,2,2"],
+}
+
+
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_each_validate_model_mutant_lists_its_failures_in_the_printed_order(
+        name, monkeypatch):
+    build, expected = MUTANTS[name]
+    assert validate_model(build(monkeypatch)) == FAILURE_ORDER.get(name, expected)

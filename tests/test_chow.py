@@ -434,6 +434,69 @@ def test_restriction_check_reports_an_image_list_of_the_wrong_length():
         "6 images for 7 transgression entries"]
 
 
+def _table_with(name, **changes):
+    """A copy of the named restriction table with the fields in `changes`
+    replaced."""
+    t = restriction_table(name)
+    fields = {s: getattr(t, s) for s in RestrictionTable.__slots__}
+    fields.update(changes)
+    return RestrictionTable(**fields)
+
+
+def _imaged(name, source, image):
+    return with_restriction_image(restriction_table(name), source, image)
+
+
+def _e8_3_y(name, power):
+    return lookup_model("E8", prime=3).y_ring().gen(name, power)
+
+
+# name -> (build() -> table, the failures restriction_check lists, in order)
+RESTRICTION_MUTANTS = {
+    "off-the-degree-equation": (
+        lambda: _imaged("so-rost-restriction-l3", "c_3", (
+            1, lookup_model("SO_odd", 3, 2).y_ring().gen("y6"))),
+        ["c_3 -> v_1*y6 fails the degree equation"]),
+    "zero-in-the-quotient": (
+        lambda: _imaged("e8-3-rost-restriction", "b_6", (1, _e8_3_y("y8", 5))),
+        ["b_6 -> v_1*y8^5 is zero or not reduced in P(y)/3"]),
+    "zero-image": (
+        lambda: _imaged("e8-3-rost-restriction", "b_1", (
+            1, lookup_model("E8", prime=3).y_ring().zero())),
+        ["b_1 -> v_1*0 is zero or not reduced in P(y)/3",
+         "b_1 -> v_1*0 fails the degree equation"]),
+    "at-the-truncation-and-off-degree": (
+        lambda: _imaged("e8-3-rost-restriction", "b_1", (1, _e8_3_y("y8", 3))),
+        ["b_1 -> v_1*y8^3 is zero or not reduced in P(y)/3",
+         "b_1 -> v_1*y8^3 fails the degree equation"]),
+    "image-in-another-ring": (
+        lambda: _imaged("e8-3-rost-restriction", "b_1", (
+            1, lookup_model("E8", prime=2).y_ring().gen("y6"))),
+        ["b_1 -> v_1*y6 is zero or not reduced in P(y)/3",
+         "b_1 -> v_1*y6 fails the degree equation"]),
+    "image-list-too-short": (
+        lambda: _table_with("e7-2-rost-restriction", images=restriction_table(
+            "e7-2-rost-restriction").images[:-1]),
+        ["6 images for 7 transgression entries"]),
+    # the unit's 0 dropped: the count is off, the positive degrees agree
+    "cited-count": (
+        lambda: _table_with("e8-3-rost-restriction",
+                            expected_image=(4, 8, 16, 28, 36, 48)),
+        ["image count 7 != cited 6"]),
+    "cited-degree": (
+        lambda: _table_with("e8-3-rost-restriction",
+                            expected_image=(0, 4, 8, 16, 28, 36, 50)),
+        ["image degrees differ from the cited basis"]),
+}
+
+
+@pytest.mark.parametrize("name", list(RESTRICTION_MUTANTS))
+def test_each_restriction_mutant_lists_its_exact_failures_in_order(name):
+    build, expected = RESTRICTION_MUTANTS[name]
+    rep = restriction_check(build())
+    assert (rep["status"], rep["failures"]) == ("fail", expected)
+
+
 def test_e8_2_restriction_matches_rost_basis():
     # the image basis is the height-4 summand basis
     t = restriction_table("e8-2-rost-restriction")

@@ -80,9 +80,10 @@ def test_lucas_trivial_and_derived_cases():
 
 
 def test_lucas_against_factorial_oracle():
-    for p in (2, 3, 5):
-        for n in range(65):
-            for k in range(65):
+    # k runs past n, where the binomial is 0
+    for p in (2, 3, 5, 7):
+        for n in range(151):
+            for k in range(151):
                 assert lucas_binomial(n, k, p) == comb(n, k) % p
 
 
