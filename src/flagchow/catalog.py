@@ -27,7 +27,8 @@ P(y), and feed the chow checks.
 
 import collections
 import functools
-from operator import lt
+from itertools import zip_longest
+from operator import lt, mul
 
 from .errors import DataMissingError, UnsupportedCaseError, ValidationError
 from .ring import GradedVariable, PolyRing, Polynomial, is_prime
@@ -200,6 +201,13 @@ class CohomologyModel:
         Used by the orthogonal families, where every even class below the
         range bound is a 2-power of a generator.
         """
+        exps = self.y_class_exponents(topdeg)
+        if exps is None:
+            return None
+        return self.y_ring().monomial(exps)
+
+    def y_class_exponents(self, topdeg):
+        """The exponent tuple of `y_class(topdeg)`, or None."""
         if self._by_topdeg is None:
             table = {}
             for i, g in enumerate(self.y_gens):
@@ -210,10 +218,7 @@ class CohomologyModel:
                     table.setdefault(g.topdeg * e, tuple(exps))
                     e *= 2 if self.prime == 2 else g.trunc  # 2-powers only at p=2
             self._by_topdeg = table
-        exps = self._by_topdeg.get(topdeg)
-        if exps is None:
-            return None
-        return self.y_ring().monomial(exps)
+        return self._by_topdeg.get(topdeg)
 
     def x_gen(self, name):
         for x in self.x_gens:
@@ -737,11 +742,22 @@ def op_topdeg(op, p):
     raise ValidationError("unknown operation %r" % (op,))
 
 
-def is_reduced(body, ring, truncs):
-    """Whether body lies in ring (any ring when ring is None) with each
-    exponent below its variable's truncation."""
-    return ((ring is None or body.ring is ring or body.ring == ring)
-            and all(all(map(lt, m, truncs)) for m in body.terms))
+def check_class(body, topdeg, ring, truncs):
+    """(right degree, reduced) of a stored class, in one pass over its terms.
+
+    The degree is right when body is nonzero and each term has topdeg
+    `topdeg`; it is reduced when body lies in ring (any ring when ring is
+    None) with each exponent below its variable's truncation.
+    """
+    degs = body.ring.topdegs
+    right = bool(body.terms)
+    reduced = ring is None or body.ring is ring or body.ring == ring
+    for m in body.terms:
+        if sum(map(mul, m, degs)) != topdeg:
+            right = False
+        if not all(map(lt, m, truncs)):
+            reduced = False
+    return right, reduced
 
 
 def _well_formed_target(target):
@@ -756,14 +772,19 @@ def _well_formed_target(target):
 
 
 def validate_model(model):
-    """All structural invariants of one model, in one pass; returns a list of
-    failures.  A message is formatted only when its check fails, and a
-    malformed model is reported, never raised on."""
+    """All structural invariants of one model; returns a list of failures,
+    in the order `verify` prints them.
+
+    One loop walks the x-generators with their transgression entries, and
+    `check_class` checks each stored class (leading witness or v-term
+    body) in one pass over its terms.  A message is formatted only when its
+    check fails, and a malformed model is reported, never raised on.
+    """
     fails = []
     p = model.prime
 
-    def fail(msg, *args):
-        fails.append("%s: %s" % (model.label(), msg % args))
+    def fail(msg, *args, into=fails):
+        into.append("%s: %s" % (model.label(), msg % args))
 
     if not is_prime(p):
         fail("prime %r is not a prime", p)
@@ -775,6 +796,7 @@ def validate_model(model):
         fail("generator names not unique")
     truncs = []
     gen_deg = {}
+    dim = 0  # sum of (t - 1)|y| over P(y) and of |x| - 1 over Lambda(x)
     for g in model.y_gens:
         if g.topdeg % 2 or g.topdeg <= 0:
             fail("y-degree must be even")
@@ -782,42 +804,60 @@ def validate_model(model):
             fail("truncation exponent must be a power of p")
         truncs.append(g.trunc)
         gen_deg.setdefault(g.name, g.topdeg)
-    # with every degree d positive, each factor 1 + q^d of Lambda(x) and
-    # 1 + q^d + ... + q^{(t-1)d} of P(y) is a palindrome, so the Poincare
-    # polynomial of P(y) (x) Lambda(x) is one and needs no check
-    for x in model.x_gens:
-        if x.topdeg % 2 == 0 or x.topdeg <= 0:
-            fail("x-degree must be odd and positive")
-        for name in (x.name, x.alias or x.name):
-            gen_deg.setdefault(name, x.topdeg)
+        dim += (g.trunc - 1) * g.topdeg
     try:
         ring = model.y_ring()
     except ValidationError:
         # a y-degree, a y-name or the prime failed above: there is no P(y)
         ring = None
 
-    if len(model.transgression) != len(model.x_gens):
-        fail("one transgression entry per x-generator")
+    # with every degree d positive, each factor 1 + q^d of Lambda(x) and
+    # 1 + q^d + ... + q^{(t-1)d} of P(y) is a palindrome, so the Poincare
+    # polynomial of P(y) (x) Lambda(x) is one and needs no check
+    entry_fails = []  # listed after every generator's own failure
     entry_of_x = {}
-    for x, e in zip(model.x_gens, model.transgression):
-        for name in (x.name, x.alias or x.name):
-            entry_of_x.setdefault(name, e)
+    by_index = {}
+    for x, e in zip_longest(model.x_gens, model.transgression):
+        if x is not None:
+            if x.topdeg % 2 == 0 or x.topdeg <= 0:
+                fail("x-degree must be odd and positive")
+            dim += x.topdeg - 1
+            gen_deg.setdefault(x.name, x.topdeg)
+            if x.alias:
+                gen_deg.setdefault(x.alias, x.topdeg)
+        if e is None:
+            continue
+        by_index.setdefault(e.index, e)
+        if x is None:
+            continue
+        entry_of_x.setdefault(x.name, e)
+        if x.alias:
+            entry_of_x.setdefault(x.alias, e)
         if e.topdeg != x.topdeg + 1:
-            fail("entry %s degree %d != |%s|+1", e.name, e.topdeg, x.name)
+            fail("entry %s degree %d != |%s|+1", e.name, e.topdeg, x.name,
+                 into=entry_fails)
         if e.leading is not None:
-            body = e.leading.body
-            if body.term_topdegs() != {e.topdeg}:
-                fail("leading witness of %s has wrong degree", e.name)
-            if not is_reduced(body, ring, truncs):
-                fail("leading witness of %s not reduced", e.name)
+            right, reduced = check_class(e.leading.body, e.topdeg, ring, truncs)
+            if not right:
+                fail("leading witness of %s has wrong degree", e.name,
+                     into=entry_fails)
+            if not reduced:
+                fail("leading witness of %s not reduced", e.name,
+                     into=entry_fails)
         for n, body in e.v_terms:
             if n < 1:
-                fail("v-term level must be >= 1")
-            if body.term_topdegs() != {e.topdeg + 2 * (p ** n - 1)}:
+                fail("v-term level must be >= 1", into=entry_fails)
+            right, reduced = check_class(body, e.topdeg + 2 * (p ** n - 1),
+                                         ring, truncs)
+            if not right:
                 fail("v-term (%d, ...) of %s violates the degree equation",
-                     n, e.name)
-            if not is_reduced(body, ring, truncs):
-                fail("v-term (%d, ...) of %s not reduced", n, e.name)
+                     n, e.name, into=entry_fails)
+            if not reduced:
+                fail("v-term (%d, ...) of %s not reduced", n, e.name,
+                     into=entry_fails)
+    if len(model.transgression) != len(model.x_gens):
+        fail("one transgression entry per x-generator")
+    fails.extend(entry_fails)
 
     for rule in model.op_rules:
         try:
@@ -861,17 +901,17 @@ def validate_model(model):
     if index is not None and not _is_power_of(index, p):
         fail("torsion index must be a power of p")
 
-    if model.dim_gt is not None:
-        total = (sum(x.topdeg + 1 for x in model.x_gens)
-                 + sum((g.trunc - 1) * g.topdeg for g in model.y_gens)
-                 - 2 * len(model.x_gens))
-        if total != model.dim_gt:
-            fail("degree bookkeeping != dim(G/T)")
+    if model.dim_gt is not None and dim != model.dim_gt:
+        fail("degree bookkeeping != dim(G/T)")
 
     if model.family == "SO_odd" and ring is not None:
+        # the body must be the monomial y_class(2i) of P(y), compared by its
+        # exponents
         for i, e in enumerate(model.transgression, start=1):
             lead = e.leading
-            if lead is None or lead.s != 1 or lead.body != model.y_class(2 * i):
+            if (lead is None or lead.s != 1
+                    or not (lead.body.ring is ring or lead.body.ring == ring)
+                    or lead.body.terms != {model.y_class_exponents(2 * i): 1}):
                 fail("leading term of c_%d must be 2*y_%d", i, 2 * i)
 
     if model.key() == ("E8", 8, 2):
@@ -880,9 +920,6 @@ def validate_model(model):
         if truncs != [8, 4, 2, 2]:
             fail("truncations must be 8,4,2,2")
 
-    by_index = {}
-    for e in model.transgression:
-        by_index.setdefault(e.index, e)
     for i, poly in (model.explicit_b or {}).items():
         e = by_index.get(i)
         if e is None or poly.term_topdegs() != {e.topdeg}:

@@ -28,7 +28,7 @@ def _sq_index(model, i, k):
     2l, or j even with no class in P(y)."""
     j = i + k
     if (lucas_binomial(i, k, 2) == 0 or j > 2 * model.rank
-            or (j % 2 == 0 and model.y_class(j) is None)):
+            or (j % 2 == 0 and model.y_class_exponents(j) is None)):
         return None
     return j
 

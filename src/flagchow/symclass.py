@@ -8,6 +8,8 @@ so the direct product expansion stays available as an independent test
 oracle.
 """
 
+from math import comb
+
 from .errors import ValidationError
 from .ring import GradedVariable, PolyRing, is_prime
 
@@ -40,20 +42,22 @@ def pontryagin_class(ring):
 
 
 def lucas_binomial(n, k, p):
-    """binom(n, k) mod p by base-p digits; agrees with the factorial value mod p."""
+    """binom(n, k) mod p by Lucas's theorem: the product over the base-p
+    digits n_i, k_i of binom(n_i, k_i) mod p, each digit's binomial read
+    from math.comb.  A digit k_i > n_i gives 0, and a digit k_i = 0 gives
+    binom(n_i, 0) = 1, so its factor is skipped and the walk stops when k
+    has no digits left."""
     if n < 0 or k < 0:
         raise ValidationError("n, k must be non-negative")
     if not is_prime(p):
         raise ValidationError("p must be prime, got %r" % (p,))
     result = 1
-    while n or k:
-        nd, n = n % p, n // p
-        kd, k = k % p, k // p
+    while k:
+        kd, nd = k % p, n % p
         if kd > nd:
             return 0
-        num = den = 1
-        for j in range(kd):
-            num = num * (nd - j) % p
-            den = den * (j + 1) % p
-        result = result * num * pow(den, p - 2, p) % p
+        if kd:
+            result = result * comb(nd, kd) % p
+        n //= p
+        k //= p
     return result

@@ -14,7 +14,9 @@ program path reads (the mod-torsion bases, the spin divisibility bound and
 the rank-8 spin products) is kept here for the tests that check it, and
 so is the pull-back walk of the SO(2l+1) degree map, the reference for its
 push-forward.  The truncated Cauchy product of two series is kept here
-for the tests that multiply series.
+for the tests that multiply series, and the reducedness test that
+`catalog.check_class` folds into its one pass over a stored class's terms
+as that helper's reference.
 """
 
 import argparse
@@ -25,6 +27,7 @@ import io
 import sys
 from itertools import combinations_with_replacement
 from math import comb, isqrt
+from operator import lt
 
 import pytest
 from flagchow import cli
@@ -249,6 +252,14 @@ def sharp_y_bound(model, k):
             total = sum(count[i] for i in uses)
             best = total if best is None else max(best, total)
     return 0 if best is None else best
+
+
+def is_reduced(body, ring, truncs):
+    """Whether body lies in ring (any ring when ring is None) with each
+    exponent below its variable's truncation, on a pass of its own: the
+    reference for the reducedness half of `catalog.check_class`."""
+    return ((ring is None or body.ring is ring or body.ring == ring)
+            and all(all(map(lt, m, truncs)) for m in body.terms))
 
 
 def with_restriction_image(table, source, image):
