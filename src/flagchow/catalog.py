@@ -815,6 +815,7 @@ def validate_model(model):
     # 1 + q^d + ... + q^{(t-1)d} of P(y) is a palindrome, so the Poincare
     # polynomial of P(y) (x) Lambda(x) is one and needs no check
     entry_fails = []  # listed after every generator's own failure
+    fail_entry = functools.partial(fail, into=entry_fails)
     entry_of_x = {}
     by_index = {}
     for x, e in zip_longest(model.x_gens, model.transgression):
@@ -834,27 +835,26 @@ def validate_model(model):
         if x.alias:
             entry_of_x.setdefault(x.alias, e)
         if e.topdeg != x.topdeg + 1:
-            fail("entry %s degree %d != |%s|+1", e.name, e.topdeg, x.name,
-                 into=entry_fails)
+            fail_entry("entry %s degree %d != |%s|+1",
+                       e.name, e.topdeg, x.name)
         if e.leading is not None:
-            right, reduced = check_class(e.leading.body, e.topdeg, ring, truncs)
+            right, reduced = check_class(e.leading.body, e.topdeg,
+                                         ring, truncs)
             if not right:
-                fail("leading witness of %s has wrong degree", e.name,
-                     into=entry_fails)
+                fail_entry("leading witness of %s has wrong degree", e.name)
             if not reduced:
-                fail("leading witness of %s not reduced", e.name,
-                     into=entry_fails)
+                fail_entry("leading witness of %s not reduced", e.name)
         for n, body in e.v_terms:
             if n < 1:
-                fail("v-term level must be >= 1", into=entry_fails)
+                fail_entry("v-term level must be >= 1")
             right, reduced = check_class(body, e.topdeg + 2 * (p ** n - 1),
                                          ring, truncs)
             if not right:
-                fail("v-term (%d, ...) of %s violates the degree equation",
-                     n, e.name, into=entry_fails)
+                fail_entry(
+                    "v-term (%d, ...) of %s violates the degree equation",
+                    n, e.name)
             if not reduced:
-                fail("v-term (%d, ...) of %s not reduced", n, e.name,
-                     into=entry_fails)
+                fail_entry("v-term (%d, ...) of %s not reduced", n, e.name)
     if len(model.transgression) != len(model.x_gens):
         fail("one transgression entry per x-generator")
     fails.extend(entry_fails)

@@ -65,7 +65,10 @@ def sq_hits(i):
     exists i' < i, k >= 1 with i' + k = i and binom(i', k) odd."""
     if i < 1:
         raise ValidationError("index must be positive")
-    return any(lucas_binomial(i - k, k, 2) == 1 for k in range(1, i))
+    for k in range(1, i):
+        if lucas_binomial(i - k, k, 2) == 1:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
