@@ -780,11 +780,14 @@ def validate_model(model):
     body) in one pass over its terms.  A message is formatted only when its
     check fails, and a malformed model is reported, never raised on.
     """
-    fails = []
-    p = model.prime
+    def reporter(into):
+        def fail(msg, *args):
+            into.append("%s: %s" % (model.label(), msg % args))
+        return fail
 
-    def fail(msg, *args, into=fails):
-        into.append("%s: %s" % (model.label(), msg % args))
+    fails = []
+    fail = reporter(fails)
+    p = model.prime
 
     if not is_prime(p):
         fail("prime %r is not a prime", p)
@@ -815,7 +818,7 @@ def validate_model(model):
     # 1 + q^d + ... + q^{(t-1)d} of P(y) is a palindrome, so the Poincare
     # polynomial of P(y) (x) Lambda(x) is one and needs no check
     entry_fails = []  # listed after every generator's own failure
-    fail_entry = functools.partial(fail, into=entry_fails)
+    fail_entry = reporter(entry_fails)
     entry_of_x = {}
     by_index = {}
     for x, e in zip_longest(model.x_gens, model.transgression):
