@@ -23,7 +23,7 @@ def _reference(body, topdeg, ring, truncs):
 
 
 def _exponent(trunc):
-    # at, just below or just above the truncation, or anywhere below it
+    # at, just below or just above the truncation, or anywhere up to above it
     near = sorted({e for e in (0, 1, trunc - 2, trunc - 1, trunc, trunc + 1)
                    if e >= 0})
     return st.one_of(st.sampled_from(near), st.integers(0, trunc + 1))
@@ -54,16 +54,3 @@ def stored_classes(draw):
 def test_check_class_agrees_with_the_two_pass_reference(case):
     assert check_class(*case) == _reference(*case)
 
-
-def test_check_class_on_every_stored_class_of_the_served_models():
-    for m in MODELS:
-        ring, truncs = m.y_ring(), [g.trunc for g in m.y_gens]
-        for e in m.transgression:
-            # a leading body has the entry's degree, a v_n-term's is
-            # raised by 2(p^n - 1): the leading is level 0 here
-            classes = list(e.v_terms)
-            if e.leading is not None:
-                classes.append((0, e.leading.body))
-            for n, body in classes:
-                case = (body, e.topdeg + 2 * (m.prime ** n - 1), ring, truncs)
-                assert check_class(*case) == _reference(*case) == (True, True)
