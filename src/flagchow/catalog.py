@@ -243,11 +243,8 @@ class CohomologyModel:
 
 
 def _trunc_exponent(m, l):
-    # smallest power 2^r with m * 2^r > l
-    r = 1
-    while m * (2 ** r) <= l:
-        r += 1
-    return 2 ** r
+    # smallest power 2^r, r >= 1, with m * 2^r > l, that is 2^r > l // m
+    return 2 ** max(1, (l // m).bit_length())
 
 
 def _model_U(l, p):
@@ -795,6 +792,7 @@ def validate_model(model):
     if len(model.x_gens) != model.rank:
         fail("number of x-generators != rank")
     names = [g.name for g in model.y_gens] + [x.name for x in model.x_gens]
+    names += [x.alias for x in model.x_gens if x.alias]
     if len(set(names)) != len(names):
         fail("generator names not unique")
     truncs = []

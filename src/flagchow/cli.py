@@ -39,18 +39,12 @@ from .groebner import hilbert_series
 _DEFAULT_MAXDEG_CAP = 60
 
 
-def _maxdeg_cap():
+def _check_maxdeg(maxdeg):
     raw = os.environ.get("FLAGCHOW_MAXDEG")
-    if raw is None:
-        return _DEFAULT_MAXDEG_CAP
     try:
-        return int(raw)
+        cap = _DEFAULT_MAXDEG_CAP if raw is None else int(raw)
     except ValueError:
         raise ValidationError("FLAGCHOW_MAXDEG must be an integer")
-
-
-def _check_maxdeg(maxdeg):
-    cap = _maxdeg_cap()
     if maxdeg > cap:
         raise ValidationError(
             "maxdeg %d exceeds the cap %d (FLAGCHOW_MAXDEG)" % (maxdeg, cap))

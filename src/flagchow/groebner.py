@@ -19,9 +19,9 @@ that topdeg's S-pairs, so elements are found in nondecreasing topdeg, each
 reduced by every earlier one: every element found is minimal, and a
 complete intersection needs no S-polynomial at all.  Per pair the
 bookkeeping is small: the chain criterion reads one bitmask of popped pairs
-per element.  The tails are reduced only when the reduced basis is read: a
-normal form, unique for any Groebner basis (Cox, Little and O'Shea, Ideals,
-Varieties, and Algorithms, Prop. 2.6.1), reduces by the elements as found.
+per element.  The tails are never reduced: a normal form, unique for any
+Groebner basis (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms,
+Prop. 2.6.1), reduces by the elements as found.
 The Hilbert series reads only the minimal leading monomials, packed.
 """
 
@@ -234,22 +234,6 @@ class GroebnerBasis:
         self.stats = stats
         self._packing = packing
         self._minimal = minimal
-
-    @property
-    def basis(self):
-        """The reduced basis, sorted by (topdeg, leading monomial), terms
-        largest first.  Each read reduces every tail by all the elements in
-        the order found: one of higher topdeg divides none of its terms, and
-        neither does the element itself, whose leading monomial is larger
-        than each of them."""
-        pk, p = self._packing, self.ring.p
-        divisors = [(x, t) for _, _, x, t in self._minimal]
-        out = []
-        for _, lead, _, tail in sorted(self._minimal):
-            terms, _ = _reduce({lead + off: c for off, c in tail}, divisors, pk, p)
-            out.append(Polynomial(self.ring, {pk.unpack(k): c for k, c
-                                              in {lead: 1, **terms}.items()}))
-        return tuple(out)
 
     def __len__(self):
         return len(self._minimal)

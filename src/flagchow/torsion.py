@@ -13,8 +13,9 @@ functional, one degree at a time, through the transpose of each d_i.  Each
 layer is an integer functional on the monomials of its degree, stored by
 its nonzero entries: integers only, no Groebner basis, no rational
 arithmetic.  Every top monomial still gets a value, zero included.  The
-degree map is certified by deg(product of the positive roots) = |W| =
-2^l l!, which fails when the word is not a reduced word of w0.
+degree map is certified by deg(product of the positive roots, read in
+closed form as an alternant) = |W| = 2^l l!, which fails when the word is
+not a reduced word of w0.
 
 Witness products multiply transgression leading terms p^s * (body) inside
 the truncated ring P(y)/p; truncation-to-zero is the mod-higher-filtration
@@ -23,6 +24,7 @@ bound absorbs.
 """
 
 from functools import cache
+from itertools import permutations
 from math import factorial, gcd
 
 from .catalog import WitnessPolynomial
@@ -76,23 +78,13 @@ def _monomials(l, k):
 @cache
 def _positive_root_product(l):
     """The product of the positive roots t_i - t_j, t_i + t_j (i < j) and t_i,
-    as (exponent tuple, coefficient) pairs, formed once per rank."""
-    units = [tuple(int(k == i) for k in range(l)) for i in range(l)]
-    roots = []
-    for i in range(l):
-        roots.append({units[i]: 1})
-        for j in range(i + 1, l):
-            roots.append({units[i]: 1, units[j]: -1})
-            roots.append({units[i]: 1, units[j]: 1})
-    product = {(0,) * l: 1}
-    for root in roots:
-        out = {}
-        for m, c in product.items():
-            for r, d in root.items():
-                key = tuple(a + b for a, b in zip(m, r))
-                out[key] = out.get(key, 0) + c * d
-        product = {m: c for m, c in out.items() if c}
-    return tuple(product.items())
+    once per rank, as (exponent tuple, coefficient) pairs: the alternant
+    t_1...t_l * prod_{i<j} (t_i^2 - t_j^2) = sum of sgn(s) t^s over the
+    permutations s of rho = (2l-1, ..., 3, 1), sgn(s) by inversions
+    (Bernstein, Gelfand and Gelfand, Russian Math. Surveys 28, 1973)."""
+    return tuple(
+        (m, (-1) ** sum(a < b for i, a in enumerate(m) for b in m[i + 1:]))
+        for m in permutations(range(2 * l - 1, 0, -2)))
 
 
 def build_integral_flag_ring(l):

@@ -1,6 +1,6 @@
 """Independent oracles used to freeze expected values.
 
-Nothing here calls the Groebner engine: graded dimensions come from
+Nothing here runs the Groebner engine: graded dimensions come from
 Gaussian elimination on explicit multiplication matrices, symmetric
 functions from direct product expansion, binomials from factorials,
 monomials in the transgression classes by exhaustive enumeration.  The
@@ -16,7 +16,11 @@ so is the pull-back walk of the SO(2l+1) degree map, the reference for its
 push-forward.  The truncated Cauchy product of two series is kept here
 for the tests that multiply series, and the reducedness test that
 `catalog.check_class` folds into its one pass over a stored class's terms
-as that helper's reference.
+as that helper's reference.  The positive-root product of B_l, multiplied
+out root by root, is the reference for the alternant the torsion module
+reads in closed form.  The reduced basis of a finished Groebner basis,
+which no program path reads, is formed here by the engine's own tail
+reduction, for the tests that compare bases.
 """
 
 import argparse
@@ -31,6 +35,7 @@ from operator import lt
 
 import pytest
 from flagchow import cli
+from flagchow import groebner as engine
 from flagchow.catalog import RestrictionTable, lookup_model
 from flagchow.chow import BasisElement
 from flagchow.errors import UnsupportedCaseError, ValidationError
@@ -443,6 +448,29 @@ def pulled_back_degrees(l):
                  for m in monomials_of_topdeg([1] * l, k)}
     return layer
 
+
+def positive_root_expansion(l):
+    """The product of the positive roots t_i - t_j, t_i + t_j (i < j) and t_i
+    of B_l, multiplied out one root at a time, as (exponent tuple,
+    coefficient) pairs: the reference for the alternant that
+    `torsion._positive_root_product` reads in closed form."""
+    units = [tuple(int(k == i) for k in range(l)) for i in range(l)]
+    roots = []
+    for i in range(l):
+        roots.append({units[i]: 1})
+        for j in range(i + 1, l):
+            roots.append({units[i]: 1, units[j]: -1})
+            roots.append({units[i]: 1, units[j]: 1})
+    product = {(0,) * l: 1}
+    for root in roots:
+        out = {}
+        for m, c in product.items():
+            for r, d in root.items():
+                key = tuple(a + b for a, b in zip(m, r))
+                out[key] = out.get(key, 0) + c * d
+        product = {m: c for m, c in out.items() if c}
+    return tuple(product.items())
+
 # --- the tuple Groebner engine, kept as the reference for the packed one ----
 
 
@@ -623,6 +651,24 @@ def buchberger_reference(relations, ring, order, maxdeg, stats=None):
                                 key(leading_term(g, key)[0])))
     stats["final_basis"] = len(reduced)
     return reduced
+
+
+def reduced_basis(gb):
+    """The reduced basis of a packed GroebnerBasis, sorted by (topdeg,
+    leading monomial), terms largest first.  Each call reduces every tail by
+    all the elements in the order found: one of higher topdeg divides none
+    of its terms, and neither does the element itself, whose leading
+    monomial is larger than each of them.  It calls the engine's `_reduce`
+    through its module, so a test that counts those calls counts these."""
+    pk, p = gb._packing, gb.ring.p
+    divisors = [(x, t) for _, _, x, t in gb._minimal]
+    out = []
+    for _, lead, _, tail in sorted(gb._minimal):
+        terms, _ = engine._reduce({lead + off: c for off, c in tail},
+                                  divisors, pk, p)
+        out.append(Polynomial(gb.ring, {pk.unpack(k): c for k, c
+                                        in {lead: 1, **terms}.items()}))
+    return tuple(out)
 
 
 # --- the documented JSON forms, read back ----------------------------------

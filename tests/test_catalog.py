@@ -410,6 +410,10 @@ MUTANTS = {
     "duplicate-name": (
         lambda mp: _mutant(_u2(), x_gens=_with_gen(_u2().x_gens, "x2", name="x1")),
         ["U(2) p=2: generator names not unique"]),
+    "alias-clash": (
+        lambda mp: _mutant(_e8_3(), x_gens=_with_gen(_e8_3().x_gens, "x2",
+                                                     alias="x1")),
+        ["(E8, 3): generator names not unique"]),
     "odd-y-degree": (
         lambda mp: _mutant(_pu3(), y_gens=[YGen("y2", 3, 3)]),
         ["PU(3): y-degree must be even",

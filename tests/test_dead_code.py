@@ -2,10 +2,11 @@
 
 The benchmark tracer wraps functions by name, so each of its targets must
 resolve; being one is not a caller.  Every definition must be named somewhere
-else in src/, except the few listed as awaiting a caller; every module-level
-assignment must be read somewhere in src/; and every defaulted parameter of
-a module-level function, a method or a class's `__init__` must be passed by
-some call in src/.
+else in src/, except the few listed as awaiting a caller; every method or
+property of a class must be read as an attribute somewhere in src/ outside
+its own body; every module-level assignment must be read somewhere in src/;
+and every defaulted parameter of a module-level function, a method or a
+class's `__init__` must be passed by some call in src/.
 """
 
 import ast
@@ -101,6 +102,30 @@ def test_each_definition_awaiting_a_caller_is_an_uncalled_tracer_target(perfbenc
     unreferenced = {name for _, _, name in _unreferenced_definitions()}
     for name in AWAITING_CALLERS:
         assert name in targets and name in unreferenced, name
+
+
+def _unread_members():
+    """(file, class, name) of each method or property, dunders aside, that
+    no src/ code reads as an attribute outside its own body."""
+    trees = _parse_src()
+    reads = [(fname, node.lineno, node.attr) for fname, tree in trees.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    out = []
+    for fname, tree in trees.items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for fn in cls.body:
+                if (isinstance(fn, ast.FunctionDef)
+                        and not (fn.name.startswith("__")
+                                 and fn.name.endswith("__"))
+                        and not any(name == fn.name and not (
+                            f == fname and fn.lineno <= line <= fn.end_lineno)
+                            for f, line, name in reads)):
+                    out.append((fname, cls.name, fn.name))
+    return out
+
+
+def test_every_method_and_property_in_src_is_read_by_attribute():
+    assert _unread_members() == []
 
 
 def _unread_module_data():

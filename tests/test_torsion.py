@@ -114,6 +114,28 @@ def test_non_reduced_word_is_caught_by_the_certificate(monkeypatch):
             torsion_index_so(l)
 
 
+def test_the_closed_form_root_product_equals_the_expansion():
+    # the alternant against the product multiplied out root by root
+    for l in range(1, 7):
+        assert dict(torsion._positive_root_product(l)) == dict(
+            oracles.positive_root_expansion(l))
+
+
+def test_a_root_product_with_one_sign_flipped_fails_the_certificate(monkeypatch):
+    # flipping the sign of a term of nonzero degree d moves the certificate
+    # by 2d, so |W| is missed
+    closed = torsion._positive_root_product
+    for l in (2, 3, 4):
+        degrees = build_integral_flag_ring(l)
+        terms = list(closed(l))
+        k = next(k for k, (m, _) in enumerate(terms) if degrees[m])
+        terms[k] = (terms[k][0], -terms[k][1])
+        monkeypatch.setattr(torsion, "_positive_root_product",
+                            lambda _, flipped=tuple(terms): flipped)
+        with pytest.raises(InternalInconsistencyError):
+            torsion_index_so(l)
+
+
 def test_build_integral_flag_ring_rejects_out_of_scale_ranks():
     with pytest.raises(ValidationError):
         build_integral_flag_ring(5)
