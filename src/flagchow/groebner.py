@@ -12,7 +12,9 @@ m + lt - glt, and divisibility is one subtraction against guard bits,
 ((t | G) - g) & G == G.  The packing is built once per (ring, maxdeg) by
 buchberger and kept on the GroebnerBasis it returns.  Exponent tuples
 appear only at the boundary: input relations and returned polynomials.
-Coefficients are in F_p, the ring's field.
+Coefficients are in F_p, the ring's field.  Each basis element is monic
+and stores its tail negated, so a reduction step only adds multiples of
+tails; a coefficient is reduced mod p once, when its term is popped.
 
 Each input relation is reduced when the run reaches its topdeg, ahead of
 that topdeg's S-pairs, so elements are found in nondecreasing topdeg, each
@@ -178,13 +180,15 @@ def _reduce(work, divisors, packing, p):
     consumes.
 
     divisors are (view of the leading monomial, tail) pairs of monic basis
-    elements, tail the (key - leading key, coefficient) pairs of the other
-    terms; a term is reduced by the first divisor whose leading monomial
-    divides it.  The largest term comes from a max-heap holding each key of
-    work once: a term that cancels keeps its key with coefficient 0, so one
-    that comes back is not pushed again, and a popped 0 is skipped.  Returns
-    the normal form's terms, largest key first, and the number of reduction
-    steps.
+    elements, tail the (key - leading key, -coefficient mod p) pairs of the
+    other terms, negated so that a step adds c times the tail; a term is
+    reduced by the first divisor whose leading monomial divides it.  work's
+    values are any integers: a coefficient is reduced mod p once, when its
+    term is popped.  The largest term comes from a max-heap holding each key
+    of work once: a term that cancels keeps its key with a value divisible
+    by p, so one that comes back is not pushed again, and a popped 0 is
+    skipped.  Returns the normal form's terms, coefficients in 1..p-1,
+    largest key first, and the number of reduction steps.
     """
     fields, guard = packing.fields, packing.guard
     flip = fields | guard
@@ -195,7 +199,7 @@ def _reduce(work, divisors, packing, p):
     steps = 0
     while heap:
         k = -pop(heap)
-        c = work.pop(k)
+        c = work.pop(k) % p
         if not c:
             continue
         y = ((k + fields) & fields) ^ flip
@@ -206,25 +210,23 @@ def _reduce(work, divisors, packing, p):
                     m = k + off
                     old = get(m)
                     if old is None:
-                        work[m] = -c * gc % p
+                        work[m] = c * gc
                         push(heap, -m)
                     else:
-                        work[m] = (old - c * gc) % p
+                        work[m] = old + c * gc
                 break
         else:
             result[k] = c
     return result, steps
 
 
-def _tail(terms, lead):
-    return tuple((k - lead, c) for k, c in terms.items() if k != lead)
-
-
 class GroebnerBasis:
     """A degree-truncated basis over F_p: the monic elements buchberger
     found, each minimal, as (topdeg, leading key, view of it, tail) in
-    _minimal, in the order found and tails not reduced.  stats holds the
-    run's counters (STAT_KEYS), final when buchberger returns."""
+    _minimal, in the order found and tails not reduced; a tail holds the
+    (key - leading key, -coefficient mod p) pairs of the other terms.
+    stats holds the run's counters (STAT_KEYS), final when buchberger
+    returns."""
 
     __slots__ = ("ring", "maxdeg", "stats", "_packing", "_minimal")
 
@@ -252,12 +254,16 @@ def buchberger(relations, ring, maxdeg):
     relation or S-polynomial is reduced by the elements found so far and
     kept if its normal form is nonzero.  Elements are found in nondecreasing
     topdeg, each reduced by every earlier one, so no leading monomial divides
-    another: every element found is minimal.  Returns that basis, tails as
-    found, with the run's counters (STAT_KEYS) in its stats.
+    another: every element found is minimal.  An S-polynomial is formed
+    negated from the two negated tails, unreduced, and the normal form made
+    monic and negated in one pass.  Returns that basis, tails as found, with
+    the run's counters (STAT_KEYS) in its stats.
     """
     p = ring.p
     pk = Packing(ring.topdegs, maxdeg)
     weights, kappa, guard = ring.topdegs, pk.kappa, pk.guard
+    shifts, emax = pk.shifts, pk.emax
+    pop, push = heapq.heappop, heapq.heappush
     pushed = popped = product = chain = reductions = zeros = steps = 0
 
     # per element: leading key, its exponents, its weighted exponents e_i w_i
@@ -273,13 +279,13 @@ def buchberger(relations, ring, maxdeg):
     heap = []
     for r in relations:
         if r.terms:
-            d = ring.monomial_topdeg(next(iter(r.terms)))
+            d = sum(map(mul, next(iter(r.terms)), weights))
             if d <= maxdeg:
                 heap.append((d, len(heap) - len(relations), r.terms, None))
     heapq.heapify(heap)
 
     while heap:
-        d, seq, i, j = heapq.heappop(heap)
+        d, seq, i, j = pop(heap)
         if seq < 0:
             work = {sum(map(mul, m, kappa)): c for m, c in i.items()}
         else:
@@ -300,11 +306,11 @@ def buchberger(relations, ring, maxdeg):
             if both:
                 chain += 1
                 continue
-            # the S-polynomial; its leading terms cancel
+            # minus the S-polynomial; its leading terms cancel
             work = {key + off: c for off, c in divisors[i][1]}
+            get = work.get
             for off, c in divisors[j][1]:
-                v = work.get(key + off, 0) - c
-                work[key + off] = v % p
+                work[key + off] = get(key + off, 0) - c
         # every element found so far has topdeg <= d
         h, n = _reduce(work, divisors, pk, p)
         reductions += 1
@@ -313,21 +319,21 @@ def buchberger(relations, ring, maxdeg):
             zeros += 1
             continue
         lead = next(iter(h))
-        inv = ring.coeff_inv(h[lead])
-        if inv != 1:
-            h = {k: c * inv % p for k, c in h.items()}
-        e = pk.unpack(lead)
+        neg = p - ring.coeff_inv(h[lead])
+        x = pk.view(lead)
+        e = [x >> s & emax for s in shifts]
         we = tuple(map(mul, e, weights))
         for k, f in enumerate(wexps):
             lcm_deg = sum(map(max, f, we))
             if lcm_deg <= maxdeg:
-                heapq.heappush(heap, (lcm_deg, pushed, k, len(leads)))
+                push(heap, (lcm_deg, pushed, k, len(leads)))
                 pushed += 1
         leads.append(lead)
         exps.append(e)
         wexps.append(we)
         degs.append(d)
-        divisors.append((pk.view(lead), _tail(h, lead)))
+        divisors.append((x, tuple((k - lead, c * neg % p)
+                                  for k, c in h.items() if k != lead)))
         done.append(0)
 
     minimal = [(d, lead, x, tail)
@@ -397,22 +403,29 @@ def _k_numerator(mins, pk, weights, maxdeg):
     lowers the x_i field of each generator by at most e, which can make one
     divide another, so only it is scanned, and generators above the
     remaining degree cannot change the truncated series and are dropped.
+    The generator counts per variable come from the sum of the generators'
+    support masks while there are at most emax generators, so no field of
+    the sum overflows; past that they are counted field by field.
     """
     out = [0] * (maxdeg + 1)
     out[0] = 1
     fields, guard, emax = pk.fields, pk.guard, pk.emax
-    # the guard bit of a field of x + fields is set when that field is not 0
-    seen = 0
+    # the guard bit of a field of x + fields is set when that field is not 0;
+    # the supports are pairwise coprime exactly when their sum is their union
+    seen = total = 0
     for _, x in mins:
         support = (x + fields) & guard
-        if seen & support:
-            break
         seen |= support
-    else:
-        # pairwise coprime supports
+        total += support
+    if seen == total:
         hs_times(out, numer=[d for d, _ in mins])
         return out
-    counts = [sum(1 for _, x in mins if x >> s & emax) for s in pk.shifts]
+    if len(mins) <= emax:
+        # a field's guard bit sits emax.bit_length() bits above its start
+        up = emax.bit_length()
+        counts = [total >> (s + up) & emax for s in pk.shifts]
+    else:
+        counts = [sum(1 for _, x in mins if x >> s & emax) for s in pk.shifts]
     i = counts.index(max(counts))
     s, w = pk.shifts[i], weights[i]
     # a generator is a pure power of x_i when x_i carries all its topdeg

@@ -11,7 +11,7 @@ oracle.
 from math import comb
 
 from .errors import ValidationError
-from .ring import GradedVariable, PolyRing, is_prime
+from .ring import _SMALL_PRIMES, GradedVariable, PolyRing, is_prime
 
 
 def t_ring(l, p):
@@ -46,10 +46,11 @@ def lucas_binomial(n, k, p):
     digits n_i, k_i of binom(n_i, k_i) mod p, each digit's binomial read
     from math.comb.  A digit k_i > n_i gives 0, and a digit k_i = 0 gives
     binom(n_i, 0) = 1, so its factor is skipped and the walk stops when k
-    has no digits left."""
+    has no digits left.  A small prime given as an int, as every caller
+    passes, is accepted without a full primality test."""
     if n < 0 or k < 0:
         raise ValidationError("n, k must be non-negative")
-    if not is_prime(p):
+    if not (type(p) is int and p in _SMALL_PRIMES or is_prime(p)):
         raise ValidationError("p must be prime, got %r" % (p,))
     result = 1
     while k:

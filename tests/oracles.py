@@ -664,7 +664,7 @@ def reduced_basis(gb):
     divisors = [(x, t) for _, _, x, t in gb._minimal]
     out = []
     for _, lead, _, tail in sorted(gb._minimal):
-        terms, _ = engine._reduce({lead + off: c for off, c in tail},
+        terms, _ = engine._reduce({lead + off: -c for off, c in tail},
                                   divisors, pk, p)
         out.append(Polynomial(gb.ring, {pk.unpack(k): c for k, c
                                         in {lead: 1, **terms}.items()}))

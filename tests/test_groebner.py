@@ -20,11 +20,13 @@ from flagchow.ring import GradedVariable, PolyRing
 from flagchow.symclass import elementary_symmetric, pontryagin_class, t_ring
 
 from oracles import (
+    _reduce_full,
     buchberger_reference,
     graded_quotient_dims,
     homogeneous_topdeg,
     hs_product,
     in_ideal_mod_p,
+    leading_term,
     monomials_of_topdeg,
     order_key,
     reduced_basis,
@@ -230,6 +232,49 @@ def test_standard_monomial_dims_match_enumeration_on_random_ideals():
         maxdeg = rng.randint(0, 30)
         assert (_packed_dims(lts, weights, maxdeg)
                 == standard_monomial_dims(lts, weights, maxdeg)), (weights, lts, maxdeg)
+
+
+def test_pivot_counts_from_the_support_sum_and_field_by_field(monkeypatch):
+    import flagchow.groebner as engine
+    # a node whose supports overlap counts each variable's generators from
+    # the sum of their support masks while there are at most emax of them,
+    # and field by field past that: many generators at a small maxdeg
+    branches = []
+    real = engine._k_numerator
+
+    def counted(mins, pk, weights, maxdeg):
+        union = total = 0
+        for _, x in mins:
+            union |= (x + pk.fields) & pk.guard
+            total += (x + pk.fields) & pk.guard
+        if union != total:
+            branches.append("sum" if len(mins) <= pk.emax else "fields")
+        return real(mins, pk, weights, maxdeg)
+    monkeypatch.setattr(engine, "_k_numerator", counted)
+    fixed = [
+        ((2, 2), [(2, 1), (1, 2), (3, 0), (0, 3)], 20, "sum"),       # emax 15
+        ((2, 2, 2, 2), [(1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1),
+                        (0, 1, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1)], 6,
+         "fields"),                                                  # emax 3
+    ]
+    for weights, lts, maxdeg, branch in fixed:
+        del branches[:]
+        assert (_packed_dims(lts, weights, maxdeg)
+                == standard_monomial_dims(lts, weights, maxdeg))
+        assert branches[0] == branch
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(60):
+        weights = tuple(rng.choice((2, 2, 4)) for _ in range(rng.randint(2, 5)))
+        maxdeg = rng.choice((4, 6, 8))
+        monos = [m for d in range(2, maxdeg + 1, 2)
+                 for m in monomials_of_topdeg(weights, d)]
+        lts = rng.sample(monos, min(len(monos), rng.randint(2, 9)))
+        del branches[:]
+        assert (_packed_dims(lts, weights, maxdeg)
+                == standard_monomial_dims(lts, weights, maxdeg)), (weights, lts)
+        seen.update(branches)
+    assert seen == {"sum", "fields"}
 
 
 def test_odd_degrees_always_zero():
@@ -620,3 +665,42 @@ def test_buchberger_matches_the_tuple_reference_on_random_ideals():
         assert series[:top + 1] == oracle
         checked_dims += 1
     assert checked_dims == 200
+
+
+def test_buchberger_matches_the_tuple_reference_at_large_primes():
+    # coefficients are reduced mod p only when their term is popped, so the
+    # integers in flight grow with p; the reference reduces every update
+    rng = random.Random(20260526)
+    for _ in range(150):
+        weights = tuple(rng.choice((2, 4, 6)) for _ in range(rng.randint(1, 5)))
+        p = rng.choice((7, 65521, 2 ** 31 - 1))
+        ring = PolyRing([GradedVariable("x%d" % i, w)
+                         for i, w in enumerate(weights)], p)
+        coeffs = [1, p - 1] + [rng.randrange(1, p) for _ in range(6)]
+        base = [_random_relation(ring, rng, coeffs) for _ in range(rng.randint(0, 6))]
+        rels = base + [r * ring.const(rng.randrange(2, p))
+                       for r in rng.sample(base, min(len(base), 1))]
+        rng.shuffle(rels)
+        maxdeg = rng.randint(0, 30)
+        gb = buchberger(rels, ring, maxdeg)
+        ref_stats = {}
+        ref = buchberger_reference(rels, ring, "grevlex", maxdeg, ref_stats)
+        assert ([list(g.terms.items()) for g in reduced_basis(gb)]
+                == [list(g.terms.items()) for g in ref]), (weights, p, maxdeg)
+        assert gb.stats == ref_stats
+        for _, _, _, tail in gb._minimal:
+            assert all(0 < c < p for _, c in tail)
+        key = order_key("grevlex", ring)
+        lts = [leading_term(g, key)[0] for g in ref]
+        degs = [d for d in range(0, maxdeg + 1, 2)
+                if monomials_of_topdeg(weights, d)]
+        polys = [ring.from_terms((m, rng.randrange(p)) for m
+                                 in monomials_of_topdeg(weights, rng.choice(degs)))
+                 for _ in range(3)]
+        for f in polys + [r for r in base if r.topdeg() <= maxdeg]:
+            nf = normal_form(f, gb)
+            assert all(0 < c < p for c in nf.terms.values())
+            steps = {"reduction_steps": 0}
+            assert nf == _reduce_full(f, ref, lts, key, ring, steps)
+            if f in base:
+                assert nf.is_zero()

@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 from flagchow.errors import ValidationError
+from flagchow.ring import is_prime
 from flagchow.symclass import (
     elementary_symmetric,
     lucas_binomial,
@@ -90,3 +91,19 @@ def test_lucas_against_factorial_oracle():
 def test_lucas_rejects_composite_modulus():
     with pytest.raises(ValidationError):
         lucas_binomial(4, 2, 6)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 6, -3, 2.0, True])
+def test_lucas_rejects_what_is_prime_rejects(p):
+    # 2.0 equals a small prime and True equals 1, but neither is an int prime
+    assert not is_prime(p)
+    with pytest.raises(ValidationError):
+        lucas_binomial(4, 2, p)
+
+
+def test_lucas_accepts_a_prime_past_the_small_ones():
+    n = 2 ** 61 - 1
+    assert is_prime(n)
+    assert lucas_binomial(n + 5, 2, n) == comb(5, 2)
+    assert lucas_binomial(41, 3, 41) == 0
+    assert lucas_binomial(45, 4, 41) == comb(4, 4) * comb(1, 0) % 41
