@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import pytest
@@ -243,11 +245,8 @@ def test_pivot_counts_from_the_support_sum_and_field_by_field(monkeypatch):
     real = engine._k_numerator
 
     def counted(mins, pk, weights, maxdeg):
-        union = total = 0
-        for _, x in mins:
-            union |= (x + pk.fields) & pk.guard
-            total += (x + pk.fields) & pk.guard
-        if union != total:
+        supports = [(x + pk.fields) & pk.guard for _, x in mins]
+        if sum(supports) != functools.reduce(operator.or_, supports, 0):
             branches.append("sum" if len(mins) <= pk.emax else "fields")
         return real(mins, pk, weights, maxdeg)
     monkeypatch.setattr(engine, "_k_numerator", counted)
