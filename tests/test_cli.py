@@ -713,6 +713,39 @@ def test_text_outputs_match_the_pinned_digests(capsys, monkeypatch):
     assert got == expected
 
 
+def test_row_by_row_outputs_at_many_ranks_match_the_pinned_digests(capsys):
+    import hashlib
+    # sha256 per group of the argv, exit code, stdout and stderr of
+    # `catalog` and `torsion-index --witness`, in text and JSON, on U and Sp
+    # at ranks 1-12 and on PU(p), with `decompose --maxdeg 24` (Stanley's
+    # product reads the entry degrees) on U and Sp at ranks 1-6 and on PU(p)
+    expected = {
+        "U": "7cb5bed219ceaa2f356689d55cb5c914a3fec5ffca534688558ba6dfafe9fe78",
+        "Sp": "bf418c5b2db4646c9fd428bd8c1d99eb5d7672e833d3c8a030c6820426ed0d18",
+        "PU": "d4e9448945bd1ad932cffaa09dadcb62e9b3ae6e25e83a309235b3b486846aeb",
+    }
+    got = {}
+    for group in expected:
+        if group == "PU":
+            cases = [(p - 1, p) for p in (2, 3, 5)]
+        else:
+            cases = [(l, p) for l in range(1, 13) for p in (2, 3, 5)]
+        digest = hashlib.sha256()
+        for l, p in cases:
+            flags = ["--group", group, "--rank", str(l), "--prime", str(p)]
+            commands = [["catalog"], ["torsion-index", "--witness"]]
+            if group == "PU" or l <= 6:
+                commands.append(["decompose", "--maxdeg", "24"])
+            for fmt in ("text", "json"):
+                for command in commands:
+                    argv = ["--format", fmt] + command + flags
+                    code, out = run_cli(argv)
+                    err = capsys.readouterr().err
+                    digest.update(repr((argv, code, out, err)).encode())
+        got[group] = digest.hexdigest()
+    assert got == expected
+
+
 RESTRICTION_TABLE_NAMES = (
     "so-rost-restriction-l3", "so-rost-restriction-l7", "e8-2-rost-restriction",
     "e8-3-rost-restriction", "e8-to-e7-rost-restriction", "e7-2-rost-restriction")
