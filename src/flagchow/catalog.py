@@ -238,8 +238,9 @@ class CohomologyModel:
 # ---------------------------------------------------------------------------
 # model builders
 #
-# A builder whose entries are y-polynomials makes the model first, with no
-# entries, so they can be written in its y_ring, and then sets them.
+# A table written row by row, one row per x-generator, is one call of
+# `_b_model`; the orthogonal builders set entries derived from the y-classes
+# of a model made first with none.
 
 
 def _trunc_exponent(m, l):
@@ -247,34 +248,44 @@ def _trunc_exponent(m, l):
     return 2 ** max(1, (l // m).bit_length())
 
 
+def _b_model(family, l, p, y_truncs, x_degrees, rows, entry="b_%d",
+             aliased=False, op_rules=(), **fields):
+    """The model of a table written row by row: `y<d>` is truncated at
+    y_truncs[d]; x_i is `x<i>`, of degree x_degrees[i - 1], aliased
+    `z<degree>` when `aliased`; `rows(*y-generators)` gives each x_i's row
+    (leading body or None, v-terms, complete), read as the entry `entry % i`
+    of topdeg |x_i| + 1 with leading witness p * body."""
+    ys = [YGen("y%d" % d, d, t) for d, t in y_truncs.items()]
+    xs = [XGen("x%d" % i, d, "z%d" % d if aliased else None)
+          for i, d in enumerate(x_degrees, start=1)]
+    model = CohomologyModel(family, l, p, ys, xs, [], op_rules, **fields)
+    gens = [model.y_ring().gen(g.name) for g in ys]
+    model.transgression = tuple(
+        TransgressionEntry(i, entry % i, x.topdeg + 1,
+                           None if lead is None else WitnessPolynomial(1, lead),
+                           v_terms, complete)
+        for i, (x, (lead, v_terms, complete))
+        in enumerate(zip(xs, rows(*gens)), start=1))
+    return model
+
+
 def _model_U(l, p):
-    x_gens = [XGen("x%d" % i, 2 * i - 1) for i in range(1, l + 1)]
-    trans = [TransgressionEntry(i, "c_%d" % i, 2 * i, None, [], complete=True)
-             for i in range(1, l + 1)]
-    return CohomologyModel("U", l, p, [], x_gens, trans, [], torsion_index_p=1,
-                           witness=(), dim_gt=l * l - l)
+    return _b_model("U", l, p, {}, range(1, 2 * l, 2),
+                    lambda: [(None, [], True)] * l, entry="c_%d",
+                    torsion_index_p=1, witness=(), dim_gt=l * l - l)
 
 
 def _model_Sp(l, p):
-    x_gens = [XGen("x%d" % i, 4 * i - 1) for i in range(1, l + 1)]
-    trans = [TransgressionEntry(i, "p_%d" % i, 4 * i, None, [], complete=True)
-             for i in range(1, l + 1)]
-    return CohomologyModel("Sp", l, p, [], x_gens, trans, [], torsion_index_p=1,
-                           witness=(), dim_gt=2 * l * l)
+    return _b_model("Sp", l, p, {}, range(3, 4 * l, 4),
+                    lambda: [(None, [], True)] * l, entry="p_%d",
+                    torsion_index_p=1, witness=(), dim_gt=2 * l * l)
 
 
 def _model_PU(l, p):
-    y_gens = [YGen("y2", 2, p)]
-    x_gens = [XGen("x%d" % i, 2 * i - 1) for i in range(1, l + 1)]
-    model = CohomologyModel("PU", l, p, y_gens, x_gens, [], [],
-                            torsion_index_p=p, witness=(l,), dim_gt=p * p - p)
-    ring = model.y_ring()
-    model.transgression = tuple(
-        TransgressionEntry(i, "c_%d" % i, 2 * i,
-                           WitnessPolynomial(1, ring.gen("y2", i)), [],
-                           complete=False)
-        for i in range(1, l + 1))
-    return model
+    return _b_model("PU", l, p, {2: p}, range(1, 2 * l, 2),
+                    lambda y: [(y ** i, [], False) for i in range(1, l + 1)],
+                    entry="c_%d", torsion_index_p=p, witness=(l,),
+                    dim_gt=p * p - p)
 
 
 def _so_like_y_gens(max_even, min_oddpart=1):
@@ -398,18 +409,6 @@ def _r_of(trunc, p):
     return r
 
 
-def _b_entries(model, rows):
-    """The entries b_i, one per x-generator x_i, of topdeg |x_i| + 1, from
-    rows (leading body or None, v-terms, complete); a leading body is read
-    as the witness p * body."""
-    return tuple(
-        TransgressionEntry(i, "b_%d" % i, x.topdeg + 1,
-                           None if lead is None else WitnessPolynomial(1, lead),
-                           v_terms, complete)
-        for i, (x, (lead, v_terms, complete))
-        in enumerate(zip(model.x_gens, rows), start=1))
-
-
 def _bockstein_rules(model, op, indices):
     """op(x_i) = the leading body of b_i, for each index i in order."""
     return [OperationRule(op, model.x_gens[i - 1].name,
@@ -417,67 +416,52 @@ def _bockstein_rules(model, op, indices):
             for i in indices]
 
 
-def _type_one_model(family, l, p, x_degrees, yname, ydeg, dim_gt,
-                    explicit_b=None):
-    y_gens = [YGen(yname, ydeg, p)]
-    x_gens = [XGen("x%d" % (i + 1), d) for i, d in enumerate(x_degrees)]
-    op_rules = [OperationRule("P1", "x%d" % i, ("xgen", "x%d" % (i + 1), 1))
-                for i in range(1, l + 1, 2)]
-    model = CohomologyModel(family, l, p, y_gens, x_gens, [], op_rules,
-                            torsion_index_p=p, witness=(2 * p - 2,),
-                            is_type_one=True, dim_gt=dim_gt,
-                            explicit_b=explicit_b)
-    ys = [model.y_ring().gen(yname, (i + 1) // 2) for i in range(1, l + 1)]
+def _type_one_model(family, l, p, x_degrees, ydeg, **fields):
     # odd i: b_i = v_1 * y^((i+1)/2); even i: b_i = p * y^(i/2)
-    model.transgression = _b_entries(model, [
-        (None, [(1, y)], i == 1) if i % 2 else (y, [], i == 2)
-        for i, y in enumerate(ys, start=1)])
-    return model
+    return _b_model(
+        family, l, p, {ydeg: p}, x_degrees,
+        lambda y: [(None, [(1, y ** ((i + 1) // 2))], i == 1) if i % 2
+                   else (y ** (i // 2), [], i == 2) for i in range(1, l + 1)],
+        op_rules=[OperationRule("P1", "x%d" % i, ("xgen", "x%d" % (i + 1), 1))
+                  for i in range(1, l + 1, 2)],
+        torsion_index_p=p, witness=(2 * p - 2,), is_type_one=True, **fields)
 
 
 def _model_G2(l, p):
     ring = t_ring(l, p)
     t1, t2 = ring.gen("t1"), ring.gen("t2")
     explicit_b = {1: t1 * t1 + t1 * t2 + t2 * t2, 2: t2 ** 3}
-    return _type_one_model("G2", l, p, [3, 5], "y6", 6, dim_gt=12,
+    return _type_one_model("G2", l, p, [3, 5], 6, dim_gt=12,
                            explicit_b=explicit_b)
 
 
 def _model_F4(l, p):
-    return _type_one_model("F4", l, p, [3, 7, 11, 15], "y8", 8, dim_gt=48)
+    return _type_one_model("F4", l, p, [3, 7, 11, 15], 8, dim_gt=48)
 
 
 def _model_E8_5(l, p):
-    model = _type_one_model("E8", l, p, [3, 11, 15, 23, 27, 35, 39, 47],
-                            "y12", 12, dim_gt=240)
-    model.x_gens = tuple(XGen(x.name, x.topdeg, "z%d" % x.topdeg)
-                         for x in model.x_gens)
-    return model
+    return _type_one_model("E8", l, p, [3, 11, 15, 23, 27, 35, 39, 47], 12,
+                           dim_gt=240, aliased=True)
 
 
 def _model_E8_3(l, p):
-    y_gens = [YGen("y8", 8, 3), YGen("y20", 20, 3)]
-    degrees = [3, 7, 15, 19, 27, 35, 39, 47]
-    x_gens = [XGen("x%d" % (i + 1), d, "z%d" % d) for i, d in enumerate(degrees)]
-    model = CohomologyModel(
-        "E8", l, p, y_gens, x_gens, [], [], torsion_index_p=9, witness=(2, 8),
-        sharp=SharpData(), dim_gt=240,
+    model = _b_model(
+        "E8", l, p, {8: 3, 20: 3}, [3, 7, 15, 19, 27, 35, 39, 47],
+        lambda y, yp: [
+            (None, [(1, y), (2, yp)], True),
+            (y, [], True),
+            (y ** 2, [(1, yp)], False),
+            (yp, [], False),
+            (y * yp, [], False),
+            (y ** 2 * yp, [(1, yp ** 2)], False),
+            (yp ** 2, [], False),
+            (y * yp ** 2, [], False),
+        ],
+        aliased=True, torsion_index_p=9, witness=(2, 8), sharp=SharpData(),
+        dim_gt=240,
         notes=("that the square of the top-level product is not a Bockstein "
                "image is a derived lookup against the stored table, not an "
                "independently stored fact",))
-    R = model.y_ring()
-    y = R.gen("y8")
-    yp = R.gen("y20")
-    model.transgression = _b_entries(model, [
-        (None, [(1, y), (2, yp)], True),
-        (y, [], True),
-        (y ** 2, [(1, yp)], False),
-        (yp, [], False),
-        (y * yp, [], False),
-        (y ** 2 * yp, [(1, yp ** 2)], False),
-        (yp ** 2, [], False),
-        (y * yp ** 2, [], False),
-    ])
     model.op_rules = tuple(_bockstein_rules(model, "beta", range(2, 9)) + [
         OperationRule("P1", "x1", ("xgen", "x2", 1)),
         OperationRule("P1", "x3", ("xgen", "x4", 1)),
@@ -486,37 +470,31 @@ def _model_E8_3(l, p):
         OperationRule("P3", "x3", ("xgen", "x5", 1)),
         OperationRule("P3", "x5", ("xgen", "x7", -1)),
         OperationRule("P3", "x6", ("xgen", "x8", 1)),
-        OperationRule("P3", "y8", ("ypoly", yp)),
+        OperationRule("P3", "y8", ("ypoly", model.y_ring().gen("y20"))),
     ])
     return model
 
 
 def _model_E8_2(l, p):
-    y_gens = [YGen("y6", 6, 8), YGen("y10", 10, 4), YGen("y18", 18, 2),
-              YGen("y30", 30, 2)]
-    degrees = [3, 5, 9, 17, 15, 23, 27, 29]
-    x_gens = [XGen("x%d" % (i + 1), d, "z%d" % d) for i, d in enumerate(degrees)]
-    model = CohomologyModel(
-        "E8", l, p, y_gens, x_gens, [], [], torsion_index_p=64,
-        witness=(5, 5, 5, 4, 6, 8),
+    model = _b_model(
+        "E8", l, p, {6: 8, 10: 4, 18: 2, 30: 2}, [3, 5, 9, 17, 15, 23, 27, 29],
+        lambda y1, y2, y3, y4: [
+            (None, [(1, y1), (2, y2), (3, y3)], True),
+            (y1, [(2, y1 ** 2), (3, y2 ** 2)], True),
+            (y2, [(1, y1 ** 2), (3, y1 ** 4)], True),
+            (y3, [(1, y2 ** 2)], True),
+            # a mixed middle-level term with positive-degree torus factors
+            # is dropped from b_5
+            (y1 * y2, [(1, y3), (3, y4)], False),
+            (y1 * y3 + y1 ** 4, [], False),
+            (y2 * y3, [(1, y4)], False),
+            (y4, [], False),
+        ],
+        aliased=True, torsion_index_p=64, witness=(5, 5, 5, 4, 6, 8),
         sharp=SharpData(
             min_uses={8: 1},   # the top class needs the unique y30 carrier
             max_uses={6: 1, 8: 1}),
         dim_gt=240)
-    R = model.y_ring()
-    y1, y2, y3, y4 = (R.gen(n) for n in ("y6", "y10", "y18", "y30"))
-    model.transgression = _b_entries(model, [
-        (None, [(1, y1), (2, y2), (3, y3)], True),
-        (y1, [(2, y1 ** 2), (3, y2 ** 2)], True),
-        (y2, [(1, y1 ** 2), (3, y1 ** 4)], True),
-        (y3, [(1, y2 ** 2)], True),
-        # a mixed middle-level term with positive-degree torus factors is
-        # dropped from b_5
-        (y1 * y2, [(1, y3), (3, y4)], False),
-        (y1 * y3 + y1 ** 4, [], False),
-        (y2 * y3, [(1, y4)], False),
-        (y4, [], False),
-    ])
     sq1 = _bockstein_rules(model, "Sq1", (2, 3, 4, 8, 5, 6, 7))
     model.op_rules = tuple(sq1 + [
         OperationRule("Sq2", "x1", ("xgen", "x2", 1)),
@@ -531,24 +509,19 @@ def _model_E8_2(l, p):
 
 
 def _model_E7_2(l, p):
-    y_gens = [YGen("y6", 6, 2), YGen("y10", 10, 2), YGen("y18", 18, 2)]
-    degrees = [3, 5, 9, 17, 15, 23, 27]
-    x_gens = [XGen("x%d" % (i + 1), d, "z%d" % d) for i, d in enumerate(degrees)]
-    model = CohomologyModel(
-        "E7", l, p, y_gens, x_gens, [], [], torsion_index_p=4, witness=(2, 7),
-        sharp=SharpData(), dim_gt=126)
-    R = model.y_ring()
-    y1, y2, y3 = (R.gen(n) for n in ("y6", "y10", "y18"))
-    model.transgression = _b_entries(model, [
-        (None, [(1, y1), (2, y2), (3, y3)], True),
-        (y1, [], True),
-        (y2, [], True),
-        (y3, [], True),
-        (y1 * y2, [], False),
-        (y1 * y3, [], False),
-        (y2 * y3, [], False),
-    ])
-    return model
+    return _b_model(
+        "E7", l, p, {6: 2, 10: 2, 18: 2}, [3, 5, 9, 17, 15, 23, 27],
+        lambda y1, y2, y3: [
+            (None, [(1, y1), (2, y2), (3, y3)], True),
+            (y1, [], True),
+            (y2, [], True),
+            (y3, [], True),
+            (y1 * y2, [], False),
+            (y1 * y3, [], False),
+            (y2 * y3, [], False),
+        ],
+        aliased=True, torsion_index_p=4, witness=(2, 7), sharp=SharpData(),
+        dim_gt=126)
 
 
 # ---------------------------------------------------------------------------

@@ -655,11 +655,14 @@ def buchberger_reference(relations, ring, order, maxdeg, stats=None):
 
 def reduced_basis(gb):
     """The reduced basis of a packed GroebnerBasis, sorted by (topdeg,
-    leading monomial), terms largest first.  Each call reduces every tail by
-    all the elements in the order found: one of higher topdeg divides none
-    of its terms, and neither does the element itself, whose leading
-    monomial is larger than each of them.  It calls the engine's `_reduce`
-    through its module, so a test that counts those calls counts these."""
+    leading monomial), terms largest first.  `_minimal` stores each element
+    monic, with its tail negated (each stored coefficient is minus the
+    element's own), so this negates each tail back before it reduces it.
+    Each call reduces every tail by all the elements in the order found:
+    one of higher topdeg divides none of its terms, and neither does the
+    element itself, whose leading monomial is larger than each of them.
+    It calls the engine's `_reduce` through its module, so a test that
+    counts those calls counts these."""
     pk, p = gb._packing, gb.ring.p
     divisors = [(x, t) for _, _, x, t in gb._minimal]
     out = []

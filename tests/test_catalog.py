@@ -214,6 +214,54 @@ def test_g2_explicit_forms():
     assert eb[1].ring.p == eb[2].ring.p == m.prime
 
 
+# entry names of the tables written row by row; every other one is b_i
+ROW_ENTRY_NAMES = {"U": "c_%d", "Sp": "p_%d", "PU": "c_%d"}
+# the `complete` flag of each entry in index order: one flag for every entry
+# of a family, or the list of a case of one rank
+COMPLETE_FLAGS = {
+    "U/Sp (any p)": True, "PU(p)": False, "SO(2l+1) p=2": True,
+    "SO(2l) p=2": True, "Spin(2l+1) p=2": True,
+    "(G2, 2)": [True, True],
+    "(F4, 3)": [True, True, False, False],
+    "(E8, 5)": [True, True] + [False] * 6,
+    "(E8, 3)": [True, True] + [False] * 6,
+    "(E8, 2)": [True] * 4 + [False] * 4,
+    "(E7, 2)": [True] * 4 + [False] * 3,
+}
+
+
+def test_each_row_written_entry_is_named_and_graded_by_its_x_generator():
+    checked = 0
+    for _, m in catalog._served_models():
+        if m.family.startswith(("SO", "Spin")):
+            continue  # derived entries, with x-names x<degree>
+        name = ROW_ENTRY_NAMES.get(m.family, "b_%d")
+        assert [x.name for x in m.x_gens] == [
+            "x%d" % i for i in range(1, m.rank + 1)], m.label()
+        assert [(e.index, e.name, e.topdeg) for e in m.transgression] == [
+            (i, name % i, x.topdeg + 1)
+            for i, x in enumerate(m.x_gens, start=1)], m.label()
+        checked += 1
+    assert checked == 33
+
+
+def test_each_alias_is_z_and_the_degree_of_its_x_generator():
+    # every x-generator of (E8, 5), (E8, 3), (E8, 2) and (E7, 2) has one, and
+    # no other x-generator does
+    for _, m in catalog._served_models():
+        aliased = m.family in ("E8", "E7")
+        assert [x.alias for x in m.x_gens] == [
+            "z%d" % x.topdeg if aliased else None for x in m.x_gens], m.label()
+
+
+def test_each_entry_is_complete_exactly_where_its_table_says():
+    for case, m in catalog._served_models():
+        want = COMPLETE_FLAGS[case]
+        if isinstance(want, bool):
+            want = [want] * m.rank
+        assert [e.complete for e in m.transgression] == want, m.label()
+
+
 def test_witness_polynomial_invariants():
     m = lookup_model("G2", prime=2)
     with pytest.raises(Exception):
