@@ -251,10 +251,11 @@ def _trunc_exponent(m, l):
 def _b_model(family, l, p, y_truncs, x_degrees, rows, entry="b_%d",
              aliased=False, op_rules=(), **fields):
     """The model of a table written row by row: `y<d>` is truncated at
-    y_truncs[d]; x_i is `x<i>`, of degree x_degrees[i - 1], aliased
-    `z<degree>` when `aliased`; `rows(*y-generators)` gives each x_i's row
-    (leading body or None, v-terms, complete), read as the entry `entry % i`
-    of topdeg |x_i| + 1 with leading witness p * body."""
+    y_truncs[d], and x_i is `x<i>`, of degree x_degrees[i - 1], aliased
+    `z<degree>` when `aliased`.  Given the generators of P(y), `rows` gives
+    the row of each x_i (leading body or None, v-terms, complete), read as
+    the entry `entry % i` of topdeg |x_i| + 1 with leading witness p * body.
+    """
     ys = [YGen("y%d" % d, d, t) for d, t in y_truncs.items()]
     xs = [XGen("x%d" % i, d, "z%d" % d if aliased else None)
           for i, d in enumerate(x_degrees, start=1)]
