@@ -4,10 +4,15 @@ Every argv keeps the contract: exit 0, 1 or 2, never a traceback on stderr
 and never an escaping exception.  And the flag table reads every argv as the
 argparse parser it replaced does (`oracles.build_parser`).  The argvs are
 drawn from the flag table itself, `cli._COMMANDS`, so a new flag is fuzzed
-with no edit here: a subcommand's own flags and any level's, each in full
-or by a prefix the subcommand reads as one, several or none of its
-options, its value as the next word or after `=`, a switch bare or given
-`=value`.  All calls run in one process, so they share the one flag table.
+with no edit here.  Most draws are well formed: a served case, every
+required flag and some optional ones spelled in full with a value that
+parses, `--format` before or after the subcommand or twice, and at most one
+junk token or one flag spelled by a prefix; so most of them parse, and a
+walk that misreads a call that parses is seen.  The rest are drawn broadly:
+a subcommand's own flags and any level's, each in full or by a prefix the
+subcommand reads as one, several or none of its options, its value as the
+next word or after `=`, a switch bare or given `=value`, and up to two junk
+tokens.  All calls run in one process, so they share the one flag table.
 Sizes stay small (rank <= 4, maxdeg <= 30 or just over the cap 60, rost
 n <= 3 and p <= 12) because the CLI has no work budget yet.
 """
@@ -18,7 +23,7 @@ import io
 import oracles
 import pytest
 
-from flagchow import cli
+from flagchow import catalog, cli
 from flagchow.catalog import restriction_tables
 from flagchow.verify import CASES
 
@@ -97,7 +102,7 @@ ALL_FLAGS = {name: kind is bool for _, flags in cli._COMMANDS.values()
 
 
 @st.composite
-def argvs(draw):
+def broad_argvs(draw):
     sub = draw(st.sampled_from(tuple(cli._COMMANDS)))
     flags = cli._COMMANDS[sub][1]
     names = LEVEL_OPTIONS + tuple(flags)
@@ -119,6 +124,78 @@ def argvs(draw):
         else:
             argv += draw(_flag("format", False, names))
     return argv
+
+
+# (--group, --rank, --prime) of each served case at rank <= 4, as the CLI
+# spells it; a case of one rank leaves its rank out
+SERVED = tuple((row.group, rank, str(p))
+               for row in catalog._SERVED for p in row.primes
+               for rank in ((None,) if row.least == row.most else
+                            map(str, range(row.least, 5))))
+# a value that parses, and mostly makes the call exit 0, for each other flag
+GOOD = {
+    "maxdeg": _ints(0, 30),
+    "n": _ints(1, 3),
+    "p": st.sampled_from(("2", "3", "5")),
+    "table": st.sampled_from(tuple(t.name for t in restriction_tables())),
+    "op": st.sampled_from(("Q0", "Q1", "beta", "Sq1", "Sq2")),
+    "gen": st.sampled_from(("x1", "x2", "x3")),
+    "case": st.sampled_from(tuple(name for name, _ in CASES)),
+    "format": st.sampled_from(("text", "json")),
+}
+
+
+@st.composite
+def _given(draw, name, value):
+    """--name value or --name=value, in full."""
+    return draw(st.sampled_from((["--" + name, value],
+                                 ["--%s=%s" % (name, value)])))
+
+
+@st.composite
+def well_formed_argvs(draw):
+    sub = draw(st.sampled_from(tuple(cli._COMMANDS)))
+    flags = cli._COMMANDS[sub][1]
+    group, rank, prime = draw(st.sampled_from(SERVED))
+    case = {"group": group, "rank": rank, "prime": prime}
+    given = []
+    for name, (kind, _, required) in flags.items():
+        if name in case:
+            if case[name] is not None:
+                given.append(draw(_given(name, case[name])))
+        elif required or draw(st.booleans()):
+            given.append(["--" + name] if kind is bool
+                         else draw(_given(name, draw(GOOD[name]))))
+    argv = [sub] + [word for flag in draw(st.permutations(given))
+                    for word in flag]
+    # --format before the subcommand, after it, or twice
+    for where in draw(st.lists(st.sampled_from(("before", "after")),
+                               max_size=2)):
+        spelled = draw(_given("format", draw(GOOD["format"])))
+        argv = spelled + argv if where == "before" else argv + spelled
+    # and at most one junk token or one flag spelled by a prefix
+    change = draw(st.sampled_from(("none", "junk", "prefix")))
+    if change == "junk":
+        argv.insert(draw(st.integers(0, len(argv))), draw(JUNK))
+    options = [i for i, word in enumerate(argv) if word[:2] == "--"]
+    if change == "prefix" and options:
+        i = draw(st.sampled_from(options))
+        option, eq, value = argv[i].partition("=")
+        level = (LEVEL_OPTIONS if i < argv.index(sub)
+                 else LEVEL_OPTIONS + tuple(flags))
+        prefixes = [p for group in _spellings(option[2:], level)[1:]
+                    for p in group]
+        if prefixes:
+            argv[i] = draw(st.sampled_from(prefixes)) + eq + value
+    return argv
+
+
+@st.composite
+def argvs(draw):
+    """Three in four draws well formed, the rest broad."""
+    if draw(st.integers(0, 3)):
+        return draw(well_formed_argvs())
+    return draw(broad_argvs())
 
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
