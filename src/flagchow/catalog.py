@@ -714,21 +714,23 @@ def op_topdeg(op, p):
 
 
 def check_class(body, topdeg, ring, truncs):
-    """(right degree, reduced) of a stored class, in one pass over its terms.
+    """(right degree, in ring, reduced) of a stored class, in one pass over
+    its terms.
 
     The degree is right when body is nonzero and each term has topdeg
-    `topdeg`; it is reduced when body lies in ring (any ring when ring is
-    None) with each exponent below its variable's truncation.
+    `topdeg`; body is in ring when its ring is ring (any ring when ring is
+    None); it is reduced when each exponent is below its variable's
+    truncation.
     """
     degs = body.ring.topdegs
     right = bool(body.terms)
-    reduced = ring is None or body.ring is ring or body.ring == ring
+    reduced = True
     for m in body.terms:
         if sum(map(mul, m, degs)) != topdeg:
             right = False
         if not all(map(lt, m, truncs)):
             reduced = False
-    return right, reduced
+    return right, ring is None or body.ring is ring or body.ring == ring, reduced
 
 
 def _well_formed_target(target):
@@ -813,22 +815,26 @@ def validate_model(model):
             fail_entry("entry %s degree %d != |%s|+1",
                        e.name, e.topdeg, x.name)
         if e.leading is not None:
-            right, reduced = check_class(e.leading.body, e.topdeg,
-                                         ring, truncs)
+            right, in_ring, reduced = check_class(e.leading.body, e.topdeg,
+                                                  ring, truncs)
             if not right:
                 fail_entry("leading witness of %s has wrong degree", e.name)
-            if not reduced:
+            if not in_ring:
+                fail_entry("leading witness of %s not in P(y)", e.name)
+            elif not reduced:
                 fail_entry("leading witness of %s not reduced", e.name)
         for n, body in e.v_terms:
             if n < 1:
                 fail_entry("v-term level must be >= 1")
-            right, reduced = check_class(body, e.topdeg + 2 * (p ** n - 1),
-                                         ring, truncs)
+            right, in_ring, reduced = check_class(
+                body, e.topdeg + 2 * (p ** n - 1), ring, truncs)
             if not right:
                 fail_entry(
                     "v-term (%d, ...) of %s violates the degree equation",
                     n, e.name)
-            if not reduced:
+            if not in_ring:
+                fail_entry("v-term (%d, ...) of %s not in P(y)", n, e.name)
+            elif not reduced:
                 fail_entry("v-term (%d, ...) of %s not reduced", n, e.name)
     if len(model.transgression) != len(model.x_gens):
         fail("one transgression entry per x-generator")

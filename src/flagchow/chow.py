@@ -243,9 +243,9 @@ def restriction_check(table):
             continue
         degs_img.append(e.topdeg)
         n, body = image
-        right, reduced = check_class(body, e.topdeg + 2 * (p ** n - 1),
-                                     ring, truncs)
-        if not body.terms or not reduced:
+        right, in_ring, reduced = check_class(
+            body, e.topdeg + 2 * (p ** n - 1), ring, truncs)
+        if not body.terms or not (in_ring and reduced):
             failures.append("%s -> v_%d*%s is zero or not reduced in P(y)/%d"
                             % (e.name, n, body.pretty(), p))
         if not right:

@@ -13,9 +13,14 @@ it replaced did under Python 3.11, on every Python: `--flag value` or
 `--flag=value`, any unique prefix of a flag (looked up in `_PREFIXES`, each
 level's table of every prefix of its long options, built at import),
 `--format` before or after the subcommand (after wins), `-` or a negative
-number as a value, the last repeat of a flag wins.  A bad or missing value
-is a usage error at once, and -h or --help prints the help and exits 0
-where the walk reaches it; unknown flags, stray words and anything after
+number as a value, the last repeat of a flag wins.  One walker serves both
+levels, and each reads a token once: the level before the subcommand reads
+up to it, and the subcommand reads the rest.  Before either applies an
+option, one scan of its tokens up to `--` fails on a prefix that names
+several of its options (`_AMBIGUOUS`, built at import); the scan before the
+subcommand covers the whole argv, as argparse's did.  A bad or missing
+value is a usage error at once, and -h or --help prints the help and exits
+0 where the walk reaches it; unknown flags, stray words and anything after
 `--` are reported at the end.  A usage error exits 2 through `main`'s one
 `FlagchowError` path, with the usage line on stderr.  Each call dispatches
 by subcommand name to the module's `_cmd_<name>`, and its text output is
@@ -223,14 +228,28 @@ def _cmd_verify(args):
 # --- rendering ----------------------------------------------------------------
 
 
+# the payload values a text line does not hold
+_NESTED = (dict, list)
+
+
 def _text_lines(payload, add, pad, lead):
     """Add the lines of payload at indent pad: `key: value` per dict key,
     `- item` per list item, a container one level deeper; lead is what a
-    dict puts before its first key, `- ` where it is a list's item."""
+    dict puts before its first key, `- ` where it is a list's item.  A
+    list-valued key writes its scalar items in place, without a call."""
     if type(payload) is dict:
         inner = pad + "  "
         for key, value in payload.items():
-            if type(value) in (dict, list):
+            kind = type(value)
+            if kind is list:
+                add(f"{lead}{key}:\n")
+                deeper, bullet = inner + "  ", inner + "- "
+                for item in value:
+                    if type(item) in _NESTED:
+                        _text_lines(item, add, deeper, bullet)
+                    else:
+                        add(f"{bullet}{item}\n")
+            elif kind is dict:
                 add(f"{lead}{key}:\n")
                 _text_lines(value, add, inner, inner)
             else:
@@ -239,7 +258,7 @@ def _text_lines(payload, add, pad, lead):
     elif type(payload) is list:
         inner, bullet = pad + "  ", pad + "- "
         for value in payload:
-            if type(value) in (dict, list):
+            if type(value) in _NESTED:
                 _text_lines(value, add, inner, bullet)
             else:
                 add(f"{bullet}{value}\n")
@@ -310,6 +329,18 @@ _LEVELS = {None: _options({}, "format")}
 _LEVELS.update((cmd, _options(flags, "format_sub"))
                for cmd, (_, flags) in _COMMANDS.items())
 _PREFIXES = {cmd: _prefixes(opts) for cmd, opts in _LEVELS.items()}
+# each level's prefixes that name several of its long options and none
+# exactly, with the options they name: the heads `_walk` fails on
+_AMBIGUOUS = {cmd: {head: found for head, found in table.items()
+                    if len(found) > 1 and head not in _LEVELS[cmd]}
+              for cmd, table in _PREFIXES.items()}
+# each subcommand's namespace attributes before its walk, and its required
+# flags
+_UNSET = {cmd: {"format_sub": None,
+                **{name: default for name, (_, default, _) in flags.items()}}
+          for cmd, (_, flags) in _COMMANDS.items()}
+_REQUIRED = {cmd: [name for name, flag in flags.items() if flag[2]]
+             for cmd, (_, flags) in _COMMANDS.items()}
 # a word that looks like this is a value, not an unknown option
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
@@ -317,7 +348,9 @@ _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 def _read(token, cmd):
     """How one level reads a token other than `--`: None for a word, else the
     option string it names (None if it names none) and the value given with
-    it, after `=` or after a short option's letter (None if none)."""
+    it, after `=` or after a short option's letter (None if none).  A token
+    that could name several options never gets here: `_walk` fails on it
+    first."""
     opts = _LEVELS[cmd]
     if token[:1] != "-":
         return None
@@ -329,16 +362,13 @@ def _read(token, cmd):
     if eq and head in opts:
         return head, value
     if token[1] == "-":
-        # a long option by any unique prefix
-        found = _PREFIXES[cmd].get(head, ())
+        # a long option by its unique prefix
+        found = _PREFIXES[cmd].get(head)
         value = value if eq else None
     else:
         # -h and what follows its letter
-        found = [token[:2]] if token[:2] in opts else []
+        found = [token[:2]] if token[:2] in opts else None
         value = token[2:]
-    if len(found) > 1:
-        raise _usage_error(cmd, "ambiguous option: %s could match %s"
-                           % (token, ", ".join(found)))
     if found:
         return found[0], value
     if _NEGATIVE_NUMBER.match(token) or " " in token:
@@ -346,10 +376,11 @@ def _read(token, cmd):
     return None, None
 
 
-def _apply(tokens, i, reads, cmd, ns):
-    """Set in ns the option read at tokens[i]; the index after the tokens it
-    used, or None if it asks for help."""
-    option, value = reads[i]
+def _apply(tokens, i, end, read, cmd, ns):
+    """Set in ns the option read at tokens[i], taking its value from the next
+    token before end where it needs one; the index after the tokens it used,
+    or None if it asks for help."""
+    option, value = read
     dest, flag = _LEVELS[cmd][option]
     if flag is None:
         # help, also as -hh...; any other value fails as a switch's would
@@ -366,7 +397,7 @@ def _apply(tokens, i, reads, cmd, ns):
         return i + 1
     if value is None:
         i += 1
-        if i == len(reads) or reads[i] is not None:
+        if i == end or _read(tokens[i], cmd) is not None:
             raise _usage_error(cmd, "argument %s: expected one argument"
                                % option)
         value = tokens[i]
@@ -385,23 +416,32 @@ def _apply(tokens, i, reads, cmd, ns):
 
 
 def _walk(tokens, cmd, ns, unknown):
-    """Apply one level's options in tokens to ns, left to right.  Every token
-    up to `--` is read first, so an ambiguous one fails before any applies.
+    """Apply one level's options in tokens to ns, left to right, reading each
+    token once.  First one scan of the tokens up to `--` fails on any whose
+    head could name several of the level's options, so that it fails before
+    any option applies (argparse classifies every token before it applies
+    one); before the subcommand, that scan covers the subcommand's tokens
+    too.
     Before the subcommand the walk stops at the first word or `--` and
     returns its index; after it, words and all from `--` on go to unknown.
     None once an option has printed the help."""
     end = tokens.index("--") if "--" in tokens else len(tokens)
-    reads = [_read(token, cmd) for token in tokens[:end]]
+    ambiguous = _AMBIGUOUS[cmd]
+    for token in tokens[:end]:
+        head = token.partition("=")[0]
+        if head in ambiguous:
+            raise _usage_error(cmd, "ambiguous option: %s could match %s"
+                               % (token, ", ".join(ambiguous[head])))
     i = 0
-    while i < len(reads):
-        read = reads[i]
+    while i < end:
+        read = _read(tokens[i], cmd)
         if read is None and cmd is None:
             return i
         if read is None or read[0] is None:
             unknown.append(tokens[i])
             i += 1
             continue
-        i = _apply(tokens, i, reads, cmd, ns)
+        i = _apply(tokens, i, end, read, cmd, ns)
         if i is None:
             sys.stdout.write(_help(cmd))
             return None
@@ -426,14 +466,11 @@ def _parse(argv):
         raise _usage_error(None, "argument command: invalid choice: %r "
                            "(choose from %s)"
                            % (cmd, ", ".join(map(repr, _COMMANDS))))
-    flags = _COMMANDS[cmd][1]
     ns["command"] = cmd
-    ns["format_sub"] = None
-    ns.update((name, flag[1]) for name, flag in flags.items())
+    ns.update(_UNSET[cmd])
     if _walk(argv[i + 1:], cmd, ns, unknown) is None:
         return None
-    missing = ["--" + name for name, flag in flags.items()
-               if flag[2] and ns[name] is None]
+    missing = ["--" + name for name in _REQUIRED[cmd] if ns[name] is None]
     if missing:
         raise _usage_error(cmd, "the following arguments are required: %s"
                            % ", ".join(missing))

@@ -24,16 +24,17 @@ def json_text(payload):
 
 def _write(value, newline, parts):
     """Append the text of `value`, nested at the indent `newline` ends with.
-    A str or int item of a container is written in place, without a call."""
+    A str or int item of a container is written in place, without a call,
+    and a list of ints in one join."""
     if isinstance(value, dict):
         if not value:
             parts.append("{}")
             return
         inner = newline + "  "
-        sep = "{" + inner
+        sep, comma = "{" + inner, "," + inner
         for key, item in sorted(value.items()):
             head = sep + _quote(key if isinstance(key, str) else _key(key)) + ": "
-            sep = "," + inner
+            sep = comma
             if type(item) is str:
                 parts.append(head + _quote(item))
             elif type(item) is int:
@@ -47,7 +48,12 @@ def _write(value, newline, parts):
             parts.append("[]")
             return
         inner = newline + "  "
-        sep = "[" + inner
+        sep, comma = "[" + inner, "," + inner
+        if type(value[0]) is int and set(map(type, value)) == {int}:
+            # a list of ints in one join
+            parts.append(sep + comma.join(map(int.__repr__, value))
+                         + newline + "]")
+            return
         for item in value:
             if type(item) is str:
                 parts.append(sep + _quote(item))
@@ -56,7 +62,7 @@ def _write(value, newline, parts):
             else:
                 parts.append(sep)
                 _write(item, inner, parts)
-            sep = "," + inner
+            sep = comma
         parts.append(newline + "]")
     elif isinstance(value, str):
         parts.append(_quote(value))
@@ -82,24 +88,25 @@ def variables_to_json(variables):
     return [{"name": v.name, "topdeg": v.topdeg} for v in variables]
 
 
+def _terms_to_json(poly, names):
+    """The terms of poly, in monomial order, over variables named names."""
+    return [{"exps": {names[i]: e for i, e in enumerate(m) if e},
+             "coef": str(c)}
+            for m, c in sorted(poly.terms.items())]
+
+
 def poly_to_json(poly):
     names = [v.name for v in poly.ring.variables]
-    terms = []
-    for m in sorted(poly.terms):
-        c = poly.terms[m]
-        terms.append({
-            "exps": {names[i]: e for i, e in enumerate(m) if e},
-            "coef": str(c),
-        })
     return {"coeff": coeff_to_json(poly.ring.p),
             "variables": variables_to_json(poly.ring.variables),
-            "terms": terms}
+            "terms": _terms_to_json(poly, names)}
 
 
 def presentation_to_json(pres):
+    names = [v.name for v in pres.ring.variables]
     out = {"coeff": coeff_to_json(pres.ring.p),
            "variables": variables_to_json(pres.ring.variables),
-           "relations": [poly_to_json(r)["terms"] for r in pres.relations]}
+           "relations": [_terms_to_json(r, names) for r in pres.relations]}
     if pres.note:
         out["note"] = pres.note
     return out

@@ -259,12 +259,17 @@ def sharp_y_bound(model, k):
     return 0 if best is None else best
 
 
-def is_reduced(body, ring, truncs):
-    """Whether body lies in ring (any ring when ring is None) with each
-    exponent below its variable's truncation, on a pass of its own: the
-    reference for the reducedness half of `catalog.check_class`."""
-    return ((ring is None or body.ring is ring or body.ring == ring)
-            and all(all(map(lt, m, truncs)) for m in body.terms))
+def in_ring(body, ring):
+    """Whether body lies in ring (any ring when ring is None): the reference
+    for the ring part of `catalog.check_class`."""
+    return ring is None or body.ring == ring
+
+
+def is_reduced(body, truncs):
+    """Whether each exponent of body is below its variable's truncation, on
+    a pass of its own: the reference for the reducedness part of
+    `catalog.check_class`."""
+    return all(all(map(lt, m, truncs)) for m in body.terms)
 
 
 def with_restriction_image(table, source, image):

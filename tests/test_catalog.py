@@ -508,7 +508,7 @@ MUTANTS = {
     "leading-in-another-ring": (
         lambda mp: _with_entry(_pu3(), 1, leading=WitnessPolynomial(
             1, lookup_model("PU", prime=5).y_ring().gen("y2"))),
-        ["PU(3): leading witness of c_1 not reduced"]),
+        ["PU(3): leading witness of c_1 not in P(y)"]),
     "v-term-level": (
         lambda mp: _with_entry(_g2(), 1, v_terms=[(0, _g2().y_ring().gen("y6"))]),
         ["(G2, 2): v-term level must be >= 1",
@@ -583,8 +583,8 @@ MUTANTS = {
                                                      topdeg=32)),
         ["(E8, 2): y-degrees must be 6,10,18,30",
          "(E8, 2): degree bookkeeping != dim(G/T)"]
-        + ["(E8, 2): leading witness of b_%d not reduced" % i for i in range(2, 9)]
-        + ["(E8, 2): v-term (%d, ...) of b_%d not reduced" % (n, i)
+        + ["(E8, 2): leading witness of b_%d not in P(y)" % i for i in range(2, 9)]
+        + ["(E8, 2): v-term (%d, ...) of b_%d not in P(y)" % (n, i)
            for i, e in enumerate(_e8_2().transgression, start=1)
            for n, _ in e.v_terms]),
     "e8-truncations": (
@@ -624,24 +624,24 @@ FAILURE_ORDER = {
         "(G2, 2): leading witness of b_2 not reduced",
         "(G2, 2): degree bookkeeping != dim(G/T)"],
     "e8-y-degrees": [
-        "(E8, 2): v-term (1, ...) of b_1 not reduced",
-        "(E8, 2): v-term (2, ...) of b_1 not reduced",
-        "(E8, 2): v-term (3, ...) of b_1 not reduced",
-        "(E8, 2): leading witness of b_2 not reduced",
-        "(E8, 2): v-term (2, ...) of b_2 not reduced",
-        "(E8, 2): v-term (3, ...) of b_2 not reduced",
-        "(E8, 2): leading witness of b_3 not reduced",
-        "(E8, 2): v-term (1, ...) of b_3 not reduced",
-        "(E8, 2): v-term (3, ...) of b_3 not reduced",
-        "(E8, 2): leading witness of b_4 not reduced",
-        "(E8, 2): v-term (1, ...) of b_4 not reduced",
-        "(E8, 2): leading witness of b_5 not reduced",
-        "(E8, 2): v-term (1, ...) of b_5 not reduced",
-        "(E8, 2): v-term (3, ...) of b_5 not reduced",
-        "(E8, 2): leading witness of b_6 not reduced",
-        "(E8, 2): leading witness of b_7 not reduced",
-        "(E8, 2): v-term (1, ...) of b_7 not reduced",
-        "(E8, 2): leading witness of b_8 not reduced",
+        "(E8, 2): v-term (1, ...) of b_1 not in P(y)",
+        "(E8, 2): v-term (2, ...) of b_1 not in P(y)",
+        "(E8, 2): v-term (3, ...) of b_1 not in P(y)",
+        "(E8, 2): leading witness of b_2 not in P(y)",
+        "(E8, 2): v-term (2, ...) of b_2 not in P(y)",
+        "(E8, 2): v-term (3, ...) of b_2 not in P(y)",
+        "(E8, 2): leading witness of b_3 not in P(y)",
+        "(E8, 2): v-term (1, ...) of b_3 not in P(y)",
+        "(E8, 2): v-term (3, ...) of b_3 not in P(y)",
+        "(E8, 2): leading witness of b_4 not in P(y)",
+        "(E8, 2): v-term (1, ...) of b_4 not in P(y)",
+        "(E8, 2): leading witness of b_5 not in P(y)",
+        "(E8, 2): v-term (1, ...) of b_5 not in P(y)",
+        "(E8, 2): v-term (3, ...) of b_5 not in P(y)",
+        "(E8, 2): leading witness of b_6 not in P(y)",
+        "(E8, 2): leading witness of b_7 not in P(y)",
+        "(E8, 2): v-term (1, ...) of b_7 not in P(y)",
+        "(E8, 2): leading witness of b_8 not in P(y)",
         "(E8, 2): degree bookkeeping != dim(G/T)",
         "(E8, 2): y-degrees must be 6,10,18,30"],
     "e8-truncations": [

@@ -1,8 +1,9 @@
 """`catalog.check_class` against its two-pass reference.
 
-The helper reads a stored class's degree and its reducedness in one pass
-over the terms; the reference reads the degree from the set of the terms'
-topdegs and the reducedness from `oracles.is_reduced`.
+The helper reads a stored class's degree, its ring and its reducedness in
+one pass over the terms; the reference reads the degree from the set of the
+terms' topdegs, the ring from `oracles.in_ring` and the reducedness from
+`oracles.is_reduced`.
 """
 
 import pytest
@@ -18,8 +19,8 @@ MODELS = [m for _, m in catalog._served_models()]
 
 
 def _reference(body, topdeg, ring, truncs):
-    return (body.term_topdegs() == {topdeg},
-            oracles.is_reduced(body, ring, truncs))
+    return (body.term_topdegs() == {topdeg}, oracles.in_ring(body, ring),
+            oracles.is_reduced(body, truncs))
 
 
 def _exponent(trunc):

@@ -10,6 +10,7 @@ import oracles
 import pytest
 from flagchow import catalog, cli
 from flagchow.cli import main
+from flagchow.errors import ValidationError
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -475,6 +476,42 @@ def test_an_empty_long_option_names_the_top_level_options(capsys):
         assert capsys.readouterr().err == (
             "error: ambiguous option: --=x could match --help, --format\n"
             + usage + "\n"), argv
+
+
+# the argv of each `flagchow ...` line of the README's usage block
+with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
+    README_INVOCATIONS = [line.split("#")[0].split()[1:] for line in f
+                          if line.startswith("flagchow ")]
+
+
+def _reads(monkeypatch):
+    """The tokens `cli._read` is given from now on, in order."""
+    tokens = []
+    read = cli._read
+
+    def counted(token, cmd):
+        tokens.append(token)
+        return read(token, cmd)
+    monkeypatch.setattr(cli, "_read", counted)
+    return tokens
+
+
+def test_each_readme_invocation_reads_each_token_once(monkeypatch):
+    # the level before the subcommand reads up to it and the subcommand
+    # reads the rest, so a walk that reads the tail twice changes the count
+    assert len(README_INVOCATIONS) == 10
+    tokens = _reads(monkeypatch)
+    for argv in README_INVOCATIONS:
+        del tokens[:]
+        assert cli._parse(argv) is not None
+        assert tokens == argv, argv
+
+
+def test_an_ambiguous_token_fails_before_any_token_is_read(monkeypatch):
+    tokens = _reads(monkeypatch)
+    with pytest.raises(ValidationError):
+        cli._parse(CATALOG_U + ["--=x"])
+    assert tokens == []
 
 
 def test_two_dashes_after_equals_are_the_value(capsys):

@@ -28,6 +28,7 @@ AWAITING_CALLERS = {
     "normal_form": 12,      # ideal membership on the torus
     "series_to_json": 5,    # the hilbert and decompose payloads
     "sq_on_y": 6,           # moves to tests/oracles.py with its tracer target
+    "poly_to_json": 6,      # moves to tests/oracles.py with its tracer target
 }
 # defaulted parameters no src/ call passes, kept on purpose
 UNPASSED_PARAMETERS = {
