@@ -724,13 +724,14 @@ def check_class(body, topdeg, ring, truncs):
     """
     degs = body.ring.topdegs
     right = bool(body.terms)
+    in_ring = ring is None or body.ring is ring or body.ring == ring
     reduced = True
     for m in body.terms:
         if sum(map(mul, m, degs)) != topdeg:
             right = False
         if not all(map(lt, m, truncs)):
             reduced = False
-    return right, ring is None or body.ring is ring or body.ring == ring, reduced
+    return right, in_ring, reduced
 
 
 def _well_formed_target(target):

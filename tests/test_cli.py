@@ -479,7 +479,8 @@ def test_an_empty_long_option_names_the_top_level_options(capsys):
 
 
 # the argv of each `flagchow ...` line of the README's usage block
-with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+with open(README) as f:
     README_INVOCATIONS = [line.split("#")[0].split()[1:] for line in f
                           if line.startswith("flagchow ")]
 
