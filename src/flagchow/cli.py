@@ -25,6 +25,13 @@ value is a usage error at once, and -h or --help prints the help and exits
 `FlagchowError` path, with the usage line on stderr.  Each call dispatches
 by subcommand name to the module's `_cmd_<name>`, and its text output is
 gathered line by line and written in one join.
+
+Importing this module loads no other flagchow module but `errors`.  Each
+module a handler reads is a global, `_catalog`, `_chow` and so on, that
+loads on its first read in the process and is the module itself from then
+on: `-h` loads nothing, `catalog` loads `catalog` (and with it `ring` and
+`symclass`), `verify` nearly all, and only a call that writes JSON or
+reads `serialize` loads `json` (`test_cli.LOADS` pins each row).
 """
 
 import os
@@ -32,14 +39,33 @@ import re
 import sys
 import types
 
-from . import catalog as _catalog
-from . import chow as _chow
-from . import serialize as _ser
-from . import steenrod as _steenrod
-from . import torsion as _torsion
-from . import verify as _verify
 from .errors import FlagchowError, ValidationError
-from .groebner import hilbert_series
+
+
+class _OnFirstRead:
+    """The module global `_<name>` until an attribute is first read from it:
+    that read imports flagchow.<name> and binds the global to the module
+    itself, so a call loads only the modules it reads, and later calls read
+    a plain module global."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __getattr__(self, attr):
+        # by the import statement's machinery, which -X importtime reports
+        name = "flagchow." + self.name
+        __import__(name)
+        module = globals()["_" + self.name] = sys.modules[name]
+        return getattr(module, attr)
+
+
+_catalog = _OnFirstRead("catalog")
+_chow = _OnFirstRead("chow")
+_groebner = _OnFirstRead("groebner")
+_serialize = _OnFirstRead("serialize")
+_steenrod = _OnFirstRead("steenrod")
+_torsion = _OnFirstRead("torsion")
+_verify = _OnFirstRead("verify")
 
 _DEFAULT_MAXDEG_CAP = 60
 
@@ -110,7 +136,7 @@ def _cmd_present(args):
     model = _model(args)
     pres = _chow.chow_presentation(model)
     payload = {"case": model.label(),
-               "presentation": _ser.presentation_to_json(pres)}
+               "presentation": _serialize.presentation_to_json(pres)}
     return 0, payload
 
 
@@ -118,7 +144,7 @@ def _cmd_hilbert(args):
     model = _model(args)
     maxdeg = _check_maxdeg(args.maxdeg)
     pres = _chow.chow_presentation(model)
-    hs = hilbert_series(pres, maxdeg)
+    hs = _groebner.hilbert_series(pres, maxdeg)
     payload = {"case": model.label(), "maxdeg": maxdeg,
                "dims_by_topdeg": hs.dims,
                "dims_by_chowdeg": hs.dims[0::2],
@@ -129,7 +155,7 @@ def _cmd_hilbert(args):
 def _cmd_rost(args):
     basis = _chow.rost_chow_basis(args.n, args.p)
     payload = {"height": args.n, "prime": args.p,
-               "count": len(basis), "basis": _ser.basis_to_json(basis)}
+               "count": len(basis), "basis": _serialize.basis_to_json(basis)}
     return 0, payload
 
 
@@ -538,7 +564,7 @@ def main(argv=None, out=None):
             handler = globals()["_cmd_" + args.command.replace("-", "_")]
             code, payload = handler(args)
             if (args.format_sub or args.format) == "json":
-                out.write(_ser.json_text(payload))
+                out.write(_serialize.json_text(payload))
                 out.write("\n")
             else:
                 _render_text(payload, out)

@@ -794,26 +794,42 @@ ON_REFERENCE_PYTHON = pytest.mark.skipif(
     reason="the argparse reference is Python 3.11's")
 
 
+def usage_head(text):
+    """Which level's usage line text prints: `usage: flagchow` or
+    `usage: flagchow <sub>`, the line up to its first option; None if it
+    prints none."""
+    for line in text.splitlines():
+        if line.startswith("usage: "):
+            return line.partition(" [")[0]
+    return None
+
+
 def argparse_outcome(argv):
     """What the reference parser makes of argv: ("parsed", the namespace's
-    attributes), ("help", None) after exit 0, or ("usage error", None) after
-    exit 2; its printing is swallowed."""
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
+    attributes, None), or ("help", None, usage) after exit 0 or ("usage
+    error", None, usage) after exit 2, where usage is the `usage_head` of
+    what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return "parsed", vars(build_parser().parse_args(argv))
-        except SystemExit as err:
-            return {0: "help", 2: "usage error"}[err.code], None
+            return "parsed", vars(build_parser().parse_args(argv)), None
+        except SystemExit as exc:
+            code = exc.code
+    return ({0: "help", 2: "usage error"}[code], None,
+            usage_head((out if code == 0 else err).getvalue()))
 
 
 def table_outcome(argv):
     """The same for the CLI's flag table, `cli._parse`."""
-    with contextlib.redirect_stdout(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         try:
             args = cli._parse(argv)
-        except ValidationError:
-            return "usage error", None
-    return ("help", None) if args is None else ("parsed", vars(args))
+        except ValidationError as exc:
+            return "usage error", None, usage_head(str(exc))
+    if args is None:
+        return "help", None, usage_head(out.getvalue())
+    return "parsed", vars(args), None
 
 
 def render_text_reference(payload, out, indent=0, bullet=False):

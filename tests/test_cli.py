@@ -541,15 +541,22 @@ def _fresh_process(*args):
                           text=True, env=env, timeout=120)
 
 
-def test_a_fresh_process_answers_as_the_in_process_call():
-    argv = ["rost", "--n", "2", "--p", "2"]
-    done = _fresh_process("-m", "flagchow.cli", *argv)
-    assert (done.returncode, done.stdout, done.stderr) == run_cli(argv) + ("",)
-    bogus = _fresh_process("-m", "flagchow.cli", "--bogus")
-    assert (bogus.returncode, bogus.stdout) == (2, "")
-    assert "usage: flagchow" in bogus.stderr and "Traceback" not in bogus.stderr
-    helped = _fresh_process("-m", "flagchow.cli", "--help")
-    assert helped.returncode == 0 and helped.stdout.startswith("usage: flagchow")
+def test_a_fresh_process_answers_as_the_in_process_call(monkeypatch, capsys):
+    # this process has loaded every module, a fresh one loads each on its
+    # first read: a handler that read a module it had not loaded fails here
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    for name in ON_FIRST_READ:
+        importlib.import_module("flagchow." + name)
+    calls = (README_INVOCATIONS
+             + [argv.split() for argv, _, _ in workloads.USAGE_ERRORS]
+             + [["--bogus"], ["-h"], ["--help"], ["verify", "-h"]])
+    for argv in calls:
+        done = _fresh_process("-m", "flagchow.cli", *argv)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (done.returncode, done.stdout, done.stderr) == (
+            code, captured.out, captured.err), argv
 
 
 def test_a_closed_stdout_ends_the_run_with_its_code_and_no_traceback():
@@ -576,9 +583,82 @@ def test_a_closed_stdout_ends_the_run_with_its_code_and_no_traceback():
 
 
 def test_importing_the_cli_leaves_argparse_unloaded():
+    # and every flagchow module but errors: each call loads its own
     done = _fresh_process(
-        "-c", "import sys, flagchow.cli; print('argparse' in sys.modules)")
-    assert (done.returncode, done.stdout) == (0, "False\n")
+        "-c", "import sys, flagchow.cli; print('argparse' in sys.modules, "
+        "sorted(m for m in sys.modules if m.startswith('flagchow')))")
+    assert (done.returncode, done.stdout) == (
+        0, "False ['flagchow', 'flagchow.cli', 'flagchow.errors']\n")
+
+
+# the flagchow modules besides cli and errors that one call loads in a fresh
+# process, and whether it loads json: a module added to a call's path is a
+# one-line diff here
+LOADS = {
+    "-h": ("", False),
+    "catalog --group XX": ("catalog ring symclass", False),
+    "verify --all": (
+        "catalog chow groebner ring steenrod symclass torsion verify", False),
+    "hilbert --group U --rank 3 --prime 2 --maxdeg 12": (
+        "catalog chow groebner ring symclass", False),
+    "present --group SO --rank 3 --prime 2": (
+        "catalog chow groebner ring serialize symclass", True),
+    "rost --n 2 --p 2": ("catalog chow groebner ring serialize symclass", True),
+    "torsion-index --group SO --rank 3": (
+        "catalog ring symclass torsion", False),
+    "torsion-index --group E8 --prime 2 --witness": (
+        "catalog ring symclass torsion", False),
+    "steenrod --group SO --rank 5 --prime 2 --op Q1 --gen x3": (
+        "catalog ring steenrod symclass", False),
+    "catalog --group E8 --prime 3": ("catalog ring symclass", False),
+    "--format json catalog --group E8 --prime 3": (
+        "catalog ring serialize symclass", True),
+    "restrict": ("catalog chow groebner ring symclass", False),
+    "decompose --group SO --rank 4 --prime 2 --maxdeg 40": (
+        "catalog chow groebner ring symclass", False),
+}
+# runs `flagchow <argv>` as the console script does, then prints the
+# modules of its LOADS row and whether json is loaded
+_LOADED = """import sys, flagchow.cli
+flagchow.cli.main()
+loaded = sorted(m[9:] for m in sys.modules if m.startswith("flagchow.")
+                and m not in ("flagchow.cli", "flagchow.errors"))
+print(" ".join(loaded), "json" in sys.modules, sep="|")
+"""
+
+
+def test_each_call_in_a_fresh_process_loads_the_modules_of_its_row():
+    assert set(LOADS) == {" ".join(argv) for argv in README_INVOCATIONS} | {
+        "-h", "catalog --group XX", "--format json catalog --group E8 --prime 3"}
+    for line, (modules, json_loaded) in LOADS.items():
+        done = _fresh_process("-c", _LOADED, *line.split())
+        assert done.stdout.splitlines()[-1] == "%s|%s" % (
+            modules, json_loaded), line
+
+
+# the modules `cli` binds to a global `_<name>` on its first read
+ON_FIRST_READ = ("catalog", "chow", "groebner", "serialize", "steenrod",
+                 "torsion", "verify")
+
+
+def test_after_its_first_call_a_call_reads_each_module_global_as_the_module(
+        monkeypatch):
+    assert {name[1:] for name, value in vars(cli).items()
+            if isinstance(value, cli._OnFirstRead)
+            or getattr(value, "__name__", "").startswith("flagchow.")} == set(
+                ON_FIRST_READ)
+
+    def read_again(self, attr):
+        raise AssertionError("_%s.%s read through the stand-in again"
+                             % (self.name, attr))
+    for argv in README_INVOCATIONS + [["--format", "json"] + argv
+                                      for argv in README_INVOCATIONS]:
+        with monkeypatch.context() as patch:
+            for name in ON_FIRST_READ:
+                patch.setattr(cli, "_" + name, cli._OnFirstRead(name))
+            first = run_cli(argv)
+            patch.setattr(cli._OnFirstRead, "__getattr__", read_again)
+            assert run_cli(argv) == first, argv
 
 
 def test_main_without_argv_reads_sys_argv(monkeypatch):

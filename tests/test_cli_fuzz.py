@@ -8,7 +8,9 @@ with no edit here.  Most draws are well formed: a served case, every
 required flag and some optional ones spelled in full with a value that
 parses, `--format` before or after the subcommand or twice, and at most one
 junk token or one flag spelled by a prefix; so most of them parse, and a
-walk that misreads a call that parses is seen.  The rest are drawn broadly:
+walk that misreads a call that parses is seen.  A call that fails or asks
+for help must print the usage line of the level the reference's does, so a
+walk that fails at the wrong level is seen too.  The rest are drawn broadly:
 a subcommand's own flags and any level's, each in full or by a prefix the
 subcommand reads as one, several or none of its options, its value as the
 next word or after `=`, a switch bare or given `=value`, and up to two junk
@@ -213,6 +215,7 @@ def test_every_argv_keeps_the_exit_code_contract(argv):
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
 @hypothesis.given(argvs())
 def test_the_flag_table_reads_every_argv_as_the_argparse_reference(argv):
-    # the same outcome (parsed, help or usage error) and, once parsed, the
-    # same value of every namespace attribute
+    # the same outcome (parsed, help or usage error); once parsed, the same
+    # value of every namespace attribute, and otherwise the usage line of
+    # the same level
     assert oracles.table_outcome(argv) == oracles.argparse_outcome(argv), argv
