@@ -27,11 +27,11 @@ by subcommand name to the module's `_cmd_<name>`, and its text output is
 gathered line by line and written in one join.
 
 Importing this module loads no other flagchow module but `errors`.  Each
-module a handler reads is a global, `_catalog`, `_chow` and so on, that
-loads on its first read in the process and is the module itself from then
-on: `-h` loads nothing, `catalog` loads `catalog` (and with it `ring` and
-`symclass`), `verify` nearly all, and only a call that writes JSON or
-reads `serialize` loads `json` (`test_cli.LOADS` pins each row).
+module a handler reads is a global (`_catalog`, `_chow`, ...) that imports
+its module on its first read in the process and is the module itself from
+then on, so a call loads only what it reads: `catalog` loads `catalog`,
+`ring` and `symclass`, and no `json` (`test_cli.LOADS` pins each README
+invocation's modules).
 """
 
 import os

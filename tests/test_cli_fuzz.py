@@ -2,15 +2,15 @@
 
 Every argv keeps the contract: exit 0, 1 or 2, never a traceback on stderr
 and never an escaping exception.  And the flag table reads every argv as the
-argparse parser it replaced does (`oracles.build_parser`).  The argvs are
+argparse parser it replaced does (`oracles.build_parser`): a call that fails
+or asks for help prints the usage line of the same level, so a walk that
+fails at the wrong level is seen too.  The argvs are
 drawn from the flag table itself, `cli._COMMANDS`, so a new flag is fuzzed
 with no edit here.  Most draws are well formed: a served case, every
 required flag and some optional ones spelled in full with a value that
 parses, `--format` before or after the subcommand or twice, and at most one
 junk token or one flag spelled by a prefix; so most of them parse, and a
-walk that misreads a call that parses is seen.  A call that fails or asks
-for help must print the usage line of the level the reference's does, so a
-walk that fails at the wrong level is seen too.  The rest are drawn broadly:
+walk that misreads a call that parses is seen.  The rest are drawn broadly:
 a subcommand's own flags and any level's, each in full or by a prefix the
 subcommand reads as one, several or none of its options, its value as the
 next word or after `=`, a switch bare or given `=value`, and up to two junk
