@@ -8,7 +8,9 @@ indecomposable-summand Chow groups are degree-tagged lists, never rings (no
 canonical ring structure exists there); quotient presentations are rings.
 The decomposition identity compares the quotient's series, by Groebner
 basis, with the summand basis times the torus factor S(t)/(b), which is
-Stanley's product for the regular sequence b.
+Stanley's product for the regular sequence b.  `presentation_series`, the
+series `hilbert` prints, gives U, Sp, PU, SO and SOeven by theorem, with no
+presentation or Groebner basis built, and the other cases by Groebner basis.
 """
 
 from itertools import combinations
@@ -98,6 +100,45 @@ def _build_presentation(model):
     return QuotientPresentation(ring, rels, note=note)
 
 
+# the families whose torus forms are computed, not stored
+_CLASSICAL = ("U", "Sp", "PU", "SO_odd", "SO_even")
+
+
+def presentation_series(model, maxdeg):
+    """(HS(chow_presentation(model)) through maxdeg, the presentation's note).
+
+    U, Sp, PU, SO and SOeven come by theorem, with no presentation built.
+    The relations of U, Sp, SO and SOeven are l forms in the l torus
+    variables with no common zero but 0, a regular sequence, so the series
+    is prod(1 - q^d_i) / (1 - q^2)^l (Stanley, Bull. AMS 1, 1979).  PU(p)'s
+    relations span I^2, I = (c_1..c_l) regular, and I/I^2 is free over S/I
+    on the c_i: the U(l) series times 1 + sum q^|c_i|.  The other cases'
+    series comes by Groebner basis."""
+    if maxdeg < 0:
+        raise ValidationError("maxdeg must be non-negative")
+    degs = _relation_degrees(model)
+    if degs is None:
+        pres = chow_presentation(model)
+        return hilbert_series(pres, maxdeg), pres.note
+    hs = hs_from_degrees([0] + degs if model.family == "PU" else [0], maxdeg)
+    hs_times(hs.dims, numer=degs, denom=[2] * model.rank)
+    return hs, None
+
+
+def _relation_degrees(model):
+    """The topdegs of the relations `_build_presentation` writes for U, Sp,
+    SO and SOeven, and of c_1..c_l for PU; None for the other families."""
+    fam, l = model.family, model.rank
+    if fam not in _CLASSICAL:
+        return None
+    # the forms' degrees, doubled for the squares of SO and SOeven, whose
+    # last relation is e_l itself
+    degs = [(2 if fam in ("U", "PU") else 4) * i for i in range(1, l + 1)]
+    if fam == "SO_even":
+        degs[-1] = 2 * l
+    return degs
+
+
 def _torus_forms(model):
     """The transgression forms on the torus F_p[t_1..t_l], or None where the
     catalog stores none: the Pontryagin classes p_1..p_l for Sp, the stored
@@ -106,7 +147,7 @@ def _torus_forms(model):
     if model.explicit_b is not None:
         return [model.explicit_b[i] for i in sorted(model.explicit_b)]
     fam = model.family
-    if fam not in ("U", "Sp", "PU", "SO_odd", "SO_even"):
+    if fam not in _CLASSICAL:
         return None
     ring = t_ring(model.rank, model.prime)
     return pontryagin_class(ring) if fam == "Sp" else elementary_symmetric(ring)

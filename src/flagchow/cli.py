@@ -5,6 +5,9 @@ torsion-index, steenrod, verify.  Exit codes: 0 all pass, 1 verification
 failure, 2 usage or data error.  Output is deterministic; --format switches
 between a text rendering and JSON of the same payload.  The environment
 variable FLAGCHOW_MAXDEG caps the truncation degree (default 60).
+`hilbert` answers U, Sp, PU, SO and SOeven by theorem and the other cases
+by Groebner basis (`chow.presentation_series`), with the presentation's
+note where it is symbolic.
 
 The grammar is one table, `_COMMANDS`: each subcommand's one-line help and
 its flags, each an int, a str or a switch, with a default and a required
@@ -61,7 +64,6 @@ class _OnFirstRead:
 
 _catalog = _OnFirstRead("catalog")
 _chow = _OnFirstRead("chow")
-_groebner = _OnFirstRead("groebner")
 _serialize = _OnFirstRead("serialize")
 _steenrod = _OnFirstRead("steenrod")
 _torsion = _OnFirstRead("torsion")
@@ -143,12 +145,13 @@ def _cmd_present(args):
 def _cmd_hilbert(args):
     model = _model(args)
     maxdeg = _check_maxdeg(args.maxdeg)
-    pres = _chow.chow_presentation(model)
-    hs = _groebner.hilbert_series(pres, maxdeg)
+    hs, note = _chow.presentation_series(model, maxdeg)
     payload = {"case": model.label(), "maxdeg": maxdeg,
                "dims_by_topdeg": hs.dims,
                "dims_by_chowdeg": hs.dims[0::2],
                "total": hs.total()}
+    if note:
+        payload["note"] = note
     return 0, payload
 
 
@@ -217,7 +220,7 @@ def _cmd_steenrod(args):
     if q or op in ("beta", "Sq1"):
         n = int(q.group(1)) if q else 0
         out = _steenrod.q_milnor(model, gen, n).pretty()
-        provenance = "stored rule or transgression table"
+        provenance = "transgression table"
     elif sq:
         index = re.fullmatch(r"[xz](\d+)", gen)
         if index is None:

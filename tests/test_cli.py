@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import oracles
 import pytest
@@ -58,7 +59,50 @@ def test_hilbert_large_unitary_ranks():
                               "--prime", "2", "--maxdeg", "60"])
     assert code == 0
     assert payload["dims_by_topdeg"] == _u_coinvariant_dims(9, 60)
+    # by theorem, with no presentation built: U(30)'s e_15 alone has
+    # comb(30, 15) terms, and this call ran without bound while hilbert
+    # built one
+    start = time.perf_counter()
+    code, payload = run_json(["hilbert", "--group", "U", "--rank", "30",
+                              "--prime", "2", "--maxdeg", "60"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert payload["dims_by_topdeg"] == _u_coinvariant_dims(30, 60)
+    assert catalog.lookup_model("U", 30, 2)._presentation is None
+    assert elapsed < 1.0
 
+
+@pytest.mark.parametrize("flags", [
+    ["--group", "U", "--rank", "3", "--prime", "2"],
+    ["--group", "G2", "--prime", "2"],
+], ids=["by-theorem", "by-groebner"])
+def test_hilbert_refuses_a_negative_maxdeg_on_both_routes(flags, capsys):
+    for fmt in ("text", "json"):
+        code, out = run_cli(["--format", fmt, "hilbert"] + flags
+                            + ["--maxdeg", "-1"])
+        assert (code, out, capsys.readouterr().err) == (
+            2, "", "error: maxdeg must be non-negative\n")
+
+
+def test_hilbert_carries_the_note_of_a_symbolic_presentation():
+    # in JSON and as the last text line, as `present` carries it, on exactly
+    # the four symbolic cases
+    symbolic = {("Spin", 3, 2), ("Spin", 4, 2), ("F4", 4, 3), ("E8", 8, 5)}
+    for g, l, p in (s for spellings in CATALOG_CASE_SPELLINGS.values()
+                    for s in spellings):
+        flags = ["--group", g, "--rank", str(l), "--prime", str(p)]
+        code, payload = run_json(["hilbert", "--maxdeg", "12"] + flags)
+        present_code, present = run_json(["present"] + flags)
+        assert code == present_code, (g, l, p)
+        if code:
+            # a case known only through a surjection has no presentation
+            continue
+        note = present["presentation"].get("note")
+        assert (note is not None) == ((g, l, p) in symbolic), (g, l, p)
+        assert payload.get("note") == note, (g, l, p)
+        _, text = run_cli(["hilbert", "--maxdeg", "12"] + flags)
+        assert text.endswith("total: %d\n" % payload["total"] if note is None
+                             else "note: %s\n" % note), (g, l, p)
 
 def test_rost_cli():
     code, payload = run_json(["rost", "--n", "2", "--p", "2"])
@@ -90,12 +134,16 @@ def test_steenrod_cli():
                               "--prime", "2", "--op", "Q1", "--gen", "x3"])
     assert code == 0
     assert payload["image"] == "y6"
+    # q_milnor reads the transgression table alone, never a stored rule
+    assert payload["provenance"] == "transgression table"
     code, payload = run_json(["steenrod", "--group", "E8", "--prime", "3",
                               "--op", "Q0", "--gen", "z7"])
     assert payload["image"] == "y8"
+    assert payload["provenance"] == "transgression table"
     code, payload = run_json(["steenrod", "--group", "SO", "--rank", "3",
                               "--prime", "2", "--op", "Sq2", "--gen", "x4"])
     assert payload["image"] == "0"
+    assert payload["provenance"] == "derived from the binomial rule"
 
 
 def test_catalog_dump():
@@ -637,8 +685,8 @@ def test_each_call_in_a_fresh_process_loads_the_modules_of_its_row():
 
 
 # the modules `cli` binds to a global `_<name>` on its first read
-ON_FIRST_READ = ("catalog", "chow", "groebner", "serialize", "steenrod",
-                 "torsion", "verify")
+ON_FIRST_READ = ("catalog", "chow", "serialize", "steenrod", "torsion",
+                 "verify")
 
 
 def test_after_its_first_call_a_call_reads_each_module_global_as_the_module(
@@ -788,13 +836,13 @@ def test_text_outputs_match_the_pinned_digests(capsys, monkeypatch):
         "SO(2l) p=2":
             "2feca58f5fc977d0d4102deaddbbc28abc883ea7116242e2bf75f97c855a0a44",
         "Spin(2l+1) p=2":
-            "edcc1687ab926deb902b08fea71311784e543e8d72fc33510b433373fa8d6e5e",
+            "89a2bc4a86441ebb5598ec568cde82b3568e852eb96aa50b55744dc0cebb1157",
         "(G2, 2)":
             "abd2aefb33854a4c1b96fff461fa9b47d33a6a7e9c7bcf4377d115583689051a",
         "(F4, 3)":
-            "06a3f0fa790cd52b9d80575ec43001b84dc1bfce8c45b3769a7ad6be7c822cc1",
+            "244378f07a9136c8e6b9c0b29129f3ab797cbbff9f134031ff8e26256bd19119",
         "(E8, 5)":
-            "2822e79afe0172ce187f6526db9bd2378bd637bb4b84b62c41a5367faa807522",
+            "ff9a3618d55705cf2d50b6a98aeb14b3d7be26d335ad22fb515b17726ae935d9",
         "(E8, 3)":
             "cf79aafdb59297763bbcf4e93a2213651faaba8129598113da9dbe4c5845e105",
         "(E8, 2)":
@@ -943,27 +991,27 @@ def test_steenrod_outputs_match_the_pinned_digests(capsys):
     # text and JSON, then of the two Milnor verify cases in JSON
     expected = {
         "U/Sp (any p)":
-            "8ec18347cfb620252300fa429d243cfbc7938caf9dc0f5978293760b5e213694",
+            "8b46956e626e0778b17d7e450bcc9bd3598b8fbf246a2f0787bec5bdac9af3f9",
         "PU(p)":
-            "cfc587bb7b45bd15d8079e0c259eab7c3d819d6311db5355f21c45e3025a1ccd",
+            "a987fd861d5dd656cf6f4c21f8a97247f9da23fa2bcfd909799492ec2441a601",
         "SO(2l+1) p=2":
-            "5f650eca959537d3f328e21a109398e1a409f19219d45a675b317a8aa610a8ca",
+            "25d793c508f1f716057d7683bb9c7b5286caf122759269d12fd924442360fef3",
         "SO(2l) p=2":
-            "71d6aa733a5f16314846f10e4cde5b0e8b923c6b05318a6c71d926628743dd25",
+            "d6c7fcf8decd8e883e47e4f6d25e437f93171ffc078ad0db411d988a319072fc",
         "Spin(2l+1) p=2":
-            "016a674c5f6ebda05d39a6e8015b3ac4001dbee5f4188eb2fae30169b0624e1e",
+            "63ebe479245315aa209331cda1c3df1ded7b367758e9772b63097e531a4afd4c",
         "(G2, 2)":
-            "4a201ce3a7894db91989bc55225bedc4770aac86ab9354da8aeb7abcd768810e",
+            "59e6251448f8f3a295124487643473896478ff2f2067510b56ad797e9e03bc05",
         "(F4, 3)":
-            "f4b7b119e5411d630e3208e2307b3c47581ed1e807720765b19d8388615f6fb4",
+            "6720dd23ecbea72f4764f716e625d39313fe80d42ad5b5506afc8fa8b1fd6e3c",
         "(E8, 5)":
-            "72723bc4caa08eb12c11667842c574c8997e41e42b0ba2703c4bb1956a4ee9d9",
+            "5fbe72cd82058d1379869384a78e8053de290824d80a025c389444ce4e1bdbbe",
         "(E8, 3)":
-            "d8aee8ce315a09c566094be80838135bfda37053fd6bc8503fe54727c8e3333a",
+            "409a3451212b91260e32764432d5c3f125d3b62a9f3c5636f35c0768e2d5e101",
         "(E8, 2)":
-            "20856682216e3ac25825b6d04eb720ebb6c2f2d0ec120e7583a80003cde64fff",
+            "e7c8dc3c23a7c9a4c78a27f3558246f2672afc37827041c4c4653e516016e7bb",
         "(E7, 2)":
-            "85723e18d842f656cea987c10571a55c0f2098aae4c2fb5a239e88d36a850207",
+            "97f19823b6882fdd35bb0af8b1011f2debe08c21b8b378757b7c671f65eb4024",
         "q1-derivation":
             "72b15b05c49d69ee137f5406d054e39fc3e048601945f1ed7ab202ff15fd1b91",
         "beta-no-preimage":
@@ -1004,27 +1052,27 @@ def test_squares_on_index_named_sources_match_the_pinned_digests(capsys):
     # SQUARE_OPS on each of INDEX_SOURCES, in text and JSON
     expected = {
         "U/Sp (any p)":
-            "4ba36be172b8410417564779f5315855b908c1d290d1828c954b84b292874a99",
+            "f949a18214b980227e0a520f5dbb822c59b88f4a897636dc77ee5a59adccf628",
         "PU(p)":
-            "3b1c2f96517cacd5fe7a9abed0f794f7651a4e4bb863489cdf92db39b5078264",
+            "ea991e17ba9de80ba97b4c0ce7bb4352e29b45fd145371a4290be4b63f62cce2",
         "SO(2l+1) p=2":
-            "80230cf8ca1eb2b73d6601356c02ac98b88c744ad9a9637b4a8e2dc6f6715377",
+            "ab330195cac67503d56f1bf7fc58bc7de5ce73d528f6525ce46bd2f85c5d37ed",
         "SO(2l) p=2":
-            "db4cfdddff2a25195753605c184b0e9ad9c4e8c3bd390fc8e5c42918398ba708",
+            "8173d24099e45180f79a39fd0e275aa50c960abdbbc99d00ac539364beedc8fa",
         "Spin(2l+1) p=2":
-            "37177d9d06d6b17f176e632f23669435d0f7c8af21c858ad67dc64cf1f144703",
+            "7bf4456a4d9d8855ee0c01da60e6f640dd2d13f22617114bad3466bdec412800",
         "(G2, 2)":
-            "38d954cb8a755a642d23dca89e264474fc705fe241aff9e256c2ddc6fcd05baa",
+            "8807b02e5e64d5b6463d68e13141a98bfc7d860305a13ac99669505d049992d7",
         "(F4, 3)":
-            "3bda0250500a6265eef23345dabdbb670b767309e2fa67da9987010ad368f2a6",
+            "8ab19d635728806749e0a0554f518746b01dbe2b5bc69c54790601768ed7d913",
         "(E8, 5)":
-            "d4d6b17f979b185be67738120c09c770f5ba170a82990411a8d887ed04b799da",
+            "b67d3af44225c9fc832540da32b9ae076a04e5c61398d243fa2b144951faba8e",
         "(E8, 3)":
-            "e6fff25cbd4730c3ea49f4a27632616993066092cf71bd87920dcb974413a6b2",
+            "af9a1a7867527f87556d34a3980f2e01e15e0afd6ff5a3e771e390e5a6f867bf",
         "(E8, 2)":
-            "219247b32436daf06157c7f5827a662733a6136d7757a6460be349cf4e15d559",
+            "3310e5d0ceb04cef5571397a907c869d0d7c677903ba642cbe26cdf62b30f6d5",
         "(E7, 2)":
-            "13df620ce0dac46c0752829f1d535a7ee92b392bc95e53408168a2f35ded8e78",
+            "a10df3c381870c4d0523a24207b2f81792a06a81daa64741b5c6c704d769a744",
     }
     got = {}
     for case, spellings in CATALOG_CASE_SPELLINGS.items():
