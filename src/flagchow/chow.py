@@ -238,6 +238,8 @@ def verify_additive_decomposition(model, maxdeg):
     degrees and the presentation ring's weights.  The factor HS(P'(y)) of the
     inner truncated part is 1: in a versal case each J-entry equals its
     truncation exponent."""
+    if maxdeg < 0:
+        raise ValidationError("maxdeg must be non-negative")
     kind, basis = rost_part_basis(model)
     report = {"case": model.label(), "maxdeg": maxdeg}
     if kind != "exact":

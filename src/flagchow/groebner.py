@@ -6,12 +6,15 @@ canonical normal forms for every polynomial at or below that degree.
 Nothing ever attempts a full basis.  The monomial order is grevlex, the
 only one flagchow uses.
 
-Inside the engine a monomial is one integer key whose native order is
-grevlex (Packing): a monomial product is an addition, a term shift is
-m + lt - glt, and divisibility is one subtraction against guard bits,
-((t | G) - g) & G == G.  The packing is built once per (ring, maxdeg) by
-buchberger and kept on the GroebnerBasis it returns.  Exponent tuples
-appear only at the boundary: input relations and returned polynomials.
+Inside the engine a monomial is one integer key, its exponent fields alone
+(Packing), and its topdeg is kept beside the key: a monomial product is an
+addition, a term shift is m + lt - glt, and divisibility is one subtraction
+against guard bits, ((t | G) - g) & G == G.  Within one topdeg a smaller key
+is the grevlex-larger monomial, and the engine compares no others:
+relations, S-polynomials and tails are homogeneous, so a reduction never
+mixes topdegs.  The packing is built once per (ring, maxdeg) by buchberger
+and kept on the GroebnerBasis it returns.  Exponent tuples appear only at
+the boundary: input relations and returned polynomials.
 Coefficients are in F_p, the ring's field.  Each basis element is monic
 and stores its tail negated, so a reduction step only adds multiples of
 tails; a coefficient is reduced mod p once, when its term is popped.
@@ -40,20 +43,21 @@ from .ring import Polynomial
 
 
 class Packing:
-    """Grevlex-ordered integer keys for the monomials of topdeg <= maxdeg.
+    """Integer keys for the monomials of topdeg <= maxdeg: the exponent
+    fields alone.
 
     Each exponent gets a field of b = bit_length(maxdeg // min weight) + 1
-    bits whose top bit is a guard bit.  Read as digits, most significant
-    first, a key spells grevlex's comparison tuple (deg, -e_{n-1}, ..., -e_0):
-    it is K(e) = (deg << n*b) - X with X = sum e_i << (i*b), linear in the
-    exponents, K(e) = sum e_i kappa_i, so pack(a) + pack(b) == pack(a + b)
-    and a term shift is m + lt - glt.  Adding the constant `fields`, E =
-    2^(b-1) - 1 in every field, turns every negated digit -e into E - e, so
-    all digits are non-negative and the integer order is the digit order.
-    view(K) masks out the degree digit and undoes that complement: the
-    exponents as plain fields, guard bits clear.  Then x divides y exactly when
+    bits whose top bit is a guard bit, and pack(e) = sum e_i << s_i with
+    s_i = i*b, guard bits clear.  The key is linear in the exponents,
+    pack(e) = sum e_i kappa_i, so pack(a) + pack(b) == pack(a + b) and a term
+    shift is m + lt - glt.  The topdeg is not in the key; the engine keeps it
+    beside the key.  Within one topdeg a smaller key is the grevlex-larger
+    monomial: the most significant field is e_{n-1}, and of two monomials of
+    one degree grevlex prefers the smaller e_{n-1}, then e_{n-2}, and so on.
+    Keys of different topdegs are never compared.  x divides y exactly when
     ((y | G) - x) & G == G for the guard mask G: each field subtracts from
-    its own set guard bit and never borrows beyond it.
+    its own set guard bit and never borrows beyond it.  `fields` holds emax
+    in every field, so the guard bits of x + fields mark x's support.
 
     Keys are exact only for monomials of topdeg <= maxdeg; the engine never
     forms others.
@@ -62,24 +66,19 @@ class Packing:
     __slots__ = ("maxdeg", "kappa", "shifts", "emax", "fields", "guard")
 
     def __init__(self, topdegs, maxdeg):
-        n = len(topdegs)
         b = (maxdeg // min(topdegs, default=2)).bit_length() + 1
         self.maxdeg = maxdeg
         self.emax = (1 << (b - 1)) - 1
-        self.shifts = [i * b for i in range(n)]
-        self.kappa = [(w << n * b) - (1 << s) for w, s in zip(topdegs, self.shifts)]
+        self.shifts = [i * b for i in range(len(topdegs))]
+        self.kappa = [1 << s for s in self.shifts]
         self.fields = sum(self.emax << s for s in self.shifts)
         self.guard = sum(1 << (s + b - 1) for s in self.shifts)
 
     def pack(self, exps):
         return sum(map(mul, exps, self.kappa))
 
-    def view(self, key):
-        return ((key + self.fields) & self.fields) ^ self.fields
-
     def unpack(self, key):
-        x = self.view(key)
-        return tuple((x >> s) & self.emax for s in self.shifts)
+        return tuple((key >> s) & self.emax for s in self.shifts)
 
 
 # ---------------------------------------------------------------------------
@@ -179,30 +178,32 @@ def _reduce(work, divisors, packing, p):
     """Full normal form of work, a dict key -> coefficient mod p, which it
     consumes.
 
-    divisors are (view of the leading monomial, tail) pairs of monic basis
-    elements, tail the (key - leading key, -coefficient mod p) pairs of the
-    other terms, negated so that a step adds c times the tail; a term is
-    reduced by the first divisor whose leading monomial divides it.  work's
-    values are any integers: a coefficient is reduced mod p once, when its
-    term is popped.  The largest term comes from a max-heap holding each key
-    of work once: a term that cancels keeps its key with a value divisible
-    by p, so one that comes back is not pushed again, and a popped 0 is
-    skipped.  Returns the normal form's terms, coefficients in 1..p-1,
-    largest key first, and the number of reduction steps.
+    divisors are (leading key, tail) pairs of monic basis elements, tail
+    the (key - leading key, -coefficient mod p) pairs of the other terms,
+    negated so that a step adds c times the tail; a term is reduced by the
+    first divisor whose leading monomial divides it.  work's values are any
+    integers: a coefficient is reduced mod p once, when its term is popped.
+    Within a topdeg the grevlex-largest term has the smallest key, so it
+    comes from a min-heap of the keys themselves, each key of work held
+    once; a step replaces a term by grevlex-smaller ones of its topdeg,
+    larger keys, so the keys popped only rise.  A term that cancels keeps
+    its key with a value divisible by p, so one that comes back is not
+    pushed again, and a popped 0 is skipped.  Returns the normal form's
+    terms, coefficients in 1..p-1, smallest key first (for homogeneous work
+    the leading term first), and the number of reduction steps.
     """
-    fields, guard = packing.fields, packing.guard
-    flip = fields | guard
-    heap = [-k for k in work]
+    guard = packing.guard
+    heap = list(work)
     heapq.heapify(heap)
     pop, push, get = heapq.heappop, heapq.heappush, work.get
     result = {}
     steps = 0
     while heap:
-        k = -pop(heap)
+        k = pop(heap)
         c = work.pop(k) % p
         if not c:
             continue
-        y = ((k + fields) & fields) ^ flip
+        y = k | guard
         for x, tail in divisors:
             if (y - x) & guard == guard:
                 steps += 1
@@ -211,7 +212,7 @@ def _reduce(work, divisors, packing, p):
                     old = get(m)
                     if old is None:
                         work[m] = c * gc
-                        push(heap, -m)
+                        push(heap, m)
                     else:
                         work[m] = old + c * gc
                 break
@@ -222,11 +223,10 @@ def _reduce(work, divisors, packing, p):
 
 class GroebnerBasis:
     """A degree-truncated basis over F_p: the monic elements buchberger
-    found, each minimal, as (topdeg, leading key, view of it, tail) in
-    _minimal, in the order found and tails not reduced; a tail holds the
-    (key - leading key, -coefficient mod p) pairs of the other terms.
-    stats holds the run's counters (STAT_KEYS), final when buchberger
-    returns."""
+    found, each minimal, as (topdeg, leading key, tail) in _minimal, in the
+    order found and tails not reduced; a tail holds the (key - leading key,
+    -coefficient mod p) pairs of the other terms.  stats holds the run's
+    counters (STAT_KEYS), final when buchberger returns."""
 
     __slots__ = ("ring", "maxdeg", "stats", "_packing", "_minimal")
 
@@ -266,11 +266,11 @@ def buchberger(relations, ring, maxdeg):
     pop, push = heapq.heappop, heapq.heappush
     pushed = popped = product = chain = reductions = zeros = steps = 0
 
-    # per element: leading key, its exponents, its weighted exponents e_i w_i
-    # (their maxima sum to a pair's topdeg) and its topdeg, the (view, tail)
+    # per element: its exponents, its weighted exponents e_i w_i (their
+    # maxima sum to a pair's topdeg) and its topdeg, the (leading key, tail)
     # divisor _reduce takes, and done, whose bit k is set once the pair
     # with element k has been popped
-    leads, exps, wexps, degs, divisors, done = [], [], [], [], [], []
+    exps, wexps, degs, divisors, done = [], [], [], [], []
 
     # entries (topdeg, seq, i, j) for the pair of elements i and j, seq the
     # count of pairs formed before it, and (topdeg, seq, terms, None) for a
@@ -296,7 +296,7 @@ def buchberger(relations, ring, maxdeg):
                 product += 1
                 continue
             key = sum(map(mul, map(max, exps[i], exps[j]), kappa))
-            x = pk.view(key) | guard
+            x = key | guard
             both = done[i] & done[j]
             while both:
                 bit = both & -both
@@ -320,26 +320,23 @@ def buchberger(relations, ring, maxdeg):
             continue
         lead = next(iter(h))
         neg = p - ring.coeff_inv(h[lead])
-        x = pk.view(lead)
-        e = [x >> s & emax for s in shifts]
+        e = [lead >> s & emax for s in shifts]
         we = tuple(map(mul, e, weights))
         for k, f in enumerate(wexps):
             lcm_deg = sum(map(max, f, we))
             if lcm_deg <= maxdeg:
-                push(heap, (lcm_deg, pushed, k, len(leads)))
+                push(heap, (lcm_deg, pushed, k, len(divisors)))
                 pushed += 1
-        leads.append(lead)
         exps.append(e)
         wexps.append(we)
         degs.append(d)
-        divisors.append((x, tuple((k - lead, c * neg % p)
+        divisors.append((lead, tuple((k - lead, c * neg % p)
                                   for k, c in h.items() if k != lead)))
         done.append(0)
 
-    minimal = [(d, lead, x, tail)
-               for d, lead, (x, tail) in zip(degs, leads, divisors)]
+    minimal = [(d, lead, tail) for d, (lead, tail) in zip(degs, divisors)]
     stats = dict(zip(STAT_KEYS, (pushed, popped, product, chain, reductions,
-                                 zeros, steps, len(leads), len(minimal))))
+                                 zeros, steps, len(divisors), len(minimal))))
     return GroebnerBasis(ring, pk, minimal, stats)
 
 
@@ -365,7 +362,7 @@ def normal_form(f, gb):
         raise OutOfRangeError("topdeg %d above truncation %d" % (d, gb.maxdeg))
     pk = gb._packing
     terms, _ = _reduce({pk.pack(m): c for m, c in f.terms.items()},
-                       [(x, t) for _, _, x, t in gb._minimal], pk, gb.ring.p)
+                       [(x, t) for _, x, t in gb._minimal], pk, gb.ring.p)
     return Polynomial(gb.ring, {pk.unpack(k): c for k, c in terms.items()})
 
 
@@ -374,7 +371,7 @@ def normal_form(f, gb):
 
 
 def _minimal(gens, guard, maxdeg):
-    """The minimal generators of topdeg <= maxdeg among gens, (topdeg, view)
+    """The minimal generators of topdeg <= maxdeg among gens, (topdeg, key)
     pairs, sorted: a pairwise divisibility scan in topdeg order."""
     mins = []
     for d, x in sorted(set(gens)):
@@ -392,7 +389,7 @@ def _minimal(gens, guard, maxdeg):
 def _k_numerator(mins, pk, weights, maxdeg):
     """Numerator K of HS(S/(mins)) = K / prod(1 - q^w), truncated at maxdeg.
 
-    mins are (topdeg, view) pairs of monomials in the fields of the packing
+    mins are (topdeg, key) pairs of monomials in the fields of the packing
     pk, minimal (none divides another) and of topdeg <= maxdeg.  Pivot
     recursion K(I) = K(I + (p)) + q^deg(p) K(I : p) on p = x_i^e, where x_i
     lies in the most generators and e is the median exponent of x_i over
@@ -449,7 +446,7 @@ def _k_numerator(mins, pk, weights, maxdeg):
 def _standard_monomial_dims(mins, pk, weights, maxdeg):
     """Count monomials of each topdeg <= maxdeg divisible by none of mins.
 
-    mins are (topdeg, view) pairs in the fields of the packing pk, minimal
+    mins are (topdeg, key) pairs in the fields of the packing pk, minimal
     and of topdeg <= maxdeg, as buchberger's leading monomials are.
     Bayer-Stillman pivot recursion (J. Symb. Comp. 14, 1992) with Bigatti's
     pivot choice (Comm. Algebra 25, 1997) on their monomial ideal, in exact
@@ -478,6 +475,6 @@ def hilbert_series(pres, maxdeg):
     reduced.
     """
     gb = groebner(pres, maxdeg)
-    leads = [(d, x) for d, _, x, _ in gb._minimal]
+    leads = [(d, x) for d, x, _ in gb._minimal]
     return HilbertSeries(_standard_monomial_dims(leads, gb._packing,
                                                  pres.ring.topdegs, maxdeg))

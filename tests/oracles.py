@@ -660,18 +660,21 @@ def buchberger_reference(relations, ring, order, maxdeg, stats=None):
 
 def reduced_basis(gb):
     """The reduced basis of a packed GroebnerBasis, sorted by (topdeg,
-    leading monomial), terms largest first.  `_minimal` stores each element
-    monic, with its tail negated (each stored coefficient is minus the
-    element's own), so this negates each tail back before it reduces it.
-    Each call reduces every tail by all the elements in the order found:
-    one of higher topdeg divides none of its terms, and neither does the
-    element itself, whose leading monomial is larger than each of them.
-    It calls the engine's `_reduce` through its module, so a test that
-    counts those calls counts these."""
+    leading monomial) in grevlex as `order_key` spells it, so the order
+    rests on no property of the engine's keys; terms largest first.
+    `_minimal` stores each element monic, with its tail negated (each stored
+    coefficient is minus the element's own), so this negates each tail back
+    before it reduces it.  Each call reduces every tail by all the elements
+    in the order found: one of higher topdeg divides none of its terms, and
+    neither does the element itself, whose leading monomial is larger than
+    each of them.  It calls the engine's `_reduce` through its module, so a
+    test that counts those calls counts these."""
     pk, p = gb._packing, gb.ring.p
-    divisors = [(x, t) for _, _, x, t in gb._minimal]
+    key = order_key("grevlex", gb.ring)
+    divisors = [(x, t) for _, x, t in gb._minimal]
     out = []
-    for _, lead, _, tail in sorted(gb._minimal):
+    for _, lead, tail in sorted(gb._minimal,
+                                key=lambda m: (m[0], key(pk.unpack(m[1])))):
         terms, _ = engine._reduce({lead + off: -c for off, c in tail},
                                   divisors, pk, p)
         out.append(Polynomial(gb.ring, {pk.unpack(k): c for k, c

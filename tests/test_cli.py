@@ -84,6 +84,20 @@ def test_hilbert_refuses_a_negative_maxdeg_on_both_routes(flags, capsys):
             2, "", "error: maxdeg must be non-negative\n")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--group", "U", "--rank", "3", "--prime", "2"],
+    ["--group", "Spin", "--rank", "5", "--prime", "2"],
+    ["--group", "F4", "--prime", "3"],
+], ids=["checked", "surjection-target", "symbolic"])
+def test_decompose_refuses_a_negative_maxdeg_before_any_skip(flags, capsys):
+    # a case whose check is skipped printed `status: skipped` and exited 0
+    for fmt in ("text", "json"):
+        code, out = run_cli(["--format", fmt, "decompose"] + flags
+                            + ["--maxdeg", "-1"])
+        assert (code, out, capsys.readouterr().err) == (
+            2, "", "error: maxdeg must be non-negative\n")
+
+
 def test_hilbert_carries_the_note_of_a_symbolic_presentation():
     # in JSON and as the last text line, as `present` carries it, on exactly
     # the four symbolic cases
