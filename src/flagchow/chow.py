@@ -8,9 +8,9 @@ indecomposable-summand Chow groups are degree-tagged lists, never rings (no
 canonical ring structure exists there); quotient presentations are rings.
 The decomposition identity compares the quotient's series, by Groebner
 basis, with the summand basis times the torus factor S(t)/(b), which is
-Stanley's product for the regular sequence b.  `presentation_series`, the
-series `hilbert` prints, gives U, Sp, PU, SO and SOeven by theorem, with no
-presentation or Groebner basis built, and the other cases by Groebner basis.
+Stanley's product for the regular sequence b.  That product is also
+`presentation_series`, the series `hilbert` prints, on every served
+presentation, with no Groebner basis built.
 """
 
 from itertools import combinations
@@ -104,39 +104,41 @@ def _build_presentation(model):
 _CLASSICAL = ("U", "Sp", "PU", "SO_odd", "SO_even")
 
 
+def _has_torus_forms(model):
+    """Whether the model's transgression forms on the torus are known:
+    stored (`explicit_b`) or computed (the classical families)."""
+    return model.explicit_b is not None or model.family in _CLASSICAL
+
+
 def presentation_series(model, maxdeg):
     """(HS(chow_presentation(model)) through maxdeg, the presentation's note).
 
-    U, Sp, PU, SO and SOeven come by theorem, with no presentation built.
-    The relations of U, Sp, SO and SOeven are l forms in the l torus
-    variables with no common zero but 0, a regular sequence, so the series
-    is prod(1 - q^d_i) / (1 - q^2)^l (Stanley, Bull. AMS 1, 1979).  PU(p)'s
-    relations span I^2, I = (c_1..c_l) regular, and I/I^2 is free over S/I
-    on the c_i: the U(l) series times 1 + sum q^|c_i|.  The other cases'
-    series comes by Groebner basis."""
+    The series is `_product_series`, with no Groebner basis: the relations
+    of U, Sp, SO and SOeven are a regular sequence of l forms in the l
+    torus variables (Stanley, Bull. AMS 1, 1979), and those of a
+    one-generator part span I^2 + J, I = (b_1..b_{2p-2}) and J the later
+    forms, where I/I^2 is free over S/(I + J) on the summand basis b_i.  A
+    model with torus forms builds no presentation; a symbolic one builds it
+    for its note, and a surjection target raises as `chow_presentation`."""
     if maxdeg < 0:
         raise ValidationError("maxdeg must be non-negative")
-    degs = _relation_degrees(model)
-    if degs is None:
-        pres = chow_presentation(model)
-        return hilbert_series(pres, maxdeg), pres.note
-    hs = hs_from_degrees([0] + degs if model.family == "PU" else [0], maxdeg)
-    hs_times(hs.dims, numer=degs, denom=[2] * model.rank)
-    return hs, None
+    note = None if _has_torus_forms(model) else chow_presentation(model).note
+    return _product_series(model, maxdeg), note
 
 
-def _relation_degrees(model):
-    """The topdegs of the relations `_build_presentation` writes for U, Sp,
-    SO and SOeven, and of c_1..c_l for PU; None for the other families."""
-    fam, l = model.family, model.rank
-    if fam not in _CLASSICAL:
-        return None
-    # the forms' degrees, doubled for the squares of SO and SOeven, whose
-    # last relation is e_l itself
-    degs = [(2 if fam in ("U", "PU") else 4) * i for i in range(1, l + 1)]
-    if fam == "SO_even":
-        degs[-1] = 2 * l
-    return degs
+def _product_series(model, maxdeg):
+    """HS(summand basis) * prod(1 - q^|b_i|) / prod(1 - q^w_j) through
+    maxdeg, for an exact summand basis: the entry degrees |b_i|, and the
+    torus weights w_j, or the symbols' own degrees where no torus forms are
+    stored."""
+    degs = {e.index: e.topdeg for e in model.transgression}
+    _, products = _summand_products(model)
+    hs = hs_from_degrees(
+        [0] + [sum(map(degs.__getitem__, idxs)) for idxs in products], maxdeg)
+    b = list(degs.values())
+    hs_times(hs.dims, numer=b,
+             denom=[2] * model.rank if _has_torus_forms(model) else b)
+    return hs
 
 
 def _torus_forms(model):
@@ -144,13 +146,12 @@ def _torus_forms(model):
     catalog stores none: the Pontryagin classes p_1..p_l for Sp, the stored
     explicit forms of a one-generator case, else the Chern classes
     e_1..e_l."""
+    if not _has_torus_forms(model):
+        return None
     if model.explicit_b is not None:
         return [model.explicit_b[i] for i in sorted(model.explicit_b)]
-    fam = model.family
-    if fam not in _CLASSICAL:
-        return None
     ring = t_ring(model.rank, model.prime)
-    return pontryagin_class(ring) if fam == "Sp" else elementary_symmetric(ring)
+    return pontryagin_class(ring) if model.family == "Sp" else elementary_symmetric(ring)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +235,10 @@ def verify_additive_decomposition(model, maxdeg):
     HS(full quotient) = HS(summand basis) * HS(torus/(b)).  The left side is
     the quotient's series by Groebner basis.  On the right, the transgression
     forms b are a regular sequence, so HS(torus/(b)) is Stanley's product
-    prod(1 - q^|b_i|) / prod(1 - q^|t_j|) (Bull. AMS 1, 1979) over the entry
-    degrees and the presentation ring's weights.  The factor HS(P'(y)) of the
-    inner truncated part is 1: in a versal case each J-entry equals its
-    truncation exponent."""
+    prod(1 - q^|b_i|) / prod(1 - q^|t_j|) (Bull. AMS 1, 1979), and the side
+    is `_product_series`, the series `hilbert` prints.  The factor HS(P'(y))
+    of the inner truncated part is 1: in a versal case each J-entry equals
+    its truncation exponent."""
     if maxdeg < 0:
         raise ValidationError("maxdeg must be non-negative")
     kind, basis = rost_part_basis(model)
@@ -252,9 +253,7 @@ def verify_additive_decomposition(model, maxdeg):
         report["detail"] = "presentation is symbolic"
         return report
     lhs = hilbert_series(pres, maxdeg)
-    rhs = hs_from_degrees([b.topdeg for b in basis], maxdeg)
-    hs_times(rhs.dims, numer=[e.topdeg for e in model.transgression],
-             denom=pres.ring.topdegs)
+    rhs = _product_series(model, maxdeg)
     report["status"] = "pass" if lhs == rhs else "fail"
     report["lhs"] = lhs.dims
     report["rhs"] = rhs.dims

@@ -5,8 +5,8 @@ torsion-index, steenrod, verify.  Exit codes: 0 all pass, 1 verification
 failure, 2 usage or data error.  Output is deterministic; --format switches
 between a text rendering and JSON of the same payload.  The environment
 variable FLAGCHOW_MAXDEG caps the truncation degree (default 60).
-`hilbert` answers U, Sp, PU, SO and SOeven by theorem and the other cases
-by Groebner basis (`chow.presentation_series`), with the presentation's
+`hilbert` answers every served presentation by one product, with no
+Groebner basis (`chow.presentation_series`), and with the presentation's
 note where it is symbolic.
 
 The grammar is one table, `_COMMANDS`: each subcommand's one-line help and

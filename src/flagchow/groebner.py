@@ -27,12 +27,16 @@ bookkeeping is small: the chain criterion reads one bitmask of popped pairs
 per element.  The tails are never reduced: a normal form, unique for any
 Groebner basis (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms,
 Prop. 2.6.1), reduces by the elements as found.
-The Hilbert series reads only the minimal leading monomials, packed.
+The Hilbert series reads only the minimal leading monomials, packed, and
+its pivot recursion works on truncated series: a leaf of pairwise coprime
+generators expands prod(1 - q^d) only up to the running degree sum, and a
+factor 1/(1 - q) of the denominator is one prefix sum.
 """
 
 import heapq
+from itertools import accumulate
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 from .errors import OutOfRangeError, ValidationError
 from .ring import Polynomial
@@ -57,7 +61,9 @@ class Packing:
     Keys of different topdegs are never compared.  x divides y exactly when
     ((y | G) - x) & G == G for the guard mask G: each field subtracts from
     its own set guard bit and never borrows beyond it.  `fields` holds emax
-    in every field, so the guard bits of x + fields mark x's support.
+    in every field, so the guard bits of x + fields mark x's support; both
+    it and the guard mask are multiples of the sum of the kappa_i, which has
+    a 1 at the start of every field.
 
     Keys are exact only for monomials of topdeg <= maxdeg; the engine never
     forms others.
@@ -71,8 +77,9 @@ class Packing:
         self.emax = (1 << (b - 1)) - 1
         self.shifts = [i * b for i in range(len(topdegs))]
         self.kappa = [1 << s for s in self.shifts]
-        self.fields = sum(self.emax << s for s in self.shifts)
-        self.guard = sum(1 << (s + b - 1) for s in self.shifts)
+        ones = sum(self.kappa)
+        self.fields = self.emax * ones
+        self.guard = ones << (b - 1)
 
     def pack(self, exps):
         return sum(map(mul, exps, self.kappa))
@@ -139,26 +146,35 @@ def hs_from_degrees(degrees, maxdeg):
     return HilbertSeries(dims)
 
 
-def hs_times(dims, numer=(), denom=()):
+def hs_times(dims, numer=(), denom=(), top=None):
     """Multiply a truncated series in place by prod(1 - q^a) / prod(1 - q^b).
 
     dims is a list of coefficients of q^0..q^maxdeg; numer and denom are
     degree lists.  Every denominator factor has constant term 1, so the
     division is exact modulo q^(maxdeg+1).  (1 + q^d) is (1 - q^2d)/(1 - q^d)
     and the geometric factor 1 + q^s + ... + q^((c-1)s) is
-    (1 - q^cs)/(1 - q^s).
+    (1 - q^cs)/(1 - q^s).  top, where given, is a degree above which dims
+    is 0; each numerator factor raises it by a and walks only up to it.  A
+    factor 1/(1 - q) is one prefix sum.
     """
     n = len(dims)
+    top = n - 1 if top is None else top
     for a in numer:
         if a < 0:
             raise ValidationError("factor degree must be non-negative, got %r" % (a,))
-        for k in range(n - 1, a - 1, -1):
+        top += a
+        if top >= n:
+            top = n - 1
+        for k in range(top, a - 1, -1):
             dims[k] -= dims[k - a]
     for b in denom:
         if b < 1:
             raise ValidationError("divisor degree must be positive, got %r" % (b,))
-        for k in range(b, n):
-            dims[k] += dims[k - b]
+        if b == 1:
+            dims[:] = accumulate(dims)
+        else:
+            for k in range(b, n):
+                dims[k] += dims[k - b]
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +418,11 @@ def _k_numerator(mins, pk, weights, maxdeg):
     remaining degree cannot change the truncated series and are dropped.
     The generator counts per variable come from the sum of the generators'
     support masks while there are at most emax generators, so no field of
-    the sum overflows; past that they are counted field by field.
+    the sum overflows; past that they are counted field by field.  A node
+    whose generators are pairwise coprime is a leaf, K = prod(1 - q^d),
+    expanded from 1 only up to the running degree sum (hs_times's top), and
+    the colon child's K is added, shifted by deg(p), in one slice.
     """
-    out = [0] * (maxdeg + 1)
-    out[0] = 1
     fields, guard, emax = pk.fields, pk.guard, pk.emax
     # the guard bit of a field of x + fields is set when that field is not 0;
     # the supports are pairwise coprime exactly when their sum is their union
@@ -415,7 +432,8 @@ def _k_numerator(mins, pk, weights, maxdeg):
         seen |= support
         total += support
     if seen == total:
-        hs_times(out, numer=[d for d, _ in mins])
+        out = [1] + [0] * maxdeg
+        hs_times(out, numer=[d for d, _ in mins], top=0)
         return out
     if len(mins) <= emax:
         # a field's guard bit sits emax.bit_length() bits above its start
@@ -426,20 +444,22 @@ def _k_numerator(mins, pk, weights, maxdeg):
     i = counts.index(max(counts))
     s, w = pk.shifts[i], weights[i]
     # a generator is a pure power of x_i when x_i carries all its topdeg
-    exps = sorted(f for f, d in ((x >> s & emax, d) for d, x in mins)
-                  if f and f * w < d)
+    exps = sorted([f for d, x in mins
+                   if (f := x >> s & emax) and f * w < d])
     e = exps[len(exps) // 2]
     shift = e * w
+    # p divides the generators whose x_i field is at least e, and the colon
+    # lowers that field by e; it clears the field of the others, which the
+    # pivot child keeps beside p.  p goes first, since a leaf expands its
+    # factors in order and p's topdeg is mostly the least
     pivot = [(d, x) for d, x in mins if x >> s & emax < e]
-    pivot.append((shift, e << s))
-    out = _k_numerator(pivot, pk, weights, maxdeg)
-    colon = []
-    for d, x in mins:
-        f = min(x >> s & emax, e)
-        colon.append((d - f * w, x - (f << s)))
+    colon = [(d - shift, x - (e << s)) for d, x in mins if x >> s & emax >= e]
+    colon += [(d - f * w, x - (f << s))
+              for d, x in pivot for f in (x >> s & emax,)]
+    out = _k_numerator([(shift, e << s)] + pivot, pk, weights, maxdeg)
     colon = _minimal(colon, guard, maxdeg - shift)
-    for k, c in enumerate(_k_numerator(colon, pk, weights, maxdeg - shift)):
-        out[k + shift] += c
+    out[shift:] = map(add, out[shift:],
+                      _k_numerator(colon, pk, weights, maxdeg - shift))
     return out
 
 

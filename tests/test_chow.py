@@ -11,7 +11,6 @@ from flagchow.catalog import (
 )
 from flagchow.chow import (
     BasisElement,
-    _relation_degrees,
     _torus_forms,
     chow_presentation,
     presentation_series,
@@ -354,45 +353,29 @@ def test_stanley_product_matches_the_groebner_series_of_the_torus_quotient():
     assert compared == 43 * 7
 
 
-# the families whose series `presentation_series` gives by theorem
-BY_THEOREM = ("U", "Sp", "PU", "SO_odd", "SO_even")
-
-
-def test_the_series_by_theorem_equals_the_groebner_series_on_every_classical_model():
-    # a copy of each model with no presentation kept shows that the theorem
-    # route builds none
-    compared = 0
+def test_the_product_series_equals_the_groebner_series_on_every_served_presentation():
+    # a copy of each model with no presentation kept shows that a model with
+    # torus forms builds none; a case known only through a surjection raises
+    # as chow_presentation does
+    compared = raised = 0
     for _, m in catalog._served_models():
-        if m.family not in BY_THEOREM:
-            continue
         bare = copy.copy(m)
         bare._presentation = None
-        pres = chow_presentation(m)
+        try:
+            pres = chow_presentation(m)
+        except PresentationUnavailableError as exc:
+            with pytest.raises(PresentationUnavailableError) as caught:
+                presentation_series(bare, m.dim_gt)
+            assert str(caught.value) == str(exc), m.label()
+            raised += 1
+            continue
         for maxdeg in (0, 1, 7, 20, 40, 60, m.dim_gt):
             assert presentation_series(bare, maxdeg) == (
-                hilbert_series(pres, maxdeg), None), (m.label(), maxdeg)
+                hilbert_series(pres, maxdeg), pres.note), (m.label(), maxdeg)
             compared += 1
-        assert bare._presentation is None, m.label()
-    assert compared == 42 * 7
-
-
-def test_the_series_by_theorem_reads_the_relation_degrees_of_the_presentation():
-    # the regular families' relation degrees are the presentation's; PU(p)'s
-    # relations are the products c_i c_j of the forms whose degrees it reads
-    checked = 0
-    for _, m in catalog._served_models():
-        degs = _relation_degrees(m)
-        if m.family not in BY_THEOREM:
-            assert degs is None, m.label()
-            continue
-        tops = [r.topdeg() for r in chow_presentation(m).relations]
-        if m.family == "PU":
-            assert tops == [a + b for i, a in enumerate(degs)
-                            for b in degs[i:]], m.label()
-        else:
-            assert degs == tops, m.label()
-        checked += 1
-    assert checked == 42
+        if _torus_forms(m) is not None:
+            assert bare._presentation is None, m.label()
+    assert (compared, raised) == (47 * 7, 7)
 
 
 def _with_relations(model, relations):

@@ -74,9 +74,11 @@ def test_hilbert_large_unitary_ranks():
 
 @pytest.mark.parametrize("flags", [
     ["--group", "U", "--rank", "3", "--prime", "2"],
-    ["--group", "G2", "--prime", "2"],
-], ids=["by-theorem", "by-groebner"])
+    ["--group", "F4", "--prime", "3"],
+], ids=["torus-forms", "symbolic"])
 def test_hilbert_refuses_a_negative_maxdeg_on_both_routes(flags, capsys):
+    # a symbolic case builds its presentation for the note, after the
+    # degree is checked
     for fmt in ("text", "json"):
         code, out = run_cli(["--format", fmt, "hilbert"] + flags
                             + ["--maxdeg", "-1"])

@@ -364,6 +364,40 @@ def test_one_minus_q_series():
         hs_times(s, denom=[0])
 
 
+def _truncated_product(dims, numer, denom):
+    """dims times prod(1 - q^a) / prod(1 - q^b), each factor expanded as a
+    polynomial or a geometric series and multiplied in full, then cut at
+    len(dims): the reference for hs_times."""
+    n = len(dims)
+    out = list(dims)
+    factors = [{0: 1, a: -1} if a else {} for a in numer]
+    factors += [{k: 1 for k in range(0, n, b)} for b in denom]
+    for f in factors:
+        prod = [0] * (n + max(f, default=0))
+        for i, x in enumerate(out):
+            for k, c in f.items():
+                prod[i + k] += x * c
+        out = prod[:n]
+    return out
+
+
+def test_hs_times_equals_the_truncated_product():
+    # zero tails (the support bound `top`, or none), numerator degrees with
+    # 0 among them, and unit and non-unit denominator weights
+    rng = random.Random(33)
+    for _ in range(400):
+        n = rng.randint(1, 24)
+        top = rng.randint(0, n - 1)
+        dims = [rng.randint(-3, 3) for _ in range(top + 1)] + [0] * (n - 1 - top)
+        numer = [rng.choice((0, 1, 2, 3, 5, 8, 30)) for _ in range(rng.randint(0, 6))]
+        denom = [rng.choice((1, 1, 2, 3, 7)) for _ in range(rng.randint(0, 6))]
+        expected = _truncated_product(dims, numer, denom)
+        bounded, unbounded = list(dims), list(dims)
+        hs_times(bounded, numer=numer, denom=denom, top=top)
+        hs_times(unbounded, numer=numer, denom=denom)
+        assert bounded == unbounded == expected, (dims, numer, denom, top)
+
+
 # --- packed monomials -------------------------------------------------------
 
 
