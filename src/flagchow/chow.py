@@ -130,14 +130,16 @@ def _product_series(model, maxdeg):
     """HS(summand basis) * prod(1 - q^|b_i|) / prod(1 - q^w_j) through
     maxdeg, for an exact summand basis: the entry degrees |b_i|, and the
     torus weights w_j, or the symbols' own degrees where no torus forms are
-    stored."""
+    stored.  The summand series is 0 above its top degree, so each
+    numerator factor walks only up to the running degree sum."""
     degs = {e.index: e.topdeg for e in model.transgression}
     _, products = _summand_products(model)
-    hs = hs_from_degrees(
-        [0] + [sum(map(degs.__getitem__, idxs)) for idxs in products], maxdeg)
+    summand = [0] + [sum(map(degs.__getitem__, idxs)) for idxs in products]
+    hs = hs_from_degrees(summand, maxdeg)
     b = list(degs.values())
     hs_times(hs.dims, numer=b,
-             denom=[2] * model.rank if _has_torus_forms(model) else b)
+             denom=[2] * model.rank if _has_torus_forms(model) else b,
+             top=max(summand))
     return hs
 
 
