@@ -27,10 +27,9 @@ bookkeeping is small: the chain criterion reads one bitmask of popped pairs
 per element.  The tails are never reduced: a normal form, unique for any
 Groebner basis (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms,
 Prop. 2.6.1), reduces by the elements as found.
-The Hilbert series reads only the minimal leading monomials, packed, and
-its pivot recursion works on truncated series: a leaf of pairwise coprime
-generators expands prod(1 - q^d) only up to the running degree sum, and a
-factor 1/(1 - q) of the denominator is one prefix sum.
+The Hilbert series reads only the minimal leading monomials, packed; a
+leaf of its pivot recursion expands prod(1 - q^d) only up to the running
+degree sum, and a factor 1/(1 - q) of the denominator is one prefix sum.
 """
 
 import heapq
@@ -61,9 +60,7 @@ class Packing:
     Keys of different topdegs are never compared.  x divides y exactly when
     ((y | G) - x) & G == G for the guard mask G: each field subtracts from
     its own set guard bit and never borrows beyond it.  `fields` holds emax
-    in every field, so the guard bits of x + fields mark x's support; both
-    it and the guard mask are multiples of the sum of the kappa_i, which has
-    a 1 at the start of every field.
+    in every field, so the guard bits of x + fields mark x's support.
 
     Keys are exact only for monomials of topdeg <= maxdeg; the engine never
     forms others.
@@ -448,10 +445,8 @@ def _k_numerator(mins, pk, weights, maxdeg):
                    if (f := x >> s & emax) and f * w < d])
     e = exps[len(exps) // 2]
     shift = e * w
-    # p divides the generators whose x_i field is at least e, and the colon
-    # lowers that field by e; it clears the field of the others, which the
-    # pivot child keeps beside p.  p goes first, since a leaf expands its
-    # factors in order and p's topdeg is mostly the least
+    # the colon lowers each x_i field by min(field, e); p goes first in the
+    # pivot child, since a leaf expands its factors in order
     pivot = [(d, x) for d, x in mins if x >> s & emax < e]
     colon = [(d - shift, x - (e << s)) for d, x in mins if x >> s & emax >= e]
     colon += [(d - f * w, x - (f << s))
