@@ -123,20 +123,21 @@ def presentation_series(model, maxdeg):
     if maxdeg < 0:
         raise ValidationError("maxdeg must be non-negative")
     note = None if _has_torus_forms(model) else chow_presentation(model).note
-    return _product_series(model, maxdeg), note
-
-
-def _product_series(model, maxdeg):
-    """HS(summand basis) * prod(1 - q^|b_i|) / prod(1 - q^w_j) through
-    maxdeg, for an exact summand basis: the entry degrees |b_i|, and the
-    torus weights w_j, or the symbols' own degrees where no torus forms are
-    stored.  The summand series is 0 above its top degree, so each
-    numerator factor walks only up to the running degree sum."""
+    # the summand basis's degrees, as `rost_part_basis` grades its elements
     degs = {e.index: e.topdeg for e in model.transgression}
     _, products = _summand_products(model)
     summand = [0] + [sum(map(degs.__getitem__, idxs)) for idxs in products]
+    return _product_series(model, summand, maxdeg), note
+
+
+def _product_series(model, summand, maxdeg):
+    """HS(summand basis) * prod(1 - q^|b_i|) / prod(1 - q^w_j) through
+    maxdeg, from the degrees of an exact summand basis: the entry degrees
+    |b_i|, and the torus weights w_j, or the symbols' own degrees where no
+    torus forms are stored.  The summand series is 0 above its top degree,
+    so each numerator factor walks only up to the running degree sum."""
+    b = [e.topdeg for e in model.transgression]
     hs = hs_from_degrees(summand, maxdeg)
-    b = list(degs.values())
     hs_times(hs.dims, numer=b,
              denom=[2] * model.rank if _has_torus_forms(model) else b,
              top=max(summand))
@@ -255,7 +256,7 @@ def verify_additive_decomposition(model, maxdeg):
         report["detail"] = "presentation is symbolic"
         return report
     lhs = hilbert_series(pres, maxdeg)
-    rhs = _product_series(model, maxdeg)
+    rhs = _product_series(model, [b.topdeg for b in basis], maxdeg)
     report["status"] = "pass" if lhs == rhs else "fail"
     report["lhs"] = lhs.dims
     report["rhs"] = rhs.dims
