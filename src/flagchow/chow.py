@@ -8,12 +8,11 @@ indecomposable-summand Chow groups are degree-tagged lists, never rings (no
 canonical ring structure exists there); quotient presentations are rings.
 The decomposition identity compares the quotient's series, by Groebner
 basis, with the summand basis times the torus factor S(t)/(b), which is
-Stanley's product for the regular sequence b.  That product is also
-`presentation_series`, the series `hilbert` prints, on every served
-presentation, with no Groebner basis built.
+Stanley's product for the regular sequence b.  That product, with the
+summand series in product form, is also `presentation_series`, the series
+`hilbert` prints, on every served presentation, with no Groebner basis
+built.
 """
-
-from itertools import combinations
 
 from .catalog import check_class, lookup_model, restriction_tables
 from .errors import PresentationUnavailableError, UnsupportedCaseError, ValidationError
@@ -117,31 +116,42 @@ def presentation_series(model, maxdeg):
     of U, Sp, SO and SOeven are a regular sequence of l forms in the l
     torus variables (Stanley, Bull. AMS 1, 1979), and those of a
     one-generator part span I^2 + J, I = (b_1..b_{2p-2}) and J the later
-    forms, where I/I^2 is free over S/(I + J) on the summand basis b_i.  A
-    model with torus forms builds no presentation; a symbolic one builds it
-    for its note, and a surjection target raises as `chow_presentation`."""
+    forms, where I/I^2 is free over S/(I + J) on the summand basis b_i.
+    The summand series is taken in product form (`_summand_factors`): each
+    exterior entry's factor 1 + q^|c_i| meets the numerator's 1 - q^|c_i|
+    as 1 - q^(2|c_i|), so SO(2l+1) takes l factors, not 2^l - 1 products.
+    The denominator is the torus weights, or the symbols' own degrees where
+    no torus forms are stored.  A model with torus forms builds no
+    presentation; a symbolic one builds it for its note, and a surjection
+    target raises as `chow_presentation`."""
     if maxdeg < 0:
         raise ValidationError("maxdeg must be non-negative")
-    note = None if _has_torus_forms(model) else chow_presentation(model).note
-    # the summand basis's degrees, as `rost_part_basis` grades its elements
-    degs = {e.index: e.topdeg for e in model.transgression}
-    _, products = _summand_products(model)
-    summand = [0] + [sum(map(degs.__getitem__, idxs)) for idxs in products]
-    return _product_series(model, summand, maxdeg), note
+    forms = _has_torus_forms(model)
+    note = None if forms else chow_presentation(model).note
+    _, listed, exterior = _summand_factors(model)
+    summand = [0] + [_product_topdeg(es) for es in listed]
+    b = [2 * e.topdeg if e in exterior else e.topdeg
+         for e in model.transgression]
+    weights = _torus_weights(model) if forms else b
+    return _product_series(summand, b, weights, maxdeg), note
 
 
-def _product_series(model, summand, maxdeg):
-    """HS(summand basis) * prod(1 - q^|b_i|) / prod(1 - q^w_j) through
-    maxdeg, from the degrees of an exact summand basis: the entry degrees
-    |b_i|, and the torus weights w_j, or the symbols' own degrees where no
-    torus forms are stored.  The summand series is 0 above its top degree,
-    so each numerator factor walks only up to the running degree sum."""
-    b = [e.topdeg for e in model.transgression]
+def _product_series(summand, b, weights, maxdeg):
+    """HS(summand basis) * prod(1 - q^b_i) / prod(1 - q^w_j) through maxdeg,
+    the summand basis given by its degrees.  The summand series is 0 above
+    its top degree, so each numerator factor walks only up to the running
+    degree sum."""
     hs = hs_from_degrees(summand, maxdeg)
-    hs_times(hs.dims, numer=b,
-             denom=[2] * model.rank if _has_torus_forms(model) else b,
-             top=max(summand))
+    hs_times(hs.dims, numer=b, denom=weights, top=max(summand))
     return hs
+
+
+def _torus_weights(model):
+    """The topdegs of the torus variables the forms live in: the stored
+    forms' ring's, else those of `t_ring`, every t_j of topdeg 2."""
+    if model.explicit_b is not None:
+        return next(iter(model.explicit_b.values())).ring.topdegs
+    return [2] * model.rank
 
 
 def _torus_forms(model):
@@ -190,43 +200,59 @@ _SURJECTION_PRODUCTS = {
 def rost_part_basis(model):
     """Additive basis data for the indecomposable summand of the model.
 
-    Returns (kind, elements): kind is "exact" or "surjection-target".  Each
-    element is the unit or a product of transgression entries, named by
-    their names and graded by the sum of their topdegs; an exact basis is
-    listed by (topdeg, name), a surjection target in its cited order.
+    Returns (kind, elements): kind is "exact" or "surjection-target".  The
+    elements are the unit and the listed products of `_summand_factors`,
+    each times every square-free product of its exterior entries; each is
+    named by its entries' names and graded by `_product_topdeg`.  An exact
+    basis is listed by (topdeg, name), a surjection target in its cited
+    order.
     """
-    kind, products = _summand_products(model)
-    entry = {e.index: e for e in model.transgression}
+    kind, products, exterior = _summand_factors(model)
+    for e in exterior:
+        products = products + [(e,)] + [es + (e,) for es in products]
     out = [BasisElement("1", 0, "rost-part")] + [
-        BasisElement("".join(entry[i].name for i in idxs),
-                     sum(entry[i].topdeg for i in idxs), "rost-part")
-        for idxs in products]
+        BasisElement("".join(e.name for e in es), _product_topdeg(es),
+                     "rost-part")
+        for es in products]
     if kind == "exact":
         out.sort(key=lambda b: (b.topdeg, b.name))
     return kind, out
 
 
-def _summand_products(model):
-    """(kind, entry-index products) of the summand basis, the unit aside."""
-    fam, p, l = model.family, model.prime, model.rank
+def _product_topdeg(entries):
+    """The topdeg of a product of transgression entries: the sum of theirs."""
+    return sum(e.topdeg for e in entries)
+
+
+def _summand_factors(model):
+    """(kind, listed, exterior) of the summand basis in product form: the
+    basis is the unit and the listed products of transgression entries
+    (tuples), each times every square-free product of the exterior
+    entries."""
+    fam, trans = model.family, model.transgression
     if fam in ("U", "Sp"):
-        return "exact", []
+        return "exact", [], ()
     if fam in ("SO_odd", "SO_even"):
         # the square-free products of c_1..c_l, or of c_1..c_{l-1} for SO(2l)
-        top = range(1, l + 1 if fam == "SO_odd" else l)
-        return "exact", [s for k in range(1, len(top) + 1)
-                         for s in combinations(top, k)]
+        l = model.rank
+        return "exact", [], trans[:l if fam == "SO_odd" else l - 1]
+    p, l = model.prime, model.rank
     if fam == "PU" or model.is_type_one:
         # the first 2p - 2 entries of a one-generator part; all p - 1 of PU(p)
-        return "exact", [(e.index,) for e in model.transgression[:2 * p - 2]]
+        return "exact", [(e,) for e in trans[:2 * p - 2]], ()
     if fam == "Spin_odd":
         if l == 5:
-            return "surjection-target", [(2,), (3,), (4,), (5,), (2, 4), ("z",)]
-        lbar = l - 1 if l & (l - 1) == 0 else l  # l - 1 at a power of 2
-        return "surjection-target", [(i,) for i in range(2, lbar + 1)]
-    if (fam, p) in _SURJECTION_PRODUCTS:
-        return "surjection-target", _SURJECTION_PRODUCTS[fam, p]
-    raise UnsupportedCaseError("no basis data for %s" % model.label())
+            products = [(2,), (3,), (4,), (5,), (2, 4), ("z",)]
+        else:
+            lbar = l - 1 if l & (l - 1) == 0 else l  # l - 1 at a power of 2
+            products = [(i,) for i in range(2, lbar + 1)]
+    elif (fam, p) in _SURJECTION_PRODUCTS:
+        products = _SURJECTION_PRODUCTS[fam, p]
+    else:
+        raise UnsupportedCaseError("no basis data for %s" % model.label())
+    entry = {e.index: e for e in trans}
+    return ("surjection-target",
+            [tuple(entry[i] for i in idxs) for idxs in products], ())
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +265,9 @@ def verify_additive_decomposition(model, maxdeg):
     the quotient's series by Groebner basis.  On the right, the transgression
     forms b are a regular sequence, so HS(torus/(b)) is Stanley's product
     prod(1 - q^|b_i|) / prod(1 - q^|t_j|) (Bull. AMS 1, 1979), and the side
-    is `_product_series`, the series `hilbert` prints.  The factor HS(P'(y))
-    of the inner truncated part is 1: in a versal case each J-entry equals
-    its truncation exponent."""
+    is `_product_series` over the basis built here and the weights of the
+    presentation's ring.  The factor HS(P'(y)) of the inner truncated part
+    is 1: in a versal case each J-entry equals its truncation exponent."""
     if maxdeg < 0:
         raise ValidationError("maxdeg must be non-negative")
     kind, basis = rost_part_basis(model)
@@ -256,7 +282,9 @@ def verify_additive_decomposition(model, maxdeg):
         report["detail"] = "presentation is symbolic"
         return report
     lhs = hilbert_series(pres, maxdeg)
-    rhs = _product_series(model, [b.topdeg for b in basis], maxdeg)
+    rhs = _product_series([b.topdeg for b in basis],
+                          [e.topdeg for e in model.transgression],
+                          pres.ring.topdegs, maxdeg)
     report["status"] = "pass" if lhs == rhs else "fail"
     report["lhs"] = lhs.dims
     report["rhs"] = rhs.dims

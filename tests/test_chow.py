@@ -22,6 +22,7 @@ from flagchow.chow import (
 )
 from flagchow.errors import PresentationUnavailableError, UnsupportedCaseError, ValidationError
 from flagchow.groebner import QuotientPresentation, hilbert_series, hs_times
+from flagchow.ring import GradedVariable, PolyRing
 from flagchow.symclass import elementary_symmetric, t_ring
 
 from oracles import (
@@ -385,6 +386,26 @@ def _with_relations(model, relations):
     hand._presentation = QuotientPresentation(
         chow_presentation(model).ring, relations)
     return hand
+
+
+def test_both_product_sides_read_the_weights_of_the_forms_ring():
+    # G2's stored forms moved into a ring with a third variable, of topdeg 4,
+    # that no form involves: the quotient gains the factor 1/(1 - q^4), which
+    # `hilbert` and `decompose` must read off the forms' ring, not the rank
+    m = lookup_model("G2", 2, 2)
+    old = next(iter(m.explicit_b.values())).ring
+    ring = PolyRing(list(old.variables) + [GradedVariable("s", 4)], m.prime)
+    hand = copy.copy(m)
+    hand._presentation = None
+    hand.explicit_b = {
+        i: ring.from_terms((exps + (0,), c) for exps, c in f.terms.items())
+        for i, f in m.explicit_b.items()}
+    pres = chow_presentation(hand)
+    assert pres.ring.topdegs == (2, 2, 4)
+    for maxdeg in (7, 20, 40, hand.dim_gt):
+        assert presentation_series(hand, maxdeg) == (
+            hilbert_series(pres, maxdeg), None), maxdeg
+        assert verify_additive_decomposition(hand, maxdeg)["status"] == "pass"
 
 
 def test_decomposition_fails_a_wrong_presentation():

@@ -72,6 +72,34 @@ def test_hilbert_large_unitary_ranks():
     assert elapsed < 1.0
 
 
+def _times_exterior(dims, degs):
+    """dims times prod (1 + q^d) over degs, truncated to len(dims)."""
+    dims = list(dims)
+    for d in degs:
+        for k in range(len(dims) - 1, d - 1, -1):
+            dims[k] += dims[k - d]
+    return dims
+
+
+@pytest.mark.parametrize("group,family,exterior", [
+    ("SO", "SO_odd", range(1, 31)),
+    ("SOeven", "SO_even", range(1, 30)),
+])
+def test_hilbert_large_orthogonal_ranks(group, family, exterior):
+    # the U(30) coinvariants times the exterior factors prod (1 + q^|c_i|):
+    # the summand basis has 2^30 - 1 or 2^29 - 1 square-free products, so
+    # a series read by enumerating them would not finish
+    start = time.perf_counter()
+    code, payload = run_json(["hilbert", "--group", group, "--rank", "30",
+                              "--prime", "2", "--maxdeg", "60"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert payload["dims_by_topdeg"] == _times_exterior(
+        _u_coinvariant_dims(30, 60), [2 * i for i in exterior])
+    assert catalog.lookup_model(family, 30, 2)._presentation is None
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize("flags", [
     ["--group", "U", "--rank", "3", "--prime", "2"],
     ["--group", "F4", "--prime", "3"],
