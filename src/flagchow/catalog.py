@@ -402,6 +402,8 @@ def _model_Spin_odd(l, p):
 
 
 def _r_of(trunc, p):
+    """floor(log_p trunc), 0 for trunc <= 1: the r of trunc = p^r, and
+    trunc is a power of p exactly when p ** r == trunc."""
     r = 0
     t = trunc
     while t > 1:
@@ -693,14 +695,6 @@ def _e7_2_restrictions():
 # ---------------------------------------------------------------------------
 # validation
 
-def _is_power_of(value, p):
-    if value < 1:
-        return False
-    while value % p == 0:
-        value //= p
-    return value == 1
-
-
 def op_topdeg(op, p):
     if op in ("beta", "Sq1", "Q0"):
         return 1
@@ -778,7 +772,7 @@ def validate_model(model):
     for g in model.y_gens:
         if g.topdeg % 2 or g.topdeg <= 0:
             fail("y-degree must be even")
-        if g.trunc <= 1 or not _is_power_of(g.trunc, p):
+        if g.trunc <= 1 or p ** _r_of(g.trunc, p) != g.trunc:
             fail("truncation exponent must be a power of p")
         truncs.append(g.trunc)
         gen_deg.setdefault(g.name, g.topdeg)
@@ -880,7 +874,7 @@ def validate_model(model):
         fail("rank below 2p-2 for a one-generator part")
 
     index = model.torsion_index_p
-    if index is not None and not _is_power_of(index, p):
+    if index is not None and p ** _r_of(index, p) != index:
         fail("torsion index must be a power of p")
 
     if model.dim_gt is not None and dim != model.dim_gt:

@@ -4,14 +4,14 @@ A presentation is the torus ring modulo the transgression forms (U, Sp),
 their squares (SO), or for a one-generator part every product of two of the
 first 2p - 2 forms and then each later form, one opaque symbol B_i per entry
 standing in where no torus forms are stored.  Bases of the
-indecomposable-summand Chow groups are degree-tagged lists, never rings (no
-canonical ring structure exists there); quotient presentations are rings.
-The decomposition identity compares the quotient's series, by Groebner
-basis, with the summand basis times the torus factor S(t)/(b), which is
-Stanley's product for the regular sequence b.  That product, with the
-summand series in product form, is also `presentation_series`, the series
-`hilbert` prints, on every served presentation, with no Groebner basis
-built.
+indecomposable-summand Chow groups (`rost_chow_basis`) are degree-tagged
+lists, never rings (no canonical ring structure exists there); the summand
+of a flag variety is not listed: `_summand_factors` gives its basis in
+product form.  The series `hilbert` prints, `presentation_series`, is one
+product: that summand series times the torus factor S(t)/(b), Stanley's
+product for the regular sequence b, on every served presentation, with no
+Groebner basis built.  The decomposition identity compares the quotient's
+series, by Groebner basis, with that same product.
 """
 
 from .catalog import check_class, lookup_model, restriction_tables
@@ -112,46 +112,38 @@ def _has_torus_forms(model):
 def presentation_series(model, maxdeg):
     """(HS(chow_presentation(model)) through maxdeg, the presentation's note).
 
-    The series is `_product_series`, with no Groebner basis: the relations
-    of U, Sp, SO and SOeven are a regular sequence of l forms in the l
-    torus variables (Stanley, Bull. AMS 1, 1979), and those of a
-    one-generator part span I^2 + J, I = (b_1..b_{2p-2}) and J the later
-    forms, where I/I^2 is free over S/(I + J) on the summand basis b_i.
-    The summand series is taken in product form (`_summand_factors`): each
+    The series is one product, with no Groebner basis: HS(summand) *
+    prod(1 - q^|b_i|) / prod(1 - q^w_j).  The relations of U, Sp, SO and
+    SOeven are a regular sequence of l forms in the l torus variables
+    (Stanley, Bull. AMS 1, 1979), and those of a one-generator part span
+    I^2 + J, I = (b_1..b_{2p-2}) and J the later forms, where I/I^2 is free
+    over S/(I + J) on the summand basis b_i.  The summand series is taken in
+    product form (`_summand_factors`), no basis element listed: each
     exterior entry's factor 1 + q^|c_i| meets the numerator's 1 - q^|c_i|
-    as 1 - q^(2|c_i|), so SO(2l+1) takes l factors, not 2^l - 1 products.
-    The denominator is the torus weights, or the symbols' own degrees where
-    no torus forms are stored.  A model with torus forms builds no
-    presentation; a symbolic one builds it for its note, and a surjection
-    target raises as `chow_presentation`."""
+    as 1 - q^(2|c_i|), so SO(2l+1) takes l factors, not 2^l - 1 products,
+    and the summand series is 0 above its top degree, so each numerator
+    factor walks only up to the running degree sum.  The weights w_j are
+    those of the stored forms' ring, else of `t_ring` (every t_j of topdeg
+    2), or the symbols' own degrees where no torus forms are stored.  A
+    model with torus forms builds no presentation; a symbolic one builds it
+    for its note, and a surjection target raises as `chow_presentation`."""
     if maxdeg < 0:
         raise ValidationError("maxdeg must be non-negative")
     forms = _has_torus_forms(model)
     note = None if forms else chow_presentation(model).note
     _, listed, exterior = _summand_factors(model)
-    summand = [0] + [_product_topdeg(es) for es in listed]
+    summand = [0] + [sum(e.topdeg for e in es) for es in listed]
     b = [2 * e.topdeg if e in exterior else e.topdeg
          for e in model.transgression]
-    weights = _torus_weights(model) if forms else b
-    return _product_series(summand, b, weights, maxdeg), note
-
-
-def _product_series(summand, b, weights, maxdeg):
-    """HS(summand basis) * prod(1 - q^b_i) / prod(1 - q^w_j) through maxdeg,
-    the summand basis given by its degrees.  The summand series is 0 above
-    its top degree, so each numerator factor walks only up to the running
-    degree sum."""
+    if not forms:
+        weights = b
+    elif model.explicit_b is None:
+        weights = [2] * model.rank
+    else:
+        weights = next(iter(model.explicit_b.values())).ring.topdegs
     hs = hs_from_degrees(summand, maxdeg)
     hs_times(hs.dims, numer=b, denom=weights, top=max(summand))
-    return hs
-
-
-def _torus_weights(model):
-    """The topdegs of the torus variables the forms live in: the stored
-    forms' ring's, else those of `t_ring`, every t_j of topdeg 2."""
-    if model.explicit_b is not None:
-        return next(iter(model.explicit_b.values())).ring.topdegs
-    return [2] * model.rank
+    return hs, note
 
 
 def _torus_forms(model):
@@ -197,33 +189,6 @@ _SURJECTION_PRODUCTS = {
 }
 
 
-def rost_part_basis(model):
-    """Additive basis data for the indecomposable summand of the model.
-
-    Returns (kind, elements): kind is "exact" or "surjection-target".  The
-    elements are the unit and the listed products of `_summand_factors`,
-    each times every square-free product of its exterior entries; each is
-    named by its entries' names and graded by `_product_topdeg`.  An exact
-    basis is listed by (topdeg, name), a surjection target in its cited
-    order.
-    """
-    kind, products, exterior = _summand_factors(model)
-    for e in exterior:
-        products = products + [(e,)] + [es + (e,) for es in products]
-    out = [BasisElement("1", 0, "rost-part")] + [
-        BasisElement("".join(e.name for e in es), _product_topdeg(es),
-                     "rost-part")
-        for es in products]
-    if kind == "exact":
-        out.sort(key=lambda b: (b.topdeg, b.name))
-    return kind, out
-
-
-def _product_topdeg(entries):
-    """The topdeg of a product of transgression entries: the sum of theirs."""
-    return sum(e.topdeg for e in entries)
-
-
 def _summand_factors(model):
     """(kind, listed, exterior) of the summand basis in product form: the
     basis is the unit and the listed products of transgression entries
@@ -265,12 +230,14 @@ def verify_additive_decomposition(model, maxdeg):
     the quotient's series by Groebner basis.  On the right, the transgression
     forms b are a regular sequence, so HS(torus/(b)) is Stanley's product
     prod(1 - q^|b_i|) / prod(1 - q^|t_j|) (Bull. AMS 1, 1979), and the side
-    is `_product_series` over the basis built here and the weights of the
-    presentation's ring.  The factor HS(P'(y)) of the inner truncated part
-    is 1: in a versal case each J-entry equals its truncation exponent."""
+    is the product `hilbert` prints, `presentation_series`, with the summand
+    in product form: no basis element is listed, and the basis size is
+    (1 + #listed) * 2^#exterior.  The factor HS(P'(y)) of the inner
+    truncated part is 1: in a versal case each J-entry equals its
+    truncation exponent."""
     if maxdeg < 0:
         raise ValidationError("maxdeg must be non-negative")
-    kind, basis = rost_part_basis(model)
+    kind, listed, exterior = _summand_factors(model)
     report = {"case": model.label(), "maxdeg": maxdeg}
     if kind != "exact":
         report["status"] = "skipped"
@@ -282,13 +249,11 @@ def verify_additive_decomposition(model, maxdeg):
         report["detail"] = "presentation is symbolic"
         return report
     lhs = hilbert_series(pres, maxdeg)
-    rhs = _product_series([b.topdeg for b in basis],
-                          [e.topdeg for e in model.transgression],
-                          pres.ring.topdegs, maxdeg)
+    rhs, _ = presentation_series(model, maxdeg)
     report["status"] = "pass" if lhs == rhs else "fail"
     report["lhs"] = lhs.dims
     report["rhs"] = rhs.dims
-    report["basis_size"] = len(basis)
+    report["basis_size"] = (1 + len(listed)) << len(exterior)
     return report
 
 

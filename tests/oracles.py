@@ -20,7 +20,9 @@ as that helper's reference.  The positive-root product of B_l, multiplied
 out root by root, is the reference for the alternant the torsion module
 reads in closed form.  The reduced basis of a finished Groebner basis,
 which no program path reads, is formed here by the engine's own tail
-reduction, for the tests that compare bases.
+reduction, for the tests that compare bases.  The listed summand basis,
+which no program path reads either, is kept here as the reference for the
+product form that `chow.presentation_series` reads its series in.
 """
 
 import argparse
@@ -37,7 +39,7 @@ import pytest
 from flagchow import cli
 from flagchow import groebner as engine
 from flagchow.catalog import RestrictionTable, lookup_model
-from flagchow.chow import BasisElement
+from flagchow.chow import BasisElement, _summand_factors
 from flagchow.errors import UnsupportedCaseError, ValidationError
 from flagchow.groebner import HilbertSeries, QuotientPresentation
 from flagchow.ring import GradedVariable, PolyRing, Polynomial
@@ -331,6 +333,29 @@ def mod_torsion_basis(model):
         out.append(BasisElement("".join(e.name for e in entries),
                                 sum(e.topdeg for e in entries), "mod-torsion"))
     return out
+
+
+def rost_part_basis(model):
+    """Additive basis data for the indecomposable summand of the model.
+
+    Returns (kind, elements): kind is "exact" or "surjection-target".  The
+    elements are the unit and the listed products of `_summand_factors`,
+    each times every square-free product of its exterior entries; each is
+    named by its entries' names and graded by the sum of their topdegs.  An
+    exact basis is listed by (topdeg, name), a surjection target in its
+    cited order.  The listing is the reference for the product form that
+    `chow.presentation_series` reads the summand series in.
+    """
+    kind, products, exterior = _summand_factors(model)
+    for e in exterior:
+        products = products + [(e,)] + [es + (e,) for es in products]
+    out = [BasisElement("1", 0, "rost-part")] + [
+        BasisElement("".join(e.name for e in es), sum(e.topdeg for e in es),
+                     "rost-part")
+        for es in products]
+    if kind == "exact":
+        out.sort(key=lambda b: (b.topdeg, b.name))
+    return kind, out
 
 
 def marlin_bound(l):

@@ -15,7 +15,6 @@ from flagchow.catalog import (
     validate_catalog,
     validate_model,
 )
-from flagchow.chow import rost_part_basis
 from flagchow.errors import DataMissingError, UnsupportedCaseError, ValidationError
 
 CASE_IDS = tuple(dict.fromkeys(row.case_id for row in catalog._SERVED))
@@ -129,7 +128,7 @@ def test_spin11_entries():
 
 
 def test_spin_surjection_target_drops_its_last_class_at_2_powers():
-    last = {l: rost_part_basis(lookup_model("Spin_odd", l, 2))[1][-1]
+    last = {l: oracles.rost_part_basis(lookup_model("Spin_odd", l, 2))[1][-1]
             for l in range(5, 9)}
     assert {l: (b.name, b.topdeg) for l, b in last.items()} == {
         5: ("c_1^8", 16), 6: ("c'_6", 12), 7: ("c'_7", 14), 8: ("c'_7", 14)}
@@ -362,13 +361,13 @@ def test_validate_catalog_checks_the_54_served_models_on_every_call(monkeypatch)
 
 def test_summand_bases_and_case_dispatch_match_the_pinned_digests():
     import hashlib
-    # sha256 of rost_part_basis on the 54 served models (kind, then each
-    # element's name, topdeg and provenance, in order), and of what `_case`
-    # gives on every spelling below: the builder's name and the key of the
-    # model it builds, or the exception's type and message
+    # sha256 of oracles.rost_part_basis on the 54 served models (kind, then
+    # each element's name, topdeg and provenance, in order), and of what
+    # `_case` gives on every spelling below: the builder's name and the key
+    # of the model it builds, or the exception's type and message
     basis = hashlib.sha256()
     for _, m in catalog._served_models():
-        kind, elems = rost_part_basis(m)
+        kind, elems = oracles.rost_part_basis(m)
         basis.update(repr((m.key(), kind, [(b.name, b.topdeg, b.provenance)
                                            for b in elems])).encode())
     assert basis.hexdigest() == (

@@ -11,17 +11,17 @@ from flagchow.catalog import (
 )
 from flagchow.chow import (
     BasisElement,
+    _summand_factors,
     _torus_forms,
     chow_presentation,
     presentation_series,
     restriction_check,
     restriction_reports,
     rost_chow_basis,
-    rost_part_basis,
     verify_additive_decomposition,
 )
 from flagchow.errors import PresentationUnavailableError, UnsupportedCaseError, ValidationError
-from flagchow.groebner import QuotientPresentation, hilbert_series, hs_times
+from flagchow.groebner import QuotientPresentation, hilbert_series, hs_from_degrees, hs_times
 from flagchow.ring import GradedVariable, PolyRing
 from flagchow.symclass import elementary_symmetric, t_ring
 
@@ -31,6 +31,7 @@ from oracles import (
     homogeneous_topdeg,
     hs_product,
     mod_torsion_basis,
+    rost_part_basis,
     with_restriction_image,
 )
 
@@ -378,6 +379,38 @@ def test_the_product_series_equals_the_groebner_series_on_every_served_presentat
             assert bare._presentation is None, m.label()
     assert (compared, raised) == (47 * 7, 7)
 
+
+
+def test_the_product_form_summand_series_is_the_series_of_the_listed_basis():
+    # presentation_series lists no summand basis element: each exterior
+    # entry is folded into its numerator factor.  Dividing the torus factor,
+    # over the undoubled entry degrees, back out of its series must leave the
+    # series of the basis oracles.rost_part_basis lists.  A surjection target
+    # has no presentation and no exterior entries, so its product form is
+    # its listed products.  The basis size decompose reports is read off the
+    # same factors, and must be the listing's length
+    compared = sized = 0
+    for _, m in catalog._served_models():
+        _, basis = rost_part_basis(m)
+        for maxdeg in (0, 1, 7, 20, 40, 60, m.dim_gt):
+            try:
+                hs, _ = presentation_series(m, maxdeg)
+            except PresentationUnavailableError:
+                _, listed, exterior = _summand_factors(m)
+                assert exterior == (), m.label()
+                hs = hs_from_degrees(
+                    [0] + [sum(e.topdeg for e in es) for es in listed], maxdeg)
+            else:
+                hs_times(hs.dims, numer=chow_presentation(m).ring.topdegs,
+                         denom=[e.topdeg for e in m.transgression])
+            assert hs == hs_from_degrees([b.topdeg for b in basis], maxdeg), (
+                m.label(), maxdeg)
+            compared += 1
+            rep = verify_additive_decomposition(m, maxdeg)
+            if rep["status"] == "pass":
+                assert rep["basis_size"] == len(basis), (m.label(), maxdeg)
+                sized += 1
+    assert (compared, sized) == (54 * 7, 43 * 7)
 
 def _with_relations(model, relations):
     """A copy of the model whose presentation is swapped for one with the
