@@ -22,7 +22,9 @@ Each supported (group, prime) case is one row of the served-case table,
 The catalog is compiled-in static data.  The J-invariant is derived: in
 every versal case it is the truncation exponent tuple.  The six restriction
 tables are kept by model key, with each image a polynomial in the model's
-P(y), and feed the chow checks.
+P(y).  The checks of the stored data live here too: `validate_model` checks
+each model and `restriction_check` each restriction table, both reading a
+stored class through `check_class`.
 """
 
 import collections
@@ -96,7 +98,7 @@ class OperationRule:
 
 
 class RestrictionTable:
-    """Restriction of a surjection-target basis to a partially split form.
+    """Restriction of a surjection target's basis to a partially split form.
 
     The sources are the transgression entries of the model with this key,
     and images[i] is the image of the i-th: None, or (n, body) with body in
@@ -927,3 +929,53 @@ def validate_catalog():
     for case, model in _served_models():
         report.setdefault(case, []).extend(validate_model(model))
     return [(case, not failures, failures) for case, failures in report.items()]
+
+
+def restriction_check(table):
+    """Degree consistency of a stored restriction table, plus the element
+    count of its nonzero image against the cited basis.
+
+    Each image v_n * body of a source of topdeg d must have body nonzero and
+    reduced in P(y)/p, and homogeneous of topdeg d + 2(p^n - 1); both are
+    read in one pass over the body's terms by `check_class`.
+    """
+    model = lookup_model(*table.key)
+    ring = model.y_ring()
+    p = model.prime
+    truncs = [g.trunc for g in model.y_gens]
+    entries = model.transgression
+    failures = []
+    report = {"table": table.name, "failures": failures, "status": "pass"}
+    if len(table.images) != len(entries):
+        failures.append("%d images for %d transgression entries"
+                        % (len(table.images), len(entries)))
+    degs_img = []
+    for e, image in zip(entries, table.images):
+        if image is None:
+            continue
+        degs_img.append(e.topdeg)
+        n, body = image
+        right, in_ring, reduced = check_class(
+            body, e.topdeg + 2 * (p ** n - 1), ring, truncs)
+        if not body.terms or not (in_ring and reduced):
+            failures.append("%s -> v_%d*%s is zero or not reduced in P(y)/%d"
+                            % (e.name, n, body.pretty(), p))
+        if not right:
+            failures.append("%s -> v_%d*%s fails the degree equation"
+                            % (e.name, n, body.pretty()))
+    expected = len(table.expected_image)
+    report["image_cardinality"] = len(degs_img) + 1  # plus the unit
+    report["expected_cardinality"] = expected
+    if len(degs_img) + 1 != expected:
+        failures.append(
+            "image count %d != cited %d" % (len(degs_img) + 1, expected))
+    degs_expected = sorted(d for d in table.expected_image if d > 0)
+    if sorted(degs_img) != degs_expected:
+        failures.append("image degrees differ from the cited basis")
+    if failures:
+        report["status"] = "fail"
+    return report
+
+
+def restriction_reports():
+    return [restriction_check(t) for t in restriction_tables()]

@@ -1,21 +1,23 @@
-"""Mod-p presentations of versal flag-variety Chow rings and their bases.
+"""Mod-p presentations of versal flag-variety Chow rings and their series.
 
 A presentation is the torus ring modulo the transgression forms (U, Sp),
 their squares (SO), or for a one-generator part every product of two of the
 first 2p - 2 forms and then each later form, one opaque symbol B_i per entry
-standing in where no torus forms are stored.  Bases of the
-indecomposable-summand Chow groups (`rost_chow_basis`) are degree-tagged
-lists, never rings (no canonical ring structure exists there); the summand
-of a flag variety is not listed: `_summand_factors` gives its basis in
-product form.  The series `hilbert` prints, `presentation_series`, is one
-product: that summand series times the torus factor S(t)/(b), Stanley's
-product for the regular sequence b, on every served presentation, with no
-Groebner basis built.  The decomposition identity compares the quotient's
-series, by Groebner basis, with that same product.
+standing in where no torus forms are stored.  One predicate, `_presentable`,
+says which cases have one; any other case is known only through a
+surjection onto its indecomposable summand, and nothing here lists that
+summand.  Bases of the indecomposable-summand Chow groups
+(`rost_chow_basis`) are degree-tagged lists, never rings (no canonical ring
+structure exists there); the summand of a presentable flag variety is not
+listed: `_summand_factors` gives its basis in product form.  The series
+`hilbert` prints, `presentation_series`, is one product: that summand
+series times the torus factor S(t)/(b), Stanley's product for the regular
+sequence b, on every served presentation, with no Groebner basis built.
+The decomposition identity compares the quotient's series, by Groebner
+basis, with that same product.
 """
 
-from .catalog import check_class, lookup_model, restriction_tables
-from .errors import PresentationUnavailableError, UnsupportedCaseError, ValidationError
+from .errors import PresentationUnavailableError, ValidationError
 from .groebner import QuotientPresentation, hilbert_series, hs_from_degrees, hs_times
 from .ring import GradedVariable, PolyRing, is_prime
 from .symclass import elementary_symmetric, pontryagin_class, t_ring
@@ -69,12 +71,12 @@ def chow_presentation(model):
 
 
 def _build_presentation(model):
+    if not _presentable(model):
+        raise PresentationUnavailableError(
+            "%s is known only through a surjection target; no full "
+            "presentation" % model.label())
     forms, note = _torus_forms(model), None
     if forms is None:
-        if not model.is_type_one:
-            raise PresentationUnavailableError(
-                "%s is known only through a surjection target; no full "
-                "presentation" % model.label())
         # no torus forms stored: one opaque symbol B_i per entry stands in
         ring = PolyRing([GradedVariable("B%s" % e.index, e.topdeg)
                          for e in model.transgression], model.prime)
@@ -109,6 +111,13 @@ def _has_torus_forms(model):
     return model.explicit_b is not None or model.family in _CLASSICAL
 
 
+def _presentable(model):
+    """Whether the model has a presentation: torus forms, or the opaque
+    symbols of a one-generator part; any other case is known only through
+    a surjection onto its summand."""
+    return _has_torus_forms(model) or model.is_type_one
+
+
 def presentation_series(model, maxdeg):
     """(HS(chow_presentation(model)) through maxdeg, the presentation's note).
 
@@ -131,7 +140,7 @@ def presentation_series(model, maxdeg):
         raise ValidationError("maxdeg must be non-negative")
     forms = _has_torus_forms(model)
     note = None if forms else chow_presentation(model).note
-    _, listed, exterior = _summand_factors(model)
+    listed, exterior = _summand_factors(model)
     summand = [0] + [sum(e.topdeg for e in es) for es in listed]
     b = [2 * e.topdeg if e in exterior else e.topdeg
          for e in model.transgression]
@@ -180,48 +189,24 @@ def rost_chow_basis(n, p):
     return out
 
 
-# (family, prime) -> the entry-index products of a summand known through
-# its surjection target, the unit aside, in the cited order
-_SURJECTION_PRODUCTS = {
-    ("E8", 3): [(i,) for i in range(1, 9)] + [(1, 6), (1, 8), (2, 8)],
-    ("E8", 2): [(i,) for i in range(1, 9)],
-    ("E7", 2): [(i,) for i in range(1, 8)] + [(1, 5), (1, 6), (1, 7), (2, 7)],
-}
-
-
 def _summand_factors(model):
-    """(kind, listed, exterior) of the summand basis in product form: the
-    basis is the unit and the listed products of transgression entries
-    (tuples), each times every square-free product of the exterior
-    entries."""
+    """(listed, exterior) of the summand basis of a presentable model in
+    product form: the basis is the unit and the listed products of
+    transgression entries (tuples), each times every square-free product of
+    the exterior entries."""
     fam, trans = model.family, model.transgression
     if fam in ("U", "Sp"):
-        return "exact", [], ()
+        return [], ()
     if fam in ("SO_odd", "SO_even"):
         # the square-free products of c_1..c_l, or of c_1..c_{l-1} for SO(2l)
         l = model.rank
-        return "exact", [], trans[:l if fam == "SO_odd" else l - 1]
-    p, l = model.prime, model.rank
-    if fam == "PU" or model.is_type_one:
-        # the first 2p - 2 entries of a one-generator part; all p - 1 of PU(p)
-        return "exact", [(e,) for e in trans[:2 * p - 2]], ()
-    if fam == "Spin_odd":
-        if l == 5:
-            products = [(2,), (3,), (4,), (5,), (2, 4), ("z",)]
-        else:
-            lbar = l - 1 if l & (l - 1) == 0 else l  # l - 1 at a power of 2
-            products = [(i,) for i in range(2, lbar + 1)]
-    elif (fam, p) in _SURJECTION_PRODUCTS:
-        products = _SURJECTION_PRODUCTS[fam, p]
-    else:
-        raise UnsupportedCaseError("no basis data for %s" % model.label())
-    entry = {e.index: e for e in trans}
-    return ("surjection-target",
-            [tuple(entry[i] for i in idxs) for idxs in products], ())
+        return [], trans[:l if fam == "SO_odd" else l - 1]
+    # the first 2p - 2 entries of a one-generator part; all p - 1 of PU(p)
+    return [(e,) for e in trans[:2 * model.prime - 2]], ()
 
 
 # ---------------------------------------------------------------------------
-# decomposition and restriction checks
+# the decomposition check
 
 
 def verify_additive_decomposition(model, maxdeg):
@@ -234,14 +219,14 @@ def verify_additive_decomposition(model, maxdeg):
     in product form: no basis element is listed, and the basis size is
     (1 + #listed) * 2^#exterior.  The factor HS(P'(y)) of the inner
     truncated part is 1: in a versal case each J-entry equals its
-    truncation exponent."""
+    truncation exponent.  A case with no presentation (`_presentable`) and
+    a symbolic presentation are skipped, in that order."""
     if maxdeg < 0:
         raise ValidationError("maxdeg must be non-negative")
-    kind, listed, exterior = _summand_factors(model)
     report = {"case": model.label(), "maxdeg": maxdeg}
-    if kind != "exact":
+    if not _presentable(model):
         report["status"] = "skipped"
-        report["detail"] = "summand basis is %s, not exact" % kind
+        report["detail"] = "summand basis is surjection-target, not exact"
         return report
     pres = chow_presentation(model)
     if pres.note is not None:
@@ -253,55 +238,7 @@ def verify_additive_decomposition(model, maxdeg):
     report["status"] = "pass" if lhs == rhs else "fail"
     report["lhs"] = lhs.dims
     report["rhs"] = rhs.dims
+    listed, exterior = _summand_factors(model)
     report["basis_size"] = (1 + len(listed)) << len(exterior)
     return report
 
-
-def restriction_check(table):
-    """Degree consistency of a stored restriction table, plus the element
-    count of its nonzero image against the cited basis.
-
-    Each image v_n * body of a source of topdeg d must have body nonzero and
-    reduced in P(y)/p, and homogeneous of topdeg d + 2(p^n - 1); both are
-    read in one pass over the body's terms by `catalog.check_class`.
-    """
-    model = lookup_model(*table.key)
-    ring = model.y_ring()
-    p = model.prime
-    truncs = [g.trunc for g in model.y_gens]
-    entries = model.transgression
-    failures = []
-    report = {"table": table.name, "failures": failures, "status": "pass"}
-    if len(table.images) != len(entries):
-        failures.append("%d images for %d transgression entries"
-                        % (len(table.images), len(entries)))
-    degs_img = []
-    for e, image in zip(entries, table.images):
-        if image is None:
-            continue
-        degs_img.append(e.topdeg)
-        n, body = image
-        right, in_ring, reduced = check_class(
-            body, e.topdeg + 2 * (p ** n - 1), ring, truncs)
-        if not body.terms or not (in_ring and reduced):
-            failures.append("%s -> v_%d*%s is zero or not reduced in P(y)/%d"
-                            % (e.name, n, body.pretty(), p))
-        if not right:
-            failures.append("%s -> v_%d*%s fails the degree equation"
-                            % (e.name, n, body.pretty()))
-    expected = len(table.expected_image)
-    report["image_cardinality"] = len(degs_img) + 1  # plus the unit
-    report["expected_cardinality"] = expected
-    if len(degs_img) + 1 != expected:
-        failures.append(
-            "image count %d != cited %d" % (len(degs_img) + 1, expected))
-    degs_expected = sorted(d for d in table.expected_image if d > 0)
-    if sorted(degs_img) != degs_expected:
-        failures.append("image degrees differ from the cited basis")
-    if failures:
-        report["status"] = "fail"
-    return report
-
-
-def restriction_reports():
-    return [restriction_check(t) for t in restriction_tables()]

@@ -170,7 +170,7 @@ def _cmd_restrict(args):
     payload = {"tables": []}
     worst = 0
     for t in tables:
-        rep = _chow.restriction_check(t)
+        rep = _catalog.restriction_check(t)
         entries = _catalog.lookup_model(*t.key).transgression
         payload["tables"].append({
             "name": t.name,

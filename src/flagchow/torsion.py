@@ -38,6 +38,9 @@ from .errors import (
 # ---------------------------------------------------------------------------
 # the degree map of SO(2l+1)
 
+# the desk-scale ranks, the only ones whose degree map is computed
+_DESK_RANKS = range(2, 5)
+
 
 def _w0_word(l):
     """The reduced word (s_1 ... s_l)^l of the longest element of W(B_l)."""
@@ -91,7 +94,7 @@ def build_integral_flag_ring(l):
     """The degree map {exponent tuple: deg(t^a)} on every torus monomial of
     degree l^2, zeros included, pushed forward through the word one layer at
     a time."""
-    if not 2 <= l <= 4:
+    if l not in _DESK_RANKS:
         raise ValidationError("desk-scale ranks are 2..4")
     # after letter k of the word i_1..i_N, the layer is the functional
     # t^a -> d_{i_1} ... d_{i_k} t^a (a constant) on the degree-k monomials,
@@ -213,7 +216,7 @@ def torsion_index(model):
         raise InternalInconsistencyError(
             "witness exponent %d does not match the stored index %d"
             % (w.s, stored))
-    if model.family == "SO_odd" and 2 <= model.rank <= 4:
+    if model.family == "SO_odd" and model.rank in _DESK_RANKS:
         value, details = torsion_index_so(model.rank, return_details=True)
         if value != stored:
             raise InternalInconsistencyError(

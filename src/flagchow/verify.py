@@ -9,12 +9,8 @@ criterion.  Cases are independent and run in the fixed case order.
 
 from math import comb, factorial
 
-from .catalog import lookup_model, validate_catalog
-from .chow import (
-    restriction_reports,
-    rost_chow_basis,
-    verify_additive_decomposition,
-)
+from .catalog import lookup_model, restriction_reports, validate_catalog
+from .chow import rost_chow_basis, verify_additive_decomposition
 from .errors import ValidationError
 from .groebner import hilbert_series
 from .steenrod import beta_preimage, derive_q1_check, sq_hits

@@ -10,8 +10,9 @@ of the documented JSON forms checks that the writers lose nothing.  The
 argparse parser that the CLI's flag table replaced is kept as the
 reference for its grammar, which is Python 3.11's, and the line-by-line
 text renderer as the reference for the one-write one.  Paper data that no
-program path reads (the mod-torsion bases, the spin divisibility bound and
-the rank-8 spin products) is kept here for the tests that check it, and
+program path reads (the mod-torsion bases, the summand lists of the cases
+known only through a surjection, the spin divisibility bound and the
+rank-8 spin products) is kept here for the tests that check it, and
 so is the pull-back walk of the SO(2l+1) degree map, the reference for its
 push-forward.  The truncated Cauchy product of two series is kept here
 for the tests that multiply series, and the reducedness test that
@@ -22,7 +23,9 @@ reads in closed form.  The reduced basis of a finished Groebner basis,
 which no program path reads, is formed here by the engine's own tail
 reduction, for the tests that compare bases.  The listed summand basis,
 which no program path reads either, is kept here as the reference for the
-product form that `chow.presentation_series` reads its series in.
+product form that `chow.presentation_series` reads its series in; a
+surjection target's listing comes from the summand lists above, which
+`src/` does not hold.
 """
 
 import argparse
@@ -39,7 +42,7 @@ import pytest
 from flagchow import cli
 from flagchow import groebner as engine
 from flagchow.catalog import RestrictionTable, lookup_model
-from flagchow.chow import BasisElement, _summand_factors
+from flagchow.chow import BasisElement, _presentable, _summand_factors
 from flagchow.errors import UnsupportedCaseError, ValidationError
 from flagchow.groebner import HilbertSeries, QuotientPresentation
 from flagchow.ring import GradedVariable, PolyRing, Polynomial
@@ -335,18 +338,51 @@ def mod_torsion_basis(model):
     return out
 
 
+# (family, prime) -> the entry-index products of a summand known only
+# through its surjection target, the unit aside, in the cited order
+SURJECTION_PRODUCTS = {
+    ("E8", 3): [(i,) for i in range(1, 9)] + [(1, 6), (1, 8), (2, 8)],
+    ("E8", 2): [(i,) for i in range(1, 9)],
+    ("E7", 2): [(i,) for i in range(1, 8)] + [(1, 5), (1, 6), (1, 7), (2, 7)],
+}
+
+
+def _surjection_products(model):
+    """The listed entry products (tuples) of a surjection target's summand:
+    Spin(11)'s own list, c'_2..c'_l of Spin(2l+1) for l > 5 (the last one
+    dropped at a power of 2), or the exceptional case's row above."""
+    l = model.rank
+    if model.family == "Spin_odd":
+        if l == 5:
+            products = [(2,), (3,), (4,), (5,), (2, 4), ("z",)]
+        else:
+            lbar = l - 1 if l & (l - 1) == 0 else l  # l - 1 at a power of 2
+            products = [(i,) for i in range(2, lbar + 1)]
+    else:
+        products = SURJECTION_PRODUCTS[model.family, model.prime]
+    entry = {e.index: e for e in model.transgression}
+    return [tuple(entry[i] for i in idxs) for idxs in products]
+
+
 def rost_part_basis(model):
     """Additive basis data for the indecomposable summand of the model.
 
-    Returns (kind, elements): kind is "exact" or "surjection-target".  The
-    elements are the unit and the listed products of `_summand_factors`,
-    each times every square-free product of its exterior entries; each is
-    named by its entries' names and graded by the sum of their topdegs.  An
-    exact basis is listed by (topdeg, name), a surjection target in its
-    cited order.  The listing is the reference for the product form that
-    `chow.presentation_series` reads the summand series in.
+    Returns (kind, elements): kind is "exact" where `chow._presentable`
+    holds, and the listed products and exterior entries are those of
+    `_summand_factors`; else it is "surjection-target", and the products
+    are `_surjection_products`.  The elements are the unit and the listed
+    products, each times every square-free product of the exterior
+    entries; each is named by its entries' names and graded by the sum of
+    their topdegs.  An exact basis is listed by (topdeg, name), a
+    surjection target in its cited order.  The listing is the reference for
+    the product form that `chow.presentation_series` reads the summand
+    series in.
     """
-    kind, products, exterior = _summand_factors(model)
+    if _presentable(model):
+        kind, (products, exterior) = "exact", _summand_factors(model)
+    else:
+        kind, products, exterior = (
+            "surjection-target", _surjection_products(model), ())
     for e in exterior:
         products = products + [(e,)] + [es + (e,) for es in products]
     out = [BasisElement("1", 0, "rost-part")] + [

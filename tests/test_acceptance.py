@@ -9,12 +9,13 @@ import time
 
 import pytest
 
-from flagchow.catalog import lookup_model, restriction_tables, validate_catalog
-from flagchow.chow import (
+from flagchow.catalog import (
+    lookup_model,
     restriction_check,
-    rost_chow_basis,
-    verify_additive_decomposition,
+    restriction_tables,
+    validate_catalog,
 )
+from flagchow.chow import rost_chow_basis, verify_additive_decomposition
 from flagchow.groebner import hilbert_series
 from flagchow.steenrod import beta_preimage, derive_q1_check, sq_hits
 from flagchow.symclass import lucas_binomial

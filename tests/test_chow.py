@@ -1,4 +1,5 @@
 import copy
+import io
 
 import pytest
 
@@ -7,19 +8,19 @@ from flagchow.catalog import (
     CohomologyModel,
     RestrictionTable,
     lookup_model,
+    restriction_check,
+    restriction_reports,
     restriction_table,
 )
 from flagchow.chow import (
     BasisElement,
-    _summand_factors,
     _torus_forms,
     chow_presentation,
     presentation_series,
-    restriction_check,
-    restriction_reports,
     rost_chow_basis,
     verify_additive_decomposition,
 )
+from flagchow.cli import main
 from flagchow.errors import PresentationUnavailableError, UnsupportedCaseError, ValidationError
 from flagchow.groebner import QuotientPresentation, hilbert_series, hs_from_degrees, hs_times
 from flagchow.ring import GradedVariable, PolyRing
@@ -335,6 +336,36 @@ def test_the_decomposition_identity_holds_on_every_served_model_at_its_top_degre
     assert (statuses.count("pass"), statuses.count("skipped")) == (43, 11)
 
 
+def test_decompose_skips_a_surjection_target_exactly_where_hilbert_refuses_it(
+        capsys):
+    # one predicate decides both, on the 54 served models and on a hand-built
+    # (G2, 2) that is neither type one nor given its torus forms
+    skip = ("skipped", "summand basis is surjection-target, not exact")
+    group_of = {family: g for g, family in catalog.GROUP_FAMILIES.items()}
+    refused = 0
+    for _, m in catalog._served_models():
+        code = main(["hilbert", "--group", group_of[m.family], "--rank",
+                     str(m.rank), "--prime", str(m.prime), "--maxdeg", "12"],
+                    io.StringIO())
+        err = capsys.readouterr().err
+        target = "known only through a surjection target" in err
+        assert code == (2 if target else 0), m.label()
+        rep = verify_additive_decomposition(m, 12)
+        assert ((rep["status"], rep.get("detail")) == skip) == target, m.label()
+        refused += target
+    assert refused == 7
+    hand = copy.copy(lookup_model("G2", prime=2))
+    hand.is_type_one, hand.explicit_b, hand._presentation = False, None, None
+    rep = verify_additive_decomposition(hand, 12)
+    assert (rep["status"], rep["detail"]) == skip
+    message = ("(G2, 2) is known only through a surjection target; no full "
+               "presentation")
+    for refuse in (chow_presentation, lambda m: presentation_series(m, 12)):
+        with pytest.raises(PresentationUnavailableError) as err:
+            refuse(hand)
+        assert str(err.value) == message
+
+
 def test_stanley_product_matches_the_groebner_series_of_the_torus_quotient():
     # the torus factor of the decomposition is Stanley's product over the
     # entry degrees and the ring weights; the Groebner series of S(t)/(b),
@@ -385,24 +416,25 @@ def test_the_product_form_summand_series_is_the_series_of_the_listed_basis():
     # presentation_series lists no summand basis element: each exterior
     # entry is folded into its numerator factor.  Dividing the torus factor,
     # over the undoubled entry degrees, back out of its series must leave the
-    # series of the basis oracles.rost_part_basis lists.  A surjection target
-    # has no presentation and no exterior entries, so its product form is
-    # its listed products.  The basis size decompose reports is read off the
-    # same factors, and must be the listing's length
-    compared = sized = 0
+    # series of the basis oracles.rost_part_basis lists.  The basis size
+    # decompose reports is read off the same factors, and must be the
+    # listing's length.  A case the oracle lists as a surjection target has
+    # no presentation and no series, and decompose skips it
+    compared = sized = targets = 0
     for _, m in catalog._served_models():
-        _, basis = rost_part_basis(m)
+        kind, basis = rost_part_basis(m)
+        if kind == "surjection-target":
+            with pytest.raises(PresentationUnavailableError):
+                presentation_series(m, m.dim_gt)
+            rep = verify_additive_decomposition(m, m.dim_gt)
+            assert (rep["status"], rep["detail"]) == (
+                "skipped", "summand basis is surjection-target, not exact")
+            targets += 1
+            continue
         for maxdeg in (0, 1, 7, 20, 40, 60, m.dim_gt):
-            try:
-                hs, _ = presentation_series(m, maxdeg)
-            except PresentationUnavailableError:
-                _, listed, exterior = _summand_factors(m)
-                assert exterior == (), m.label()
-                hs = hs_from_degrees(
-                    [0] + [sum(e.topdeg for e in es) for es in listed], maxdeg)
-            else:
-                hs_times(hs.dims, numer=chow_presentation(m).ring.topdegs,
-                         denom=[e.topdeg for e in m.transgression])
+            hs, _ = presentation_series(m, maxdeg)
+            hs_times(hs.dims, numer=chow_presentation(m).ring.topdegs,
+                     denom=[e.topdeg for e in m.transgression])
             assert hs == hs_from_degrees([b.topdeg for b in basis], maxdeg), (
                 m.label(), maxdeg)
             compared += 1
@@ -410,7 +442,8 @@ def test_the_product_form_summand_series_is_the_series_of_the_listed_basis():
             if rep["status"] == "pass":
                 assert rep["basis_size"] == len(basis), (m.label(), maxdeg)
                 sized += 1
-    assert (compared, sized) == (54 * 7, 43 * 7)
+    assert (compared, sized, targets) == (47 * 7, 43 * 7, 7)
+
 
 def _with_relations(model, relations):
     """A copy of the model whose presentation is swapped for one with the

@@ -695,7 +695,7 @@ LOADS = {
         "catalog chow groebner ring symclass", False),
     "present --group SO --rank 3 --prime 2": (
         "catalog chow groebner ring serialize symclass", True),
-    "rost --n 2 --p 2": ("catalog chow groebner ring serialize symclass", True),
+    "rost --n 2 --p 2": ("chow groebner ring serialize symclass", True),
     "torsion-index --group SO --rank 3": (
         "catalog ring symclass torsion", False),
     "torsion-index --group E8 --prime 2 --witness": (
@@ -705,7 +705,7 @@ LOADS = {
     "catalog --group E8 --prime 3": ("catalog ring symclass", False),
     "--format json catalog --group E8 --prime 3": (
         "catalog ring serialize symclass", True),
-    "restrict": ("catalog chow groebner ring symclass", False),
+    "restrict": ("catalog ring symclass", False),
     "decompose --group SO --rank 4 --prime 2 --maxdeg 40": (
         "catalog chow groebner ring symclass", False),
 }
