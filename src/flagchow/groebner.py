@@ -9,7 +9,8 @@ only one flagchow uses.
 Inside the engine a monomial is one integer key, its exponent fields alone
 (Packing), and its topdeg is kept beside the key: a monomial product is an
 addition, a term shift is m + lt - glt, and divisibility is one subtraction
-against guard bits, ((t | G) - g) & G == G.  Within one topdeg a smaller key
+against guard bits, ((t | G) - g) & G == G; the same guard bits give a
+monomial's support and two monomials' lcm.  Within one topdeg a smaller key
 is the grevlex-larger monomial, and the engine compares no others:
 relations, S-polynomials and tails are homogeneous, so a reduction never
 mixes topdegs.  The packing is built once per (ring, maxdeg) by buchberger
@@ -23,10 +24,12 @@ Each input relation is reduced when the run reaches its topdeg, ahead of
 that topdeg's S-pairs, so elements are found in nondecreasing topdeg, each
 reduced by every earlier one: every element found is minimal, and a
 complete intersection needs no S-polynomial at all.  Per pair the
-bookkeeping is small: the chain criterion reads one bitmask of popped pairs
-per element.  The tails are never reduced: a normal form, unique for any
-Groebner basis (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms,
-Prop. 2.6.1), reduces by the elements as found.
+bookkeeping is small: leads are screened by their supports, a pair's lcm
+is read off its leading keys by guard-bit masks, and the chain criterion
+reads one bitmask of popped pairs per element.  The tails are never
+reduced: a normal form, unique for any Groebner basis (Cox, Little and
+O'Shea, Ideals, Varieties, and Algorithms, Prop. 2.6.1), reduces by the
+elements as found.
 The Hilbert series reads only the minimal leading monomials, packed; a
 leaf of its pivot recursion expands prod(1 - q^d) only up to the running
 degree sum, and a factor 1/(1 - q) of the denominator is one prefix sum.
@@ -60,7 +63,11 @@ class Packing:
     Keys of different topdegs are never compared.  x divides y exactly when
     ((y | G) - x) & G == G for the guard mask G: each field subtracts from
     its own set guard bit and never borrows beyond it.  `fields` holds emax
-    in every field, so the guard bits of x + fields mark x's support.
+    in every field, so the guard bits of x + fields mark x's support
+    (support).  The same subtraction, (a | G) - b, leaves a field's guard
+    bit set exactly when a's field is at least b's; shifted down to the
+    field's start and times emax it masks those fields, and the lcm takes
+    a's fields there and b's elsewhere (lcm).
 
     Keys are exact only for monomials of topdeg <= maxdeg; the engine never
     forms others.
@@ -83,6 +90,16 @@ class Packing:
 
     def unpack(self, key):
         return tuple((key >> s) & self.emax for s in self.shifts)
+
+    def support(self, x):
+        """The guard bits of x's nonzero fields."""
+        return (x + self.fields) & self.guard
+
+    def lcm(self, a, b):
+        """The field-wise maximum of a and b: ge masks a's larger fields."""
+        guard, emax = self.guard, self.emax
+        ge = ((((a | guard) - b) & guard) >> emax.bit_length()) * emax
+        return (a & ge) | (b & (self.fields ^ ge))
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +284,13 @@ def buchberger(relations, ring, maxdeg):
     relation or S-polynomial is reduced by the elements found so far and
     kept if its normal form is nonzero.  Elements are found in nondecreasing
     topdeg, each reduced by every earlier one, so no leading monomial divides
-    another: every element found is minimal.  An S-polynomial is formed
-    negated from the two negated tails, unreduced, and the normal form made
-    monic and negated in one pass.  Returns that basis, tails as found, with
-    the run's counters (STAT_KEYS) in its stats.
+    another: every element found is minimal.  Leads of disjoint supports
+    are coprime, so their pair's topdeg is the sum of theirs, and the
+    product criterion skips it.  Any other pair's lcm is Packing.lcm of the
+    two leads, and its S-polynomial is formed negated from the two negated
+    tails, unreduced; the normal form is made monic and negated in one
+    pass.  Returns that basis, tails as found, with the run's counters
+    (STAT_KEYS) in its stats.
     """
     p = ring.p
     pk = Packing(ring.topdegs, maxdeg)
@@ -279,11 +299,11 @@ def buchberger(relations, ring, maxdeg):
     pop, push = heapq.heappop, heapq.heappush
     pushed = popped = product = chain = reductions = zeros = steps = 0
 
-    # per element: its exponents, its weighted exponents e_i w_i (their
-    # maxima sum to a pair's topdeg) and its topdeg, the (leading key, tail)
-    # divisor _reduce takes, and done, whose bit k is set once the pair
-    # with element k has been popped
-    exps, wexps, degs, divisors, done = [], [], [], [], []
+    # per element: the support of its lead, its weighted exponents e_i w_i
+    # (their maxima sum to a pair's topdeg) and its topdeg, the (leading
+    # key, tail) divisor _reduce takes, and done, whose bit k is set once
+    # the pair with element k has been popped
+    sups, wexps, degs, divisors, done = [], [], [], [], []
 
     # entries (topdeg, seq, i, j) for the pair of elements i and j, seq the
     # count of pairs formed before it, and (topdeg, seq, terms, None) for a
@@ -308,7 +328,7 @@ def buchberger(relations, ring, maxdeg):
             if d == degs[i] + degs[j]:
                 product += 1
                 continue
-            key = sum(map(mul, map(max, exps[i], exps[j]), kappa))
+            key = pk.lcm(divisors[i][0], divisors[j][0])
             x = key | guard
             both = done[i] & done[j]
             while both:
@@ -331,20 +351,21 @@ def buchberger(relations, ring, maxdeg):
         if not h:
             zeros += 1
             continue
-        lead = next(iter(h))
-        neg = p - ring.coeff_inv(h[lead])
-        e = [lead >> s & emax for s in shifts]
-        we = tuple(map(mul, e, weights))
+        items = iter(h.items())
+        lead, c = next(items)
+        neg = p - ring.coeff_inv(c)
+        sup = pk.support(lead)
+        we = tuple([(lead >> s & emax) * w for s, w in zip(shifts, weights)])
+        # leads of disjoint supports are coprime: the lcm's topdeg is the sum
         for k, f in enumerate(wexps):
-            lcm_deg = sum(map(max, f, we))
+            lcm_deg = sum(map(max, f, we)) if sups[k] & sup else d + degs[k]
             if lcm_deg <= maxdeg:
                 push(heap, (lcm_deg, pushed, k, len(divisors)))
                 pushed += 1
-        exps.append(e)
+        sups.append(sup)
         wexps.append(we)
         degs.append(d)
-        divisors.append((lead, tuple((k - lead, c * neg % p)
-                                  for k, c in h.items() if k != lead)))
+        divisors.append((lead, tuple((k - lead, c * neg % p) for k, c in items)))
         done.append(0)
 
     minimal = [(d, lead, tail) for d, (lead, tail) in zip(degs, divisors)]
@@ -421,8 +442,9 @@ def _k_numerator(mins, pk, weights, maxdeg):
     the colon child's K is added, shifted by deg(p), in one slice.
     """
     fields, guard, emax = pk.fields, pk.guard, pk.emax
-    # the guard bit of a field of x + fields is set when that field is not 0;
-    # the supports are pairwise coprime exactly when their sum is their union
+    # the guard bit of a field of x + fields is set when that field is not 0
+    # (the expression of Packing.support, inline in this inner loop); the
+    # supports are pairwise coprime exactly when their sum is their union
     seen = total = 0
     for _, x in mins:
         support = (x + fields) & guard

@@ -117,7 +117,7 @@ class PolyRing:
         return (0,) * self.nvars
 
     def monomial_topdeg(self, exps):
-        return sum(e * d for e, d in zip(exps, self.topdegs))
+        return sum(map(mul, exps, self.topdegs))
 
     def var_index(self, name):
         try:
@@ -272,7 +272,8 @@ class Polynomial:
         parts = []
         terms = self.terms
         if len(terms) > 1:
-            terms = sorted(terms, key=lambda e: (-self.ring.monomial_topdeg(e), e))
+            degs = self.ring.topdegs
+            terms = sorted(terms, key=lambda e: (-sum(map(mul, e, degs)), e))
         for m in terms:
             c = self.terms[m]
             factors = ["%s^%d" % (names[i], e) if e > 1 else names[i]

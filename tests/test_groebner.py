@@ -444,6 +444,34 @@ def test_packed_order_sum_divisibility_and_round_trip():
                 assert pk.unpack(pk.pack(a) + pk.pack(b)) == s
 
 
+def test_packed_lcm_and_support_match_the_unpacked_fields():
+    # buchberger reads a pair's lcm and its leads' supports off the packed
+    # keys; both must agree with the fields they stand for, zero fields and
+    # fields at emax included
+    rng = random.Random(20261022)
+    for _ in range(400):
+        weights = [rng.choice((1, 2, 3, 4, 6)) for _ in range(rng.randint(1, 8))]
+        pk = Packing(weights, rng.randint(0, 60))
+        emax, up = pk.emax, pk.emax.bit_length()
+
+        def draw():
+            return tuple(rng.choice((0, emax, rng.randint(0, emax)))
+                         for _ in weights)
+
+        for _ in range(20):
+            a, b = draw(), draw()
+            ka, kb = pk.pack(a), pk.pack(b)
+            lcm = pk.lcm(ka, kb)
+            assert pk.unpack(lcm) == tuple(map(max, a, b)), (weights, a, b)
+            assert lcm == pk.pack(tuple(map(max, a, b)))
+            assert pk.lcm(kb, ka) == lcm
+            for e, k in ((a, ka), (b, kb)):
+                assert pk.support(k) == sum(1 << (s + up)
+                                            for s, f in zip(pk.shifts, e) if f)
+            coprime = not any(x and y for x, y in zip(a, b))
+            assert (not pk.support(ka) & pk.support(kb)) == coprime
+
+
 def test_normal_form_round_trips_pure_powers_at_the_field_maximum():
     for weights, maxdeg in [((2,), 0), ((2,), 16), ((4, 2), 22), ((2, 6, 4), 30)]:
         ring = _weighted_ring(weights)
