@@ -1,9 +1,9 @@
 """The verification harness: every headline identity as a named case.
 
 Each case recomputes its values from scratch and returns its status and
-details, which always carry the expected/computed pair, so a failure is a
-diff, never a bare flag; `run_case` and `run_all` make the Report under the
-case's name.  One table, CRITERIA, names each case once, under its
+details, which carry a diff, never a bare flag.  `run_case` and `run_all`
+make the Report under the case's name, and a library error the case raises
+is its fail report.  One table, CRITERIA, names each case once, under its
 criterion.  Cases are independent and run in the fixed case order.
 """
 
@@ -11,7 +11,7 @@ from math import comb, factorial
 
 from .catalog import lookup_model, restriction_reports, validate_catalog
 from .chow import rost_chow_basis, verify_additive_decomposition
-from .errors import ValidationError
+from .errors import FlagchowError, ValidationError
 from .groebner import hilbert_series
 from .steenrod import beta_preimage, derive_q1_check, sq_hits
 from .torsion import (
@@ -260,17 +260,25 @@ CRITERIA = (
 CASES = tuple(case for _, cases in CRITERIA for case in cases)
 
 
+def _report(case, fn):
+    try:
+        return Report(case, *fn())
+    except FlagchowError as err:
+        return Report(case, "fail", {"failures": [str(err)],
+                                     "provenance": type(err).__name__})
+
+
 def run_case(name):
     for case, fn in CASES:
         if case == name:
-            return Report(case, *fn())
+            return _report(case, fn)
     raise ValidationError("unknown verification case %r; known cases: %s"
                           % (name, ", ".join(case for case, _ in CASES)))
 
 
 def run_all():
     """Run every case; reports come back in the fixed declaration order."""
-    return [Report(case, *fn()) for case, fn in CASES]
+    return [_report(case, fn) for case, fn in CASES]
 
 
 def criteria_summary(reports):

@@ -1,7 +1,7 @@
 import copy
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, gcd
 
 from types import SimpleNamespace
@@ -37,11 +37,27 @@ from oracles import (
 # --- the degree map ------------------------------------------------------------
 
 
+def _nonzero(degrees):
+    return {m: c for m, c in degrees.items() if c}
+
+
 def test_build_integral_flag_ring_rank2():
     # the |W| certificate: deg(prod of the positive roots) = 2^2 * 2!
     _, details = torsion_index_so(2, return_details=True)
     assert details["rank"] == 8
-    assert set(build_integral_flag_ring(2)) == set(monomials_of_topdeg([1, 1], 4))
+    # the map lists the top monomials of nonzero degree, and no other
+    nonzero = _nonzero(oracles.pulled_back_degrees(2))
+    assert set(build_integral_flag_ring(2)) == set(nonzero) == {(3, 1), (1, 3)}
+
+
+def test_the_degree_map_is_the_signed_permutations_of_rho():
+    # deg(t^a) = sgn(s) 2^l where a = s(rho), rho = (2l - 1, ..., 3, 1), and
+    # no other top monomial is listed: a walk that kept its zeros fails here
+    for l in (2, 3, 4):
+        degrees = build_integral_flag_ring(l)
+        assert set(degrees) == set(permutations(range(2 * l - 1, 0, -2)))
+        assert degrees == {m: 2 ** l * c
+                           for m, c in torsion._positive_root_product(l)}
 
 
 def test_build_integral_flag_ring_rank3():
@@ -99,7 +115,8 @@ def test_swapped_long_root_signs_leave_the_degree_map_unchanged(monkeypatch):
     # tell it from the unmutated walk
     monkeypatch.setattr(torsion, "_push", _long_root_signs_swapped(torsion._push))
     for l in (2, 3, 4):
-        assert build_integral_flag_ring(l) == oracles.pulled_back_degrees(l)
+        assert build_integral_flag_ring(l) == _nonzero(
+            oracles.pulled_back_degrees(l))
 
 
 def test_non_reduced_word_is_caught_by_the_certificate(monkeypatch):
@@ -147,7 +164,7 @@ def test_fundamental_coefficient_rank2():
     degrees = build_integral_flag_ring(2)
     assert abs(degrees[(3, 1)]) == 4
     assert abs(degrees[(1, 3)]) == 4
-    assert degrees[(4, 0)] % 4 == 0
+    assert degrees.get((4, 0), 0) % 4 == 0
 
 
 def test_torsion_index_so_values():
@@ -158,7 +175,7 @@ def test_torsion_index_so_values():
 def test_torsion_index_so3_individual_values_are_multiples():
     degrees = build_integral_flag_ring(3)
     for exps in [(9, 0, 0), (5, 3, 1), (3, 3, 3), (4, 4, 1)]:
-        assert degrees[exps] % 8 == 0
+        assert degrees.get(exps, 0) % 8 == 0
 
 
 def test_monomials_checked_counts_every_top_monomial():
@@ -168,11 +185,13 @@ def test_monomials_checked_counts_every_top_monomial():
 
 
 def test_pushed_degree_map_equals_the_pull_back_walk():
+    # the reference reads every top monomial, zeros included; the pushed map
+    # is its nonzero part, so a monomial it leaves out has degree 0
     for l in (2, 3, 4):
-        degrees = build_integral_flag_ring(l)
-        assert degrees == oracles.pulled_back_degrees(l)
-        assert set(degrees) == set(monomials_of_topdeg([1] * l, l * l))
-        assert 0 in degrees.values()
+        full = oracles.pulled_back_degrees(l)
+        assert set(full) == set(monomials_of_topdeg([1] * l, l * l))
+        assert 0 in full.values()
+        assert build_integral_flag_ring(l) == _nonzero(full)
 
 
 def test_degree_map_matches_the_other_reduced_word():
@@ -183,7 +202,7 @@ def test_degree_map_matches_the_other_reduced_word():
         word = list(range(l, 0, -1)) * l
         degrees = build_integral_flag_ring(l)
         for exps in monomials_of_topdeg([1] * l, l * l):
-            assert demazure_degree(exps, word) == degrees[exps], exps
+            assert demazure_degree(exps, word) == degrees.get(exps, 0), exps
 
 
 def _spin_lattice_index(l):
@@ -201,7 +220,7 @@ def _spin_lattice_index(l):
     value = 0
     for a in monomials_of_topdeg([1] * l, l * l):
         head = a[:-1] + (0,)
-        total = sum(c * degrees[tuple(x + y for x, y in zip(head, m))]
+        total = sum(c * degrees.get(tuple(x + y for x, y in zip(head, m)), 0)
                     for m, c in powers[a[-1]].items())
         degree = Fraction(total, 2 ** a[-1])
         assert degree.denominator == 1, a

@@ -50,3 +50,47 @@ def test_fail_reports_must_carry_a_diff():
     with pytest.raises(ValueError):
         Report("x", "fail", {})
     Report("x", "fail", {"expected": 1, "computed": 2})
+
+
+def test_a_case_that_raises_a_library_error_reports_fail(monkeypatch, capsys):
+    # (G2, 2) witnessed by entry 1, which has no leading term: the witness
+    # case raises DataMissingError, and the run reports it and goes on
+    from flagchow.catalog import lookup_model
+    from flagchow.cli import main
+    monkeypatch.setattr(lookup_model("G2", prime=2), "witness", (1,))
+    reports = {r.case: r for r in run_all()}
+    assert reports["witness-g2-2"].status == "fail"
+    assert reports["witness-g2-2"].details == {
+        "failures": ["entry 1 of (G2, 2) has no leading witness"],
+        "provenance": "DataMissingError"}
+    assert run_case("witness-g2-2").details == reports["witness-g2-2"].details
+    assert [c for c, r in reports.items() if r.status == "fail"] == [
+        "witness-g2-2", "catalog-validate"]
+    assert main(["verify", "--all"]) == 1
+    out, err = capsys.readouterr()
+    assert "entry 1 of (G2, 2) has no leading witness" in out and err == ""
+
+
+def test_a_flipped_root_product_sign_fails_the_torsion_cases(monkeypatch, capsys):
+    # one term of the alternant negated: each certificate misses |W|, and the
+    # InternalInconsistencyError is that case's fail report
+    from flagchow import torsion
+    from flagchow.cli import main
+    closed = torsion._positive_root_product
+
+    def flipped(l):
+        (m, c), *rest = closed(l)
+        return ((m, -c), *rest)
+
+    monkeypatch.setattr(torsion, "_positive_root_product", flipped)
+    for l, order in ((2, 8), (3, 48), (4, 384)):
+        rep = run_case("torsion-so-l%d" % l)
+        assert rep.status == "fail"
+        assert rep.details["provenance"] == "InternalInconsistencyError"
+        assert rep.details["failures"] == [
+            "the positive-root product has degree %d, not |W| = %d"
+            % (order - 2 ** (l + 1), order)]
+    assert main(["verify", "--all"]) == 1
+    out, err = capsys.readouterr()
+    assert out.count("the positive-root product has degree") == 3
+    assert err == ""
