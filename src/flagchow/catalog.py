@@ -66,10 +66,6 @@ class WitnessPolynomial:
         self.s = s
         self.body = body
 
-    def __eq__(self, other):
-        return (isinstance(other, WitnessPolynomial)
-                and self.s == other.s and self.body == other.body)
-
     def __repr__(self):
         return "WitnessPolynomial(p^%d, %s)" % (self.s, self.body.pretty())
 

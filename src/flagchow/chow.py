@@ -20,7 +20,7 @@ basis, with that same product.
 from .errors import PresentationUnavailableError, ValidationError
 from .groebner import QuotientPresentation, hilbert_series, hs_from_degrees, hs_times
 from .ring import GradedVariable, PolyRing, is_prime
-from .symclass import elementary_symmetric, pontryagin_class, t_ring
+from .symclass import _sigma_row, elementary_symmetric, pontryagin_class, t_ring
 
 
 class BasisElement:
@@ -38,13 +38,6 @@ class BasisElement:
     @property
     def chowdeg(self):
         return self.topdeg // 2
-
-    def __eq__(self, other):
-        return (isinstance(other, BasisElement)
-                and (self.name, self.topdeg) == (other.name, other.topdeg))
-
-    def __hash__(self):
-        return hash((self.name, self.topdeg))
 
     def __repr__(self):
         return "BasisElement(%r, %d)" % (self.name, self.topdeg)
@@ -75,6 +68,17 @@ def _build_presentation(model):
         raise PresentationUnavailableError(
             "%s is known only through a surjection target; no full "
             "presentation" % model.label())
+    fam = model.family
+    if fam in ("SO_odd", "SO_even"):
+        # over F_2, e_i(t)^2 = e_i(t_1^2, ..., t_l^2) = p_i: the squared
+        # relations are the Pontryagin row, and SO(2l) keeps l - 1 of them
+        # and the Euler class t_1...t_l; no Chern row is built
+        l = model.rank
+        ring = t_ring(l, model.prime)
+        rels = _sigma_row(ring, 2, l if fam == "SO_odd" else l - 1)
+        if fam == "SO_even":
+            rels.append(ring.monomial((1,) * l))
+        return QuotientPresentation(ring, rels)
     forms, note = _torus_forms(model), None
     if forms is None:
         # no torus forms stored: one opaque symbol B_i per entry stands in
@@ -83,22 +87,15 @@ def _build_presentation(model):
         forms = [ring.gen(v.name) for v in ring.variables]
         note = ("opaque transgression symbols; the explicit torus forms are "
                 "not part of the stored data for this case")
-    fam, ring = model.family, forms[0].ring
     if fam in ("U", "Sp"):
         rels = forms
-    elif fam == "SO_odd":
-        # over F_2, e_i(t)^2 = e_i(t_1^2, ..., t_l^2) = p_i: the squared
-        # relations are the Pontryagin row, and SO(2l) keeps l - 1 of them
-        rels = pontryagin_class(ring)
-    elif fam == "SO_even":
-        rels = pontryagin_class(ring)[:-1] + forms[-1:]
     else:
         # a one-generator part (PU(p), the stored forms, the symbols): every
         # product of two of the first 2p - 2 forms, then each later form
         low = forms[:2 * model.prime - 2]
         rels = [a * b for i, a in enumerate(low) for b in low[i:]]
         rels += forms[len(low):]
-    return QuotientPresentation(ring, rels, note=note)
+    return QuotientPresentation(forms[0].ring, rels, note=note)
 
 
 # the families whose torus forms are computed, not stored

@@ -34,9 +34,6 @@ class GradedVariable:
         return (isinstance(other, GradedVariable)
                 and self.name == other.name and self.topdeg == other.topdeg)
 
-    def __hash__(self):
-        return hash((self.name, self.topdeg))
-
     def __repr__(self):
         return "GradedVariable(%r, %d)" % (self.name, self.topdeg)
 
@@ -166,9 +163,6 @@ class PolyRing:
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.same_ring(other)
 
-    def __hash__(self):
-        return hash((self.p, self.variables))
-
     def __repr__(self):
         return "PolyRing(F%d; %s)" % (self.p, ", ".join(v.name for v in self.variables))
 
@@ -202,18 +196,9 @@ class Polynomial:
     def is_homogeneous(self):
         return len(self.term_topdegs()) <= 1
 
-    def __len__(self):
-        return len(self.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         return (isinstance(other, Polynomial)
                 and self.ring.same_ring(other.ring) and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -233,13 +218,6 @@ class Polynomial:
             else:
                 res[m] = s
         return Polynomial(self.ring, res)
-
-    def __neg__(self):
-        p = self.ring.p
-        return Polynomial(self.ring, {m: -c % p for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         self._check_ring(other)

@@ -6,7 +6,8 @@ plain integer arrays indexed by topological degree.  Basis elements carry
 both degree conventions.  The coefficient ring is {"ring": "Fp", "p": p}.
 These are writers only: flagchow reads no JSON.  `json_text` writes a
 payload as `json.dumps(payload, indent=2, sort_keys=True)` does, byte for
-byte, in one pass.
+byte, in one pass; every payload keys its dicts by str, and a key of any
+other type raises TypeError.
 """
 
 import json
@@ -33,7 +34,7 @@ def _write(value, newline, parts):
         inner = newline + "  "
         sep, comma = "{" + inner, "," + inner
         for key, item in sorted(value.items()):
-            head = sep + _quote(key if isinstance(key, str) else _key(key)) + ": "
+            head = sep + _quote(key) + ": "
             sep = comma
             if type(item) is str:
                 parts.append(head + _quote(item))
@@ -70,14 +71,6 @@ def _write(value, newline, parts):
         parts.append(int.__repr__(value))
     else:
         parts.append(json.dumps(value))
-
-
-def _key(key):
-    """A non-str key as `json` writes it: float, int, bool and None."""
-    if isinstance(key, (int, float)) or key is None:
-        return json.dumps(key)
-    raise TypeError("keys must be str, int, float, bool or None, not %s"
-                    % type(key).__name__)
 
 
 def coeff_to_json(p):

@@ -4,14 +4,14 @@ Chern classes c_i are the elementary symmetric functions of the degree-2
 torus variables t_1..t_l; Pontryagin classes p_i are the elementary
 symmetric functions of their squares.  Symmetric functions are generated by
 the Pascal-style recurrence sigma_i(l) = sigma_i(l-1) + t_l*sigma_{i-1}(l-1)
-so the direct product expansion stays available as an independent test
-oracle.
+on exponent tuples, with no polynomial product, so the direct product
+expansion stays available as an independent test oracle.
 """
 
 from math import comb
 
 from .errors import ValidationError
-from .ring import _SMALL_PRIMES, GradedVariable, PolyRing, is_prime
+from .ring import _SMALL_PRIMES, GradedVariable, PolyRing, Polynomial, is_prime
 
 
 def t_ring(l, p):
@@ -19,26 +19,29 @@ def t_ring(l, p):
     return PolyRing([GradedVariable("t%d" % i, 2) for i in range(1, l + 1)], p)
 
 
-def _sigma_row(ring, squares=False):
-    # sigmas[i] = i-th elementary symmetric function of the (squared) variables
+def _sigma_row(ring, power, length):
+    """[sigma_1, .., sigma_length] of t_1^power..t_l^power, the ring's
+    variables, by the Pascal recurrence on exponent tuples.  The two parts
+    of sigma_i(k) = sigma_i(k-1) + t_k^power*sigma_{i-1}(k-1) share no
+    monomial, since only the second holds t_k, so each sigma_i is a list of
+    distinct monomials, each of coefficient 1, and no product is formed."""
     l = ring.nvars
-    sigmas = [ring.one()] + [ring.zero()] * l
-    for k in range(1, l + 1):
-        t = ring.gen(ring.variables[k - 1].name, 2 if squares else 1)
-        for i in range(k, 0, -1):
-            sigmas[i] = sigmas[i] + t * sigmas[i - 1]
-    return sigmas[1:]
+    rows = [[(0,) * l]] + [[] for _ in range(length)]
+    for k in range(l):
+        for i in range(min(k + 1, length), 0, -1):
+            rows[i] += [m[:k] + (power,) + m[k + 1:] for m in rows[i - 1]]
+    return [Polynomial(ring, dict.fromkeys(row, 1)) for row in rows[1:]]
 
 
 def elementary_symmetric(ring):
     """[sigma_1, .., sigma_l] of the ring's variables t_1..t_l; sigma_i is
     homogeneous of topdeg 2i."""
-    return _sigma_row(ring)
+    return _sigma_row(ring, 1, ring.nvars)
 
 
 def pontryagin_class(ring):
     """[p_1, .., p_l]: p_i = sigma_i(t_1^2..t_l^2), homogeneous of topdeg 4i."""
-    return _sigma_row(ring, squares=True)
+    return _sigma_row(ring, 2, ring.nvars)
 
 
 def lucas_binomial(n, k, p):

@@ -688,7 +688,7 @@ def buchberger_reference(relations, ring, order, maxdeg, stats=None):
                 stats["chain_criterion"] += 1
                 continue
             f = (_shift(basis[i], _monomial_div(lcm, lts[i]))
-                 - _shift(basis[j], _monomial_div(lcm, lts[j])))
+                 + ring.const(-1) * _shift(basis[j], _monomial_div(lcm, lts[j])))
         h = _reduce_full(f, basis, lts, key, ring, stats)
         stats["reductions"] += 1
         if h.is_zero():

@@ -7,11 +7,23 @@ property of a class must be read as an attribute somewhere in src/ outside
 its own body; every module-level assignment must be read somewhere in src/;
 and every defaulted parameter of a module-level function, a method or a
 class's `__init__` must be passed by some call in src/.
+
+Names are not calls, so the program is also run: in a fresh process under
+`sys.setprofile`, `cli.main` runs the README invocations (`verify --all`
+among them), the benchmark's `cli_mix` calls and contract probe, and
+`ENTRY_ROOTS`, and each name awaiting a caller is called once.  Every module-level function and
+every method of a class in src/, dunders and properties included, must be
+entered, except `__repr__` and the members of `UNENTERED`.  Running this
+file prints the members never entered, one a line.
 """
 
 import ast
+import contextlib
 import importlib
+import io
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -225,3 +237,110 @@ def test_every_defaulted_parameter_is_passed_by_a_caller():
     unpassed = [(f, fn, param) for f, fn, param in _unpassed_parameters()
                 if (fn, param) not in UNPASSED_PARAMETERS]
     assert unpassed == []
+
+
+# the paths that the README invocations, the cli_mix calls and the
+# contract probe miss
+ENTRY_ROOTS = [
+    "-h",
+    "hilbert --group F4 --prime 3 --maxdeg 20",     # a symbolic presentation
+    "decompose --group Spin --rank 3 --prime 2 --maxdeg 20",
+    "steenrod --group SO --rank 5 --prime 2 --op Sq2 --gen x3",  # on x
+    "steenrod --group SO --rank 5 --prime 2 --op Sq2 --gen x4",  # on y
+    "rost --n 1 --p 41",                            # a prime above 37
+    "restrict --table e8-2-rost-restriction",
+    "catalog --grop U",                             # a grammar error
+]
+# members no program path enters, kept on purpose; `__repr__` is exempt too
+UNENTERED = {
+    # same_ring and check_class compare rings built outside the catalog
+    "ring.GradedVariable.__eq__",
+    "ring.PolyRing.__eq__",
+    # the benchmark's buchberger counter reads it
+    "groebner.GroebnerBasis.__len__",
+}
+
+
+def _members():
+    """{(file, first line of its code): module.name} of each module-level
+    function and each method of a module-level class in src/; a decorated
+    function's code starts at its first decorator."""
+    out = {}
+    for fname, tree in _parse_src().items():
+        path = os.path.realpath(os.path.join(SRC, fname))
+        module = fname[:-len(".py")]
+        for node in tree.body:
+            fns = [(node, "")] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                fns = [(fn, node.name + ".") for fn in node.body
+                       if isinstance(fn, ast.FunctionDef)]
+            for fn, prefix in fns:
+                first = min([fn.lineno] + [d.lineno for d in fn.decorator_list])
+                out[path, first] = "%s.%s%s" % (module, prefix, fn.name)
+    return out
+
+
+def _call_awaiting_callers():
+    """Call each name of AWAITING_CALLERS once."""
+    from flagchow import catalog, chow, groebner, serialize, steenrod
+    model = catalog.lookup_model("SO_odd", 3, 2)
+    pres = chow.chow_presentation(model)
+    f = pres.ring.gen("t1", 2)
+    groebner.normal_form(f, groebner.groebner(pres, 12))
+    serialize.poly_to_json(f)
+    serialize.series_to_json(chow.presentation_series(model, 12)[0])
+    steenrod.sq_on_y(1, 1, 3)
+
+
+def _unentered():
+    """The members of src/ that the roots never enter, sorted.  The profile
+    is off while the test modules load, so what they run is not counted."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+    sys.setprofile(profile)
+    try:
+        cli = importlib.import_module("flagchow.cli")
+        for fname in sorted(os.listdir(SRC)):
+            if fname.endswith(".py") and fname != "__init__.py":
+                importlib.import_module("flagchow." + fname[:-len(".py")])
+    finally:
+        sys.setprofile(None)
+    import test_cli
+    import workloads
+    argvs = (test_cli.README_INVOCATIONS
+             + [argv.split() for argv, _, _ in workloads.cli_mix_calls()
+                + workloads.contract_probe_calls()]
+             + [argv.split() for argv in ENTRY_ROOTS])
+    sys.setprofile(profile)
+    try:
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                cli.main(argv, out=io.StringIO())
+        _call_awaiting_callers()
+    finally:
+        sys.setprofile(None)
+    entered = {(os.path.realpath(f), line) for f, line in entered}
+    return sorted(name for key, name in _members().items() if key not in entered)
+
+
+def test_the_program_enters_every_function_and_method_in_src():
+    # a fresh process: the first call of a subcommand loads its modules
+    src_root = os.path.realpath(os.path.join(SRC, os.pardir))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src_root, os.path.realpath(PERFBENCH), os.path.realpath(HERE)]))
+    done = subprocess.run([sys.executable, os.path.realpath(__file__)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    unentered = done.stdout.split()
+    assert [name for name in unentered if not name.endswith(".__repr__")
+            and name not in UNENTERED] == []
+    # a listed member that a root enters leaves the list
+    assert UNENTERED <= set(unentered)
+
+
+if __name__ == "__main__":
+    print("\n".join(_unentered()))
